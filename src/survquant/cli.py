@@ -146,7 +146,15 @@ def read_dataset(path: str):
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path}: {exc}") from None
     digest = hashlib.sha256(raw).hexdigest()
-    reader = csv.reader(io.StringIO(raw.decode("utf-8")))
+    try:
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(
+            f"not UTF-8 text (byte 0x{raw[exc.start]:02x})",
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    reader = csv.reader(io.StringIO(text))
     try:
         names = [cell.strip() for cell in next(reader)]
     except StopIteration:
@@ -328,6 +336,8 @@ def cmd_test(args) -> int:
     probabilities = args.p
     if len(set(probabilities)) != len(probabilities):
         raise ValidationError("--p entries must be distinct")
+    if args.seed < 0:
+        raise ValidationError("--seed must be non-negative")
     tuning, manifest_tuning, notes = _resolve_test_tuning(args, data, probabilities)
     for note in notes:
         print(f"warning: sigma selection: {note}", file=sys.stderr)
@@ -487,7 +497,13 @@ def cmd_simulate(args) -> int:
     if args.threads is not None:
         threads = args.threads
     else:
-        threads = int(os.environ.get(_THREADS_ENV, "1"))
+        value = os.environ.get(_THREADS_ENV, "1")
+        try:
+            threads = int(value)
+        except ValueError:
+            raise ValidationError(
+                f"{_THREADS_ENV} must be an integer, got {value!r}"
+            ) from None
 
     if args.method == "ls":
         if args.bandwidth is not None:

@@ -233,13 +233,15 @@ class _KdeMachine:
     """
 
     def __init__(self, sample: SurvivalSample, cfg: KdeConfig):
-        if isinstance(cfg.bandwidth, str):
-            self.h = select_bandwidth_cv(sample, cfg.cv_grid)
-        else:
-            self.h = float(cfg.bandwidth)
         self.n = sample.n
         cens_fit = fit_censoring_km(sample)
         self.times, self.weights, self.n_dropped = _event_weights(sample, cens_fit)
+        if isinstance(cfg.bandwidth, str):
+            self.h = select_bandwidth_cv(
+                sample, cfg.cv_grid, events=(self.times, self.weights)
+            )
+        else:
+            self.h = float(cfg.bandwidth)
 
     def at(self, t: float, p=None) -> DensityAtQuantile:
         value = float(
@@ -266,7 +268,26 @@ def estimate_density_kde(
     return _KdeMachine(sample, cfg).at(t, p=p)
 
 
-_BINNING_THRESHOLD = 500
+# Event count above which the pair sums are binned. Measured crossover on a
+# 2-vCPU Xeon (Python 3.11, numpy 2.4) with the CLI grid (46 bandwidths from
+# 0.1), over 112 arms of 109 to 399 events drawn from the README's
+# delayed-effect plan: the exact sums cost 0.11 us x m^2, the binned ones
+# 3.3 ms per unit of event-time span (span 1.4 to 4.8, median 2.5), so the
+# two meet at 230 to 276 events for the middle half of the spans.
+_BINNING_THRESHOLD = 250
+
+# Linear binning moves each event by a fraction of the node gap delta, which
+# perturbs every pair sum by a relative c (delta/h)^2. Over 200 exponential
+# samples (40 seeds x n in {300, 700, 1000, 1600, 3000}, the CLI grid) c was
+# 0.020 in the median and 0.032 at worst; taking c = 0.04, the gap below keeps
+# the relative error at the smallest bandwidth under _BINNED_RTOL (worst seen
+# on those samples: 4.0e-8). Events so far apart that no kernel overlaps
+# another reach c = 1/6 (2e-7), still well under the 1e-6 the criterion
+# needs. An event-time span over _MAX_NODES gaps (about 2300 h_min) widens
+# the gap, and the error grows with its square.
+_BINNED_RTOL = 5e-8
+_BINNED_GAP = math.sqrt(_BINNED_RTOL / 0.04)  # in units of h_min: about 1/894
+_MAX_NODES = 1 << 21
 
 
 def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
@@ -274,79 +295,99 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
 
     Returns (full_h, full_h2): for each grid bandwidth, the sum over ALL
     pairs (diagonal included) of w_i w_j exp(-d^2/(2 h^2)) and of
-    w_i w_j exp(-d^2/(4 h^2)). Small inputs take the exact pairwise path;
-    past a few thousand events the quadratic cost is avoided by linear
-    binning on a grid fine relative to the smallest bandwidth (node spacing
-    h_min/1000, so the second-order binning error sits around 1e-7 relative,
-    well under the 1e-6 the criterion is quoted at).
+    w_i w_j exp(-d^2/(4 h^2)). Up to _BINNING_THRESHOLD events the sums are
+    exact; above it they come from linear binning with a node gap of about
+    h_min/894, whose relative error stays under _BINNED_RTOL = 5e-8 (see the
+    error model above), far below the 1e-6 the criterion is quoted at. Both
+    paths evaluate the kernels in the same loop, the exact one at every pair
+    and the binned one at every node lag, so a span that needs more nodes
+    than there are pairs (event times in days against a grid from 0.1) keeps
+    the exact sums. times must be sorted ascending.
     """
-    if times.size <= _BINNING_THRESHOLD:
-        return _pair_sums_exact(times, weights, grid)
-    return _pair_sums_binned(times, weights, grid)
+    m = times.size
+    if m > _BINNING_THRESHOLD and \
+            _nodes_needed(float(times[-1] - times[0]), grid) < m * (m - 1) // 2:
+        return _pair_sums_binned(times, weights, grid)
+    return _pair_sums_exact(times, weights, grid)
+
+
+def _nodes_needed(span: float, grid: np.ndarray) -> int:
+    """Nodes that cover the span no further apart than _BINNED_GAP * h_min."""
+    return min(_MAX_NODES, math.ceil(span / (_BINNED_GAP * float(grid[0]))) + 1)
+
+
+def _kernel_sums(diagonal, pair_weights, dist_sq, grid):
+    """diagonal + 2 sum(pair_weights * K(dist)) at scales h and h*sqrt(2).
+
+    One buffer serves every bandwidth: the Gaussian at scale h*sqrt(2) is the
+    square root of the one at h.
+    """
+    full_h = np.empty(grid.size)
+    full_h2 = np.empty(grid.size)
+    kernel = np.empty_like(dist_sq)
+    for k, h in enumerate(grid):
+        np.multiply(dist_sq, -0.5 / (h * h), out=kernel)
+        np.exp(kernel, out=kernel)
+        full_h[k] = diagonal + 2.0 * float(pair_weights @ kernel)
+        np.sqrt(kernel, out=kernel)
+        full_h2[k] = diagonal + 2.0 * float(pair_weights @ kernel)
+    return full_h, full_h2
 
 
 def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
-    m = times.size
-    full_h = np.zeros(grid.size)
-    full_h2 = np.zeros(grid.size)
-    chunk = max(1, min(m, 16_000_000 // max(m, 1)))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        d2 = (times[lo:hi, None] - times[None, :]) ** 2
-        w_rows = weights[lo:hi]
-        for k, h in enumerate(grid):
-            narrow = np.exp(d2 * (-0.5 / (h * h)))
-            full_h[k] += float(w_rows @ (narrow @ weights))
-            full_h2[k] += float(w_rows @ (np.sqrt(narrow) @ weights))
-    return full_h, full_h2
+    """Pair sums over the upper triangle, the diagonal added exactly."""
+    i, j = np.triu_indices(times.size, 1)
+    return _kernel_sums(
+        float(weights @ weights), weights[i] * weights[j],
+        (times[j] - times[i]) ** 2, grid,
+    )
+
+
+def _fft_length(n: int) -> int:
+    """The smallest even 2^a 3^b 5^c >= n, a length numpy.fft handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = 2 * p35
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _pair_sums_binned(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     """Pair sums through linear binning and one FFT autocorrelation.
 
-    The binned weights' autocorrelation over lags 0..B is computed once;
-    every bandwidth then costs a single dot product with the kernel sampled
+    The weights are binned linearly onto equally spaced nodes no further
+    apart than _BINNED_GAP * h_min. Zero-padding the nodes to exactly twice
+    their count makes the circular autocorrelation the linear one on every
+    lag; each bandwidth then costs one dot product with the kernel sampled
     at the lag distances. times must be sorted ascending.
     """
     span = float(times[-1] - times[0])
     if span <= 0.0:
         total = float(weights.sum()) ** 2
         return np.full(grid.size, total), np.full(grid.size, total)
-    node_gap = float(grid[0]) * 1e-3
-    bins = int(min(2 ** 21, max(1024, math.ceil(span / node_gap))))
-    bins = 1 << (bins - 1).bit_length()
-    delta = span / bins
+    length = _fft_length(2 * _nodes_needed(span, grid))
+    nodes = length // 2
+    delta = span / (nodes - 1)
     position = (times - times[0]) / delta
-    index = position.astype(np.int64)
+    index = np.minimum(position.astype(np.int64), nodes - 2)
     frac = position - index
-    counts = np.bincount(index, weights * (1.0 - frac), minlength=bins + 2)
-    counts += np.bincount(index + 1, weights * frac, minlength=bins + 2)
-    # zero-pad to at least twice the support so the circular autocorrelation
-    # is the linear one on lags 0..bins+1
-    length = 1 << int(2 * (bins + 2) - 1).bit_length()
+    counts = np.bincount(index, weights * (1.0 - frac), minlength=nodes)
+    counts += np.bincount(index + 1, weights * frac, minlength=nodes)
     spectrum = np.fft.rfft(counts, length)
-    acf = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, length)[: bins + 2]
-    lag_sq = (np.arange(bins + 2) * delta) ** 2
-    full_h = np.empty(grid.size)
-    full_h2 = np.empty(grid.size)
-    for k, h in enumerate(grid):
-        narrow = np.exp(lag_sq[1:] * (-0.5 / (h * h)))
-        full_h[k] = acf[0] + 2.0 * (acf[1:] @ narrow)
-        full_h2[k] = acf[0] + 2.0 * (acf[1:] @ np.sqrt(narrow))
-    return full_h, full_h2
+    acf = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, length)[:nodes]
+    lag_sq = (np.arange(1, nodes) * delta) ** 2
+    return _kernel_sums(float(acf[0]), acf[1:], lag_sq, grid)
 
 
-def _cv_scores(sample: SurvivalSample, grid: np.ndarray) -> np.ndarray:
-    cens_fit = fit_censoring_km(sample)
-    times, weights, _ = _event_weights(sample, cens_fit)
-    if times.size < 2:
-        raise ValidationError("bandwidth selection needs at least 2 events")
-    order = np.argsort(times)
-    times = times[order]
-    weights = weights[order]
-    n = sample.n
-    sum_w2 = float(weights @ weights)
-    full_h, full_h2 = _pair_sums(times, weights, grid)
+def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):
+    """The CV scores from the pair sums; sum_w2 is the exact diagonal."""
     scores = np.empty(grid.size)
     for k, h in enumerate(grid):
         # closed form of the integrated square: kernel at scale h*sqrt(2)
@@ -354,6 +395,20 @@ def _cv_scores(sample: SurvivalSample, grid: np.ndarray) -> np.ndarray:
         cross = (full_h[k] - sum_w2) / (h * _SQRT_2PI)  # off-diagonal only
         scores[k] = integral_sq - 2.0 * cross / (n * (n - 1))
     return scores
+
+
+def _cv_scores(sample: SurvivalSample, grid: np.ndarray, events=None) -> np.ndarray:
+    if events is None:
+        times, weights, _ = _event_weights(sample, fit_censoring_km(sample))
+    else:
+        times, weights = events
+    if times.size < 2:
+        raise ValidationError("bandwidth selection needs at least 2 events")
+    order = np.argsort(times)
+    times = times[order]
+    weights = weights[order]
+    full_h, full_h2 = _pair_sums(times, weights, grid)
+    return _cv_criterion(full_h, full_h2, float(weights @ weights), sample.n, grid)
 
 
 def cv_score(sample: SurvivalSample, h: float) -> float:
@@ -369,8 +424,12 @@ def cv_score(sample: SurvivalSample, h: float) -> float:
     return float(_cv_scores(sample, np.asarray([h], dtype=float))[0])
 
 
-def select_bandwidth_cv(sample: SurvivalSample, grid) -> float:
-    """Grid argmin of the least-squares CV criterion."""
+def select_bandwidth_cv(sample: SurvivalSample, grid, *, events=None) -> float:
+    """Grid argmin of the least-squares CV criterion.
+
+    events is the (times, weights) pair of the sample's censoring-weighted
+    events, for a caller that has already fitted the censoring distribution.
+    """
     arr = _validated_grid(grid, "cv_grid")
-    scores = _cv_scores(sample, arr)
+    scores = _cv_scores(sample, arr, events)
     return float(arr[int(np.argmin(scores))])

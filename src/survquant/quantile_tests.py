@@ -133,6 +133,15 @@ class _ArmPieces:
             raise ValidationError(f"unknown density method {density_method!r}")
 
 
+def _both_arms(data: TwoArmData, probabilities, density_method, tuning):
+    if tuning is None:
+        tuning = _default_tuning(density_method)
+    return (
+        _ArmPieces(data.arm1, probabilities, density_method, tuning, arm_label=1),
+        _ArmPieces(data.arm2, probabilities, density_method, tuning, arm_label=2),
+    )
+
+
 def _clamped_densities(pieces: _ArmPieces, floor):
     values = []
     clamped = False
@@ -141,6 +150,31 @@ def _clamped_densities(pieces: _ArmPieces, floor):
         clamped = clamped or (c != d.value)
         values.append(c)
     return values, clamped
+
+
+def _sigma_from_pieces(data: TwoArmData, p, arm1: _ArmPieces, arm2: _ArmPieces,
+                       j: int, density_floor):
+    """sigma_hat and its ingredients at the pieces' j-th probability p."""
+    d1, d2 = arm1.densities[j], arm2.densities[j]
+    f1, f2 = d1.clamped(density_floor), d2.clamped(density_floor)
+    variance = _arm_variance_term(p, arm1.phis[j], data.mu1_hat, f1) + \
+        _arm_variance_term(p, arm2.phis[j], data.mu2_hat, f2)
+    sigma = math.sqrt(variance)
+    diagnostics = {
+        "p": p,
+        "quantile1": arm1.quantiles[j].time,
+        "quantile2": arm2.quantiles[j].time,
+        "phi1": arm1.phis[j],
+        "phi2": arm2.phis[j],
+        "density1": d1,
+        "density2": d2,
+        "density1_used": f1,
+        "density2_used": f2,
+        "clamped": f1 != d1.value or f2 != d2.value,
+        "mu1": data.mu1_hat,
+        "mu2": data.mu2_hat,
+    }
+    return sigma, diagnostics
 
 
 def sigma_hat_univariate(
@@ -156,41 +190,14 @@ def sigma_hat_univariate(
     variance: per-arm quantiles, variance factors, raw and clamped density
     values, and the allocation fractions.
     """
-    if tuning is None:
-        tuning = _default_tuning(density_method)
-    arm1 = _ArmPieces(data.arm1, [p], density_method, tuning, arm_label=1)
-    arm2 = _ArmPieces(data.arm2, [p], density_method, tuning, arm_label=2)
-    (f1,), clamped1 = _clamped_densities(arm1, density_floor)
-    (f2,), clamped2 = _clamped_densities(arm2, density_floor)
-    variance = _arm_variance_term(p, arm1.phis[0], data.mu1_hat, f1) + \
-        _arm_variance_term(p, arm2.phis[0], data.mu2_hat, f2)
-    sigma = math.sqrt(variance)
-    diagnostics = {
-        "p": p,
-        "quantile1": arm1.quantiles[0].time,
-        "quantile2": arm2.quantiles[0].time,
-        "phi1": arm1.phis[0],
-        "phi2": arm2.phis[0],
-        "density1": arm1.densities[0],
-        "density2": arm2.densities[0],
-        "density1_used": f1,
-        "density2_used": f2,
-        "clamped": clamped1 or clamped2,
-        "mu1": data.mu1_hat,
-        "mu2": data.mu2_hat,
-    }
-    return sigma, diagnostics
+    arm1, arm2 = _both_arms(data, [p], density_method, tuning)
+    return _sigma_from_pieces(data, p, arm1, arm2, 0, density_floor)
 
 
-def univariate_test(
-    data: TwoArmData,
-    p: float,
-    density_method: str = "ls",
-    tuning=None,
-    density_floor: float = DEFAULT_DENSITY_FLOOR,
-) -> UnivariateTestResult:
-    """Two-sided test of equality of the p-th survival quantiles."""
-    sigma, diag = sigma_hat_univariate(data, p, density_method, tuning, density_floor)
+def _univariate_from_pieces(data: TwoArmData, p, arm1: _ArmPieces,
+                            arm2: _ArmPieces, j: int, density_method,
+                            density_floor) -> UnivariateTestResult:
+    sigma, diag = _sigma_from_pieces(data, p, arm1, arm2, j, density_floor)
     delta_hat = diag["quantile1"] - diag["quantile2"]
     statistic = math.sqrt(data.n) * delta_hat / sigma
     p_value = 2.0 * float(ndtr(-abs(statistic)))
@@ -215,6 +222,20 @@ def univariate_test(
         tuning1=diag["density1"].tuning,
         tuning2=diag["density2"].tuning,
         flags=flags,
+    )
+
+
+def univariate_test(
+    data: TwoArmData,
+    p: float,
+    density_method: str = "ls",
+    tuning=None,
+    density_floor: float = DEFAULT_DENSITY_FLOOR,
+) -> UnivariateTestResult:
+    """Two-sided test of equality of the p-th survival quantiles."""
+    arm1, arm2 = _both_arms(data, [p], density_method, tuning)
+    return _univariate_from_pieces(
+        data, p, arm1, arm2, 0, density_method, density_floor
     )
 
 
@@ -288,10 +309,7 @@ def multivariate_test(
         raise ValidationError("at least one probability is required")
     if len(set(probabilities)) != len(probabilities):
         raise ValidationError("probabilities must be distinct")
-    if tuning is None:
-        tuning = _default_tuning(density_method)
-    arm1 = _ArmPieces(data.arm1, probabilities, density_method, tuning, arm_label=1)
-    arm2 = _ArmPieces(data.arm2, probabilities, density_method, tuning, arm_label=2)
+    arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
     values1, clamped1 = _clamped_densities(arm1, density_floor)
     values2, clamped2 = _clamped_densities(arm2, density_floor)
     psi = upsilon_matrix(arm1.fit, probabilities, values1, data.mu1_hat) + \
@@ -333,10 +351,15 @@ def bonferroni_followup(
         raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")
     if not 0 < alpha < 1:
         raise ValidationError("alpha must lie strictly between 0 and 1")
+    # one KM fit and one density set-up (KDE bandwidth selection) per arm,
+    # shared by every probability
+    arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
     j_count = len(probabilities)
     results = []
-    for p in probabilities:
-        res = univariate_test(data, p, density_method, tuning, density_floor)
+    for j, p in enumerate(probabilities):
+        res = _univariate_from_pieces(
+            data, p, arm1, arm2, j, density_method, density_floor
+        )
         adjusted = min(1.0, j_count * res.p_value)
         results.append(
             replace(res, adjusted_p_value=adjusted, reject_adjusted=adjusted < alpha)

@@ -70,6 +70,8 @@ class SimulationPlan:
         object.__setattr__(self, "probabilities", probabilities)
         if self.threads < 1:
             raise ValidationError("threads must be at least 1")
+        if self.master_seed < 0:
+            raise ValidationError("master_seed must be non-negative")
 
 
 @dataclass(frozen=True)

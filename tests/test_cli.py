@@ -137,6 +137,53 @@ class TestReadDataset:
         data, _ = read_dataset(str(path))
         assert data.arm1.times.size == 1
 
+    def test_byte_order_mark_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,status,group\n0.5,1,1\n0.4,1,2\n")
+        data, _ = read_dataset(str(path))
+        assert list(data.arm1.times) == [0.5]
+        assert list(data.arm2.times) == [0.4]
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestInvalidInputExitCode:
+    """Inputs that used to end in a traceback exit 2 with one error line."""
+
+    def test_dataset_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"time,status,group\n0.5,1,1\n0.7,1,2\xff\n")
+        assert_one_line_error(*run_cli(capsys, "test", str(path), "--p", "0.5"))
+        with pytest.raises(DatasetFormatError, match="line 3: not UTF-8"):
+            read_dataset(str(path))
+
+    def test_threads_env_not_integer(self, scenario_file, capsys, monkeypatch):
+        monkeypatch.setenv("SURVQUANT_THREADS", "abc")
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario_file, "--n", "25",
+            "--reps", "2", "--seed", "1",
+        )
+        assert_one_line_error(code, out, err)
+        assert "SURVQUANT_THREADS" in err
+
+    def test_simulate_negative_seed(self, scenario_file, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario_file, "--n", "25",
+            "--reps", "2", "--seed", "-1",
+        )
+        assert_one_line_error(code, out, err)
+        assert "seed" in err
+
+    def test_test_negative_seed(self, tmp_path, capsys):
+        path = make_dataset(tmp_path / "d.csv")
+        code, out, err = run_cli(capsys, "test", path, "--p", "0.5", "--seed", "-1")
+        assert_one_line_error(code, out, err)
+        assert "--seed" in err
+
 
 class TestCmdTest:
     def test_identical_groups_json(self, tmp_path, capsys):

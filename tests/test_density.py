@@ -23,13 +23,16 @@ from survquant import (
     select_sigma_ls,
 )
 from survquant.density import (
+    _cv_criterion,
     _event_weights,
     _ls_slope,
+    _pair_sums,
     _pair_sums_binned,
     _pair_sums_exact,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+CV_GRID = np.arange(0.1, 1.0 + 1e-12, 0.02)  # the CLI's default grid
 
 
 def exponential_sample(rng, n, rate=1.5, cens_rate=0.48):
@@ -355,6 +358,25 @@ class TestCvCriterion:
         assert_allclose(binned_h, exact_h, rtol=1e-7)
         assert_allclose(binned_h2, exact_h2, rtol=1e-7)
 
+    @pytest.mark.parametrize("times,weights", [
+        ([0.7, 0.7], [1.0, 2.5]),
+        ([0.3, 1.9], [1.2, 0.4]),
+        ([0.1, 0.4, 0.4, 0.4, 1.3, 2.0, 2.0], [1.0, 1.1, 1.1, 1.3, 1.6, 2.4, 2.4]),
+        (np.sort(np.random.default_rng(22).exponential(1.0, 120)),
+         np.random.default_rng(23).uniform(1.0, 3.0, 120)),
+    ])
+    def test_exact_sums_match_full_double_sum(self, times, weights):
+        """The upper-triangle sums equal the double sum over the full matrix,
+        with tied times and down to two events."""
+        times, weights = np.asarray(times), np.asarray(weights)
+        grid = np.r_[0.05, CV_GRID, 2.0]
+        full_h, full_h2 = _pair_sums_exact(times, weights, grid)
+        d2 = (times[:, None] - times[None, :]) ** 2
+        ww = weights[:, None] * weights[None, :]
+        for k, h in enumerate(grid):
+            assert_allclose(full_h[k], np.sum(ww * np.exp(-d2 / (2 * h * h))), rtol=1e-12)
+            assert_allclose(full_h2[k], np.sum(ww * np.exp(-d2 / (4 * h * h))), rtol=1e-12)
+
     def test_binned_degenerate_span(self):
         # all event times identical: every pair distance is 0
         times = np.full(600, 2.0)
@@ -370,3 +392,66 @@ class TestCvCriterion:
         cfg = KdeConfig(bandwidth="select-by-cv", cv_grid=grid)
         out = estimate_density_kde(sample, 0.46, cfg)
         assert out.tuning == select_bandwidth_cv(sample, grid)
+
+    def test_one_censoring_fit_per_cv_estimate(self, monkeypatch):
+        calls = []
+
+        def counting(sample):
+            calls.append(sample)
+            return fit_censoring_km(sample)
+
+        monkeypatch.setattr("survquant.density.fit_censoring_km", counting)
+        sample = exponential_sample(np.random.default_rng(24), 120)
+        cfg = KdeConfig(bandwidth="select-by-cv", cv_grid=CV_GRID)
+        estimate_density_kde(sample, 0.46, cfg)
+        assert calls == [sample]
+
+
+@pytest.fixture(scope="module")
+def exact_and_binned():
+    """Both pair-sum paths on 40 seeds x 5 sizes, with the CV inputs."""
+    out = []
+    for n in (300, 700, 1000, 1600, 3000):
+        for seed in range(40):
+            sample = exponential_sample(np.random.default_rng(seed), n)
+            times, weights, _ = _event_weights(sample, fit_censoring_km(sample))
+            order = np.argsort(times)
+            times, weights = times[order], weights[order]
+            out.append((
+                n, seed, float(weights @ weights),
+                _pair_sums_exact(times, weights, CV_GRID),
+                _pair_sums_binned(times, weights, CV_GRID),
+            ))
+    return out
+
+
+class TestBinnedPairSums:
+    def test_relative_error_bound(self, exact_and_binned):
+        """The node gap is set so that binning moves no pair sum by more
+        than 5e-8 relative, at any bandwidth of the grid."""
+        worst = 0.0
+        for _, _, _, exact, binned in exact_and_binned:
+            for e, b in zip(exact, binned):
+                worst = max(worst, float(np.max(np.abs(b / e - 1.0))))
+        assert worst <= 5e-8
+
+    def test_same_bandwidth_as_exact(self, exact_and_binned):
+        for n, seed, sum_w2, exact, binned in exact_and_binned:
+            picks = [
+                int(np.argmin(_cv_criterion(*sums, sum_w2, n, CV_GRID)))
+                for sums in (exact, binned)
+            ]
+            assert picks[0] == picks[1], (n, seed)
+
+    def test_dispatch(self, monkeypatch):
+        """Binned above the event threshold, unless the span needs more
+        nodes than there are pairs."""
+        calls = []
+        monkeypatch.setattr("survquant.density._pair_sums_exact",
+                            lambda *a: calls.append("exact"))
+        monkeypatch.setattr("survquant.density._pair_sums_binned",
+                            lambda *a: calls.append("binned"))
+        # a span of 2 needs about 17900 nodes at h_min = 0.1
+        for m, span in ((250, 2.0), (251, 2.0), (400, 730.0)):
+            _pair_sums(np.linspace(0.0, span, m), np.ones(m), CV_GRID)
+        assert calls == ["exact", "binned", "exact"]

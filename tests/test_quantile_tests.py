@@ -1,5 +1,6 @@
 """Tests for the univariate and multivariate quantile-equality tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -264,3 +265,33 @@ class TestBonferroni:
         data = two_arm(23)
         with pytest.raises(ValidationError, match="alpha"):
             bonferroni_followup(data, [0.3, 0.5], "kde", KDE_FIXED, alpha=1.5)
+
+    @pytest.mark.parametrize("method,tuning", [
+        ("kde", KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.05))),
+        ("ls", LS_FIXED),
+    ])
+    def test_matches_per_p_univariate_field_by_field(self, method, tuning):
+        data = two_arm(24, n=200, rate2=2.0)
+        probs = [0.25, 0.5, 0.75]
+        results = bonferroni_followup(data, probs, method, tuning)
+        for r in results:
+            single = univariate_test(data, r.p, method, tuning)
+            assert dataclasses.replace(
+                r, adjusted_p_value=None, reject_adjusted=None
+            ) == single
+
+    def test_one_bandwidth_selection_per_arm(self, monkeypatch):
+        import survquant.density as density
+
+        calls = []
+        select = density.select_bandwidth_cv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(density, "select_bandwidth_cv", counting)
+        data = two_arm(25, n=150)
+        cfg = KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.05))
+        bonferroni_followup(data, [0.25, 0.5, 0.75], "kde", cfg)
+        assert calls == [data.arm1, data.arm2]
