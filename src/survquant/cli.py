@@ -35,17 +35,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import KdeConfig, LsConfig, select_sigma_ls
+from .density import DEFAULT_CV_GRID, KdeConfig, LsConfig, select_sigma_ls
 from .errors import DatasetFormatError, NumericalError, ValidationError
 from .power import PowerSpec, min_sample_size, power_univariate
-from .quantile_tests import bonferroni_followup, multivariate_test, univariate_test
+from .quantile_tests import (
+    DEFAULT_DENSITY_FLOOR,
+    _bonferroni_from_pieces,
+    _both_arms,
+    _multivariate_from_pieces,
+    univariate_test,
+)
 from .scenarios import ScenarioConfig, parse_scenario_values, resolve_scenario, scenario_sigma2
 from .simulate import DEFAULT_SIM_SIGMA_EPS, SimulationPlan, empirical_rejection
 from .survival import SurvivalSample, TwoArmData
 
 _THREADS_ENV = "SURVQUANT_THREADS"
 _SIGMA_AUTO_GRID = np.linspace(0.1, 10.0, 199)  # 0.1 .. 10 in steps of 0.05
-_BANDWIDTH_AUTO_GRID = np.arange(0.1, 1.0 + 1e-12, 0.02)
 _REQUIRED_COLUMNS = ("time", "status", "group")
 
 
@@ -265,7 +270,31 @@ def _single_p(args, merged: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tuning resolution for cmd_test
+# tuning resolution
+
+def _number_or_auto(flag: str, spec):
+    """A tuning flag's value: None or 'auto' as given, otherwise a float."""
+    if spec is None or spec == "auto":
+        return spec
+    try:
+        return float(spec)
+    except ValueError:
+        raise ValidationError(
+            f"{flag} must be a number or 'auto', got {spec!r}"
+        ) from None
+
+
+def _kde_tuning(args):
+    """KDE tuning and its manifest entry from --bandwidth (default auto)."""
+    if args.sigma_eps is not None:
+        raise ValidationError("--sigma-eps applies to --method ls only")
+    bandwidth = _number_or_auto("--bandwidth", args.bandwidth)
+    if bandwidth in (None, "auto"):
+        tuning = KdeConfig("select-by-cv", DEFAULT_CV_GRID)
+        return tuning, {"method": "kde", "bandwidth_mode": "auto"}
+    manifest = {"method": "kde", "bandwidth": bandwidth, "bandwidth_mode": "fixed"}
+    return KdeConfig(bandwidth), manifest
+
 
 def _resolve_test_tuning(args, data, probabilities):
     """Build the density tuning from flags, resolving 'auto' choices.
@@ -274,52 +303,31 @@ def _resolve_test_tuning(args, data, probabilities):
     the largest plateau-stable choice over arm x probability (symmetric in
     the arms, errs toward smoothing); the per-selection values are recorded.
     """
-    if args.method == "ls":
-        if args.bandwidth is not None:
-            raise ValidationError("--bandwidth applies to --method kde only")
-        spec = args.sigma_eps if args.sigma_eps is not None else "auto"
-        if spec == "auto":
-            chosen = []
-            flags = set()
-            for sample in (data.arm1, data.arm2):
-                for p in probabilities:
-                    selection = select_sigma_ls(
-                        sample, p, _SIGMA_AUTO_GRID, seed=args.seed
-                    )
-                    chosen.append(selection.sigma_eps)
-                    flags.update(selection.flags)
-            sigma = max(chosen)
-            manifest = {
-                "method": "ls",
-                "sigma_eps": sigma,
-                "sigma_eps_mode": "auto",
-                "sigma_eps_selections": chosen,
-            }
-            return LsConfig(sigma_eps=sigma, seed=args.seed), manifest, sorted(flags)
-        try:
-            sigma = float(spec)
-        except ValueError:
-            raise ValidationError(
-                f"--sigma-eps must be a number or 'auto', got {spec!r}"
-            ) from None
+    if args.method == "kde":
+        return (*_kde_tuning(args), [])
+    if args.bandwidth is not None:
+        raise ValidationError("--bandwidth applies to --method kde only")
+    sigma = _number_or_auto("--sigma-eps", args.sigma_eps)
+    if sigma not in (None, "auto"):
         manifest = {"method": "ls", "sigma_eps": sigma, "sigma_eps_mode": "fixed"}
         return LsConfig(sigma_eps=sigma, seed=args.seed), manifest, []
-    # kde
-    if args.sigma_eps is not None:
-        raise ValidationError("--sigma-eps applies to --method ls only")
-    spec = args.bandwidth if args.bandwidth is not None else "auto"
-    if spec == "auto":
-        tuning = KdeConfig("select-by-cv", _BANDWIDTH_AUTO_GRID)
-        manifest = {"method": "kde", "bandwidth_mode": "auto"}
-        return tuning, manifest, []
-    try:
-        bandwidth = float(spec)
-    except ValueError:
-        raise ValidationError(
-            f"--bandwidth must be a number or 'auto', got {spec!r}"
-        ) from None
-    manifest = {"method": "kde", "bandwidth": bandwidth, "bandwidth_mode": "fixed"}
-    return KdeConfig(bandwidth), manifest, []
+    chosen = []
+    flags = set()
+    for sample in (data.arm1, data.arm2):
+        for p in probabilities:
+            selection = select_sigma_ls(
+                sample, p, _SIGMA_AUTO_GRID, seed=args.seed
+            )
+            chosen.append(selection.sigma_eps)
+            flags.update(selection.flags)
+    sigma = max(chosen)
+    manifest = {
+        "method": "ls",
+        "sigma_eps": sigma,
+        "sigma_eps_mode": "auto",
+        "sigma_eps_selections": chosen,
+    }
+    return LsConfig(sigma_eps=sigma, seed=args.seed), manifest, sorted(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +376,20 @@ def cmd_test(args) -> int:
             _emit_table(manifest, header, rows)
         return 0
 
+    if args.bonferroni and not 0 < args.alpha < 1:
+        raise ValidationError("alpha must lie strictly between 0 and 1")
+    # one set of arm pieces (KM fit, quantiles, densities) for the joint
+    # test and the follow-up
+    arm1, arm2 = _both_arms(data, probabilities, args.method, tuning)
+    followup = []
     if args.bonferroni:
-        followup = bonferroni_followup(
-            data, probabilities, args.method, tuning, alpha=args.alpha
+        followup = _bonferroni_from_pieces(
+            data, probabilities, arm1, arm2, args.method, args.alpha,
+            DEFAULT_DENSITY_FLOOR,
         )
-    else:
-        followup = []
-    joint = multivariate_test(data, probabilities, args.method, tuning)
+    joint = _multivariate_from_pieces(
+        data, probabilities, arm1, arm2, DEFAULT_DENSITY_FLOOR
+    )
     if args.method == "kde":
         manifest_tuning["bandwidth_arm1"] = joint.tuning1
         manifest_tuning["bandwidth_arm2"] = joint.tuning2
@@ -505,24 +520,16 @@ def cmd_simulate(args) -> int:
                 f"{_THREADS_ENV} must be an integer, got {value!r}"
             ) from None
 
-    if args.method == "ls":
+    if args.method == "kde":
+        tuning, manifest_tuning = _kde_tuning(args)
+    else:
         if args.bandwidth is not None:
             raise ValidationError("--bandwidth applies to --method kde only")
-        sigma = DEFAULT_SIM_SIGMA_EPS if args.sigma_eps is None else float(args.sigma_eps)
+        sigma = _number_or_auto("--sigma-eps", args.sigma_eps)
+        if sigma in (None, "auto"):
+            sigma = DEFAULT_SIM_SIGMA_EPS
         tuning = LsConfig(sigma_eps=sigma)
         manifest_tuning = {"method": "ls", "sigma_eps": sigma}
-    else:
-        if args.sigma_eps is not None:
-            raise ValidationError("--sigma-eps applies to --method ls only")
-        if args.bandwidth is None or args.bandwidth == "auto":
-            tuning = KdeConfig("select-by-cv", _BANDWIDTH_AUTO_GRID)
-            manifest_tuning = {"method": "kde", "bandwidth_mode": "auto"}
-        else:
-            tuning = KdeConfig(float(args.bandwidth))
-            manifest_tuning = {
-                "method": "kde", "bandwidth": float(args.bandwidth),
-                "bandwidth_mode": "fixed",
-            }
 
     plan = SimulationPlan(
         scenario=scenario,
@@ -652,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--method", choices=("ls", "kde"), default="ls")
     sim.add_argument("--alpha", type=float, default=0.05)
     sim.add_argument("--sigma-eps", default=None,
-                     help=f"LS perturbation scale (default {DEFAULT_SIM_SIGMA_EPS})")
+                     help="LS perturbation scale, or 'auto' for the default "
+                          f"{DEFAULT_SIM_SIGMA_EPS}")
     sim.add_argument("--bandwidth", default=None,
                      help="KDE bandwidth, or 'auto' for per-replicate CV")
     sim.add_argument("--seed", type=int, default=None,

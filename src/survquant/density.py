@@ -35,6 +35,11 @@ from .survival import (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Default bandwidth grid for CV selection (0.1 .. 1.0 in steps of 0.02, in
+# the data's time unit), shared by the library and the CLI.
+DEFAULT_CV_GRID = np.arange(0.1, 1.0 + 1e-12, 0.02)
+DEFAULT_CV_GRID.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class LsConfig:

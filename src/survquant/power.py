@@ -9,10 +9,12 @@ Multivariate power replaces the shifted normal by a noncentral chi-squared
 with J degrees of freedom and noncentrality n Delta' Psi^{-1} Delta, compared
 against the central chi-squared quantile q_{J,1-a}.
 
-The special-function substrate below (normal cdf/quantile, central and
-noncentral chi-squared) is what both formulas are built from; the noncentral
-CDF is a Poisson mixture of central CDFs truncated when the remaining Poisson
-tail mass drops under 1e-12.
+sigma^2 and Psi come from one per-arm covariance kernel, upsilon(), shared
+by the closed-form scenarios and the data-driven tests: sigma^2 is the sum of
+the two arms' J=1 terms and Psi the sum of their matrices.
+
+The special-function substrate (normal cdf/quantile, central and noncentral
+chi-squared) comes from scipy.special; the noncentral CDF is chndtr.
 """
 from __future__ import annotations
 
@@ -20,16 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammainc, gammaincinv, ndtr, ndtri
+from scipy.special import chndtr, gammainc, gammaincinv, ndtr, ndtri
 
 from .errors import (
     SingularCovarianceError,
     UnattainablePowerError,
     ValidationError,
 )
-
-_POISSON_TAIL_TOL = 1e-12
 
 
 def normal_cdf(x):
@@ -59,18 +58,8 @@ def chi2_quantile(p: float, dof: int) -> float:
     return float(2.0 * gammaincinv(dof / 2.0, p))
 
 
-def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float,
-                        tail_tol: float = _POISSON_TAIL_TOL) -> float:
-    """Noncentral chi-squared CDF as a Poisson mixture of central CDFs.
-
-    P(X <= x) = sum_k e^{-l/2} (l/2)^k / k! * CentralChi2Cdf(x; dof + 2k).
-
-    The series is truncated once the remaining Poisson mass falls below
-    tail_tol, which bounds the truncation error by tail_tol since every
-    central CDF factor is at most 1. A secondary stop past the Poisson mode
-    handles very large noncentralities, where the central factors underflow
-    long before the Poisson weights concentrate.
-    """
+def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
+    """Noncentral chi-squared CDF (scipy.special.chndtr)."""
     if x < 0:
         raise ValidationError("x must be non-negative")
     if dof < 1:
@@ -79,24 +68,29 @@ def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float,
         raise ValidationError("noncentrality must be non-negative")
     if noncentrality == 0.0:
         return float(chi2_cdf(x, dof))
-    half = noncentrality / 2.0
-    weight = math.exp(-half)  # Poisson(half) mass at k = 0; may underflow
-    mass_seen = 0.0
-    total = 0.0
-    k = 0
-    while True:
-        term_cdf = float(gammainc((dof + 2 * k) / 2.0, x / 2.0))
-        total += weight * term_cdf
-        mass_seen += weight
-        if 1.0 - mass_seen < tail_tol:
-            break
-        if k >= half and term_cdf < 1e-16:
-            # everything still unaccounted for sits at even larger dof,
-            # where the central CDF at x is smaller yet
-            break
-        k += 1
-        weight *= half / k
-    return min(1.0, total)
+    return float(chndtr(x, dof, noncentrality))
+
+
+def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
+    """One arm's asymptotic covariance of the scaled quantile vector.
+
+    Upsilon[j,l] = (1-p_j)(1-p_l) phi(min(t_j,t_l)) / (mu f_j f_l) from the
+    arm's p_j-quantiles t_j, phis[j] = phi(t_j), densities f_j = f(t_j) and
+    allocation fraction mu. Off-diagonal entries are mirrored, so the matrix
+    is exactly symmetric.
+    """
+    if any(f <= 0 for f in densities):
+        raise ValidationError("densities must be positive at every quantile")
+    size = len(ps)
+    out = np.empty((size, size))
+    for j in range(size):
+        for l in range(j + 1):
+            early = j if times[j] <= times[l] else l
+            out[j, l] = out[l, j] = (
+                (1.0 - ps[j]) * (1.0 - ps[l])
+                * phis[early] / (mu * densities[j] * densities[l])
+            )
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,8 @@ def _noncentrality(psi, deltas):
         raise SingularCovarianceError(
             message="psi must be positive definite for the power formula"
         )
-    factor = cho_factor(psi, lower=True)
-    return float(deltas @ cho_solve(factor, deltas)), deltas.size
+    root = np.linalg.solve(np.linalg.cholesky(psi), deltas)
+    return float(root @ root), deltas.size
 
 
 def power_multivariate(spec: PowerSpec) -> float:

@@ -5,20 +5,18 @@ quantiles
 
     T_n = sqrt(n) (F1^{-1}(p) - F2^{-1}(p)) / sigma_hat
 
-is asymptotically standard normal under equality, with
-
-    sigma_hat^2 = (1-p)^2 ( phi1/(mu1 f1^2) + phi2/(mu2 f2^2) )
-
-where phi_k is the per-arm variance factor, f_k the density at the arm's own
-quantile, and mu_k the allocation fraction. n is the TOTAL sample size.
+is asymptotically standard normal under equality. n is the TOTAL sample
+size.
 
 Multivariate: for probabilities p_1..p_J, the vector of normalized
-differences has covariance Psi = Upsilon_1 + Upsilon_2 with per-arm entries
+differences has covariance Psi = Upsilon_1 + Upsilon_2, and the Wald
+statistic Z' Psi^{-1} Z is asymptotically chi-squared with J degrees of
+freedom.
 
-    Upsilon[j,l] = (1-p_j)(1-p_l) phi(min(t_j,t_l)) / (mu f(t_j) f(t_l))
-
-and the Wald statistic Z' Psi^{-1} Z is asymptotically chi-squared with J
-degrees of freedom.
+sigma_hat^2 and Psi both come from the arm kernel power.upsilon, fed with
+each arm's Kaplan-Meier quantiles t_j, Greenwood variance factors phi(t_j),
+clamped density estimates f(t_j) and allocation fraction mu; sigma_hat^2 is
+its J=1 case, so the J=1 joint test is the univariate test squared.
 """
 from __future__ import annotations
 
@@ -26,10 +24,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaincc, ndtr
 
 from .density import (
+    DEFAULT_CV_GRID,
     DensityAtQuantile,
     KdeConfig,
     LsConfig,
@@ -41,6 +39,7 @@ from .errors import (
     UnreachableQuantileError,
     ValidationError,
 )
+from .power import upsilon
 from .survival import (
     KaplanMeierFit,
     TwoArmData,
@@ -94,34 +93,27 @@ def _default_tuning(density_method):
         # own LsConfig to control the draws
         return LsConfig(sigma_eps=1.0, n_draws=1000, seed=0)
     if density_method == "kde":
-        return KdeConfig(bandwidth="select-by-cv",
-                         cv_grid=np.arange(0.1, 1.0 + 1e-12, 0.02))
+        return KdeConfig(bandwidth="select-by-cv", cv_grid=DEFAULT_CV_GRID)
     raise ValidationError(f"unknown density method {density_method!r}")
-
-
-def _arm_variance_term(p, phi, mu, density):
-    # shared by the univariate variance and the Upsilon diagonal so the two
-    # agree to the last bit at J=1
-    return (1.0 - p) ** 2 * phi / (mu * density * density)
 
 
 class _ArmPieces:
     """Per-arm quantities shared by the univariate and multivariate paths."""
 
     def __init__(self, sample, probabilities, density_method, tuning, arm_label):
-        self.fit = fit_kaplan_meier(sample)
+        fit = fit_kaplan_meier(sample)
         self.quantiles = []
         for p in probabilities:
-            q = quantile_at(self.fit, p)
+            q = quantile_at(fit, p)
             if not q.reachable:
                 raise UnreachableQuantileError(
-                    p=p, max_probability=self.fit.max_cdf, arm=arm_label
+                    p=p, max_probability=fit.max_cdf, arm=arm_label
                 )
             self.quantiles.append(q)
-        self.phis = [phi_hat(self.fit, q.time) for q in self.quantiles]
+        self.phis = [phi_hat(fit, q.time) for q in self.quantiles]
         if density_method == "ls":
             self.densities = [
-                _ls_density_from_fit(self.fit, p, tuning) for p in probabilities
+                _ls_density_from_fit(fit, p, tuning) for p in probabilities
             ]
         elif density_method == "kde":
             machine = _KdeMachine(sample, tuning)
@@ -157,9 +149,11 @@ def _sigma_from_pieces(data: TwoArmData, p, arm1: _ArmPieces, arm2: _ArmPieces,
     """sigma_hat and its ingredients at the pieces' j-th probability p."""
     d1, d2 = arm1.densities[j], arm2.densities[j]
     f1, f2 = d1.clamped(density_floor), d2.clamped(density_floor)
-    variance = _arm_variance_term(p, arm1.phis[j], data.mu1_hat, f1) + \
-        _arm_variance_term(p, arm2.phis[j], data.mu2_hat, f2)
-    sigma = math.sqrt(variance)
+    variance = (
+        upsilon([p], [arm1.quantiles[j].time], [arm1.phis[j]], [f1], data.mu1_hat)
+        + upsilon([p], [arm2.quantiles[j].time], [arm2.phis[j]], [f2], data.mu2_hat)
+    )
+    sigma = math.sqrt(variance[0, 0])
     diagnostics = {
         "p": p,
         "quantile1": arm1.quantiles[j].time,
@@ -242,8 +236,9 @@ def univariate_test(
 def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float):
     """One arm's covariance contribution for several quantiles.
 
-    densities may be raw floats or DensityAtQuantile results; they must be
-    positive (clamping happens before this call).
+    power.upsilon at the fit's quantiles and their Greenwood factors
+    phi_hat. densities may be raw floats or DensityAtQuantile results; they
+    must be positive (clamping happens before this call).
     """
     probabilities = list(probabilities)
     values = [
@@ -251,8 +246,6 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
     ]
     if len(values) != len(probabilities):
         raise ValidationError("one density per probability is required")
-    if any(v <= 0 for v in values):
-        raise ValidationError("densities must be positive; clamp before calling")
     if not 0 < mu_hat <= 1:
         raise ValidationError("mu_hat must lie in (0, 1]")
     times = []
@@ -262,19 +255,7 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
             raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf)
         times.append(q.time)
     phis = [phi_hat(fit, t) for t in times]
-    j_count = len(probabilities)
-    matrix = np.empty((j_count, j_count))
-    for j in range(j_count):
-        matrix[j, j] = _arm_variance_term(
-            probabilities[j], phis[j], mu_hat, values[j]
-        )
-        for l in range(j):
-            early = j if times[j] <= times[l] else l
-            matrix[j, l] = matrix[l, j] = (
-                (1.0 - probabilities[j]) * (1.0 - probabilities[l])
-                * phis[early] / (mu_hat * values[j] * values[l])
-            )
-    return matrix
+    return upsilon(probabilities, times, phis, values, mu_hat)
 
 
 def _check_positive_definite(psi, probabilities):
@@ -296,31 +277,23 @@ def _check_positive_definite(psi, probabilities):
     raise SingularCovarianceError(pair=pair)
 
 
-def multivariate_test(
-    data: TwoArmData,
-    probabilities,
-    density_method: str = "ls",
-    tuning=None,
-    density_floor: float = DEFAULT_DENSITY_FLOOR,
-) -> MultivariateTestResult:
-    """Wald-type joint test of equality at several quantiles."""
-    probabilities = list(probabilities)
-    if len(probabilities) < 1:
-        raise ValidationError("at least one probability is required")
-    if len(set(probabilities)) != len(probabilities):
-        raise ValidationError("probabilities must be distinct")
-    arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
+def _multivariate_from_pieces(data: TwoArmData, probabilities, arm1: _ArmPieces,
+                              arm2: _ArmPieces,
+                              density_floor) -> MultivariateTestResult:
     values1, clamped1 = _clamped_densities(arm1, density_floor)
     values2, clamped2 = _clamped_densities(arm2, density_floor)
-    psi = upsilon_matrix(arm1.fit, probabilities, values1, data.mu1_hat) + \
-        upsilon_matrix(arm2.fit, probabilities, values2, data.mu2_hat)
+    psi = (
+        upsilon(probabilities, [q.time for q in arm1.quantiles], arm1.phis,
+                values1, data.mu1_hat)
+        + upsilon(probabilities, [q.time for q in arm2.quantiles], arm2.phis,
+                  values2, data.mu2_hat)
+    )
     _check_positive_definite(psi, probabilities)
     deltas = np.array(
         [q1.time - q2.time for q1, q2 in zip(arm1.quantiles, arm2.quantiles)]
     )
-    z = math.sqrt(data.n) * deltas
-    factor = cho_factor(psi, lower=True)
-    statistic = float(z @ cho_solve(factor, z))
+    root = np.linalg.solve(np.linalg.cholesky(psi), math.sqrt(data.n) * deltas)
+    statistic = float(root @ root)
     dof = len(probabilities)
     p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
     flags = ("clamped-density",) if (clamped1 or clamped2) else ()
@@ -335,6 +308,39 @@ def multivariate_test(
         tuning2=arm2.densities[0].tuning,
         flags=flags,
     )
+
+
+def multivariate_test(
+    data: TwoArmData,
+    probabilities,
+    density_method: str = "ls",
+    tuning=None,
+    density_floor: float = DEFAULT_DENSITY_FLOOR,
+) -> MultivariateTestResult:
+    """Wald-type joint test of equality at several quantiles."""
+    probabilities = list(probabilities)
+    if len(probabilities) < 1:
+        raise ValidationError("at least one probability is required")
+    if len(set(probabilities)) != len(probabilities):
+        raise ValidationError("probabilities must be distinct")
+    arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
+    return _multivariate_from_pieces(data, probabilities, arm1, arm2, density_floor)
+
+
+def _bonferroni_from_pieces(data: TwoArmData, probabilities, arm1: _ArmPieces,
+                            arm2: _ArmPieces, density_method, alpha,
+                            density_floor):
+    j_count = len(probabilities)
+    results = []
+    for j, p in enumerate(probabilities):
+        res = _univariate_from_pieces(
+            data, p, arm1, arm2, j, density_method, density_floor
+        )
+        adjusted = min(1.0, j_count * res.p_value)
+        results.append(
+            replace(res, adjusted_p_value=adjusted, reject_adjusted=adjusted < alpha)
+        )
+    return results
 
 
 def bonferroni_followup(
@@ -354,14 +360,6 @@ def bonferroni_followup(
     # one KM fit and one density set-up (KDE bandwidth selection) per arm,
     # shared by every probability
     arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
-    j_count = len(probabilities)
-    results = []
-    for j, p in enumerate(probabilities):
-        res = _univariate_from_pieces(
-            data, p, arm1, arm2, j, density_method, density_floor
-        )
-        adjusted = min(1.0, j_count * res.p_value)
-        results.append(
-            replace(res, adjusted_p_value=adjusted, reject_adjusted=adjusted < alpha)
-        )
-    return results
+    return _bonferroni_from_pieces(
+        data, probabilities, arm1, arm2, density_method, alpha, density_floor
+    )

@@ -11,7 +11,9 @@ building block
 
 all have closed forms, so the asymptotic variance of the quantile
 difference, and hence power and sample size, can be evaluated without
-simulation.
+simulation: scenario_sigma2 and scenario_psi feed the true quantiles,
+densities and phi values into the same arm kernel, power.upsilon, that the
+data-driven tests feed with estimates.
 
 Proportional-hazards planning ("scenario 1") solves for a constant
 comparator rate shifting the p-quantile by delta; the delayed-effect
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDeltaError, ValidationError
+from .power import upsilon
 
 
 def exp_quantile(rate: float, p: float) -> float:
@@ -286,11 +289,10 @@ def scenario_from_delta(
     return TrialScenario(arm1, arm2, censoring_rate=censoring_rate, mu1=mu1)
 
 
-def _arm_term(arm, p, t, censoring_rate, mu):
-    density = arm.density(t)
-    if density <= 0:
-        raise ValidationError("arm density vanishes at its quantile")
-    return (1.0 - p) ** 2 * arm.phi(t, censoring_rate) / (mu * density ** 2)
+def _arm_upsilon(arm, probabilities, censoring_rate, mu):
+    times = [arm.quantile(p) for p in probabilities]
+    phis = [arm.phi(t, censoring_rate) for t in times]
+    return upsilon(probabilities, times, phis, [arm.density(t) for t in times], mu)
 
 
 def scenario_sigma2(scenario: TrialScenario, p: float):
@@ -311,29 +313,11 @@ def scenario_sigma2(scenario: TrialScenario, p: float):
         "phi1": scenario.arm1.phi(t1, scenario.censoring_rate),
         "phi2": scenario.arm2.phi(t2, scenario.censoring_rate),
     }
-    sigma2 = _arm_term(
-        scenario.arm1, p, t1, scenario.censoring_rate, scenario.mu1
-    ) + _arm_term(scenario.arm2, p, t2, scenario.censoring_rate, scenario.mu2)
-    return sigma2, diag
-
-
-def _upsilon(arm, probabilities, censoring_rate, mu):
-    ps = np.asarray(probabilities, dtype=float)
-    times = np.array([arm.quantile(p) for p in ps])
-    densities = np.array([arm.density(t) for t in times])
-    if np.any(densities <= 0):
-        raise ValidationError("arm density vanishes at one of the quantiles")
-    size = ps.size
-    out = np.empty((size, size))
-    for j in range(size):
-        for l in range(size):
-            early = j if times[j] <= times[l] else l
-            out[j, l] = (
-                (1.0 - ps[j]) * (1.0 - ps[l])
-                * arm.phi(times[early], censoring_rate)
-                / (mu * densities[j] * densities[l])
-            )
-    return out
+    sigma2 = (
+        upsilon([p], [t1], [diag["phi1"]], [diag["density1"]], scenario.mu1)
+        + upsilon([p], [t2], [diag["phi2"]], [diag["density2"]], scenario.mu2)
+    )
+    return float(sigma2[0, 0]), diag
 
 
 def scenario_psi(scenario: TrialScenario, probabilities) -> np.ndarray:
@@ -345,9 +329,9 @@ def scenario_psi(scenario: TrialScenario, probabilities) -> np.ndarray:
         _check_probability(p)
     if np.unique(ps).size != ps.size:
         raise ValidationError("probabilities must be distinct")
-    return _upsilon(
+    return _arm_upsilon(
         scenario.arm1, ps, scenario.censoring_rate, scenario.mu1
-    ) + _upsilon(scenario.arm2, ps, scenario.censoring_rate, scenario.mu2)
+    ) + _arm_upsilon(scenario.arm2, ps, scenario.censoring_rate, scenario.mu2)
 
 
 def calibrate_censoring(arm, target_fraction: float, tol: float = 1e-8) -> float:
@@ -487,24 +471,6 @@ def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
     target_censoring is calibrated on the control arm by bisection.
     """
     arm1 = ExponentialArm(config.lambda_a)
-    if config.lambda_b is not None:
-        if config.t_cut is None:
-            arm2 = ExponentialArm(config.lambda_b)
-        else:
-            arm2 = PiecewiseExponentialArm(
-                config.lambda_a, config.lambda_b, config.t_cut
-            )
-    else:
-        p = config.probabilities[0]
-        if config.t_cut is None:
-            arm2 = ExponentialArm(
-                rate_from_delta_scn1(config.lambda_a, p, config.delta)
-            )
-        else:
-            late = rate_from_delta_scn2(
-                config.lambda_a, p, config.delta, config.t_cut
-            )
-            arm2 = PiecewiseExponentialArm(config.lambda_a, late, config.t_cut)
     if config.target_censoring is not None:
         censoring_rate = calibrate_censoring(arm1, config.target_censoring)
     elif config.lambda_cens is not None:
@@ -513,4 +479,13 @@ def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
         censoring_rate = config.lambda_cens
     else:
         censoring_rate = 0.0
+    if config.delta is not None:
+        return scenario_from_delta(
+            config.lambda_a, config.probabilities[0], config.delta,
+            t_cut=config.t_cut, censoring_rate=censoring_rate, mu1=config.mu1,
+        )
+    if config.t_cut is None:
+        arm2 = ExponentialArm(config.lambda_b)
+    else:
+        arm2 = PiecewiseExponentialArm(config.lambda_a, config.lambda_b, config.t_cut)
     return TrialScenario(arm1, arm2, censoring_rate=censoring_rate, mu1=config.mu1)

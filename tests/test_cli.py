@@ -178,6 +178,18 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert "seed" in err
 
+    @pytest.mark.parametrize("flag,method", [
+        ("--sigma-eps", "ls"), ("--bandwidth", "kde"),
+    ])
+    def test_simulate_tuning_not_a_number(self, scenario_file, capsys, flag,
+                                          method):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario_file, "--n", "25",
+            "--reps", "2", "--seed", "1", "--method", method, flag, "abc",
+        )
+        assert_one_line_error(code, out, err)
+        assert f"{flag} must be a number or 'auto'" in err
+
     def test_test_negative_seed(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "d.csv")
         code, out, err = run_cli(capsys, "test", path, "--p", "0.5", "--seed", "-1")
@@ -274,6 +286,27 @@ class TestCmdTest:
         for entry in followup:
             expected = min(1.0, 2.0 * entry["p_value"])
             assert entry["adjusted_p_value"] == pytest.approx(expected, rel=1e-15)
+
+    def test_bonferroni_one_bandwidth_selection_per_arm(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import survquant.density as density
+
+        calls = []
+        select = density.select_bandwidth_cv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(density, "select_bandwidth_cv", counting)
+        path = make_dataset(tmp_path / "d.csv", n=80, rate2=2.0)
+        code, out, _ = run_cli(
+            capsys, "test", path, "--p", "0.25,0.5,0.75", "--bonferroni",
+            "--method", "kde", "--json", "-",
+        )
+        assert code == 0
+        assert len(calls) == 2
+        assert len(json.loads(out)["bonferroni"]) == 3
 
     def test_sigma_auto_records_selections(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "d.csv")

@@ -1,12 +1,17 @@
 """Tests for the closed-form power formulas and the sample size search."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+import survquant
 from survquant import (
     PowerSpec,
     chi2_cdf,
@@ -110,11 +115,6 @@ class TestNoncentralChiSquared:
         assert noncentral_chi2_cdf(12.0, 4, 7.0) == pytest.approx(
             0.6241544848352638, abs=1e-10
         )
-
-    def test_tail_tolerance_insensitive(self):
-        loose = noncentral_chi2_cdf(6.0, 2, 50.0, tail_tol=1e-10)
-        tight = noncentral_chi2_cdf(6.0, 2, 50.0, tail_tol=1e-12)
-        assert abs(loose - tight) <= 1e-8
 
     def test_huge_noncentrality_small_threshold(self):
         # the regime the power formula actually visits: fixed rejection
@@ -339,3 +339,17 @@ class TestMinSampleSize:
         result = min_sample_size(0.85, [0.12, 0.1], psi=psi, alpha=0.05)
         assert result.achieved_power >= 0.85
         assert result.power_at_n_minus_1 < 0.85
+
+
+def test_import_loads_no_scipy_linalg_or_stats():
+    # a fresh interpreter, so modules this test session imported don't count
+    code = (
+        "import sys, survquant; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.linalg', 'scipy.stats'))))"
+    )
+    package_root = str(Path(survquant.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from survquant import (
@@ -202,6 +204,26 @@ class TestMultivariate:
         multi = multivariate_test(data, [0.5], method, tuning)
         assert_allclose(multi.statistic, uni.statistic**2, rtol=1e-12)
         assert_allclose(multi.p_value, uni.p_value, rtol=1e-12)
+
+    @pytest.mark.parametrize("method,tuning", [("kde", KDE_FIXED), ("ls", LS_FIXED)])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(40, 200),
+        n2=st.integers(40, 200),
+        rate2=st.floats(0.5, 4.0),
+        p=st.floats(0.1, 0.6),
+    )
+    def test_j1_psi_is_sigma_squared_exactly(self, method, tuning, seed, n1, n2,
+                                             rate2, p):
+        rng = np.random.default_rng(seed)
+        data = TwoArmData(censored_arm(rng, n1), censored_arm(rng, n2, rate=rate2))
+        try:
+            uni = univariate_test(data, p, method, tuning)
+        except UnreachableQuantileError:
+            return
+        multi = multivariate_test(data, [p], method, tuning)
+        assert math.sqrt(multi.psi_hat[0, 0]) == uni.sigma_hat
 
     def test_psi_symmetric(self):
         data = two_arm(16)

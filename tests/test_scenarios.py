@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -387,6 +389,24 @@ class TestScenarioPsi:
         assert psi.shape == (1, 1)
         assert psi[0, 0] == pytest.approx(sigma2, rel=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate_a=st.floats(0.05, 5.0),
+        rate_b=st.floats(0.05, 5.0),
+        t_cut=st.one_of(st.none(), st.floats(0.01, 3.0)),
+        censoring_rate=st.floats(0.0, 3.0),
+        mu1=st.floats(0.05, 0.95),
+        p=st.floats(0.01, 0.99),
+    )
+    def test_single_quantile_is_sigma2_exactly(self, rate_a, rate_b, t_cut,
+                                               censoring_rate, mu1, p):
+        arm2 = (ExponentialArm(rate_b) if t_cut is None
+                else PiecewiseExponentialArm(rate_a, rate_b, t_cut))
+        scenario = TrialScenario(
+            ExponentialArm(rate_a), arm2, censoring_rate=censoring_rate, mu1=mu1
+        )
+        assert scenario_psi(scenario, [p])[0, 0] == scenario_sigma2(scenario, p)[0]
+
     def test_identical_arms_reference_matrix(self):
         scenario = TrialScenario(
             ExponentialArm(RATE), ExponentialArm(RATE), censoring_rate=CENS
@@ -549,6 +569,16 @@ class TestResolveScenario:
         scenario = resolve_scenario(config)
         assert scenario.arm2.rate == pytest.approx(
             rate_from_delta_scn1(1.5, 0.5, 0.1), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("t_cut", [None, 0.2])
+    def test_delta_form_is_scenario_from_delta(self, t_cut):
+        config = ScenarioConfig(
+            lambda_a=1.5, delta=0.1, p_list=(0.5, 0.25), t_cut=t_cut,
+            lambda_cens=0.48, mu1=0.4,
+        )
+        assert resolve_scenario(config) == scenario_from_delta(
+            1.5, 0.5, 0.1, t_cut=t_cut, censoring_rate=0.48, mu1=0.4
         )
 
     def test_target_censoring_is_calibrated(self):
