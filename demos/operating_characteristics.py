@@ -2,10 +2,9 @@
 
 For the proportional-hazards planning scenario at the median, runs a
 batch of replicated trials per (effect size, sample size) cell and prints
-the empirical rejection rate next to the closed-form prediction. The
-harness is deterministic for a fixed master seed no matter how many
-worker threads fill the replicate slots, so the numbers below are exactly
-reproducible.
+the empirical rejection rate next to the closed-form prediction. Replicate
+k draws only from the master seed and k, and replicates run one after
+another, so the numbers below are exactly reproducible.
 
 Run: python3 demos/operating_characteristics.py
 """
@@ -29,7 +28,6 @@ for delta in (0.0, 0.1, 0.2):
             probabilities=(0.5,),
             replications=REPLICATIONS,
             master_seed=7,
-            threads=4,
         )
         start = time.perf_counter()
         report = empirical_rejection(plan)

@@ -40,8 +40,8 @@ from .errors import DatasetFormatError, NumericalError, ValidationError
 from .power import PowerSpec, min_sample_size, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
+    _Assembly,
     _bonferroni_from_pieces,
-    _both_arms,
     _multivariate_from_pieces,
     univariate_test,
 )
@@ -346,6 +346,10 @@ def cmd_test(args) -> int:
         raise ValidationError("--p entries must be distinct")
     if args.seed < 0:
         raise ValidationError("--seed must be non-negative")
+    if not 0 < args.alpha < 1:
+        raise ValidationError("alpha must lie strictly between 0 and 1")
+    if args.bonferroni and len(probabilities) < 2:
+        raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")
     tuning, manifest_tuning, notes = _resolve_test_tuning(args, data, probabilities)
     for note in notes:
         print(f"warning: sigma selection: {note}", file=sys.stderr)
@@ -376,20 +380,15 @@ def cmd_test(args) -> int:
             _emit_table(manifest, header, rows)
         return 0
 
-    if args.bonferroni and not 0 < args.alpha < 1:
-        raise ValidationError("alpha must lie strictly between 0 and 1")
-    # one set of arm pieces (KM fit, quantiles, densities) for the joint
-    # test and the follow-up
-    arm1, arm2 = _both_arms(data, probabilities, args.method, tuning)
+    # one Psi_hat (KM fits, quantiles, densities) for the joint test and
+    # the follow-up
+    assembly = _Assembly(
+        data, probabilities, args.method, tuning, DEFAULT_DENSITY_FLOOR
+    )
     followup = []
     if args.bonferroni:
-        followup = _bonferroni_from_pieces(
-            data, probabilities, arm1, arm2, args.method, args.alpha,
-            DEFAULT_DENSITY_FLOOR,
-        )
-    joint = _multivariate_from_pieces(
-        data, probabilities, arm1, arm2, DEFAULT_DENSITY_FLOOR
-    )
+        followup = _bonferroni_from_pieces(assembly, args.alpha)
+    joint = _multivariate_from_pieces(assembly)
     if args.method == "kde":
         manifest_tuning["bandwidth_arm1"] = joint.tuning1
         manifest_tuning["bandwidth_arm2"] = joint.tuning2
@@ -666,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (default 0; required when CI is set)")
     sim.add_argument("--threads", type=int, default=None,
-                     help=f"worker threads (default ${_THREADS_ENV} or 1)")
+                     help=f"accepted for compatibility (default ${_THREADS_ENV} "
+                          "or 1); replicates always run serially")
     sim.add_argument("--timing", action="store_true",
                      help="append per-replicate timing columns")
     sim.add_argument("--json", metavar="PATH")

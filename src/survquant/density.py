@@ -94,8 +94,8 @@ class DensityAtQuantile:
 
     value is the raw estimate (the LS slope may come out non-positive on
     unlucky draws); callers that put it in a variance denominator use
-    clamped(). flags record degeneracies such as a zero regression slope or
-    dropped kernel terms.
+    clamped(). flags record degeneracies such as a zero regression slope,
+    dropped kernel terms or a CV bandwidth on the edge of its grid.
     """
 
     p: object
@@ -231,7 +231,7 @@ def _event_weights(sample: SurvivalSample, cens_fit: KaplanMeierFit):
 
 
 class _KdeMachine:
-    """Per-sample KDE state: resolved bandwidth and event weights.
+    """Per-sample KDE state: resolved bandwidth, event weights and flags.
 
     Built once per arm so that CV bandwidth selection and the censoring fit
     are not repeated for every evaluation point.
@@ -240,11 +240,17 @@ class _KdeMachine:
     def __init__(self, sample: SurvivalSample, cfg: KdeConfig):
         self.n = sample.n
         cens_fit = fit_censoring_km(sample)
-        self.times, self.weights, self.n_dropped = _event_weights(sample, cens_fit)
+        self.times, self.weights, n_dropped = _event_weights(sample, cens_fit)
+        self.flags = ("truncated-weights",) if n_dropped else ()
         if isinstance(cfg.bandwidth, str):
+            grid = cfg.cv_grid
             self.h = select_bandwidth_cv(
-                sample, cfg.cv_grid, events=(self.times, self.weights)
+                sample, grid, events=(self.times, self.weights)
             )
+            if grid.size >= 2 and self.h in (grid[0], grid[-1]):
+                # the CV minimum may lie beyond the grid, as when the grid
+                # does not fit the time unit of the data
+                self.flags += ("cv-grid-edge",)
         else:
             self.h = float(cfg.bandwidth)
 
@@ -253,10 +259,9 @@ class _KdeMachine:
             np.sum(self.weights * np.exp(-0.5 * ((self.times - t) / self.h) ** 2))
             / (self.n * self.h * _SQRT_2PI)
         )
-        flags = ("truncated-weights",) if self.n_dropped else ()
         return DensityAtQuantile(
             p=p, quantile_time=float(t), value=value, method="kde",
-            tuning=self.h, flags=flags,
+            tuning=self.h, flags=self.flags,
         )
 
 

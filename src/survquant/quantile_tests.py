@@ -13,10 +13,11 @@ differences has covariance Psi = Upsilon_1 + Upsilon_2, and the Wald
 statistic Z' Psi^{-1} Z is asymptotically chi-squared with J degrees of
 freedom.
 
-sigma_hat^2 and Psi both come from the arm kernel power.upsilon, fed with
+Psi_hat is the sum of the arm kernel power.upsilon over both arms, fed with
 each arm's Kaplan-Meier quantiles t_j, Greenwood variance factors phi(t_j),
-clamped density estimates f(t_j) and allocation fraction mu; sigma_hat^2 is
-its J=1 case, so the J=1 joint test is the univariate test squared.
+clamped density estimates f(t_j) and allocation fraction mu. Every test
+reads one such estimate: sigma_hat^2 at p_j is its diagonal entry psi[j, j],
+so the J=1 joint test is the univariate test squared.
 """
 from __future__ import annotations
 
@@ -97,20 +98,21 @@ def _default_tuning(density_method):
     raise ValidationError(f"unknown density method {density_method!r}")
 
 
+def _quantile_time(fit: KaplanMeierFit, p, arm=None) -> float:
+    """The fit's p-quantile time; raises when the curve never reaches p."""
+    q = quantile_at(fit, p)
+    if not q.reachable:
+        raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf, arm=arm)
+    return q.time
+
+
 class _ArmPieces:
-    """Per-arm quantities shared by the univariate and multivariate paths."""
+    """One arm's quantile times, Greenwood factors and raw density estimates."""
 
     def __init__(self, sample, probabilities, density_method, tuning, arm_label):
         fit = fit_kaplan_meier(sample)
-        self.quantiles = []
-        for p in probabilities:
-            q = quantile_at(fit, p)
-            if not q.reachable:
-                raise UnreachableQuantileError(
-                    p=p, max_probability=fit.max_cdf, arm=arm_label
-                )
-            self.quantiles.append(q)
-        self.phis = [phi_hat(fit, q.time) for q in self.quantiles]
+        self.times = [_quantile_time(fit, p, arm_label) for p in probabilities]
+        self.phis = [phi_hat(fit, t) for t in self.times]
         if density_method == "ls":
             self.densities = [
                 _ls_density_from_fit(fit, p, tuning) for p in probabilities
@@ -118,57 +120,57 @@ class _ArmPieces:
         elif density_method == "kde":
             machine = _KdeMachine(sample, tuning)
             self.densities = [
-                machine.at(q.time, p=p)
-                for p, q in zip(probabilities, self.quantiles)
+                machine.at(t, p=p) for p, t in zip(probabilities, self.times)
             ]
         else:
             raise ValidationError(f"unknown density method {density_method!r}")
 
 
-def _both_arms(data: TwoArmData, probabilities, density_method, tuning):
-    if tuning is None:
-        tuning = _default_tuning(density_method)
-    return (
-        _ArmPieces(data.arm1, probabilities, density_method, tuning, arm_label=1),
-        _ArmPieces(data.arm2, probabilities, density_method, tuning, arm_label=2),
-    )
+class _Assembly:
+    """Psi_hat = Upsilon_1 + Upsilon_2 at the probabilities, from both arms.
 
+    Every test reads this one object: the univariate test at p_j uses
+    sqrt(psi[j, j]), which the kernel computes exactly as its J=1 entry, and
+    the joint test uses the whole matrix. Densities are clamped at the floor
+    before they enter the kernel.
+    """
 
-def _clamped_densities(pieces: _ArmPieces, floor):
-    values = []
-    clamped = False
-    for d in pieces.densities:
-        c = d.clamped(floor)
-        clamped = clamped or (c != d.value)
-        values.append(c)
-    return values, clamped
+    def __init__(self, data: TwoArmData, probabilities, density_method, tuning,
+                 density_floor):
+        if tuning is None:
+            tuning = _default_tuning(density_method)
+        self.n = data.n
+        self.mu1, self.mu2 = data.mu1_hat, data.mu2_hat
+        self.probabilities = list(probabilities)
+        self.density_method = density_method
+        self.arms = tuple(
+            _ArmPieces(sample, self.probabilities, density_method, tuning, label)
+            for label, sample in ((1, data.arm1), (2, data.arm2))
+        )
+        self.used = tuple(
+            [d.clamped(density_floor) for d in arm.densities] for arm in self.arms
+        )
+        (arm1, arm2), (used1, used2) = self.arms, self.used
+        self.psi = (
+            upsilon(self.probabilities, arm1.times, arm1.phis, used1, self.mu1)
+            + upsilon(self.probabilities, arm2.times, arm2.phis, used2, self.mu2)
+        )
+        self.deltas = np.array([t1 - t2 for t1, t2 in zip(arm1.times, arm2.times)])
 
+    def clamped(self, j) -> bool:
+        return any(used[j] != arm.densities[j].value
+                   for arm, used in zip(self.arms, self.used))
 
-def _sigma_from_pieces(data: TwoArmData, p, arm1: _ArmPieces, arm2: _ArmPieces,
-                       j: int, density_floor):
-    """sigma_hat and its ingredients at the pieces' j-th probability p."""
-    d1, d2 = arm1.densities[j], arm2.densities[j]
-    f1, f2 = d1.clamped(density_floor), d2.clamped(density_floor)
-    variance = (
-        upsilon([p], [arm1.quantiles[j].time], [arm1.phis[j]], [f1], data.mu1_hat)
-        + upsilon([p], [arm2.quantiles[j].time], [arm2.phis[j]], [f2], data.mu2_hat)
-    )
-    sigma = math.sqrt(variance[0, 0])
-    diagnostics = {
-        "p": p,
-        "quantile1": arm1.quantiles[j].time,
-        "quantile2": arm2.quantiles[j].time,
-        "phi1": arm1.phis[j],
-        "phi2": arm2.phis[j],
-        "density1": d1,
-        "density2": d2,
-        "density1_used": f1,
-        "density2_used": f2,
-        "clamped": f1 != d1.value or f2 != d2.value,
-        "mu1": data.mu1_hat,
-        "mu2": data.mu2_hat,
-    }
-    return sigma, diagnostics
+    def flags(self, js) -> tuple:
+        """clamped-density if any density at js was floored, then each
+        distinct arm{k}:{flag} of those densities, arm 1 first."""
+        out = ["clamped-density"] if any(self.clamped(j) for j in js) else []
+        for k, arm in enumerate(self.arms, start=1):
+            for j in js:
+                for flag in arm.densities[j].flags:
+                    if f"arm{k}:{flag}" not in out:
+                        out.append(f"arm{k}:{flag}")
+        return tuple(out)
 
 
 def sigma_hat_univariate(
@@ -184,38 +186,48 @@ def sigma_hat_univariate(
     variance: per-arm quantiles, variance factors, raw and clamped density
     values, and the allocation fractions.
     """
-    arm1, arm2 = _both_arms(data, [p], density_method, tuning)
-    return _sigma_from_pieces(data, p, arm1, arm2, 0, density_floor)
+    assembly = _Assembly(data, [p], density_method, tuning, density_floor)
+    (arm1, arm2), (used1, used2) = assembly.arms, assembly.used
+    diagnostics = {
+        "p": p,
+        "quantile1": arm1.times[0],
+        "quantile2": arm2.times[0],
+        "phi1": arm1.phis[0],
+        "phi2": arm2.phis[0],
+        "density1": arm1.densities[0],
+        "density2": arm2.densities[0],
+        "density1_used": used1[0],
+        "density2_used": used2[0],
+        "clamped": assembly.clamped(0),
+        "mu1": assembly.mu1,
+        "mu2": assembly.mu2,
+    }
+    return math.sqrt(assembly.psi[0, 0]), diagnostics
 
 
-def _univariate_from_pieces(data: TwoArmData, p, arm1: _ArmPieces,
-                            arm2: _ArmPieces, j: int, density_method,
-                            density_floor) -> UnivariateTestResult:
-    sigma, diag = _sigma_from_pieces(data, p, arm1, arm2, j, density_floor)
-    delta_hat = diag["quantile1"] - diag["quantile2"]
-    statistic = math.sqrt(data.n) * delta_hat / sigma
-    p_value = 2.0 * float(ndtr(-abs(statistic)))
-    flags = ("clamped-density",) if diag["clamped"] else ()
-    flags += tuple(
-        f"arm{k}:{f}" for k, d in ((1, diag["density1"]), (2, diag["density2"]))
-        for f in d.flags
-    )
+def _univariate_from_pieces(assembly: _Assembly, j: int) -> UnivariateTestResult:
+    """The univariate test at the assembly's j-th probability."""
+    arm1, arm2 = assembly.arms
+    d1, d2 = arm1.densities[j], arm2.densities[j]
+    delta_hat = float(assembly.deltas[j])
+    sigma = math.sqrt(assembly.psi[j, j])
+    statistic = math.sqrt(assembly.n) * delta_hat / sigma
     return UnivariateTestResult(
-        p=p,
+        p=assembly.probabilities[j],
         delta_hat=delta_hat,
         sigma_hat=sigma,
         statistic=statistic,
-        p_value=p_value,
-        density_method=density_method,
-        quantile1=diag["quantile1"],
-        quantile2=diag["quantile2"],
-        density1=diag["density1"].value,
-        density2=diag["density2"].value,
-        phi1=diag["phi1"],
-        phi2=diag["phi2"],
-        tuning1=diag["density1"].tuning,
-        tuning2=diag["density2"].tuning,
-        flags=flags,
+        p_value=2.0 * float(ndtr(-abs(statistic))),
+        density_method=assembly.density_method,
+        quantile1=arm1.times[j],
+        quantile2=arm2.times[j],
+        density1=d1.value,
+        density2=d2.value,
+        phi1=arm1.phis[j],
+        phi2=arm2.phis[j],
+        tuning1=d1.tuning,
+        tuning2=d2.tuning,
+        flags=assembly.flags([j]),
     )
 
 
@@ -227,9 +239,8 @@ def univariate_test(
     density_floor: float = DEFAULT_DENSITY_FLOOR,
 ) -> UnivariateTestResult:
     """Two-sided test of equality of the p-th survival quantiles."""
-    arm1, arm2 = _both_arms(data, [p], density_method, tuning)
     return _univariate_from_pieces(
-        data, p, arm1, arm2, 0, density_method, density_floor
+        _Assembly(data, [p], density_method, tuning, density_floor), 0
     )
 
 
@@ -248,12 +259,7 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
         raise ValidationError("one density per probability is required")
     if not 0 < mu_hat <= 1:
         raise ValidationError("mu_hat must lie in (0, 1]")
-    times = []
-    for p in probabilities:
-        q = quantile_at(fit, p)
-        if not q.reachable:
-            raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf)
-        times.append(q.time)
+    times = [_quantile_time(fit, p) for p in probabilities]
     phis = [phi_hat(fit, t) for t in times]
     return upsilon(probabilities, times, phis, values, mu_hat)
 
@@ -277,36 +283,26 @@ def _check_positive_definite(psi, probabilities):
     raise SingularCovarianceError(pair=pair)
 
 
-def _multivariate_from_pieces(data: TwoArmData, probabilities, arm1: _ArmPieces,
-                              arm2: _ArmPieces,
-                              density_floor) -> MultivariateTestResult:
-    values1, clamped1 = _clamped_densities(arm1, density_floor)
-    values2, clamped2 = _clamped_densities(arm2, density_floor)
-    psi = (
-        upsilon(probabilities, [q.time for q in arm1.quantiles], arm1.phis,
-                values1, data.mu1_hat)
-        + upsilon(probabilities, [q.time for q in arm2.quantiles], arm2.phis,
-                  values2, data.mu2_hat)
-    )
+def _multivariate_from_pieces(assembly: _Assembly) -> MultivariateTestResult:
+    """The joint Wald test over all of the assembly's probabilities."""
+    psi, probabilities = assembly.psi, assembly.probabilities
     _check_positive_definite(psi, probabilities)
-    deltas = np.array(
-        [q1.time - q2.time for q1, q2 in zip(arm1.quantiles, arm2.quantiles)]
+    root = np.linalg.solve(
+        np.linalg.cholesky(psi), math.sqrt(assembly.n) * assembly.deltas
     )
-    root = np.linalg.solve(np.linalg.cholesky(psi), math.sqrt(data.n) * deltas)
     statistic = float(root @ root)
     dof = len(probabilities)
-    p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
-    flags = ("clamped-density",) if (clamped1 or clamped2) else ()
+    arm1, arm2 = assembly.arms
     return MultivariateTestResult(
         probabilities=tuple(probabilities),
-        delta_hats=deltas,
+        delta_hats=assembly.deltas,
         psi_hat=psi,
         statistic=statistic,
         dof=dof,
-        p_value=p_value,
+        p_value=float(gammaincc(dof / 2.0, statistic / 2.0)),
         tuning1=arm1.densities[0].tuning,
         tuning2=arm2.densities[0].tuning,
-        flags=flags,
+        flags=assembly.flags(range(dof)),
     )
 
 
@@ -323,19 +319,17 @@ def multivariate_test(
         raise ValidationError("at least one probability is required")
     if len(set(probabilities)) != len(probabilities):
         raise ValidationError("probabilities must be distinct")
-    arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
-    return _multivariate_from_pieces(data, probabilities, arm1, arm2, density_floor)
+    return _multivariate_from_pieces(
+        _Assembly(data, probabilities, density_method, tuning, density_floor)
+    )
 
 
-def _bonferroni_from_pieces(data: TwoArmData, probabilities, arm1: _ArmPieces,
-                            arm2: _ArmPieces, density_method, alpha,
-                            density_floor):
-    j_count = len(probabilities)
+def _bonferroni_from_pieces(assembly: _Assembly, alpha):
+    """Each probability's univariate test with its Bonferroni adjustment."""
+    j_count = len(assembly.probabilities)
     results = []
-    for j, p in enumerate(probabilities):
-        res = _univariate_from_pieces(
-            data, p, arm1, arm2, j, density_method, density_floor
-        )
+    for j in range(j_count):
+        res = _univariate_from_pieces(assembly, j)
         adjusted = min(1.0, j_count * res.p_value)
         results.append(
             replace(res, adjusted_p_value=adjusted, reject_adjusted=adjusted < alpha)
@@ -359,7 +353,7 @@ def bonferroni_followup(
         raise ValidationError("alpha must lie strictly between 0 and 1")
     # one KM fit and one density set-up (KDE bandwidth selection) per arm,
     # shared by every probability
-    arm1, arm2 = _both_arms(data, probabilities, density_method, tuning)
     return _bonferroni_from_pieces(
-        data, probabilities, arm1, arm2, density_method, alpha, density_floor
+        _Assembly(data, probabilities, density_method, tuning, density_floor),
+        alpha,
     )

@@ -2,16 +2,15 @@
 
 Determinism contract: replicate k draws everything it needs from
 SeedSequence(master_seed, spawn_key=(k,)), so results depend only on the
-master seed and the replicate index, never on how replicates are scheduled
-across threads. Results are written into index k of preallocated arrays,
-which makes the whole report bit-identical for 1, 4, or 8 workers.
+master seed and the replicate index. Replicates run one after another on
+the calling thread; SimulationPlan.threads is validated but does not change
+how they run, so the report is the same for any thread count.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,7 @@ class SimulationPlan:
     density_method: str = "ls"
     tuning: object = None
     master_seed: int = 0
+    # accepted for compatibility: replicates always run serially
     threads: int = 1
 
     def __post_init__(self):
@@ -183,16 +183,8 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     p_values = np.full(reps, np.nan)
     outcomes = np.zeros(reps, dtype=np.int8)
     seconds = np.zeros(reps)
-
-    def fill(rep: int) -> None:
+    for rep in range(reps):
         p_values[rep], outcomes[rep], seconds[rep] = _run_replicate(plan, rep)
-
-    if plan.threads == 1:
-        for rep in range(reps):
-            fill(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            list(pool.map(fill, range(reps)))
 
     failures = int(np.count_nonzero(outcomes == -1))
     used = reps - failures

@@ -152,7 +152,7 @@ def assert_one_line_error(code, out, err):
 
 
 class TestInvalidInputExitCode:
-    """Inputs that used to end in a traceback exit 2 with one error line."""
+    """Invalid inputs exit 2 with one error line, never a traceback."""
 
     def test_dataset_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -195,6 +195,21 @@ class TestInvalidInputExitCode:
         code, out, err = run_cli(capsys, "test", path, "--p", "0.5", "--seed", "-1")
         assert_one_line_error(code, out, err)
         assert "--seed" in err
+
+
+    def test_test_bonferroni_needs_two_probabilities(self, tmp_path, capsys):
+        path = make_dataset(tmp_path / "d.csv")
+        code, out, err = run_cli(capsys, "test", path, "--p", "0.5", "--bonferroni")
+        assert_one_line_error(code, out, err)
+        assert "Bonferroni follow-up needs at least 2 probabilities" in err
+
+    @pytest.mark.parametrize("p", ["0.5", "0.25,0.5"])
+    @pytest.mark.parametrize("alpha", ["5", "0", "1"])
+    def test_test_alpha_outside_unit_interval(self, tmp_path, capsys, p, alpha):
+        path = make_dataset(tmp_path / "d.csv")
+        code, out, err = run_cli(capsys, "test", path, "--p", p, "--alpha", alpha)
+        assert_one_line_error(code, out, err)
+        assert "alpha must lie strictly between 0 and 1" in err
 
 
 class TestCmdTest:

@@ -425,6 +425,38 @@ def exact_and_binned():
     return out
 
 
+class TestCvGridEdgeFlag:
+    """A CV pick on the first or last point of the grid is flagged."""
+
+    def test_interior_pick_is_not_flagged(self):
+        rng = np.random.default_rng(0)
+        sample = exponential_sample(rng, 150, rate=0.5, cens_rate=0.16)
+        out = estimate_density_kde(sample, 1.0, KdeConfig("select-by-cv", CV_GRID))
+        assert CV_GRID[0] < out.tuning < CV_GRID[-1]
+        assert out.flags == ()
+
+    def test_time_in_days_picks_the_top_edge(self):
+        rng = np.random.default_rng(0)
+        sample = exponential_sample(rng, 150)
+        days = SurvivalSample(sample.times * 365.0, sample.events)
+        out = estimate_density_kde(days, 150.0, KdeConfig("select-by-cv", CV_GRID))
+        assert out.tuning == CV_GRID[-1]
+        assert out.flags == ("cv-grid-edge",)
+
+    def test_bottom_edge(self):
+        rng = np.random.default_rng(1)
+        sample = exponential_sample(rng, 500)
+        out = estimate_density_kde(sample, 0.4, KdeConfig("select-by-cv", CV_GRID))
+        assert out.tuning == CV_GRID[0]
+        assert out.flags == ("cv-grid-edge",)
+
+    def test_one_point_grid_and_fixed_bandwidth_are_not_flagged(self):
+        rng = np.random.default_rng(2)
+        sample = exponential_sample(rng, 60)
+        for cfg in (KdeConfig("select-by-cv", [0.3]), KdeConfig(bandwidth=0.1)):
+            assert estimate_density_kde(sample, 0.4, cfg).flags == ()
+
+
 class TestBinnedPairSums:
     def test_relative_error_bound(self, exact_and_binned):
         """The node gap is set so that binning moves no pair sum by more

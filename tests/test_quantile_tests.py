@@ -212,18 +212,57 @@ class TestMultivariate:
         n1=st.integers(40, 200),
         n2=st.integers(40, 200),
         rate2=st.floats(0.5, 4.0),
-        p=st.floats(0.1, 0.6),
+        ps=st.lists(st.floats(0.1, 0.6), min_size=1, max_size=3, unique=True),
     )
-    def test_j1_psi_is_sigma_squared_exactly(self, method, tuning, seed, n1, n2,
-                                             rate2, p):
+    def test_psi_diagonal_is_sigma_squared_exactly(self, method, tuning, seed,
+                                                   n1, n2, rate2, ps):
+        """Each per-quantile row (the univariate test at J=1, the Bonferroni
+        rows otherwise) reads its sigma_hat and delta_hat off the joint
+        test's Psi_hat and delta_hats, bit for bit."""
         rng = np.random.default_rng(seed)
         data = TwoArmData(censored_arm(rng, n1), censored_arm(rng, n2, rate=rate2))
         try:
-            uni = univariate_test(data, p, method, tuning)
-        except UnreachableQuantileError:
+            if len(ps) == 1:
+                rows = [univariate_test(data, ps[0], method, tuning)]
+            else:
+                rows = bonferroni_followup(data, ps, method, tuning)
+            multi = multivariate_test(data, ps, method, tuning)
+        except (UnreachableQuantileError, SingularCovarianceError):
             return
-        multi = multivariate_test(data, [p], method, tuning)
-        assert math.sqrt(multi.psi_hat[0, 0]) == uni.sigma_hat
+        for j, row in enumerate(rows):
+            assert row.sigma_hat == math.sqrt(multi.psi_hat[j, j])
+            assert row.delta_hat == multi.delta_hats[j]
+
+    @pytest.mark.parametrize("method,tuning", [
+        ("kde", KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.02))),
+        ("ls", LsConfig(sigma_eps=1e-20, seed=0)),
+    ])
+    def test_flags_are_the_rows_flags_once_each(self, method, tuning):
+        """The joint result carries every distinct flag of its per-quantile
+        rows: clamped-density first, then arm 1's flags, then arm 2's, each in
+        first-seen order."""
+        arm1 = SurvivalSample(np.arange(1.0, 13.0), np.ones(12, bool))
+        arm2 = SurvivalSample(np.arange(1.5, 13.5), np.arange(1, 13) % 3 > 0)
+        data = TwoArmData(arm1, arm2)
+        probs = [0.25, 0.5]
+        multi = multivariate_test(data, probs, method, tuning)
+        rows = bonferroni_followup(data, probs, method, tuning)
+        expected = []
+        for prefix in ("clamped", "arm1:", "arm2:"):
+            for row in rows:
+                expected += [f for f in row.flags
+                             if f.startswith(prefix) and f not in expected]
+        assert multi.flags == tuple(expected)
+        assert expected  # the data trips at least one flag per method
+
+    def test_joint_shows_the_zero_slope_of_its_rows(self):
+        """At a vanishing LS spread every probe lands on the quantile
+        itself, so arm 1's slope is exactly zero."""
+        arm1 = SurvivalSample(np.arange(1.0, 13.0), np.ones(12, bool))
+        arm2 = SurvivalSample(np.arange(1.5, 13.5), np.arange(1, 13) % 3 > 0)
+        tuning = LsConfig(sigma_eps=1e-20, seed=0)
+        multi = multivariate_test(TwoArmData(arm1, arm2), [0.25, 0.5], "ls", tuning)
+        assert multi.flags == ("clamped-density", "arm1:zero-slope")
 
     def test_psi_symmetric(self):
         data = two_arm(16)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: sampling, determinism, accounting."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ class TestDeterminism:
         assert serial.rate == pooled.rate
         assert serial.n_failures == pooled.n_failures
         assert np.array_equal(serial.p_values, pooled.p_values, equal_nan=True)
+
+    def test_replicates_run_on_the_calling_thread(self, monkeypatch):
+        import survquant.simulate as simulate
+
+        threads = []
+        run = simulate._run_replicate
+
+        def recording(plan, rep):
+            threads.append(threading.get_ident())
+            return run(plan, rep)
+
+        monkeypatch.setattr(simulate, "_run_replicate", recording)
+        empirical_rejection(small_plan(replications=6, threads=4))
+        assert threads == [threading.get_ident()] * 6
 
     def test_master_seed_matters(self):
         base = empirical_rejection(small_plan())
