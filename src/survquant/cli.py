@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import DEFAULT_CV_GRID, KdeConfig, LsConfig, select_sigma_ls
+from .density import DEFAULT_CV_GRID, KdeConfig, LsConfig, _select_sigma
 from .errors import DatasetFormatError, NumericalError, ValidationError
 from .power import PowerSpec, min_sample_size, power_univariate
 from .quantile_tests import (
@@ -43,7 +43,7 @@ from .quantile_tests import (
     _Assembly,
     _bonferroni_from_pieces,
     _multivariate_from_pieces,
-    univariate_test,
+    _univariate_from_pieces,
 )
 from .scenarios import ScenarioConfig, parse_scenario_values, resolve_scenario, scenario_sigma2
 from .simulate import DEFAULT_SIM_SIGMA_EPS, SimulationPlan, empirical_rejection
@@ -121,6 +121,16 @@ def _emit_json(payload, destination: str) -> None:
         sys.stdout.write(text)
     else:
         Path(destination).write_text(text)
+
+
+def _emit_results(json_path, manifest: dict, header, rows, text_view) -> None:
+    """With --json, the manifest and one object per row go to json_path;
+    otherwise the text view (_emit_csv or _emit_table) renders the rows."""
+    if json_path:
+        results = [dict(zip(header, row)) for row in rows]
+        _emit_json({"manifest": manifest, "results": results}, json_path)
+    else:
+        text_view(manifest, header, rows)
 
 
 def _manifest(command: str, config: dict, seeds: dict, tuning: dict,
@@ -297,27 +307,29 @@ def _kde_tuning(args):
 
 
 def _resolve_test_tuning(args, data, probabilities):
-    """Build the density tuning from flags, resolving 'auto' choices.
+    """Check the tuning flags, fit both arms once, then resolve 'auto'.
 
-    Returns (tuning, manifest_tuning, notes). For LS the automatic sigma is
-    the largest plateau-stable choice over arm x probability (symmetric in
-    the arms, errs toward smoothing); the per-selection values are recorded.
+    Returns (assembly, tuning, manifest_tuning, notes); a flag error exits
+    before any fitting. For LS the automatic sigma is the largest
+    plateau-stable choice over arm x probability (symmetric in the arms,
+    errs toward smoothing), tuned on the assembly's KM fits; the
+    per-selection values are recorded.
     """
     if args.method == "kde":
-        return (*_kde_tuning(args), [])
-    if args.bandwidth is not None:
-        raise ValidationError("--bandwidth applies to --method kde only")
-    sigma = _number_or_auto("--sigma-eps", args.sigma_eps)
-    if sigma not in (None, "auto"):
+        tuning, manifest = _kde_tuning(args)
+    else:
+        if args.bandwidth is not None:
+            raise ValidationError("--bandwidth applies to --method kde only")
+        sigma = _number_or_auto("--sigma-eps", args.sigma_eps)
         manifest = {"method": "ls", "sigma_eps": sigma, "sigma_eps_mode": "fixed"}
-        return LsConfig(sigma_eps=sigma, seed=args.seed), manifest, []
-    chosen = []
-    flags = set()
-    for sample in (data.arm1, data.arm2):
-        for p in probabilities:
-            selection = select_sigma_ls(
-                sample, p, _SIGMA_AUTO_GRID, seed=args.seed
-            )
+        tuning = None if sigma in (None, "auto") else LsConfig(sigma, seed=args.seed)
+    assembly = _Assembly(data, probabilities)
+    if tuning is not None:
+        return assembly, tuning, manifest, []
+    chosen, flags = [], set()
+    for arm in assembly.arms:
+        for p, t in zip(probabilities, arm.times):
+            selection = _select_sigma(arm.fit, p, t, _SIGMA_AUTO_GRID, seed=args.seed)
             chosen.append(selection.sigma_eps)
             flags.update(selection.flags)
     sigma = max(chosen)
@@ -327,7 +339,7 @@ def _resolve_test_tuning(args, data, probabilities):
         "sigma_eps_mode": "auto",
         "sigma_eps_selections": chosen,
     }
-    return LsConfig(sigma_eps=sigma, seed=args.seed), manifest, sorted(flags)
+    return assembly, LsConfig(sigma, seed=args.seed), manifest, sorted(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +362,9 @@ def cmd_test(args) -> int:
         raise ValidationError("alpha must lie strictly between 0 and 1")
     if args.bonferroni and len(probabilities) < 2:
         raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")
-    tuning, manifest_tuning, notes = _resolve_test_tuning(args, data, probabilities)
+    assembly, tuning, manifest_tuning, notes = _resolve_test_tuning(
+        args, data, probabilities
+    )
     for note in notes:
         print(f"warning: sigma selection: {note}", file=sys.stderr)
 
@@ -361,13 +375,15 @@ def cmd_test(args) -> int:
         "bonferroni": bool(args.bonferroni),
     }
     seeds = {"seed": args.seed} if args.method == "ls" else {}
+    # one Psi_hat (KM fits, quantiles, densities) for every result
+    assembly.estimate(args.method, tuning, DEFAULT_DENSITY_FLOOR)
+    if args.method == "kde":
+        for k, arm in enumerate(assembly.arms, start=1):
+            manifest_tuning[f"bandwidth_arm{k}"] = arm.densities[0].tuning
+    manifest = _manifest("test", config, seeds, manifest_tuning, dataset_info)
 
     if len(probabilities) == 1:
-        result = univariate_test(data, probabilities[0], args.method, tuning)
-        if args.method == "kde":
-            manifest_tuning["bandwidth_arm1"] = result.tuning1
-            manifest_tuning["bandwidth_arm2"] = result.tuning2
-        manifest = _manifest("test", config, seeds, manifest_tuning, dataset_info)
+        result = _univariate_from_pieces(assembly, 0)
         payload = {"manifest": manifest, "results": [asdict(result)]}
         if args.json:
             _emit_json(payload, args.json)
@@ -380,19 +396,10 @@ def cmd_test(args) -> int:
             _emit_table(manifest, header, rows)
         return 0
 
-    # one Psi_hat (KM fits, quantiles, densities) for the joint test and
-    # the follow-up
-    assembly = _Assembly(
-        data, probabilities, args.method, tuning, DEFAULT_DENSITY_FLOOR
-    )
     followup = []
     if args.bonferroni:
         followup = _bonferroni_from_pieces(assembly, args.alpha)
     joint = _multivariate_from_pieces(assembly)
-    if args.method == "kde":
-        manifest_tuning["bandwidth_arm1"] = joint.tuning1
-        manifest_tuning["bandwidth_arm2"] = joint.tuning2
-    manifest = _manifest("test", config, seeds, manifest_tuning, dataset_info)
     payload = {
         "manifest": manifest,
         "results": [asdict(joint)],
@@ -444,14 +451,7 @@ def cmd_power(args) -> int:
     }
     manifest = _manifest("power", config_out, {}, {"method": "closed-form"})
     header = ["p", "delta", "n_per_group", "power"]
-    if args.json:
-        payload = {
-            "manifest": manifest,
-            "results": [dict(zip(header, row)) for row in rows],
-        }
-        _emit_json(payload, args.json)
-    else:
-        _emit_csv(manifest, header, rows)
+    _emit_results(args.json, manifest, header, rows, _emit_csv)
     return 0
 
 
@@ -484,14 +484,7 @@ def cmd_samplesize(args) -> int:
     }
     manifest = _manifest("samplesize", config_out, {}, {"method": "closed-form"})
     header = ["target_power", "per_group_n", "total_n", "achieved_power"]
-    if args.json:
-        payload = {
-            "manifest": manifest,
-            "results": [dict(zip(header, row)) for row in rows],
-        }
-        _emit_json(payload, args.json)
-    else:
-        _emit_table(manifest, header, rows)
+    _emit_results(args.json, manifest, header, rows, _emit_table)
     return 0
 
 
@@ -567,12 +560,7 @@ def cmd_simulate(args) -> int:
     if args.timing:
         header += ["rep_time_mean_s", "rep_time_sd_s"]
         row += [report.rep_time_mean_s, report.rep_time_sd_s]
-    if args.json:
-        entry = dict(zip(header, row))
-        payload = {"manifest": manifest, "results": [entry]}
-        _emit_json(payload, args.json)
-    else:
-        _emit_csv(manifest, header, [row])
+    _emit_results(args.json, manifest, header, [row], _emit_csv)
     return 0
 
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UnreachableQuantileError, ValidationError
 from .survival import (
@@ -88,6 +89,20 @@ def _validated_grid(grid, name):
     return arr
 
 
+def _check_tuning(density_method, tuning):
+    """Raise unless tuning is None or the config type density_method takes."""
+    expected = {"ls": LsConfig, "kde": KdeConfig}.get(density_method)
+    if expected is None:
+        raise ValidationError(
+            f"density_method must be 'ls' or 'kde', got {density_method!r}"
+        )
+    if tuning is not None and not isinstance(tuning, expected):
+        raise ValidationError(
+            f"density method {density_method!r} takes a {expected.__name__}, "
+            f"got {type(tuning).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class DensityAtQuantile:
     """A density value at an evaluation point, with its provenance.
@@ -113,16 +128,23 @@ class DensityAtQuantile:
 # --------------------------------------------------------------------- LS --
 
 
+def _quantile_time(fit: KaplanMeierFit, p, arm=None) -> float:
+    """The fit's p-quantile time; raises, naming the arm if given, when the
+    curve never reaches p."""
+    q = quantile_at(fit, p)
+    if not q.reachable:
+        raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf, arm=arm)
+    return q.time
+
+
 def _ls_slope(fit: KaplanMeierFit, p: float, t0: float, eps: np.ndarray):
     """No-intercept regression slope of y on eps.
 
-    y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p), with F evaluated as 0 left
-    of the origin since times are non-negative.
+    y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p); F is 0 left of the first
+    event time, so also left of the origin.
     """
     root_n = math.sqrt(fit.n)
-    pts = t0 + eps / root_n
-    cdf = np.where(pts < 0.0, 0.0, fit.cdf_at(np.maximum(pts, 0.0)))
-    y = root_n * (cdf - p)
+    y = root_n * (fit.cdf_at(t0 + eps / root_n) - p)
     numerator = float(eps @ y)
     denominator = float(eps @ eps)
     if numerator == 0.0:
@@ -135,18 +157,16 @@ def estimate_density_ls(
 ) -> DensityAtQuantile:
     """Least-squares density estimate at the estimated quantile F^{-1}(p)."""
     fit = fit_kaplan_meier(sample)
-    return _ls_density_from_fit(fit, p, cfg)
+    return _ls_density_from_fit(fit, p, cfg, _quantile_time(fit, p))
 
 
-def _ls_density_from_fit(fit: KaplanMeierFit, p: float, cfg: LsConfig):
-    q = quantile_at(fit, p)
-    if not q.reachable:
-        raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf)
+def _ls_density_from_fit(fit: KaplanMeierFit, p: float, cfg: LsConfig, t0: float):
+    """The LS estimate at the fit's p-quantile time t0."""
     rng = np.random.default_rng(cfg.seed)
     eps = rng.normal(0.0, cfg.sigma_eps, int(cfg.n_draws))
-    value, flags = _ls_slope(fit, p, q.time, eps)
+    value, flags = _ls_slope(fit, p, t0, eps)
     return DensityAtQuantile(
-        p=p, quantile_time=q.time, value=value, method="ls",
+        p=p, quantile_time=t0, value=value, method="ls",
         tuning=float(cfg.sigma_eps), flags=flags,
     )
 
@@ -180,40 +200,39 @@ def select_sigma_ls(
         raise ValidationError("sigma grid must be a non-empty 1-d sequence")
     if not np.all(arr > 0):
         raise ValidationError("sigma grid values must be positive")
-    arr = np.sort(arr)
-
     fit = fit_kaplan_meier(sample)
-    q = quantile_at(fit, p)
-    if not q.reachable:
-        raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf)
+    return _select_sigma(fit, p, _quantile_time(fit, p), np.sort(arr), n_draws, seed)
+
+
+def _select_sigma(fit: KaplanMeierFit, p: float, t0: float, grid: np.ndarray,
+                  n_draws: int = 1000, seed=None) -> SigmaSelection:
+    """select_sigma_ls on a fitted arm whose p-quantile time is t0; the
+    grid is positive and sorted."""
     if int(n_draws) < 2:
         raise ValidationError("n_draws must be at least 2")
     rng = np.random.default_rng(seed)
     eps_std = rng.normal(0.0, 1.0, int(n_draws))
 
-    profile = np.empty(arr.size)
-    for i, sigma in enumerate(arr):
-        profile[i], _ = _ls_slope(fit, p, q.time, sigma * eps_std)
-
-    if arr.size < 5:
-        # lower middle element so the fallback stays on the grid
-        chosen = float(arr[(arr.size - 1) // 2])
-        return SigmaSelection(
-            sigma_eps=chosen, grid=arr, profile=profile, flags=("short-grid",)
-        )
+    profile = np.empty(grid.size)
+    for i, sigma in enumerate(grid):
+        profile[i], _ = _ls_slope(fit, p, t0, sigma * eps_std)
 
     window = 5
-    n_windows = arr.size - window + 1
-    variation = np.empty(n_windows)
+    if grid.size < window:
+        # lower middle element so the fallback stays on the grid
+        chosen = float(grid[(grid.size - 1) // 2])
+        return SigmaSelection(
+            sigma_eps=chosen, grid=grid, profile=profile, flags=("short-grid",)
+        )
+
     steps = np.abs(np.diff(profile))
-    for i in range(n_windows):
-        variation[i] = steps[i : i + window - 1].sum()
+    variation = sliding_window_view(steps, window - 1).sum(axis=1)
     start = int(np.argmin(variation))  # leftmost minimum
     block = profile[start : start + window]
     med = float(np.median(block))
     offset = int(np.argmin(np.abs(block - med)))  # leftmost = smallest sigma
     return SigmaSelection(
-        sigma_eps=float(arr[start + offset]), grid=arr, profile=profile
+        sigma_eps=float(grid[start + offset]), grid=grid, profile=profile
     )
 
 
@@ -398,13 +417,10 @@ def _pair_sums_binned(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
 
 def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):
     """The CV scores from the pair sums; sum_w2 is the exact diagonal."""
-    scores = np.empty(grid.size)
-    for k, h in enumerate(grid):
-        # closed form of the integrated square: kernel at scale h*sqrt(2)
-        integral_sq = full_h2[k] / (2.0 * h * math.sqrt(math.pi)) / (n * n)
-        cross = (full_h[k] - sum_w2) / (h * _SQRT_2PI)  # off-diagonal only
-        scores[k] = integral_sq - 2.0 * cross / (n * (n - 1))
-    return scores
+    # closed form of the integrated square: kernel at scale h*sqrt(2)
+    integral_sq = full_h2 / (2.0 * grid * math.sqrt(math.pi)) / (n * n)
+    cross = (full_h - sum_w2) / (grid * _SQRT_2PI)  # off-diagonal only
+    return integral_sq - 2.0 * cross / (n * (n - 1))
 
 
 def _cv_scores(sample: SurvivalSample, grid: np.ndarray, events=None) -> np.ndarray:

@@ -147,18 +147,30 @@ def power_univariate(spec: PowerSpec) -> float:
     return _univariate_power(spec.n_total, delta, float(spec.sigma), spec.alpha)
 
 
+_PSI_RTOL = 1e-10  # relative positive-definiteness tolerance
+
+
+def _wald_form(psi, z):
+    """z' psi^-1 z as the squared norm of L^-1 z (psi = L L'); None unless
+    the smallest eigenvalue of psi is positive and above _PSI_RTOL x largest."""
+    eigenvalues = np.linalg.eigvalsh(psi)
+    if not (eigenvalues[0] > 0 and eigenvalues[0] > _PSI_RTOL * eigenvalues[-1]):
+        return None
+    root = np.linalg.solve(np.linalg.cholesky(psi), z)
+    return float(root @ root)
+
+
 def _noncentrality(psi, deltas):
     psi = np.asarray(psi, dtype=float)
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if psi.shape != (deltas.size, deltas.size):
         raise ValidationError("psi shape must match the delta vector")
-    eigenvalues = np.linalg.eigvalsh(psi)
-    if eigenvalues[0] <= 0 or eigenvalues[0] <= 1e-10 * eigenvalues[-1]:
+    quad = _wald_form(psi, deltas)
+    if quad is None:
         raise SingularCovarianceError(
             message="psi must be positive definite for the power formula"
         )
-    root = np.linalg.solve(np.linalg.cholesky(psi), deltas)
-    return float(root @ root), deltas.size
+    return quad, deltas.size
 
 
 def power_multivariate(spec: PowerSpec) -> float:

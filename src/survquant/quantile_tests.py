@@ -32,26 +32,16 @@ from .density import (
     DensityAtQuantile,
     KdeConfig,
     LsConfig,
+    _check_tuning,
     _KdeMachine,
     _ls_density_from_fit,
+    _quantile_time,
 )
-from .errors import (
-    SingularCovarianceError,
-    UnreachableQuantileError,
-    ValidationError,
-)
-from .power import upsilon
-from .survival import (
-    KaplanMeierFit,
-    TwoArmData,
-    fit_kaplan_meier,
-    phi_hat,
-    quantile_at,
-)
+from .errors import SingularCovarianceError, ValidationError
+from .power import _wald_form, upsilon
+from .survival import KaplanMeierFit, TwoArmData, fit_kaplan_meier, phi_hat
 
 DEFAULT_DENSITY_FLOOR = 1e-8
-
-_PSI_RTOL = 1e-10  # relative positive-definiteness tolerance
 
 
 @dataclass(frozen=True)
@@ -93,60 +83,56 @@ def _default_tuning(density_method):
         # fixed seed so library calls are reproducible by default; pass your
         # own LsConfig to control the draws
         return LsConfig(sigma_eps=1.0, n_draws=1000, seed=0)
-    if density_method == "kde":
-        return KdeConfig(bandwidth="select-by-cv", cv_grid=DEFAULT_CV_GRID)
-    raise ValidationError(f"unknown density method {density_method!r}")
-
-
-def _quantile_time(fit: KaplanMeierFit, p, arm=None) -> float:
-    """The fit's p-quantile time; raises when the curve never reaches p."""
-    q = quantile_at(fit, p)
-    if not q.reachable:
-        raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf, arm=arm)
-    return q.time
+    return KdeConfig(bandwidth="select-by-cv", cv_grid=DEFAULT_CV_GRID)
 
 
 class _ArmPieces:
-    """One arm's quantile times, Greenwood factors and raw density estimates."""
+    """One arm's KM fit, quantile times, Greenwood factors, raw densities."""
 
-    def __init__(self, sample, probabilities, density_method, tuning, arm_label):
-        fit = fit_kaplan_meier(sample)
-        self.times = [_quantile_time(fit, p, arm_label) for p in probabilities]
-        self.phis = [phi_hat(fit, t) for t in self.times]
+    def __init__(self, sample, probabilities, arm_label):
+        self.sample = sample
+        self.fit = fit_kaplan_meier(sample)
+        self.times = [_quantile_time(self.fit, p, arm_label) for p in probabilities]
+        self.phis = [phi_hat(self.fit, t) for t in self.times]
+
+    def estimate(self, probabilities, density_method, tuning):
+        pairs = zip(probabilities, self.times)
         if density_method == "ls":
-            self.densities = [
-                _ls_density_from_fit(fit, p, tuning) for p in probabilities
-            ]
-        elif density_method == "kde":
-            machine = _KdeMachine(sample, tuning)
-            self.densities = [
-                machine.at(t, p=p) for p, t in zip(probabilities, self.times)
-            ]
+            self.densities = [_ls_density_from_fit(self.fit, p, tuning, t) for p, t in pairs]
         else:
-            raise ValidationError(f"unknown density method {density_method!r}")
+            machine = _KdeMachine(self.sample, tuning)
+            self.densities = [machine.at(t, p=p) for p, t in pairs]
 
 
 class _Assembly:
     """Psi_hat = Upsilon_1 + Upsilon_2 at the probabilities, from both arms.
 
-    Every test reads this one object: the univariate test at p_j uses
-    sqrt(psi[j, j]), which the kernel computes exactly as its J=1 entry, and
-    the joint test uses the whole matrix. Densities are clamped at the floor
-    before they enter the kernel.
+    Built in two steps. The constructor fits each arm once (KM curve,
+    quantile times, Greenwood factors); the automatic LS sigma is tuned on
+    those fits. estimate() then adds the densities, clamped at the floor
+    before they enter the kernel, Psi_hat and the deltas. Every test reads
+    this one object: the univariate test at p_j uses sqrt(psi[j, j]), which
+    the kernel computes exactly as its J=1 entry, and the joint test uses
+    the whole matrix.
     """
 
-    def __init__(self, data: TwoArmData, probabilities, density_method, tuning,
-                 density_floor):
-        if tuning is None:
-            tuning = _default_tuning(density_method)
+    def __init__(self, data: TwoArmData, probabilities):
         self.n = data.n
         self.mu1, self.mu2 = data.mu1_hat, data.mu2_hat
         self.probabilities = list(probabilities)
-        self.density_method = density_method
         self.arms = tuple(
-            _ArmPieces(sample, self.probabilities, density_method, tuning, label)
+            _ArmPieces(sample, self.probabilities, label)
             for label, sample in ((1, data.arm1), (2, data.arm2))
         )
+
+    def estimate(self, density_method, tuning, density_floor):
+        """Add the densities, Psi_hat and the deltas; returns self."""
+        _check_tuning(density_method, tuning)
+        if tuning is None:
+            tuning = _default_tuning(density_method)
+        self.density_method = density_method
+        for arm in self.arms:
+            arm.estimate(self.probabilities, density_method, tuning)
         self.used = tuple(
             [d.clamped(density_floor) for d in arm.densities] for arm in self.arms
         )
@@ -156,6 +142,7 @@ class _Assembly:
             + upsilon(self.probabilities, arm2.times, arm2.phis, used2, self.mu2)
         )
         self.deltas = np.array([t1 - t2 for t1, t2 in zip(arm1.times, arm2.times)])
+        return self
 
     def clamped(self, j) -> bool:
         return any(used[j] != arm.densities[j].value
@@ -186,7 +173,7 @@ def sigma_hat_univariate(
     variance: per-arm quantiles, variance factors, raw and clamped density
     values, and the allocation fractions.
     """
-    assembly = _Assembly(data, [p], density_method, tuning, density_floor)
+    assembly = _Assembly(data, [p]).estimate(density_method, tuning, density_floor)
     (arm1, arm2), (used1, used2) = assembly.arms, assembly.used
     diagnostics = {
         "p": p,
@@ -239,9 +226,8 @@ def univariate_test(
     density_floor: float = DEFAULT_DENSITY_FLOOR,
 ) -> UnivariateTestResult:
     """Two-sided test of equality of the p-th survival quantiles."""
-    return _univariate_from_pieces(
-        _Assembly(data, [p], density_method, tuning, density_floor), 0
-    )
+    assembly = _Assembly(data, [p]).estimate(density_method, tuning, density_floor)
+    return _univariate_from_pieces(assembly, 0)
 
 
 def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float):
@@ -264,15 +250,11 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
     return upsilon(probabilities, times, phis, values, mu_hat)
 
 
-def _check_positive_definite(psi, probabilities):
-    eigenvalues = np.linalg.eigvalsh(psi)
-    if eigenvalues[0] > _PSI_RTOL * max(eigenvalues[-1], 0.0) and eigenvalues[0] > 0:
-        return
+def _singular(psi, probabilities) -> SingularCovarianceError:
+    """The error for a Psi_hat that is not positive definite."""
     j_count = psi.shape[0]
     if j_count == 1:
-        raise SingularCovarianceError(
-            message="quantile variance is not positive"
-        )
+        return SingularCovarianceError(message="quantile variance is not positive")
     # name the most collinear pair
     worst, pair = -1.0, (probabilities[0], probabilities[1])
     for j in range(j_count):
@@ -280,17 +262,15 @@ def _check_positive_definite(psi, probabilities):
             corr = abs(psi[j, l]) / math.sqrt(psi[j, j] * psi[l, l])
             if corr > worst:
                 worst, pair = corr, (probabilities[l], probabilities[j])
-    raise SingularCovarianceError(pair=pair)
+    return SingularCovarianceError(pair=pair)
 
 
 def _multivariate_from_pieces(assembly: _Assembly) -> MultivariateTestResult:
     """The joint Wald test over all of the assembly's probabilities."""
     psi, probabilities = assembly.psi, assembly.probabilities
-    _check_positive_definite(psi, probabilities)
-    root = np.linalg.solve(
-        np.linalg.cholesky(psi), math.sqrt(assembly.n) * assembly.deltas
-    )
-    statistic = float(root @ root)
+    statistic = _wald_form(psi, math.sqrt(assembly.n) * assembly.deltas)
+    if statistic is None:
+        raise _singular(psi, probabilities)
     dof = len(probabilities)
     arm1, arm2 = assembly.arms
     return MultivariateTestResult(
@@ -320,7 +300,7 @@ def multivariate_test(
     if len(set(probabilities)) != len(probabilities):
         raise ValidationError("probabilities must be distinct")
     return _multivariate_from_pieces(
-        _Assembly(data, probabilities, density_method, tuning, density_floor)
+        _Assembly(data, probabilities).estimate(density_method, tuning, density_floor)
     )
 
 
@@ -354,6 +334,6 @@ def bonferroni_followup(
     # one KM fit and one density set-up (KDE bandwidth selection) per arm,
     # shared by every probability
     return _bonferroni_from_pieces(
-        _Assembly(data, probabilities, density_method, tuning, density_floor),
+        _Assembly(data, probabilities).estimate(density_method, tuning, density_floor),
         alpha,
     )

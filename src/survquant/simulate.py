@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import LsConfig
+from .density import LsConfig, _check_tuning
 from .errors import (
     DegenerateTailError,
     SingularCovarianceError,
@@ -60,8 +60,7 @@ class SimulationPlan:
             raise ValidationError("replications must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie strictly between 0 and 1")
-        if self.density_method not in ("ls", "kde"):
-            raise ValidationError("density_method must be 'ls' or 'kde'")
+        _check_tuning(self.density_method, self.tuning)
         probabilities = tuple(float(p) for p in self.probabilities)
         if not probabilities:
             raise ValidationError("at least one probability is required")

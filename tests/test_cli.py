@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +255,19 @@ class TestCmdTest:
         assert "error:" in err
         assert "not estimable" in err
 
+    @pytest.mark.parametrize("tuning", [[], ["--sigma-eps", "2.0"], ["--method", "kde"]])
+    def test_unreachable_quantile_names_the_arm(self, tmp_path, capsys, tuning):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "time,status,group\n"
+            "0.1,1,1\n0.2,1,1\n0.3,1,1\n0.4,1,1\n"
+            "0.1,1,2\n0.2,0,2\n0.3,0,2\n0.5,0,2\n"
+        )
+        code, _, err = run_cli(capsys, "test", str(path), "--p", "0.5", *tuning)
+        assert code == 3
+        assert err.startswith("error: quantile not estimable in arm 2: ")
+        assert err.count("\n") == 1
+
     def test_extra_column_warning(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_text(
@@ -322,6 +336,32 @@ class TestCmdTest:
         assert code == 0
         assert len(calls) == 2
         assert len(json.loads(out)["bonferroni"]) == 3
+
+    def test_ls_auto_bonferroni_fits_each_arm_once(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """The automatic sigma, the LS probes and every test read one KM fit
+        per arm and one quantile lookup per arm and probability."""
+        import survquant.survival as survival
+
+        counts = {"fit_kaplan_meier": 0, "quantile_at": 0}
+        for name in counts:
+            original = getattr(survival, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("survquant") and \
+                        getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        path = make_dataset(tmp_path / "d.csv", n=200, rate2=2.0)
+        code, out, _ = run_cli(
+            capsys, "test", path, "--p", "0.25,0.5,0.75", "--bonferroni", "--json", "-",
+        )
+        assert code == 0
+        assert json.loads(out)["manifest"]["tuning"]["sigma_eps_mode"] == "auto"
+        assert counts == {"fit_kaplan_meier": 2, "quantile_at": 6}
 
     def test_sigma_auto_records_selections(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "d.csv")

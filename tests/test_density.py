@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -208,6 +210,51 @@ class TestSigmaSelection:
         assert sel.sigma_eps == 1.0
         assert_allclose(sel.profile, 0.7)
 
+    def test_plateau_pick_matches_the_window_loop(self, monkeypatch):
+        """The vectorized window scores pick what a per-window loop picks,
+        also on profiles full of ties."""
+        rng = np.random.default_rng(41)
+        sample = SurvivalSample(np.arange(1.0, 30.0), np.ones(29, bool))
+        for trial in range(400):
+            size = int(rng.integers(5, 40))
+            if trial % 2:
+                profile = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+            else:
+                profile = rng.integers(0, 4, size) * 0.1
+            values = iter(profile)
+            monkeypatch.setattr(
+                "survquant.density._ls_slope", lambda fit, p, t0, eps: (next(values), ())
+            )
+            grid = np.arange(1.0, size + 1.0)
+            sel = select_sigma_ls(sample, 0.5, grid, seed=0)
+            steps = np.abs(np.diff(profile))
+            variation = [steps[i : i + 4].sum() for i in range(size - 4)]
+            start = int(np.argmin(variation))
+            block = profile[start : start + 5]
+            offset = int(np.argmin(np.abs(block - np.median(block))))
+            assert sel.sigma_eps == grid[start + offset]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 300),
+        p=st.floats(0.1, 0.7),
+        grid=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=8, unique=True),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_profile_is_the_estimate_at_each_sigma(self, seed, n, p, grid, draw_seed):
+        """Common random numbers: the profile entry at sigma is exactly the
+        LS estimate with that sigma and the same seed, the identity the
+        automatic sigma relies on."""
+        sample = exponential_sample(np.random.default_rng(seed), n)
+        try:
+            sel = select_sigma_ls(sample, p, grid, seed=draw_seed)
+        except UnreachableQuantileError:
+            return
+        for i, sigma in enumerate(np.sort(grid)):
+            cfg = LsConfig(float(sigma), seed=draw_seed)
+            assert estimate_density_ls(sample, p, cfg).value == sel.profile[i]
+
     def test_validation(self):
         sample = SurvivalSample(np.array([1.0, 2.0]), np.ones(2, bool))
         with pytest.raises(ValidationError, match="grid"):
@@ -289,6 +336,20 @@ class TestCvCriterion:
         rng = np.random.default_rng(14)
         sample = exponential_sample(rng, 60)
         assert select_bandwidth_cv(sample, [0.33]) == 0.33
+
+    def test_criterion_matches_the_per_bandwidth_loop(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            grid = np.sort(rng.uniform(0.01, 3.0, int(rng.integers(1, 60))))
+            full_h = rng.uniform(1.0, 1e4, grid.size)
+            full_h2 = rng.uniform(1.0, 1e4, grid.size)
+            sum_w2, n = float(rng.uniform(0.0, 50.0)), int(rng.integers(2, 5000))
+            loop = np.empty(grid.size)
+            for k, h in enumerate(grid):
+                integral_sq = full_h2[k] / (2.0 * h * math.sqrt(math.pi)) / (n * n)
+                cross = (full_h[k] - sum_w2) / (h * SQRT_2PI)
+                loop[k] = integral_sq - 2.0 * cross / (n * (n - 1))
+            assert np.array_equal(_cv_criterion(full_h, full_h2, sum_w2, n, grid), loop)
 
     def test_needs_two_events(self):
         sample = SurvivalSample(

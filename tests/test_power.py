@@ -262,6 +262,23 @@ class TestPowerMultivariate:
         with pytest.raises(SingularCovarianceError):
             power_multivariate(spec)
 
+    def test_positive_definite_tolerance(self):
+        """One quadratic form and one tolerance serve the power formula and
+        the joint test: psi is singular unless its smallest eigenvalue is
+        positive and above _PSI_RTOL times the largest."""
+        from survquant.power import _PSI_RTOL, _wald_form
+
+        z = np.array([1.0, 2.0])
+        assert _wald_form(np.diag([1.0, 4.0]), z) == 2.0
+        assert _wald_form(np.diag([1.0, 2 * _PSI_RTOL]), z) > 0
+        for psi in (np.diag([1.0, _PSI_RTOL]), np.diag([1.0, -1.0]),
+                    np.zeros((2, 2)), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])):
+            assert _wald_form(psi, z) is None
+            with pytest.raises(SingularCovarianceError, match="power formula"):
+                power_multivariate(
+                    PowerSpec(alpha=0.05, deltas=z, psi=psi, total_n=100)
+                )
+
     def test_shape_mismatch(self):
         spec = PowerSpec(alpha=0.05, deltas=[0.1, 0.2, 0.3], psi=np.eye(2), total_n=100)
         with pytest.raises(ValidationError, match="shape"):

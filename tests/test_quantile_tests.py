@@ -356,3 +356,22 @@ class TestBonferroni:
         cfg = KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.05))
         bonferroni_followup(data, [0.25, 0.5, 0.75], "kde", cfg)
         assert calls == [data.arm1, data.arm2]
+
+
+class TestTuningMatchesMethod:
+    @pytest.mark.parametrize("method,tuning", [("ls", KDE_FIXED), ("kde", LS_FIXED)])
+    def test_other_estimators_config_is_rejected(self, method, tuning):
+        data = two_arm(26)
+        calls = (
+            lambda: univariate_test(data, 0.5, method, tuning),
+            lambda: sigma_hat_univariate(data, 0.5, method, tuning),
+            lambda: multivariate_test(data, [0.3, 0.6], method, tuning),
+            lambda: bonferroni_followup(data, [0.3, 0.6], method, tuning),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="takes a"):
+                call()
+
+    def test_unknown_method(self):
+        with pytest.raises(ValidationError, match="'ls' or 'kde'"):
+            univariate_test(two_arm(27), 0.5, "kernel")

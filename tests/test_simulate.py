@@ -9,6 +9,7 @@ from scipy import stats
 
 from survquant import (
     ExponentialArm,
+    KdeConfig,
     LsConfig,
     PiecewiseExponentialArm,
     RejectionReport,
@@ -100,6 +101,13 @@ class TestPlanValidation:
     def test_density_method(self):
         with pytest.raises(ValidationError, match="'ls' or 'kde'"):
             small_plan(density_method="kernel")
+
+    @pytest.mark.parametrize("method,tuning", [
+        ("kde", LsConfig(1.0)), ("ls", KdeConfig(0.3)),
+    ])
+    def test_tuning_must_match_method(self, method, tuning):
+        with pytest.raises(ValidationError, match="takes a"):
+            small_plan(density_method=method, tuning=tuning)
 
     def test_probabilities(self):
         with pytest.raises(ValidationError, match="at least one"):
