@@ -150,25 +150,30 @@ def _manifest(command: str, config: dict, seeds: dict, tuning: dict,
 # ---------------------------------------------------------------------------
 # dataset ingestion
 
+def _read_text(path: str, what: str):
+    """The file's bytes and its UTF-8 text; what names the file in errors."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark
+        return raw, raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(
+            f"not UTF-8 text (byte 0x{raw[exc.start]:02x})",
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
 def read_dataset(path: str):
     """Parse a time,status,group CSV into TwoArmData.
 
     Returns (data, info) where info carries the sha256 of the file bytes and
     any ignored extra column names.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"cannot read dataset {path}: {exc}") from None
+    raw, text = _read_text(path, "dataset")
     digest = hashlib.sha256(raw).hexdigest()
-    try:
-        # utf-8-sig: spreadsheet exports often start with a byte-order mark
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(
-            f"not UTF-8 text (byte 0x{raw[exc.start]:02x})",
-            line=raw.count(b"\n", 0, exc.start) + 1,
-        ) from None
     reader = csv.reader(io.StringIO(text))
     try:
         names = [cell.strip() for cell in next(reader)]
@@ -228,11 +233,7 @@ def read_dataset(path: str):
 # scenario plumbing
 
 def _read_scenario_values(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read scenario config {path}: {exc}") from None
-    return parse_scenario_values(text)
+    return parse_scenario_values(_read_text(path, "scenario config")[1])
 
 
 def _merge_scenario(values: dict, p_values=None, delta=None) -> dict:

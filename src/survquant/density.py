@@ -297,26 +297,21 @@ def estimate_density_kde(
     return _KdeMachine(sample, cfg).at(t, p=p)
 
 
-# Event count above which the pair sums are binned. Measured crossover on a
-# 2-vCPU Xeon (Python 3.11, numpy 2.4) with the CLI grid (46 bandwidths from
-# 0.1), over 112 arms of 109 to 399 events drawn from the README's
-# delayed-effect plan: the exact sums cost 0.11 us x m^2, the binned ones
-# 3.3 ms per unit of event-time span (span 1.4 to 4.8, median 2.5), so the
-# two meet at 230 to 276 events for the middle half of the spans.
-_BINNING_THRESHOLD = 250
+# Wrap-around and truncation of the Fourier pair sums each stay below
+# exp(-c^2/2) = 1e-19 relative, under the rounding of double precision.
+_FOURIER_C = math.sqrt(2.0 * math.log(1e19))
 
-# Linear binning moves each event by a fraction of the node gap delta, which
-# perturbs every pair sum by a relative c (delta/h)^2. Over 200 exponential
-# samples (40 seeds x n in {300, 700, 1000, 1600, 3000}, the CLI grid) c was
-# 0.020 in the median and 0.032 at worst; taking c = 0.04, the gap below keeps
-# the relative error at the smallest bandwidth under _BINNED_RTOL (worst seen
-# on those samples: 4.0e-8). Events so far apart that no kernel overlaps
-# another reach c = 1/6 (2e-7), still well under the 1e-6 the criterion
-# needs. An event-time span over _MAX_NODES gaps (about 2300 h_min) widens
-# the gap, and the error grows with its square.
-_BINNED_RTOL = 5e-8
-_BINNED_GAP = math.sqrt(_BINNED_RTOL / 0.04)  # in units of h_min: about 1/894
-_MAX_NODES = 1 << 21
+
+def _fourier_terms(span: float, grid: np.ndarray):
+    """Period P and frequency count K of the Fourier pair sums.
+
+    P = span + c sqrt(2) h_max puts every wrapped image of a pair at least c
+    kernel scales away, at both scales; K = ceil(c P / (2 pi h_min)) takes the
+    frequencies up to c / h_min, past which the kernel's transform is below
+    exp(-c^2/2).
+    """
+    period = span + _FOURIER_C * math.sqrt(2.0) * float(grid[-1])
+    return period, math.ceil(_FOURIER_C * period / (2.0 * math.pi * float(grid[0])))
 
 
 def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
@@ -324,33 +319,30 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
 
     Returns (full_h, full_h2): for each grid bandwidth, the sum over ALL
     pairs (diagonal included) of w_i w_j exp(-d^2/(2 h^2)) and of
-    w_i w_j exp(-d^2/(4 h^2)). Up to _BINNING_THRESHOLD events the sums are
-    exact; above it they come from linear binning with a node gap of about
-    h_min/894, whose relative error stays under _BINNED_RTOL = 5e-8 (see the
-    error model above), far below the 1e-6 the criterion is quoted at. Both
-    paths evaluate the kernels in the same loop, the exact one at every pair
-    and the binned one at every node lag, so a span that needs more nodes
-    than there are pairs (event times in days against a grid from 0.1) keeps
-    the exact sums. times must be sorted ascending.
+    w_i w_j exp(-d^2/(4 h^2)). Both paths are exact to rounding; the cheaper
+    one runs. The Fourier path costs about K (m + G) kernel and phase
+    evaluations for m events and G bandwidths, the pairwise path G m(m-1)/2,
+    and K grows with the event-time span over h_min, so widely spread times
+    (days against a grid from 0.1) keep the pairwise sums. times must be
+    sorted ascending.
     """
-    m = times.size
-    if m > _BINNING_THRESHOLD and \
-            _nodes_needed(float(times[-1] - times[0]), grid) < m * (m - 1) // 2:
-        return _pair_sums_binned(times, weights, grid)
+    m, size = times.size, grid.size
+    _, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
+    if n_freq * (m + size) < size * m * (m - 1) // 2:
+        return _pair_sums_fourier(times, weights, grid)
     return _pair_sums_exact(times, weights, grid)
 
 
-def _nodes_needed(span: float, grid: np.ndarray) -> int:
-    """Nodes that cover the span no further apart than _BINNED_GAP * h_min."""
-    return min(_MAX_NODES, math.ceil(span / (_BINNED_GAP * float(grid[0]))) + 1)
-
-
-def _kernel_sums(diagonal, pair_weights, dist_sq, grid):
-    """diagonal + 2 sum(pair_weights * K(dist)) at scales h and h*sqrt(2).
+def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
+    """Pair sums over the upper triangle, the diagonal added exactly.
 
     One buffer serves every bandwidth: the Gaussian at scale h*sqrt(2) is the
     square root of the one at h.
     """
+    i, j = np.triu_indices(times.size, 1)
+    diagonal = float(weights @ weights)
+    pair_weights = weights[i] * weights[j]
+    dist_sq = (times[j] - times[i]) ** 2
     full_h = np.empty(grid.size)
     full_h2 = np.empty(grid.size)
     kernel = np.empty_like(dist_sq)
@@ -363,56 +355,39 @@ def _kernel_sums(diagonal, pair_weights, dist_sq, grid):
     return full_h, full_h2
 
 
-def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
-    """Pair sums over the upper triangle, the diagonal added exactly."""
-    i, j = np.triu_indices(times.size, 1)
-    return _kernel_sums(
-        float(weights @ weights), weights[i] * weights[j],
-        (times[j] - times[i]) ** 2, grid,
-    )
+def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
+    """Pair sums by Poisson summation of the Gaussian kernel.
 
-
-def _fft_length(n: int) -> int:
-    """The smallest even 2^a 3^b 5^c >= n, a length numpy.fft handles fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            length = 2 * p35
-            while length < n:
-                length *= 2
-            best = min(best, length)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _pair_sums_binned(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
-    """Pair sums through linear binning and one FFT autocorrelation.
-
-    The weights are binned linearly onto equally spaced nodes no further
-    apart than _BINNED_GAP * h_min. Zero-padding the nodes to exactly twice
-    their count makes the circular autocorrelation the linear one on every
-    lag; each bandwidth then costs one dot product with the kernel sampled
-    at the lag distances. times must be sorted ascending.
+    sum_ij w_i w_j exp(-(t_i-t_j)^2/(2 s^2))
+        = (s sqrt(2 pi)/P) [(sum w)^2 + 2 sum_{k=1..K} exp(-s^2 u_k^2/2) |S(u_k)|^2]
+    with S(u) = sum_i w_i exp(-i u (t_i - t_0)) and u_k = 2 pi k / P (see
+    _fourier_terms for P and K). Every S(u_k) comes from one complex matrix
+    product: u_{aB+b} = u_{aB} + u_b with B = isqrt(K) splits the phases into
+    a coarse and a fine table of about sqrt(K) rows each. The terms are all
+    non-negative, so nothing cancels. times must be sorted ascending.
     """
-    span = float(times[-1] - times[0])
-    if span <= 0.0:
-        total = float(weights.sum()) ** 2
-        return np.full(grid.size, total), np.full(grid.size, total)
-    length = _fft_length(2 * _nodes_needed(span, grid))
-    nodes = length // 2
-    delta = span / (nodes - 1)
-    position = (times - times[0]) / delta
-    index = np.minimum(position.astype(np.int64), nodes - 2)
-    frac = position - index
-    counts = np.bincount(index, weights * (1.0 - frac), minlength=nodes)
-    counts += np.bincount(index + 1, weights * frac, minlength=nodes)
-    spectrum = np.fft.rfft(counts, length)
-    acf = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, length)[:nodes]
-    lag_sq = (np.arange(1, nodes) * delta) ** 2
-    return _kernel_sums(float(acf[0]), acf[1:], lag_sq, grid)
+    period, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
+    step = 2.0 * math.pi / period
+    block = math.isqrt(n_freq)
+    phase = (times - times[0]) * step
+    coarse = weights * np.exp(-1j * np.outer(np.arange(n_freq // block + 1) * block, phase))
+    fine = np.exp(-1j * np.outer(np.arange(block), phase))
+    spectrum = (coarse @ fine.T).ravel()[1 : n_freq + 1]
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    freq_sq = (np.arange(1, n_freq + 1) * step) ** 2
+    total = float(weights.sum()) ** 2
+    full_h = np.empty(grid.size)
+    full_h2 = np.empty(grid.size)
+    kernel = np.empty(n_freq)
+    for k, h in enumerate(grid):
+        np.multiply(freq_sq, -0.5 * h * h, out=kernel)
+        np.exp(kernel, out=kernel)
+        scale = h * _SQRT_2PI / period
+        full_h[k] = scale * (total + 2.0 * float(power @ kernel))
+        # the transform at scale h*sqrt(2) is the square of the one at h
+        np.square(kernel, out=kernel)
+        full_h2[k] = math.sqrt(2.0) * scale * (total + 2.0 * float(power @ kernel))
+    return full_h, full_h2
 
 
 def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):

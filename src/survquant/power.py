@@ -86,10 +86,22 @@ def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
     for j in range(size):
         for l in range(j + 1):
             early = j if times[j] <= times[l] else l
+            product = mu * densities[j] * densities[l]
+            if not product > 0:
+                raise ValidationError(
+                    f"density {min(densities[j], densities[l]):g} at a quantile "
+                    "is too small: the covariance denominator underflows to 0"
+                )
             out[j, l] = out[l, j] = (
-                (1.0 - ps[j]) * (1.0 - ps[l])
-                * phis[early] / (mu * densities[j] * densities[l])
+                (1.0 - ps[j]) * (1.0 - ps[l]) * phis[early] / product
             )
+            # an infinite phi is the saturated limit far out in the tail and
+            # passes through; an overflow from the densities does not
+            if math.isfinite(phis[early]) and not math.isfinite(out[j, l]):
+                raise ValidationError(
+                    f"covariance entry at p={ps[j]:g}, p={ps[l]:g} overflows: "
+                    f"density {min(densities[j], densities[l]):g} is too small"
+                )
     return out
 
 
@@ -196,6 +208,18 @@ class SampleSizeResult:
     target_power: float
 
 
+# Past 2^52 per group, neighbouring totals 2(n-1) and 2n differ by less than
+# one part in 2^52, so their powers can be the same float and no integer
+# search settles.
+_MAX_PER_GROUP = 2 ** 52
+
+
+def _too_large(target_power) -> UnattainablePowerError:
+    return UnattainablePowerError(
+        f"power {target_power:g} needs more than 2^52 subjects per group"
+    )
+
+
 def min_sample_size(
     target_power: float,
     deltas,
@@ -207,8 +231,9 @@ def min_sample_size(
 
     Seeded by the closed-form inversion sqrt(n) = (q_{1-a/2} + q_{power})
     * sigma/Delta (total n, rounded up to the next even integer before
-    halving), then settled by an integer scan so that the returned per-group
-    n satisfies power(n) >= target and power(n-1) < target.
+    halving), then settled by an integer search so that the returned
+    per-group n satisfies power(n) >= target and power(n-1) < target. Raises
+    UnattainablePowerError when n would exceed 2^52.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie strictly between 0 and 1")
@@ -230,10 +255,11 @@ def min_sample_size(
         def power_at_total(n_total):
             return _univariate_power(n_total, delta, sigma, alpha)
 
-        seed_total = (
+        root = (
             (normal_quantile(1.0 - alpha / 2.0) + normal_quantile(target_power))
             * sigma / abs(delta)
-        ) ** 2
+        )
+        seed_total = root * root  # inf rather than OverflowError
     else:
         quad, dof = _noncentrality(psi, deltas)
         if quad == 0.0:
@@ -245,17 +271,39 @@ def min_sample_size(
                 return float(alpha)
             return 1.0 - noncentral_chi2_cdf(threshold, dof, n_total * quad)
 
-        # chi-squared analogue of the univariate seed; the scan corrects it
+        # chi-squared analogue of the univariate seed; the search corrects it
         seed_total = (
             (normal_quantile(1.0 - alpha / 2.0) + normal_quantile(target_power)) ** 2
             / quad
         )
 
-    per_group = max(1, math.ceil(seed_total / 2.0))
-    while power_at_total(2 * per_group) < target_power:
-        per_group += 1
-    while per_group > 1 and power_at_total(2 * (per_group - 1)) >= target_power:
-        per_group -= 1
+    if not seed_total / 2.0 <= _MAX_PER_GROUP:
+        raise _too_large(target_power)
+
+    def reaches(per_group):
+        return power_at_total(2 * per_group) >= target_power
+
+    # The seed's error grows with n (the far tail it ignores, the chi-squared
+    # analogue), so gallop away from it to a bracket lo < n <= hi with
+    # reaches(hi) and not reaches(lo), then bisect; power at 0 is alpha.
+    hi = max(1, math.ceil(seed_total / 2.0))
+    if reaches(hi):
+        lo, step = hi - 1, 1
+        while lo > 0 and reaches(lo):
+            lo, hi, step = max(0, lo - 2 * step), lo, 2 * step
+    else:
+        lo, hi, step = hi, min(hi + 1, _MAX_PER_GROUP), 1
+        while not reaches(hi):
+            if hi == _MAX_PER_GROUP:
+                raise _too_large(target_power)
+            lo, hi, step = hi, min(hi + 2 * step, _MAX_PER_GROUP), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    per_group = hi
     return SampleSizeResult(
         per_group_n=per_group,
         total_n=2 * per_group,

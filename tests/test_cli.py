@@ -162,6 +162,40 @@ class TestInvalidInputExitCode:
         with pytest.raises(DatasetFormatError, match="line 3: not UTF-8"):
             read_dataset(str(path))
 
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "s.cfg"
+        path.write_bytes(b"lambda_a = 1.5\np = 0.5\n# caf\xe9\n")
+        code, out, err = run_cli(
+            capsys, "power", "--scenario", str(path), "--delta", "0.1", "--n", "100"
+        )
+        assert_one_line_error(code, out, err)
+        assert "line 3: not UTF-8 text (byte 0xe9)" in err
+
+    @pytest.mark.parametrize("text,extra", [
+        (SCENARIO_TEXT, ["--delta", "1e-12"]),
+        ("lambda_a = 1.5\ndelta = 0.1\np = 0.999999\nlambda_cens = 50\n", []),
+    ])
+    def test_samplesize_past_the_cap(self, tmp_path, capsys, text, extra):
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "samplesize", "--scenario", str(path), "--power", "0.8", *extra
+        )
+        assert_one_line_error(code, out, err)
+        assert "more than 2^52 subjects per group" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--delta", "0.1", "--n", "100"],
+        ["samplesize", "--power", "0.8"],
+        ["simulate", "--n", "20", "--reps", "2", "--seed", "1"],
+    ], ids=["power", "samplesize", "simulate"])
+    def test_density_underflow(self, tmp_path, capsys, argv):
+        path = tmp_path / "s.cfg"
+        path.write_text("lambda_a = 1e-300\ndelta = 0.1\np = 0.5\nlambda_cens = 0.48\n")
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+        assert_one_line_error(code, out, err)
+        assert "underflows to 0" in err
+
     def test_threads_env_not_integer(self, scenario_file, capsys, monkeypatch):
         monkeypatch.setenv("SURVQUANT_THREADS", "abc")
         code, out, err = run_cli(

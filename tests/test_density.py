@@ -29,9 +29,11 @@ from survquant.density import (
     _event_weights,
     _ls_slope,
     _pair_sums,
-    _pair_sums_binned,
     _pair_sums_exact,
+    _pair_sums_fourier,
 )
+from survquant.scenarios import scenario_from_delta
+from survquant.simulate import sample_trial
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 CV_GRID = np.arange(0.1, 1.0 + 1e-12, 0.02)  # the CLI's default grid
@@ -44,6 +46,13 @@ def exponential_sample(rng, n, rate=1.5, cens_rate=0.48):
     else:
         censor = np.full(n, np.inf)
     return SurvivalSample(np.minimum(events, censor), events <= censor)
+
+
+def _sorted_events(sample):
+    """The sample's censoring-weighted event times and weights, sorted."""
+    times, weights, _ = _event_weights(sample, fit_censoring_km(sample))
+    order = np.argsort(times)
+    return times[order], weights[order]
 
 
 def linear_cdf_fit(slope_inv, n_nodes=400, n=400):
@@ -403,48 +412,31 @@ class TestCvCriterion:
         h = select_bandwidth_cv(sample, grid)
         assert grid[0] < h < grid[-1]
 
-    def test_binned_path_matches_exact(self):
-        """Above the size threshold pair sums switch to binned FFT
-        autocorrelation; both paths must agree to well under the 1e-6
-        budget of the quadrature criterion."""
-        rng = np.random.default_rng(20)
-        sample = exponential_sample(rng, 1600)
-        cens = fit_censoring_km(sample)
-        times, weights, _ = _event_weights(sample, cens)
-        order = np.argsort(times)
-        times, weights = times[order], weights[order]
-        grid = np.array([0.1, 0.3, 0.9])
-        exact_h, exact_h2 = _pair_sums_exact(times, weights, grid)
-        binned_h, binned_h2 = _pair_sums_binned(times, weights, grid)
-        assert_allclose(binned_h, exact_h, rtol=1e-7)
-        assert_allclose(binned_h2, exact_h2, rtol=1e-7)
-
+    @pytest.mark.parametrize("pair_sums", [_pair_sums_exact, _pair_sums_fourier])
     @pytest.mark.parametrize("times,weights", [
         ([0.7, 0.7], [1.0, 2.5]),
         ([0.3, 1.9], [1.2, 0.4]),
         ([0.1, 0.4, 0.4, 0.4, 1.3, 2.0, 2.0], [1.0, 1.1, 1.1, 1.3, 1.6, 2.4, 2.4]),
+        (np.full(300, 2.0), np.full(300, 1.5)),
         (np.sort(np.random.default_rng(22).exponential(1.0, 120)),
          np.random.default_rng(23).uniform(1.0, 3.0, 120)),
-    ])
-    def test_exact_sums_match_full_double_sum(self, times, weights):
-        """The upper-triangle sums equal the double sum over the full matrix,
-        with tied times and down to two events."""
+        _sorted_events(exponential_sample(np.random.default_rng(20), 1050)),
+        # event times in days: the Fourier path needs some 20,000 frequencies
+        (np.sort(np.random.default_rng(25).uniform(0.0, 730.0, 150)),
+         np.random.default_rng(26).uniform(1.0, 3.0, 150)),
+    ], ids=["tied-pair", "two", "ties", "identical", "n120", "weighted-800", "wide"])
+    def test_sums_match_full_double_sum(self, pair_sums, times, weights):
+        """Both pair-sum paths equal the double sum over the full matrix,
+        with tied or identical times, down to two events and over a span
+        thousands of bandwidths wide."""
         times, weights = np.asarray(times), np.asarray(weights)
         grid = np.r_[0.05, CV_GRID, 2.0]
-        full_h, full_h2 = _pair_sums_exact(times, weights, grid)
+        full_h, full_h2 = pair_sums(times, weights, grid)
         d2 = (times[:, None] - times[None, :]) ** 2
         ww = weights[:, None] * weights[None, :]
         for k, h in enumerate(grid):
             assert_allclose(full_h[k], np.sum(ww * np.exp(-d2 / (2 * h * h))), rtol=1e-12)
             assert_allclose(full_h2[k], np.sum(ww * np.exp(-d2 / (4 * h * h))), rtol=1e-12)
-
-    def test_binned_degenerate_span(self):
-        # all event times identical: every pair distance is 0
-        times = np.full(600, 2.0)
-        weights = np.full(600, 1.5)
-        full_h, full_h2 = _pair_sums_binned(times, weights, np.array([0.5]))
-        assert_allclose(full_h, (1.5 * 600) ** 2)
-        assert_allclose(full_h2, (1.5 * 600) ** 2)
 
     def test_cv_resolution_through_kde_config(self):
         rng = np.random.default_rng(21)
@@ -466,24 +458,6 @@ class TestCvCriterion:
         cfg = KdeConfig(bandwidth="select-by-cv", cv_grid=CV_GRID)
         estimate_density_kde(sample, 0.46, cfg)
         assert calls == [sample]
-
-
-@pytest.fixture(scope="module")
-def exact_and_binned():
-    """Both pair-sum paths on 40 seeds x 5 sizes, with the CV inputs."""
-    out = []
-    for n in (300, 700, 1000, 1600, 3000):
-        for seed in range(40):
-            sample = exponential_sample(np.random.default_rng(seed), n)
-            times, weights, _ = _event_weights(sample, fit_censoring_km(sample))
-            order = np.argsort(times)
-            times, weights = times[order], weights[order]
-            out.append((
-                n, seed, float(weights @ weights),
-                _pair_sums_exact(times, weights, CV_GRID),
-                _pair_sums_binned(times, weights, CV_GRID),
-            ))
-    return out
 
 
 class TestCvGridEdgeFlag:
@@ -518,33 +492,33 @@ class TestCvGridEdgeFlag:
             assert estimate_density_kde(sample, 0.4, cfg).flags == ()
 
 
-class TestBinnedPairSums:
-    def test_relative_error_bound(self, exact_and_binned):
-        """The node gap is set so that binning moves no pair sum by more
-        than 5e-8 relative, at any bandwidth of the grid."""
-        worst = 0.0
-        for _, _, _, exact, binned in exact_and_binned:
-            for e, b in zip(exact, binned):
-                worst = max(worst, float(np.max(np.abs(b / e - 1.0))))
-        assert worst <= 5e-8
-
-    def test_same_bandwidth_as_exact(self, exact_and_binned):
-        for n, seed, sum_w2, exact, binned in exact_and_binned:
+class TestFourierPairSums:
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_same_bandwidth_as_exact(self, n):
+        for seed in range(40):
+            sample = exponential_sample(np.random.default_rng(seed), n)
+            times, weights = _sorted_events(sample)
             picks = [
-                int(np.argmin(_cv_criterion(*sums, sum_w2, n, CV_GRID)))
-                for sums in (exact, binned)
+                int(np.argmin(_cv_criterion(
+                    *pair_sums(times, weights, CV_GRID),
+                    float(weights @ weights), n, CV_GRID,
+                )))
+                for pair_sums in (_pair_sums_exact, _pair_sums_fourier)
             ]
             assert picks[0] == picks[1], (n, seed)
 
     def test_dispatch(self, monkeypatch):
-        """Binned above the event threshold, unless the span needs more
-        nodes than there are pairs."""
+        """The cheaper path runs: pairwise for few events, Fourier for an
+        arm of the README's plan in years, pairwise again for the same arm
+        in days, whose span needs some 15,000 frequencies."""
+        scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
+        times, weights = _sorted_events(sample_trial(scenario, 300, 300, 1).arm1)
         calls = []
         monkeypatch.setattr("survquant.density._pair_sums_exact",
                             lambda *a: calls.append("exact"))
-        monkeypatch.setattr("survquant.density._pair_sums_binned",
-                            lambda *a: calls.append("binned"))
-        # a span of 2 needs about 17900 nodes at h_min = 0.1
-        for m, span in ((250, 2.0), (251, 2.0), (400, 730.0)):
-            _pair_sums(np.linspace(0.0, span, m), np.ones(m), CV_GRID)
-        assert calls == ["exact", "binned", "exact"]
+        monkeypatch.setattr("survquant.density._pair_sums_fourier",
+                            lambda *a: calls.append("fourier"))
+        _pair_sums(np.linspace(0.0, 2.0, 20), np.ones(20), CV_GRID)
+        _pair_sums(times, weights, CV_GRID)
+        _pair_sums(times * 365.0, weights, CV_GRID)
+        assert calls == ["exact", "fourier", "exact"]

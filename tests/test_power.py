@@ -23,6 +23,7 @@ from survquant import (
     power_multivariate,
     power_univariate,
 )
+from survquant.power import upsilon
 from survquant.errors import (
     SingularCovarianceError,
     UnattainablePowerError,
@@ -356,6 +357,46 @@ class TestMinSampleSize:
         result = min_sample_size(0.85, [0.12, 0.1], psi=psi, alpha=0.05)
         assert result.achieved_power >= 0.85
         assert result.power_at_n_minus_1 < 0.85
+
+    @pytest.mark.parametrize("target", [0.8, 0.999999])
+    @pytest.mark.parametrize("kind", ["sigma", "psi"])
+    def test_tiny_delta_settles_with_certificate(self, kind, target):
+        """Near 1e14 per group the seed is off by millions of subjects (the
+        ignored far tail; the chi-squared analogue); the search still
+        settles in a few dozen power evaluations."""
+        if kind == "sigma":
+            result = min_sample_size(target, 1e-7, sigma=1.4)
+        else:
+            result = min_sample_size(target, [1e-7] * 3, psi=np.eye(3))
+        assert result.per_group_n > 1e13
+        assert result.achieved_power >= target
+        assert result.power_at_n_minus_1 < target
+
+    @pytest.mark.parametrize("deltas,variance", [
+        (1e-12, {"sigma": 1.0}),  # the seed is past the cap
+        (1e-200, {"sigma": 1.0}),  # the seed overflows
+        ([1.8e-8] * 3, {"psi": np.eye(3)}),  # the seed is under the cap, n is not
+    ])
+    def test_past_the_cap_unattainable(self, deltas, variance):
+        with pytest.raises(UnattainablePowerError, match=r"more than 2\^52"):
+            min_sample_size(0.8, deltas, **variance)
+
+
+class TestUpsilon:
+    def test_underflowing_density_product(self):
+        # 5e-301 squared underflows to 0
+        with pytest.raises(ValidationError, match="underflows to 0"):
+            upsilon([0.5], [1.0], [1.0], [5e-301], 0.5)
+
+    def test_overflowing_entry(self):
+        # 1e-160 squared is subnormal, so the entry overflows
+        with pytest.raises(ValidationError, match="overflows"):
+            upsilon([0.5], [1.0], [1.0], [1e-160], 0.5)
+
+    def test_infinite_phi_passes_through(self):
+        # phi saturates to inf far out in the tail; the entry follows it
+        out = upsilon([0.3, 0.5], [1.0, 2.0], [1.0, math.inf], [1.0, 1.0], 0.5)
+        assert out[1, 1] == math.inf and math.isfinite(out[0, 1])
 
 
 def test_import_loads_no_scipy_linalg_or_stats():

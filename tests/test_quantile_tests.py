@@ -14,6 +14,7 @@ from survquant import (
     LsConfig,
     SingularCovarianceError,
     SurvivalSample,
+    SurvQuantError,
     TwoArmData,
     UnreachableQuantileError,
     ValidationError,
@@ -28,6 +29,7 @@ from survquant import (
 )
 
 KDE_FIXED = KdeConfig(bandwidth=0.3)
+KDE_CV = KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.02))
 LS_FIXED = LsConfig(sigma_eps=1.0, seed=0)
 
 
@@ -40,6 +42,23 @@ def censored_arm(rng, n, rate=1.5, cens_rate=0.48):
 def two_arm(seed, n=120, rate2=1.5):
     rng = np.random.default_rng(seed)
     return TwoArmData(censored_arm(rng, n), censored_arm(rng, n, rate=rate2))
+
+
+def arm_strategy(n):
+    """n subjects on a grid of 400 times in steps of 1/40, so ties are common."""
+    cells = st.lists(st.tuples(st.integers(1, 400), st.booleans()),
+                     min_size=n, max_size=n)
+    return cells.map(lambda c: SurvivalSample(
+        np.array([k / 40 for k, _ in c]), np.array([e for _, e in c])
+    ))
+
+
+@st.composite
+def two_arm_data(draw):
+    n1, n2 = draw(st.integers(12, 90)), draw(st.integers(12, 90))
+    if draw(st.booleans()):
+        n2 = n1
+    return TwoArmData(draw(arm_strategy(n1)), draw(arm_strategy(n2)))
 
 
 class TestUnivariate:
@@ -57,15 +76,31 @@ class TestUnivariate:
         assert out.statistic == math.sqrt(data.n) * out.delta_hat / out.sigma_hat
         assert 0.0 <= out.p_value <= 1.0
 
-    @pytest.mark.parametrize("method,tuning", [("kde", KDE_FIXED), ("ls", LS_FIXED)])
-    def test_antisymmetry(self, method, tuning):
-        data = two_arm(3, rate2=2.2)
+    @pytest.mark.parametrize("method,tuning", [
+        ("kde", KDE_FIXED), ("kde", KDE_CV), ("ls", LS_FIXED),
+    ], ids=["kde-fixed", "kde-cv", "ls"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=two_arm_data(), p=st.sampled_from([0.25, 0.5, 0.75]))
+    def test_antisymmetry(self, method, tuning, data, p):
+        """Swapping the arms flips the sign of the statistic and of delta_hat
+        and keeps the p-value, exactly at equal arm sizes; an input that
+        fails, fails both ways round."""
         swapped = TwoArmData(data.arm2, data.arm1)
-        a = univariate_test(data, 0.5, method, tuning)
-        b = univariate_test(swapped, 0.5, method, tuning)
-        assert b.statistic == -a.statistic
-        assert b.p_value == a.p_value
-        assert b.delta_hat == -a.delta_hat
+        try:
+            a = univariate_test(data, p, method, tuning)
+        except SurvQuantError:
+            with pytest.raises(SurvQuantError):
+                univariate_test(swapped, p, method, tuning)
+            return
+        b = univariate_test(swapped, p, method, tuning)
+        if data.arm1.n == data.arm2.n:
+            assert -b.statistic == a.statistic
+            assert b.p_value == a.p_value
+            assert -b.delta_hat == a.delta_hat
+        else:
+            assert_allclose(-b.statistic, a.statistic, rtol=1e-12)
+            assert_allclose(b.p_value, a.p_value, rtol=1e-12)
+            assert_allclose(-b.delta_hat, a.delta_hat, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "method,tuning,scaled",
