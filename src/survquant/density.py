@@ -122,7 +122,11 @@ class DensityAtQuantile:
 
     def clamped(self, floor: float = 1e-8) -> float:
         """The value as used in variance denominators: positive, floored."""
-        return self.value if self.value > floor else floor
+        return _clamp(self.value, floor)
+
+
+def _clamp(value: float, floor: float) -> float:
+    return value if value > floor else floor
 
 
 # --------------------------------------------------------------------- LS --
@@ -138,18 +142,56 @@ def _quantile_time(fit: KaplanMeierFit, p, arm=None) -> float:
 
 
 def _ls_slope(fit: KaplanMeierFit, p: float, t0: float, eps: np.ndarray):
-    """No-intercept regression slope of y on eps.
+    """No-intercept regression slope of y on eps, with its flags.
 
     y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p); F is 0 left of the first
     event time, so also left of the origin.
     """
-    root_n = math.sqrt(fit.n)
-    y = root_n * (fit.cdf_at(t0 + eps / root_n) - p)
-    numerator = float(eps @ y)
-    denominator = float(eps @ eps)
-    if numerator == 0.0:
-        return 0.0, ("zero-slope",)
-    return numerator / denominator, ()
+    padded = np.concatenate(([1.0], fit.survival))
+    values, zero = _ls_slopes(fit.event_times, padded, fit.n, p, t0,
+                              eps[None, :], np.argsort(eps)[None, :])
+    return float(values[0]), (("zero-slope",) if zero[0] else ())
+
+
+def _ls_slopes(steps, padded, n: int, p, t0, eps, order):
+    """_ls_slope for k sets of probes on each of several step curves.
+
+    steps (..., m) and padded (..., m + 1) hold the curves: F = 1 -
+    padded[j] past the first j of the sorted steps. t0 and p broadcast to
+    (..., k), and the draws eps and the order that sorts each of their rows
+    to (..., k, B). Returns the slopes (..., k) and where they are 0 for a
+    zero numerator (the "zero-slope" flag).
+    """
+    root_n = math.sqrt(n)
+    # y is a step function of the probe as well: its value past each step
+    y_steps = root_n * ((1.0 - padded[..., None, :]) - np.asarray(p)[..., None])
+    # sorted draws give sorted probes, which searchsorted places several
+    # times faster than probes in draw order
+    scaled = np.take_along_axis(eps, order, axis=-1)
+    scaled /= root_n
+    denominators = np.array([float(row @ row) for row in eps.reshape(-1, eps.shape[-1])])
+    sets = np.broadcast_shapes(steps.shape[:-1] + (1,), np.shape(t0), np.shape(p),
+                               eps.shape[:-1])
+    shape = sets + eps.shape[-1:]
+    t0 = np.broadcast_to(t0, sets)
+    y_steps = np.broadcast_to(y_steps, sets + padded.shape[-1:])
+    denominators = np.broadcast_to(denominators.reshape(eps.shape[:-1]), sets)
+    eps, order, scaled = (np.broadcast_to(a, shape) for a in (eps, order, scaled))
+    y = np.empty(shape[-1])
+    values = np.zeros(sets)
+    zero = np.zeros(sets, dtype=bool)
+    for index in np.ndindex(sets):
+        # y goes back to draw order, which keeps the summation order of the
+        # dot product
+        y[order[index]] = y_steps[index][
+            np.searchsorted(steps[index[:-1]], t0[index] + scaled[index], side="right")
+        ]
+        numerator = float(eps[index] @ y)
+        if numerator == 0.0:
+            zero[index] = True
+        else:
+            values[index] = numerator / float(denominators[index])
+    return values, zero
 
 
 def estimate_density_ls(
@@ -160,11 +202,14 @@ def estimate_density_ls(
     return _ls_density_from_fit(fit, p, cfg, _quantile_time(fit, p))
 
 
+def _ls_draws(cfg: LsConfig, seed) -> np.ndarray:
+    """The perturbation draws eps of an LS estimate made from seed."""
+    return np.random.default_rng(seed).normal(0.0, cfg.sigma_eps, int(cfg.n_draws))
+
+
 def _ls_density_from_fit(fit: KaplanMeierFit, p: float, cfg: LsConfig, t0: float):
     """The LS estimate at the fit's p-quantile time t0."""
-    rng = np.random.default_rng(cfg.seed)
-    eps = rng.normal(0.0, cfg.sigma_eps, int(cfg.n_draws))
-    value, flags = _ls_slope(fit, p, t0, eps)
+    value, flags = _ls_slope(fit, p, t0, _ls_draws(cfg, cfg.seed))
     return DensityAtQuantile(
         p=p, quantile_time=t0, value=value, method="ls",
         tuning=float(cfg.sigma_eps), flags=flags,
@@ -212,10 +257,10 @@ def _select_sigma(fit: KaplanMeierFit, p: float, t0: float, grid: np.ndarray,
         raise ValidationError("n_draws must be at least 2")
     rng = np.random.default_rng(seed)
     eps_std = rng.normal(0.0, 1.0, int(n_draws))
-
-    profile = np.empty(grid.size)
-    for i, sigma in enumerate(grid):
-        profile[i], _ = _ls_slope(fit, p, t0, sigma * eps_std)
+    # sigma * eps_std keeps the order of eps_std for every sigma > 0
+    padded = np.concatenate(([1.0], fit.survival))
+    profile, _ = _ls_slopes(fit.event_times, padded, fit.n, p, t0,
+                            grid[:, None] * eps_std, np.argsort(eps_std)[None, :])
 
     window = 5
     if grid.size < window:

@@ -192,19 +192,28 @@ def sigma_hat_univariate(
     return math.sqrt(assembly.psi[0, 0]), diagnostics
 
 
+def _univariate_statistic(n: int, delta_hat: float, psi_jj) -> tuple:
+    """(sigma_hat, statistic, two-sided p-value) from a diagonal entry of
+    Psi_hat at total sample size n."""
+    sigma = math.sqrt(psi_jj)
+    statistic = math.sqrt(n) * delta_hat / sigma
+    return sigma, statistic, 2.0 * float(ndtr(-abs(statistic)))
+
+
 def _univariate_from_pieces(assembly: _Assembly, j: int) -> UnivariateTestResult:
     """The univariate test at the assembly's j-th probability."""
     arm1, arm2 = assembly.arms
     d1, d2 = arm1.densities[j], arm2.densities[j]
     delta_hat = float(assembly.deltas[j])
-    sigma = math.sqrt(assembly.psi[j, j])
-    statistic = math.sqrt(assembly.n) * delta_hat / sigma
+    sigma, statistic, p_value = _univariate_statistic(
+        assembly.n, delta_hat, assembly.psi[j, j]
+    )
     return UnivariateTestResult(
         p=assembly.probabilities[j],
         delta_hat=delta_hat,
         sigma_hat=sigma,
         statistic=statistic,
-        p_value=2.0 * float(ndtr(-abs(statistic))),
+        p_value=p_value,
         density_method=assembly.density_method,
         quantile1=arm1.times[j],
         quantile2=arm2.times[j],
@@ -265,12 +274,20 @@ def _singular(psi, probabilities) -> SingularCovarianceError:
     return SingularCovarianceError(pair=pair)
 
 
+def _joint_statistic(n: int, deltas: np.ndarray, psi, probabilities) -> tuple:
+    """(Wald statistic, p-value) of the joint test at total sample size n;
+    raises SingularCovarianceError when Psi_hat is not positive definite."""
+    statistic = _wald_form(psi, math.sqrt(n) * deltas)
+    if statistic is None:
+        raise _singular(psi, probabilities)
+    dof = len(probabilities)
+    return statistic, float(gammaincc(dof / 2.0, statistic / 2.0))
+
+
 def _multivariate_from_pieces(assembly: _Assembly) -> MultivariateTestResult:
     """The joint Wald test over all of the assembly's probabilities."""
     psi, probabilities = assembly.psi, assembly.probabilities
-    statistic = _wald_form(psi, math.sqrt(assembly.n) * assembly.deltas)
-    if statistic is None:
-        raise _singular(psi, probabilities)
+    statistic, p_value = _joint_statistic(assembly.n, assembly.deltas, psi, probabilities)
     dof = len(probabilities)
     arm1, arm2 = assembly.arms
     return MultivariateTestResult(
@@ -279,7 +296,7 @@ def _multivariate_from_pieces(assembly: _Assembly) -> MultivariateTestResult:
         psi_hat=psi,
         statistic=statistic,
         dof=dof,
-        p_value=float(gammaincc(dof / 2.0, statistic / 2.0)),
+        p_value=p_value,
         tuning1=arm1.densities[0].tuning,
         tuning2=arm2.densities[0].tuning,
         flags=assembly.flags(range(dof)),

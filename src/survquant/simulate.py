@@ -2,9 +2,13 @@
 
 Determinism contract: replicate k draws everything it needs from
 SeedSequence(master_seed, spawn_key=(k,)), so results depend only on the
-master seed and the replicate index. Replicates run one after another on
-the calling thread; SimulationPlan.threads is validated but does not change
-how they run, so the report is the same for any thread count.
+master seed and the replicate index. Replicates run in blocks on the
+calling thread: a block draws each replicate's data in turn, then fits,
+probes and tests its rows together as arrays, with the serial test's
+arithmetic in the serial test's order, so every p-value equals the one
+univariate_test or multivariate_test gives on sample_trial's data for that
+replicate. SimulationPlan.threads is validated but does not change how they
+run, so the report is the same for any thread count.
 """
 from __future__ import annotations
 
@@ -15,20 +19,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import LsConfig, _check_tuning
+from .density import LsConfig, _check_tuning, _clamp, _KdeMachine, _ls_draws, _ls_slopes
 from .errors import (
     DegenerateTailError,
     SingularCovarianceError,
     UnreachableQuantileError,
     ValidationError,
 )
-from .power import PowerSpec, power_multivariate, power_univariate
-from .quantile_tests import multivariate_test, univariate_test
+from .power import PowerSpec, power_multivariate, power_univariate, upsilon
+from .quantile_tests import (
+    DEFAULT_DENSITY_FLOOR,
+    _default_tuning,
+    _joint_statistic,
+    _univariate_statistic,
+    multivariate_test,
+    univariate_test,
+)
 from .scenarios import TrialScenario, scenario_psi, scenario_sigma2
-from .survival import SurvivalSample, TwoArmData
+from .survival import _CDF_ATOL, SurvivalSample, TwoArmData
 
 _FAILURE_KINDS = (UnreachableQuantileError, DegenerateTailError, SingularCovarianceError)
 _MAX_FAILURE_FRACTION = 0.05
+# Draws per block of replicates (observed times of both arms plus LS
+# perturbations), so a block's arrays stay near 128 KB each whatever n and
+# the replication count. Larger blocks saved little more time on sim_ls and
+# raised its peak memory.
+_BLOCK_VALUES = 1 << 14
 
 # Default LS perturbation scale for simulations. Wide on purpose: at small n
 # the probe window then exceeds the data support, the slope underestimates the
@@ -50,7 +66,7 @@ class SimulationPlan:
     density_method: str = "ls"
     tuning: object = None
     master_seed: int = 0
-    # accepted for compatibility: replicates always run serially
+    # accepted for compatibility: replicates always run on the calling thread
     threads: int = 1
 
     def __post_init__(self):
@@ -64,6 +80,9 @@ class SimulationPlan:
         probabilities = tuple(float(p) for p in self.probabilities)
         if not probabilities:
             raise ValidationError("at least one probability is required")
+        for p in probabilities:
+            if not 0.0 < p < 1.0:
+                raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
         if len(set(probabilities)) != len(probabilities):
             raise ValidationError("probabilities must be distinct")
         object.__setattr__(self, "probabilities", probabilities)
@@ -80,7 +99,10 @@ class RejectionReport:
     n_failures counts replicates where the test could not be run at all
     (unreachable quantile, degenerate variance, singular covariance); they
     are excluded from the denominator n_used. p_values holds one entry per
-    replicate, NaN for failed ones.
+    replicate, NaN for failed ones. Replicates run in blocks, so each is
+    charged its block's wall time divided by the block's size:
+    rep_time_mean_s is the mean of those shares and rep_time_sd_s their
+    standard deviation (ddof=1), 0 when all replicates share one block.
     """
 
     rate: float
@@ -109,16 +131,23 @@ def sample_trial(scenario: TrialScenario, n1: int, n2: int, replicate_seed) -> T
     rng = np.random.default_rng(replicate_seed)
 
     def one_arm(arm, size):
-        # standard-exponential draws mapped through the arm's inverse CDF
-        events = arm.inverse_cdf(-np.log1p(-rng.random(size)))
-        if scenario.censoring_rate > 0:
-            censor = -np.log1p(-rng.random(size)) / scenario.censoring_rate
-        else:
-            censor = np.full(size, np.inf)
-        observed = np.minimum(events, censor)
-        return SurvivalSample(observed, events <= censor)
+        event_u = rng.random(size)
+        censor_u = rng.random(size) if scenario.censoring_rate > 0 else None
+        return SurvivalSample(*_observe(scenario, arm, event_u, censor_u))
 
     return TwoArmData(one_arm(scenario.arm1, n1), one_arm(scenario.arm2, n2))
+
+
+def _observe(scenario: TrialScenario, arm, event_u, censor_u):
+    """Observed times and event flags of one arm from its uniform draws, of
+    any shape; censor_u is None when the scenario has no censoring."""
+    # standard-exponential draws mapped through the arm's inverse CDF
+    events = arm.inverse_cdf(-np.log1p(-event_u))
+    if censor_u is None:
+        censor = np.inf
+    else:
+        censor = -np.log1p(-censor_u) / scenario.censoring_rate
+    return np.minimum(events, censor), events <= censor
 
 
 def _formula_power(plan: SimulationPlan) -> float:
@@ -153,13 +182,81 @@ def _replicate_tuning(plan: SimulationPlan, seed_seq) -> object:
     return tuning
 
 
-def _run_replicate(plan: SimulationPlan, rep: int):
-    """One replicate: (p_value or nan, reject/accept/failure, seconds)."""
-    started = time.perf_counter()
-    seed_root = np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(rep,))
-    rng = np.random.default_rng(seed_root)
-    data = sample_trial(plan.scenario, plan.n_per_group, plan.n_per_group, rng)
-    tuning = _replicate_tuning(plan, seed_root.spawn(1)[0])
+def _replicate_seeds(plan: SimulationPlan, rep: int):
+    """Replicate rep's seed and its first child (what seed.spawn(1) gives),
+    the seed of its LS perturbations."""
+    return tuple(np.random.SeedSequence(plan.master_seed, spawn_key=key)
+                 for key in ((rep,), (rep, 0)))
+
+
+def _block_rows(plan: SimulationPlan) -> int:
+    """Replicates per block: about _BLOCK_VALUES draws, at least one."""
+    per_rep = 2 * plan.n_per_group
+    if plan.density_method == "ls":
+        per_rep += int(_replicate_tuning(plan, None).n_draws)
+    return max(1, _BLOCK_VALUES // per_rep)
+
+
+def _draw_block(plan: SimulationPlan, first: int, count: int):
+    """Draws of replicates first .. first+count-1, as the serial test makes
+    them.
+
+    Returns observed times and event flags, each (count, 2, n) with arm 1
+    first along axis 1, and the LS perturbation draws (count, n_draws), or
+    None for KDE. Replicate k takes its uniforms from
+    SeedSequence(master_seed, spawn_key=(k,)) in sample_trial's order, so
+    its rows equal sample_trial's arrays. Its perturbations come from that
+    seed's first child: the serial test re-seeds every (arm, p) from it, so
+    one draw serves them all.
+    """
+    scenario, n = plan.scenario, plan.n_per_group
+    censored = scenario.censoring_rate > 0
+    uniforms = np.empty((count, 4 if censored else 2, n))
+    ls = _replicate_tuning(plan, None) if plan.density_method == "ls" else None
+    eps = np.empty((count, int(ls.n_draws))) if ls else None
+    for r in range(count):
+        seed, child = _replicate_seeds(plan, first + r)
+        np.random.default_rng(seed).random(out=uniforms[r])
+        if ls:
+            eps[r] = _ls_draws(ls, child)
+    # (replicate, arm, event or censoring draw, subject)
+    uniforms = uniforms.reshape(count, 2, -1, n)
+    arms = [
+        _observe(scenario, arm, uniforms[:, a, 0], uniforms[:, a, 1] if censored else None)
+        for a, arm in enumerate((scenario.arm1, scenario.arm2))
+    ]
+    times = np.stack([observed for observed, _ in arms], axis=1)
+    events = np.stack([flags for _, flags in arms], axis=1)
+    return times, events, eps
+
+
+def _km_rows(hits: np.ndarray):
+    """Kaplan-Meier survival and Greenwood sums along the last axis of event
+    flags ordered by untied observed times.
+
+    padded[..., k] is the survival past the first k observations (1.0 for
+    k = 0) and greenwood[..., k] the Greenwood sum through observation k.
+    A censored observation contributes the factor 1.0 and the term 0.0, so
+    at each event both equal fit_kaplan_meier's entries bit for bit.
+    """
+    n = hits.shape[-1]
+    d = hits.astype(float)
+    at_risk = np.arange(n, 0, -1, dtype=float)
+    padded = np.ones(hits.shape[:-1] + (n + 1,))
+    np.cumprod(1.0 - d / at_risk, axis=-1, out=padded[..., 1:])
+    terms = np.divide(d, at_risk * (at_risk - d), out=np.full(d.shape, np.inf),
+                      where=at_risk > d)
+    return padded, np.cumsum(terms, axis=-1)
+
+
+def _two_arm(times, events, r: int) -> TwoArmData:
+    return TwoArmData(SurvivalSample(times[r, 0], events[r, 0]),
+                      SurvivalSample(times[r, 1], events[r, 1]))
+
+
+def _serial_p_value(plan: SimulationPlan, data: TwoArmData, rep: int) -> float:
+    """The public test on replicate rep's data; NaN when it cannot run."""
+    tuning = _replicate_tuning(plan, _replicate_seeds(plan, rep)[1])
     try:
         if len(plan.probabilities) == 1:
             result = univariate_test(
@@ -170,22 +267,109 @@ def _run_replicate(plan: SimulationPlan, rep: int):
                 data, plan.probabilities, plan.density_method, tuning
             )
     except _FAILURE_KINDS:
-        return math.nan, np.int8(-1), time.perf_counter() - started
-    outcome = np.int8(1) if result.p_value < plan.alpha else np.int8(0)
-    return result.p_value, outcome, time.perf_counter() - started
+        return math.nan
+    return result.p_value
+
+
+def _block_p_values(plan: SimulationPlan, first: int, times, events, eps):
+    """p-values of the replicates of one block, in order; NaN marks a
+    failure.
+
+    A row with tied observed times in an arm runs the public test on its
+    data. The other rows take their KM curves, quantiles and Greenwood
+    factors from _km_rows over the whole block, their LS slopes from
+    _ls_slopes and their KDE estimates from the row's SurvivalSample in
+    draw order; Psi_hat and the p-value then come from the tests' own
+    arithmetic. A sample that SurvivalSample rejects raises once the rows
+    before it have run, as in a serial loop.
+    """
+    count, _, n = times.shape
+    valid = np.isfinite(times).all(axis=(1, 2)) & (times >= 0).all(axis=(1, 2))
+    if not valid.all():
+        stop = int(np.argmin(valid))
+        if stop:
+            _block_p_values(plan, first, times[:stop], events[:stop],
+                            None if eps is None else eps[:stop])
+        _two_arm(times, events, stop)  # raises the sample's ValidationError
+
+    # The bits of a time >= 0 order like the time itself; shifted up by one
+    # they still do and carry the event flag in the freed lowest bit, so one
+    # integer sort orders times and flags together
+    keys = np.sort((times.view(np.uint64) << np.uint64(1)) | events, axis=-1)
+    steps = (keys >> np.uint64(1)).view(float)
+    hits = (keys & np.uint64(1)).astype(bool)
+    tied = (np.diff(steps, axis=-1) == 0).any(axis=(1, 2))
+    padded, greenwood = _km_rows(hits)
+
+    # first event where the CDF reaches p, as quantile_at finds it
+    ps = plan.probabilities
+    p_column = np.array(ps)[:, None]
+    found = (1.0 - padded[:, :, None, 1:] >= p_column - _CDF_ATOL) & hits[:, :, None, :]
+    idx = found.argmax(axis=-1)
+    quantiles = np.take_along_axis(steps, idx, axis=-1)
+    sums = np.take_along_axis(greenwood, idx, axis=-1)
+    phis = n * sums
+    estimable = (found.any(axis=-1) & np.isfinite(sums)).all(axis=(1, 2)) & ~tied
+
+    if plan.density_method == "ls":
+        rows = np.flatnonzero(estimable)
+        slopes = np.empty(quantiles.shape)
+        slopes[rows], _ = _ls_slopes(
+            steps[rows], padded[rows], n, ps, quantiles[rows],
+            eps[rows][:, None, None, :], np.argsort(eps[rows], axis=-1)[:, None, None, :],
+        )
+    else:
+        kde_tuning = plan.tuning if plan.tuning is not None else _default_tuning("kde")
+
+    out = np.full(count, np.nan)
+    for r in range(count):
+        if tied[r]:
+            out[r] = _serial_p_value(plan, _two_arm(times, events, r), first + r)
+            continue
+        if not estimable[r]:
+            continue
+        arm_times, arm_phis = quantiles[r].tolist(), phis[r].tolist()
+        if plan.density_method == "ls":
+            values = slopes[r].tolist()
+        else:
+            data = _two_arm(times, events, r)
+            values = [
+                [machine.at(t).value for t in ts]
+                for machine, ts in zip(
+                    (_KdeMachine(data.arm1, kde_tuning), _KdeMachine(data.arm2, kde_tuning)),
+                    arm_times,
+                )
+            ]
+        used = [[_clamp(v, DEFAULT_DENSITY_FLOOR) for v in vs] for vs in values]
+        # equal arms: each allocation fraction is n / 2n = 0.5
+        psi = (upsilon(ps, arm_times[0], arm_phis[0], used[0], 0.5)
+               + upsilon(ps, arm_times[1], arm_phis[1], used[1], 0.5))
+        deltas = [t1 - t2 for t1, t2 in zip(*arm_times)]
+        if len(ps) == 1:
+            out[r] = _univariate_statistic(2 * n, deltas[0], psi[0, 0])[2]
+        else:
+            try:
+                out[r] = _joint_statistic(2 * n, np.array(deltas), psi, ps)[1]
+            except SingularCovarianceError:
+                pass
+    return out
 
 
 def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     """Run the plan's replicates and summarize the rejection frequency."""
     started = time.perf_counter()
     reps = plan.replications
-    p_values = np.full(reps, np.nan)
-    outcomes = np.zeros(reps, dtype=np.int8)
-    seconds = np.zeros(reps)
-    for rep in range(reps):
-        p_values[rep], outcomes[rep], seconds[rep] = _run_replicate(plan, rep)
+    p_values = np.empty(reps)
+    shares = np.empty(reps)
+    rows = _block_rows(plan)
+    for first in range(0, reps, rows):
+        block_started = time.perf_counter()
+        count = min(rows, reps - first)
+        block = _draw_block(plan, first, count)
+        p_values[first:first + count] = _block_p_values(plan, first, *block)
+        shares[first:first + count] = (time.perf_counter() - block_started) / count
 
-    failures = int(np.count_nonzero(outcomes == -1))
+    failures = int(np.count_nonzero(np.isnan(p_values)))
     used = reps - failures
     flags = ()
     if failures > _MAX_FAILURE_FRACTION * reps:
@@ -194,7 +378,7 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
         rate, se = math.nan, math.nan
         flags += ("no usable replicates",)
     else:
-        rate = float(np.count_nonzero(outcomes == 1)) / used
+        rate = float(np.count_nonzero(p_values < plan.alpha)) / used
         se = math.sqrt(rate * (1.0 - rate) / used)
     return RejectionReport(
         rate=rate,
@@ -206,7 +390,7 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
         alpha=plan.alpha,
         p_values=p_values,
         wall_time_s=time.perf_counter() - started,
-        rep_time_mean_s=float(seconds.mean()),
-        rep_time_sd_s=float(seconds.std(ddof=1)) if reps > 1 else 0.0,
+        rep_time_mean_s=float(shares.mean()),
+        rep_time_sd_s=float(shares.std(ddof=1)) if reps > rows else 0.0,
         flags=flags,
     )

@@ -21,6 +21,7 @@ from survquant import (
     estimate_density_ls,
     fit_censoring_km,
     fit_kaplan_meier,
+    quantile_at,
     select_bandwidth_cv,
     select_sigma_ls,
 )
@@ -193,6 +194,46 @@ class TestEstimateDensityLs:
         assert out.clamped(floor=1e-8) >= 1e-8
 
 
+def ls_slope_reference(fit, p, t0, eps):
+    """The LS slope probed in draw order, through the fit's own CDF."""
+    root_n = math.sqrt(fit.n)
+    y = root_n * (fit.cdf_at(t0 + eps / root_n) - p)
+    numerator = float(eps @ y)
+    return 0.0 if numerator == 0.0 else numerator / float(eps @ eps)
+
+
+class TestSortedProbes:
+    """Probing with sorted draws and putting y back in draw order changes no
+    bit of the slope, for one draw or a whole sigma grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(1, 200), st.booleans()),
+                       min_size=2, max_size=120),
+        p=st.sampled_from([0.1, 0.25, 0.5, 0.75]),
+        seed=st.integers(0, 2**32 - 1),
+        n_draws=st.integers(2, 400),
+    )
+    def test_equal_to_probing_in_draw_order(self, cells, p, seed, n_draws):
+        # times on a grid of 1/20, so ties and probes on a step are common
+        sample = SurvivalSample(np.array([k / 20 for k, _ in cells]),
+                                np.array([e for _, e in cells]))
+        fit = fit_kaplan_meier(sample)
+        q = quantile_at(fit, p)
+        if not q.reachable:
+            return
+        eps_std = np.random.default_rng(seed).normal(0.0, 1.0, n_draws)
+        grid = np.array([0.05, 0.5, 1.0, 3.0, 10.0])
+        for sigma in grid:
+            value, flags = _ls_slope(fit, p, q.time, sigma * eps_std)
+            assert value == ls_slope_reference(fit, p, q.time, sigma * eps_std)
+            assert (flags == ("zero-slope",)) == (value == 0.0)
+        sel = select_sigma_ls(sample, p, grid, n_draws=n_draws, seed=seed)
+        assert sel.profile.tolist() == [
+            ls_slope_reference(fit, p, q.time, sigma * eps_std) for sigma in grid
+        ]
+
+
 class TestSigmaSelection:
     def test_single_element_grid(self):
         rng = np.random.default_rng(8)
@@ -212,7 +253,8 @@ class TestSigmaSelection:
         """All windows tie when the slope profile is flat; the tie-break
         walks to the leftmost window and its smallest sigma."""
         monkeypatch.setattr(
-            "survquant.density._ls_slope", lambda fit, p, t0, eps: (0.7, ())
+            "survquant.density._ls_slopes",
+            lambda steps, padded, n, p, t0, eps, order: (np.full(len(eps), 0.7), None),
         )
         sample = SurvivalSample(np.arange(1.0, 30.0), np.ones(29, bool))
         sel = select_sigma_ls(sample, 0.5, np.linspace(1.0, 9.0, 9), seed=0)
@@ -230,9 +272,9 @@ class TestSigmaSelection:
                 profile = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
             else:
                 profile = rng.integers(0, 4, size) * 0.1
-            values = iter(profile)
             monkeypatch.setattr(
-                "survquant.density._ls_slope", lambda fit, p, t0, eps: (next(values), ())
+                "survquant.density._ls_slopes",
+                lambda steps, padded, n, p, t0, eps, order: (profile, None),
             )
             grid = np.arange(1.0, size + 1.0)
             sel = select_sigma_ls(sample, 0.5, grid, seed=0)

@@ -5,23 +5,33 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import survquant.simulate as simulate
 from survquant import (
+    DegenerateTailError,
     ExponentialArm,
     KdeConfig,
     LsConfig,
     PiecewiseExponentialArm,
     RejectionReport,
     SimulationPlan,
+    SingularCovarianceError,
+    SurvivalSample,
     TrialScenario,
+    TwoArmData,
+    UnreachableQuantileError,
     empirical_rejection,
+    multivariate_test,
     sample_trial,
     scenario_from_delta,
     scenario_sigma2,
+    univariate_test,
 )
 from survquant.errors import ValidationError
-from survquant.simulate import DEFAULT_SIM_SIGMA_EPS
+from survquant.simulate import DEFAULT_SIM_SIGMA_EPS, _replicate_tuning
 
 NULL_SCENARIO = TrialScenario(
     ExponentialArm(1.5), ExponentialArm(1.5), censoring_rate=0.48
@@ -134,19 +144,12 @@ class TestDeterminism:
         assert serial.n_failures == pooled.n_failures
         assert np.array_equal(serial.p_values, pooled.p_values, equal_nan=True)
 
-    def test_replicates_run_on_the_calling_thread(self, monkeypatch):
-        import survquant.simulate as simulate
-
-        threads = []
-        run = simulate._run_replicate
-
-        def recording(plan, rep):
-            threads.append(threading.get_ident())
-            return run(plan, rep)
-
-        monkeypatch.setattr(simulate, "_run_replicate", recording)
-        empirical_rejection(small_plan(replications=6, threads=4))
-        assert threads == [threading.get_ident()] * 6
+    def test_replicates_start_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        report = empirical_rejection(small_plan(replications=6, threads=4))
+        assert report.replications == 6
+        assert started == []
 
     def test_master_seed_matters(self):
         base = empirical_rejection(small_plan())
@@ -295,3 +298,160 @@ class TestRejectionRates:
         )
         report = empirical_rejection(plan)
         assert report.n_used > 0
+
+
+# ---------------------------------------------------------------------------
+# the block engine against the public test, one replicate at a time
+
+_NOT_ESTIMABLE = (UnreachableQuantileError, DegenerateTailError, SingularCovarianceError)
+
+
+def replicate_seed(plan, rep):
+    return np.random.SeedSequence(plan.master_seed, spawn_key=(rep,))
+
+
+def public_p_value(plan, data, rep):
+    """The public test on one replicate's data, tuned as that replicate."""
+    tuning = _replicate_tuning(plan, replicate_seed(plan, rep).spawn(1)[0])
+    try:
+        if len(plan.probabilities) == 1:
+            return univariate_test(
+                data, plan.probabilities[0], plan.density_method, tuning
+            ).p_value
+        return multivariate_test(
+            data, plan.probabilities, plan.density_method, tuning
+        ).p_value
+    except _NOT_ESTIMABLE:
+        return math.nan
+
+
+def serial_p_values(plan):
+    """Replicate by replicate: sample_trial, then the public test."""
+    return np.array([
+        public_p_value(plan, sample_trial(
+            plan.scenario, plan.n_per_group, plan.n_per_group,
+            replicate_seed(plan, rep),
+        ), rep)
+        for rep in range(plan.replications)
+    ])
+
+
+def outcome(run, plan):
+    """The p-values, or the ValidationError's message."""
+    try:
+        return run(plan)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.tobytes() == b.tobytes()
+
+
+@st.composite
+def engine_plans(draw):
+    method = draw(st.sampled_from(["ls", "kde"]))
+    if method == "ls":
+        tuning = draw(st.sampled_from([
+            None, LsConfig(sigma_eps=1.0), LsConfig(sigma_eps=0.3, n_draws=25),
+        ]))
+    else:
+        tuning = draw(st.sampled_from([
+            KdeConfig(bandwidth=0.3),
+            KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.1)),
+        ]))
+    arm2 = draw(st.sampled_from([
+        ExponentialArm(1.5), ExponentialArm(3.0), PiecewiseExponentialArm(1.5, 0.8, 0.2),
+    ]))
+    # no censoring, the README plan's, and heavy enough for failed replicates
+    censoring = draw(st.sampled_from([0.0, 0.48, 4.0]))
+    return SimulationPlan(
+        scenario=TrialScenario(ExponentialArm(1.5), arm2, censoring_rate=censoring),
+        n_per_group=draw(st.integers(3, 40)),
+        probabilities=draw(st.sampled_from([(0.5,), (0.75,), (0.25, 0.5, 0.75)])),
+        replications=draw(st.integers(1, 45)),
+        density_method=method,
+        tuning=tuning,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestBlockEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(plan=engine_plans())
+    def test_p_values_equal_the_serial_loop(self, plan):
+        engine = outcome(lambda pl: empirical_rejection(pl).p_values, plan)
+        assert same_outcome(engine, outcome(serial_p_values, plan))
+
+    def test_failed_replicates_match(self):
+        # under censoring at rate 1.0, some replicates at n = 50 never reach
+        # the 0.75 quantile
+        null = scenario_from_delta(1.5, 0.75, 0.0, censoring_rate=1.0)
+        plan = SimulationPlan(null, 50, (0.75,), 100, master_seed=0)
+        report = empirical_rejection(plan)
+        assert report.n_failures > 0
+        assert report.p_values.tobytes() == serial_p_values(plan).tobytes()
+
+    def test_block_size_does_not_matter(self, monkeypatch):
+        plan = small_plan(probabilities=(0.25, 0.5), replications=25)
+        default = empirical_rejection(plan).p_values
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 1)
+        assert simulate._block_rows(plan) == 1
+        assert empirical_rejection(plan).p_values.tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("scenario", [
+        NULL_SCENARIO,
+        TrialScenario(ExponentialArm(1.5), PiecewiseExponentialArm(1.5, 0.8, 0.2)),
+    ], ids=["censored", "uncensored"])
+    def test_rows_equal_sample_trial(self, scenario):
+        plan = small_plan(scenario=scenario, n_per_group=17, replications=9)
+        times, events, eps = simulate._draw_block(plan, 4, 5)
+        for r in range(5):
+            data = sample_trial(scenario, 17, 17, replicate_seed(plan, 4 + r))
+            for arm, sample in enumerate((data.arm1, data.arm2)):
+                assert times[r, arm].tobytes() == sample.times.tobytes()
+                assert events[r, arm].tobytes() == sample.events.tobytes()
+            child = replicate_seed(plan, 4 + r).spawn(1)[0]
+            expected = np.random.default_rng(child).normal(
+                0.0, DEFAULT_SIM_SIGMA_EPS, 1000
+            )
+            assert eps[r].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("probabilities", [(0.5,), (0.25, 0.5, 0.75)])
+    def test_tied_rows_take_the_public_test(self, monkeypatch, probabilities):
+        plan = small_plan(n_per_group=40, probabilities=probabilities,
+                          replications=6, master_seed=11)
+        times, events, eps = simulate._draw_block(plan, 0, 6)
+        # times on a grid of 0.1 in rows 1 and 4, in one arm each
+        times[1, 0] = np.round(times[1, 0], 1)
+        times[4, 1] = np.round(times[4, 1], 1)
+        tests = []
+        for name in ("univariate_test", "multivariate_test"):
+            public = getattr(simulate, name)
+            monkeypatch.setattr(
+                simulate, name,
+                lambda data, *args, public=public: tests.append(data) or public(data, *args),
+            )
+        p_values = simulate._block_p_values(plan, 0, times, events, eps)
+        assert [data.arm1.times.tobytes() for data in tests] == [
+            times[1, 0].tobytes(), times[4, 0].tobytes()
+        ]
+        expected = [
+            public_p_value(plan, TwoArmData(*(
+                SurvivalSample(times[r, a], events[r, a]) for a in (0, 1)
+            )), r)
+            for r in range(6)
+        ]
+        assert p_values.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_invalid_sample_raises(self):
+        # an arm so slow that every event time overflows to inf
+        scenario = TrialScenario(ExponentialArm(1.5), ExponentialArm(1e-320))
+        plan = SimulationPlan(scenario, 5, (0.5,), 3)
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            serial_p_values(plan)
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            empirical_rejection(plan)

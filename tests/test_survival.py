@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from survquant import (
@@ -21,6 +23,7 @@ from survquant import (
     phi_hat,
     quantile_at,
 )
+from survquant.simulate import _km_rows
 
 # 6 subjects, 2 censored; steps land at 1, 3, 5, 6 with Y = 6, 4, 2, 1:
 #   S(1) = 5/6,  S(3) = 5/6 * 3/4 = 5/8,  S(5) = 5/16,  S(6) = 0
@@ -153,6 +156,94 @@ class TestCensoringKm:
         assert_allclose(fit.event_times, [2.0])
         assert_allclose(fit.at_risk, [1.0])
         assert fit.survival_at(2.0) == 0.0
+
+
+def brute_product_limit(times, flags, counted):
+    """The product limit written out step by step, in Python floats.
+
+    At each distinct time u with d = counted(flags at u) > 0 steps, the risk
+    set is every observation with T >= u less those removed first at u
+    (removed(flags at u)); S *= 1 - d/Y and the Greenwood sum grows by
+    d/(Y(Y-d)), or becomes inf once Y == d.
+    """
+    steps, at_risk, counts, survival, greenwood = [], [], [], [], []
+    s, g = 1.0, 0.0
+    for u in sorted(set(times)):
+        here = [f for t, f in zip(times, flags) if t == u]
+        d, removed_first = counted(here)
+        if d == 0:
+            continue
+        y = float(sum(t >= u for t in times) - removed_first)
+        s *= 1.0 - d / y
+        g += d / (y * (y - d)) if y > d else math.inf
+        steps.append(u)
+        at_risk.append(y)
+        counts.append(d)
+        survival.append(s)
+        greenwood.append(g)
+    return steps, at_risk, counts, survival, greenwood
+
+
+def events_counted(flags):
+    return float(sum(flags)), 0
+
+
+def censorings_counted(flags):
+    # events at a tied time leave the risk set before the censorings count
+    return float(len(flags) - sum(flags)), sum(flags)
+
+
+# subjects on a grid of 60 times in steps of 1/8, so ties are common
+tied_samples = st.lists(
+    st.tuples(st.integers(1, 60), st.booleans()), min_size=1, max_size=80
+).map(lambda cells: SurvivalSample(
+    np.array([k / 8 for k, _ in cells]), np.array([e for _, e in cells])
+))
+
+
+class TestProductLimitProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sample=tied_samples)
+    @pytest.mark.parametrize("fit,counted", [
+        (fit_kaplan_meier, events_counted),
+        (fit_censoring_km, censorings_counted),
+    ], ids=["events", "censoring"])
+    def test_equals_brute_force(self, sample, fit, counted):
+        result = fit(sample)
+        steps, at_risk, counts, survival, greenwood = brute_product_limit(
+            sample.times.tolist(), sample.events.tolist(), counted
+        )
+        # the same float operations in the same order: equal to the bit
+        assert result.event_times.tolist() == steps
+        assert result.at_risk.tolist() == at_risk
+        assert result.n_events.tolist() == counts
+        assert result.survival.tolist() == survival
+        assert result.greenwood_cumsum.tolist() == greenwood
+        assert result.n == sample.n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=80, unique=True),
+        data=st.data(),
+    )
+    def test_simulation_rows_equal_the_fit(self, times, data):
+        """An untied row of the simulation engine: every entry at an event
+        equals fit_kaplan_meier's, and a censoring repeats the entry before
+        it (or 1 and 0 before the first event)."""
+        events = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(times), max_size=len(times)
+        )))
+        sample = SurvivalSample(np.array(times), events)
+        order = np.argsort(sample.times)
+        hits = sample.events[order]
+        padded, greenwood = _km_rows(hits[None, :])
+        fit = fit_kaplan_meier(sample)
+        assert padded[0, 1:][hits].tolist() == fit.survival.tolist()
+        assert greenwood[0][hits].tolist() == fit.greenwood_cumsum.tolist()
+        assert padded[0, 0] == 1.0
+        for k in np.flatnonzero(~hits):
+            assert padded[0, k + 1] == padded[0, k]
+            assert greenwood[0, k] == (greenwood[0, k - 1] if k else 0.0)
 
 
 class TestStepEvaluation:
