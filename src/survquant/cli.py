@@ -22,6 +22,7 @@ censoring time, status 1 for an observed event and 0 for censoring, group
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import hashlib
 import io
@@ -49,7 +50,6 @@ from .scenarios import ScenarioConfig, parse_scenario_values, resolve_scenario, 
 from .simulate import DEFAULT_SIM_SIGMA_EPS, SimulationPlan, empirical_rejection
 from .survival import SurvivalSample, TwoArmData
 
-_THREADS_ENV = "SURVQUANT_THREADS"
 _SIGMA_AUTO_GRID = np.linspace(0.1, 10.0, 199)  # 0.1 .. 10 in steps of 0.05
 _REQUIRED_COLUMNS = ("time", "status", "group")
 
@@ -156,13 +156,15 @@ def _read_text(path: str, what: str):
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from None
+    # spreadsheet exports often start with a byte-order mark
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        # utf-8-sig: spreadsheet exports often start with a byte-order mark
-        return raw, raw.decode("utf-8-sig")
+        return raw, raw[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
+        start = bom + exc.start
         raise DatasetFormatError(
-            f"not UTF-8 text (byte 0x{raw[exc.start]:02x})",
-            line=raw.count(b"\n", 0, exc.start) + 1,
+            f"not UTF-8 text (byte 0x{raw[start]:02x})",
+            line=raw.count(b"\n", 0, start) + 1,
         ) from None
 
 
@@ -502,16 +504,6 @@ def cmd_simulate(args) -> int:
         seed = 0
     else:
         seed = args.seed
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        value = os.environ.get(_THREADS_ENV, "1")
-        try:
-            threads = int(value)
-        except ValueError:
-            raise ValidationError(
-                f"{_THREADS_ENV} must be an integer, got {value!r}"
-            ) from None
 
     if args.method == "kde":
         tuning, manifest_tuning = _kde_tuning(args)
@@ -533,7 +525,7 @@ def cmd_simulate(args) -> int:
         density_method=args.method,
         tuning=tuning,
         master_seed=seed,
-        threads=threads,
+        threads=args.threads,
     )
     report = empirical_rejection(plan)
 
@@ -653,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="KDE bandwidth, or 'auto' for per-replicate CV")
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (default 0; required when CI is set)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help=f"accepted for compatibility (default ${_THREADS_ENV} "
-                          "or 1); replicates always run serially")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility (default 1); replicates "
+                          "always run serially")
     sim.add_argument("--timing", action="store_true",
                      help="append per-replicate timing columns")
     sim.add_argument("--json", metavar="PATH")

@@ -72,8 +72,8 @@ class KdeConfig:
                 )
             grid = _validated_grid(self.cv_grid, "cv_grid")
             object.__setattr__(self, "cv_grid", grid)
-        elif not float(self.bandwidth) > 0:
-            raise ValidationError("bandwidth must be positive")
+        elif not 0 < float(self.bandwidth) < math.inf:
+            raise ValidationError("bandwidth must be positive and finite")
 
 
 def _validated_grid(grid, name):
@@ -147,29 +147,36 @@ def _ls_slope(fit: KaplanMeierFit, p: float, t0: float, eps: np.ndarray):
     y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p); F is 0 left of the first
     event time, so also left of the origin.
     """
-    padded = np.concatenate(([1.0], fit.survival))
-    values, zero = _ls_slopes(fit.event_times, padded, fit.n, p, t0,
+    values, zero = _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0,
                               eps[None, :], np.argsort(eps)[None, :])
     return float(values[0]), (("zero-slope",) if zero[0] else ())
 
 
-def _ls_slopes(steps, padded, n: int, p, t0, eps, order):
+def _ls_slopes(steps, survival, n: int, p, t0, eps, order):
     """_ls_slope for k sets of probes on each of several step curves.
 
-    steps (..., m) and padded (..., m + 1) hold the curves: F = 1 -
-    padded[j] past the first j of the sorted steps. t0 and p broadcast to
+    steps (..., m) and survival (..., m) hold the curves: F = 1 - survival[j]
+    past sorted step j and 0 before the first. t0 and p broadcast to
     (..., k), and the draws eps and the order that sorts each of their rows
     to (..., k, B). Returns the slopes (..., k) and where they are 0 for a
-    zero numerator (the "zero-slope" flag).
+    zero numerator (the "zero-slope" flag). Raises ValidationError when a set
+    of draws has a sum of squares that is 0 or not finite, as from a
+    sigma_eps near the ends of the float range.
     """
+    with np.errstate(over="ignore"):
+        denominators = np.array([float(row @ row) for row in eps.reshape(-1, eps.shape[-1])])
+    if not np.all(np.isfinite(denominators) & (denominators > 0)):
+        raise ValidationError(
+            "sigma_eps is out of range: the sum of squared perturbations is 0 or not finite"
+        )
     root_n = math.sqrt(n)
+    padded = np.concatenate((np.ones(survival.shape[:-1] + (1,)), survival), axis=-1)
     # y is a step function of the probe as well: its value past each step
     y_steps = root_n * ((1.0 - padded[..., None, :]) - np.asarray(p)[..., None])
     # sorted draws give sorted probes, which searchsorted places several
     # times faster than probes in draw order
     scaled = np.take_along_axis(eps, order, axis=-1)
     scaled /= root_n
-    denominators = np.array([float(row @ row) for row in eps.reshape(-1, eps.shape[-1])])
     sets = np.broadcast_shapes(steps.shape[:-1] + (1,), np.shape(t0), np.shape(p),
                                eps.shape[:-1])
     shape = sets + eps.shape[-1:]
@@ -258,8 +265,7 @@ def _select_sigma(fit: KaplanMeierFit, p: float, t0: float, grid: np.ndarray,
     rng = np.random.default_rng(seed)
     eps_std = rng.normal(0.0, 1.0, int(n_draws))
     # sigma * eps_std keeps the order of eps_std for every sigma > 0
-    padded = np.concatenate(([1.0], fit.survival))
-    profile, _ = _ls_slopes(fit.event_times, padded, fit.n, p, t0,
+    profile, _ = _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0,
                             grid[:, None] * eps_std, np.argsort(eps_std)[None, :])
 
     window = 5
@@ -319,10 +325,11 @@ class _KdeMachine:
             self.h = float(cfg.bandwidth)
 
     def at(self, t: float, p=None) -> DensityAtQuantile:
-        value = float(
-            np.sum(self.weights * np.exp(-0.5 * ((self.times - t) / self.h) ** 2))
-            / (self.n * self.h * _SQRT_2PI)
-        )
+        # an argument that overflows is -inf, and exp(-inf) = 0 is its limit
+        with np.errstate(over="ignore"):
+            kernel = np.exp(-0.5 * ((self.times - t) / self.h) ** 2)
+        # in Python floats, which overflow to inf without a warning
+        value = float(np.sum(self.weights * kernel)) / (self.n * self.h * _SQRT_2PI)
         return DensityAtQuantile(
             p=p, quantile_time=float(t), value=value, method="kde",
             tuning=self.h, flags=self.flags,
@@ -353,10 +360,11 @@ def _fourier_terms(span: float, grid: np.ndarray):
     P = span + c sqrt(2) h_max puts every wrapped image of a pair at least c
     kernel scales away, at both scales; K = ceil(c P / (2 pi h_min)) takes the
     frequencies up to c / h_min, past which the kernel's transform is below
-    exp(-c^2/2).
+    exp(-c^2/2). K is inf when that count overflows.
     """
     period = span + _FOURIER_C * math.sqrt(2.0) * float(grid[-1])
-    return period, math.ceil(_FOURIER_C * period / (2.0 * math.pi * float(grid[0])))
+    n_freq = _FOURIER_C * period / (2.0 * math.pi * float(grid[0]))
+    return period, math.ceil(n_freq) if math.isfinite(n_freq) else math.inf
 
 
 def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
@@ -368,8 +376,8 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     one runs. The Fourier path costs about K (m + G) kernel and phase
     evaluations for m events and G bandwidths, the pairwise path G m(m-1)/2,
     and K grows with the event-time span over h_min, so widely spread times
-    (days against a grid from 0.1) keep the pairwise sums. times must be
-    sorted ascending.
+    (days against a grid from 0.1) keep the pairwise sums, as do spans so
+    wide that K overflows. times must be sorted ascending.
     """
     m, size = times.size, grid.size
     _, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
@@ -387,16 +395,18 @@ def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     i, j = np.triu_indices(times.size, 1)
     diagonal = float(weights @ weights)
     pair_weights = weights[i] * weights[j]
-    dist_sq = (times[j] - times[i]) ** 2
     full_h = np.empty(grid.size)
     full_h2 = np.empty(grid.size)
-    kernel = np.empty_like(dist_sq)
-    for k, h in enumerate(grid):
-        np.multiply(dist_sq, -0.5 / (h * h), out=kernel)
-        np.exp(kernel, out=kernel)
-        full_h[k] = diagonal + 2.0 * float(pair_weights @ kernel)
-        np.sqrt(kernel, out=kernel)
-        full_h2[k] = diagonal + 2.0 * float(pair_weights @ kernel)
+    kernel = np.empty(i.size)
+    # a kernel argument that overflows is -inf, and exp(-inf) = 0 is its limit
+    with np.errstate(over="ignore"):
+        dist_sq = (times[j] - times[i]) ** 2
+        for k, h in enumerate(grid):
+            np.multiply(dist_sq, -0.5 / (h * h), out=kernel)
+            np.exp(kernel, out=kernel)
+            full_h[k] = diagonal + 2.0 * float(pair_weights @ kernel)
+            np.sqrt(kernel, out=kernel)
+            full_h2[k] = diagonal + 2.0 * float(pair_weights @ kernel)
     return full_h, full_h2
 
 

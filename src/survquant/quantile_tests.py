@@ -33,6 +33,7 @@ from .density import (
     KdeConfig,
     LsConfig,
     _check_tuning,
+    _clamp,
     _KdeMachine,
     _ls_density_from_fit,
     _quantile_time,
@@ -104,6 +105,16 @@ class _ArmPieces:
             self.densities = [machine.at(t, p=p) for p, t in pairs]
 
 
+def _psi_hat(probabilities, times, phis, densities, mus, density_floor):
+    """(clamped densities, Psi_hat, deltas) from both arms' quantile times,
+    Greenwood factors, raw densities and allocation fractions, each a pair
+    with arm 1 first."""
+    used = tuple([_clamp(v, density_floor) for v in values] for values in densities)
+    psi = (upsilon(probabilities, times[0], phis[0], used[0], mus[0])
+           + upsilon(probabilities, times[1], phis[1], used[1], mus[1]))
+    return used, psi, np.array([t1 - t2 for t1, t2 in zip(*times)])
+
+
 class _Assembly:
     """Psi_hat = Upsilon_1 + Upsilon_2 at the probabilities, from both arms.
 
@@ -133,15 +144,11 @@ class _Assembly:
         self.density_method = density_method
         for arm in self.arms:
             arm.estimate(self.probabilities, density_method, tuning)
-        self.used = tuple(
-            [d.clamped(density_floor) for d in arm.densities] for arm in self.arms
-        )
-        (arm1, arm2), (used1, used2) = self.arms, self.used
-        self.psi = (
-            upsilon(self.probabilities, arm1.times, arm1.phis, used1, self.mu1)
-            + upsilon(self.probabilities, arm2.times, arm2.phis, used2, self.mu2)
-        )
-        self.deltas = np.array([t1 - t2 for t1, t2 in zip(arm1.times, arm2.times)])
+        arms = self.arms
+        self.used, self.psi, self.deltas = _psi_hat(
+            self.probabilities, [a.times for a in arms], [a.phis for a in arms],
+            [[d.value for d in a.densities] for a in arms], (self.mu1, self.mu2),
+            density_floor)
         return self
 
     def clamped(self, j) -> bool:
@@ -194,7 +201,10 @@ def sigma_hat_univariate(
 
 def _univariate_statistic(n: int, delta_hat: float, psi_jj) -> tuple:
     """(sigma_hat, statistic, two-sided p-value) from a diagonal entry of
-    Psi_hat at total sample size n."""
+    Psi_hat at total sample size n; raises SingularCovarianceError when the
+    entry is not positive, as when a density overflows to inf."""
+    if not psi_jj > 0:
+        raise SingularCovarianceError(message="quantile variance is not positive")
     sigma = math.sqrt(psi_jj)
     statistic = math.sqrt(n) * delta_hat / sigma
     return sigma, statistic, 2.0 * float(ndtr(-abs(statistic)))
@@ -262,7 +272,7 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
 def _singular(psi, probabilities) -> SingularCovarianceError:
     """The error for a Psi_hat that is not positive definite."""
     j_count = psi.shape[0]
-    if j_count == 1:
+    if j_count == 1 or not np.all(np.diag(psi) > 0):
         return SingularCovarianceError(message="quantile variance is not positive")
     # name the most collinear pair
     worst, pair = -1.0, (probabilities[0], probabilities[1])

@@ -4,11 +4,13 @@ Determinism contract: replicate k draws everything it needs from
 SeedSequence(master_seed, spawn_key=(k,)), so results depend only on the
 master seed and the replicate index. Replicates run in blocks on the
 calling thread: a block draws each replicate's data in turn, then fits,
-probes and tests its rows together as arrays, with the serial test's
-arithmetic in the serial test's order, so every p-value equals the one
-univariate_test or multivariate_test gives on sample_trial's data for that
-replicate. SimulationPlan.threads is validated but does not change how they
-run, so the report is the same for any thread count.
+probes and tests its rows together as arrays. The fits come from the
+product-limit kernel of fit_kaplan_meier, tied times included, and the rest
+from the serial test's arithmetic in the serial test's order, so every
+p-value equals the one univariate_test or multivariate_test gives on
+sample_trial's data for that replicate. SimulationPlan.threads is validated
+but does not change how they run, so the report is the same for any thread
+count.
 """
 from __future__ import annotations
 
@@ -19,26 +21,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import LsConfig, _check_tuning, _clamp, _KdeMachine, _ls_draws, _ls_slopes
-from .errors import (
-    DegenerateTailError,
-    SingularCovarianceError,
-    UnreachableQuantileError,
-    ValidationError,
-)
-from .power import PowerSpec, power_multivariate, power_univariate, upsilon
+from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
+from .errors import SingularCovarianceError, ValidationError
+from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
     _default_tuning,
     _joint_statistic,
+    _psi_hat,
     _univariate_statistic,
-    multivariate_test,
-    univariate_test,
 )
 from .scenarios import TrialScenario, scenario_psi, scenario_sigma2
-from .survival import _CDF_ATOL, SurvivalSample, TwoArmData
+from .survival import (
+    _CDF_ATOL,
+    SurvivalSample,
+    TwoArmData,
+    _product_limit,
+    _sorted_observations,
+    _step_sizes,
+)
 
-_FAILURE_KINDS = (UnreachableQuantileError, DegenerateTailError, SingularCovarianceError)
 _MAX_FAILURE_FRACTION = 0.05
 # Draws per block of replicates (observed times of both arms plus LS
 # perturbations), so a block's arrays stay near 128 KB each whatever n and
@@ -230,128 +232,70 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     return times, events, eps
 
 
-def _km_rows(hits: np.ndarray):
-    """Kaplan-Meier survival and Greenwood sums along the last axis of event
-    flags ordered by untied observed times.
-
-    padded[..., k] is the survival past the first k observations (1.0 for
-    k = 0) and greenwood[..., k] the Greenwood sum through observation k.
-    A censored observation contributes the factor 1.0 and the term 0.0, so
-    at each event both equal fit_kaplan_meier's entries bit for bit.
-    """
-    n = hits.shape[-1]
-    d = hits.astype(float)
-    at_risk = np.arange(n, 0, -1, dtype=float)
-    padded = np.ones(hits.shape[:-1] + (n + 1,))
-    np.cumprod(1.0 - d / at_risk, axis=-1, out=padded[..., 1:])
-    terms = np.divide(d, at_risk * (at_risk - d), out=np.full(d.shape, np.inf),
-                      where=at_risk > d)
-    return padded, np.cumsum(terms, axis=-1)
-
-
-def _two_arm(times, events, r: int) -> TwoArmData:
-    return TwoArmData(SurvivalSample(times[r, 0], events[r, 0]),
-                      SurvivalSample(times[r, 1], events[r, 1]))
-
-
-def _serial_p_value(plan: SimulationPlan, data: TwoArmData, rep: int) -> float:
-    """The public test on replicate rep's data; NaN when it cannot run."""
-    tuning = _replicate_tuning(plan, _replicate_seeds(plan, rep)[1])
-    try:
-        if len(plan.probabilities) == 1:
-            result = univariate_test(
-                data, plan.probabilities[0], plan.density_method, tuning
-            )
-        else:
-            result = multivariate_test(
-                data, plan.probabilities, plan.density_method, tuning
-            )
-    except _FAILURE_KINDS:
-        return math.nan
-    return result.p_value
-
-
-def _block_p_values(plan: SimulationPlan, first: int, times, events, eps):
+def _block_p_values(plan: SimulationPlan, times, events, eps):
     """p-values of the replicates of one block, in order; NaN marks a
     failure.
 
-    A row with tied observed times in an arm runs the public test on its
-    data. The other rows take their KM curves, quantiles and Greenwood
-    factors from _km_rows over the whole block, their LS slopes from
-    _ls_slopes and their KDE estimates from the row's SurvivalSample in
-    draw order; Psi_hat and the p-value then come from the tests' own
-    arithmetic. A sample that SurvivalSample rejects raises once the rows
-    before it have run, as in a serial loop.
+    The fits' product-limit kernel runs over the whole block, tied times
+    included, so each step of a row equals fit_kaplan_meier's bit for bit.
+    Quantiles, Greenwood factors and LS slopes follow as arrays, KDE
+    estimates from the row's samples in draw order, and Psi_hat and the
+    p-value from the tests' own arithmetic. A sample that SurvivalSample
+    rejects raises once the rows before it have run, as in a serial loop.
     """
     count, _, n = times.shape
     valid = np.isfinite(times).all(axis=(1, 2)) & (times >= 0).all(axis=(1, 2))
     if not valid.all():
         stop = int(np.argmin(valid))
         if stop:
-            _block_p_values(plan, first, times[:stop], events[:stop],
+            _block_p_values(plan, times[:stop], events[:stop],
                             None if eps is None else eps[:stop])
-        _two_arm(times, events, stop)  # raises the sample's ValidationError
+        for a in (0, 1):  # raises the sample's ValidationError
+            SurvivalSample(times[stop, a], events[stop, a])
 
-    # The bits of a time >= 0 order like the time itself; shifted up by one
-    # they still do and carry the event flag in the freed lowest bit, so one
-    # integer sort orders times and flags together
-    keys = np.sort((times.view(np.uint64) << np.uint64(1)) | events, axis=-1)
-    steps = (keys >> np.uint64(1)).view(float)
-    hits = (keys & np.uint64(1)).astype(bool)
-    tied = (np.diff(steps, axis=-1) == 0).any(axis=(1, 2))
-    padded, greenwood = _km_rows(hits)
+    steps, flags = _sorted_observations(times, events)
+    d, y = _step_sizes(steps, flags)
+    survival, greenwood = _product_limit(d, y)
 
     # first event where the CDF reaches p, as quantile_at finds it
     ps = plan.probabilities
     p_column = np.array(ps)[:, None]
-    found = (1.0 - padded[:, :, None, 1:] >= p_column - _CDF_ATOL) & hits[:, :, None, :]
+    found = (1.0 - survival[:, :, None, :] >= p_column - _CDF_ATOL) & (d > 0)[:, :, None, :]
     idx = found.argmax(axis=-1)
     quantiles = np.take_along_axis(steps, idx, axis=-1)
     sums = np.take_along_axis(greenwood, idx, axis=-1)
     phis = n * sums
-    estimable = (found.any(axis=-1) & np.isfinite(sums)).all(axis=(1, 2)) & ~tied
+    estimable = (found.any(axis=-1) & np.isfinite(sums)).all(axis=(1, 2))
 
     if plan.density_method == "ls":
         rows = np.flatnonzero(estimable)
         slopes = np.empty(quantiles.shape)
         slopes[rows], _ = _ls_slopes(
-            steps[rows], padded[rows], n, ps, quantiles[rows],
+            steps[rows], survival[rows], n, ps, quantiles[rows],
             eps[rows][:, None, None, :], np.argsort(eps[rows], axis=-1)[:, None, None, :],
         )
     else:
         kde_tuning = plan.tuning if plan.tuning is not None else _default_tuning("kde")
 
     out = np.full(count, np.nan)
-    for r in range(count):
-        if tied[r]:
-            out[r] = _serial_p_value(plan, _two_arm(times, events, r), first + r)
-            continue
-        if not estimable[r]:
-            continue
-        arm_times, arm_phis = quantiles[r].tolist(), phis[r].tolist()
+    for r in np.flatnonzero(estimable):
+        arm_times = quantiles[r].tolist()
         if plan.density_method == "ls":
             values = slopes[r].tolist()
         else:
-            data = _two_arm(times, events, r)
-            values = [
-                [machine.at(t).value for t in ts]
-                for machine, ts in zip(
-                    (_KdeMachine(data.arm1, kde_tuning), _KdeMachine(data.arm2, kde_tuning)),
-                    arm_times,
-                )
-            ]
-        used = [[_clamp(v, DEFAULT_DENSITY_FLOOR) for v in vs] for vs in values]
+            machines = [_KdeMachine(SurvivalSample(times[r, a], events[r, a]), kde_tuning)
+                        for a in (0, 1)]
+            values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
         # equal arms: each allocation fraction is n / 2n = 0.5
-        psi = (upsilon(ps, arm_times[0], arm_phis[0], used[0], 0.5)
-               + upsilon(ps, arm_times[1], arm_phis[1], used[1], 0.5))
-        deltas = [t1 - t2 for t1, t2 in zip(*arm_times)]
-        if len(ps) == 1:
-            out[r] = _univariate_statistic(2 * n, deltas[0], psi[0, 0])[2]
-        else:
-            try:
-                out[r] = _joint_statistic(2 * n, np.array(deltas), psi, ps)[1]
-            except SingularCovarianceError:
-                pass
+        _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5),
+                                  DEFAULT_DENSITY_FLOOR)
+        try:
+            if len(ps) == 1:
+                out[r] = _univariate_statistic(2 * n, float(deltas[0]), psi[0, 0])[2]
+            else:
+                out[r] = _joint_statistic(2 * n, deltas, psi, ps)[1]
+        except SingularCovarianceError:
+            pass
     return out
 
 
@@ -366,7 +310,7 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
         block_started = time.perf_counter()
         count = min(rows, reps - first)
         block = _draw_block(plan, first, count)
-        p_values[first:first + count] = _block_p_values(plan, first, *block)
+        p_values[first:first + count] = _block_p_values(plan, *block)
         shares[first:first + count] = (time.perf_counter() - block_started) / count
 
     failures = int(np.count_nonzero(np.isnan(p_values)))

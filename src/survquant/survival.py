@@ -7,6 +7,10 @@ estimated here from right-censored samples:
 * its quantiles F^{-1}(p) = inf{t : F(t) >= p},
 * the cumulative variance factor phi(t) = integral of dLambda/H up to t,
   estimated as n times the Greenwood sum  sum_j d_j / (Y_j (Y_j - d_j)).
+
+One tie-aware product-limit kernel (_sorted_observations, _groups,
+_product_limit) serves fit_kaplan_meier, fit_censoring_km and, through
+_step_sizes, the simulation engine, whose steps equal the fit's bit for bit.
 """
 from __future__ import annotations
 
@@ -46,7 +50,8 @@ class SurvivalSample:
             raise ValidationError("empty sample")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
             raise ValidationError("times must be finite and non-negative")
-        object.__setattr__(self, "times", times)
+        # + 0.0 turns -0.0 into 0.0, as the sort keys of the fits do
+        object.__setattr__(self, "times", times + 0.0)
         object.__setattr__(self, "events", events)
 
     @property
@@ -130,31 +135,71 @@ class QuantileEstimate:
     reachable: bool
 
 
-def _step_counts(sample: SurvivalSample):
-    """Per distinct time: observations, events, and the size of the risk set."""
-    uniq, inverse = np.unique(sample.times, return_inverse=True)
-    total = np.bincount(inverse, minlength=uniq.size)
-    events = np.bincount(
-        inverse, weights=sample.events.astype(float), minlength=uniq.size
-    )
-    # Y(u) = number of observations with T >= u
-    at_risk = sample.n - np.concatenate(([0], np.cumsum(total)[:-1]))
-    return uniq, total, events, at_risk
+def _sorted_observations(times: np.ndarray, events: np.ndarray):
+    """Times sorted along the last axis with their event flags, censorings
+    first at a tied time. The bits of a time >= 0 order like the time, and
+    shifted up one bit they carry the flag in the low bit, so one integer
+    sort orders both."""
+    keys = np.sort((times.view(np.uint64) << np.uint64(1)) | events, axis=-1)
+    return (keys >> np.uint64(1)).view(float), (keys & np.uint64(1)).astype(bool)
 
 
-def _product_limit(event_times, d, y, n):
-    factors = 1.0 - d / y
-    survival = np.cumprod(factors)
-    with np.errstate(divide="ignore"):
-        terms = np.where(y > d, d / (y * (y - d)), np.inf)
-    return KaplanMeierFit(
-        event_times=event_times,
-        at_risk=y,
-        n_events=d,
-        survival=survival,
-        greenwood_cumsum=np.cumsum(terms),
-        n=int(n),
-    )
+def _groups(steps: np.ndarray, counted: np.ndarray, censoring: bool):
+    """(ends, d, y) per distinct time u of rows of sorted steps, row after
+    row: the flat index of u's last observation, the counted observations
+    at u (1.0 in counted: events, or censorings for the censoring fit) and
+    the risk set, those with T >= u less, for the censoring fit, the events
+    at u, which happen first."""
+    n = steps.shape[-1]
+    last = np.ones(steps.shape, dtype=bool)
+    np.not_equal(steps[..., 1:], steps[..., :-1], out=last[..., :-1])
+    ends = np.flatnonzero(last)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    totals = np.concatenate(([0.0], np.cumsum(counted)[ends]))
+    d = totals[1:] - totals[:-1]
+    y = n - starts % n
+    if censoring:
+        y = y - np.where(d > 0, ends + 1 - starts - d, 0)
+    return ends, d, y
+
+
+def _step_sizes(steps: np.ndarray, flags: np.ndarray):
+    """(d, y) of the event fit at every observation of sorted (..., n)
+    blocks: _groups' counts at the last observation of each time, and d = 0,
+    y > 0 elsewhere, which makes the product-limit factor there exactly 1.0
+    and the Greenwood term exactly 0.0. Untied rows skip the bookkeeping."""
+    rows = steps.reshape(-1, steps.shape[-1])
+    n = rows.shape[1]
+    d = flags.reshape(rows.shape).astype(float)
+    y = np.broadcast_to(np.arange(n, 0, -1, dtype=float), rows.shape)
+    tied = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+    if tied.size:
+        ends, counts, at_risk = _groups(rows[tied], d[tied], censoring=False)
+        at = tied[ends // n] * n + ends % n
+        d[tied] = 0.0
+        d.flat[at] = counts
+        y = y.copy()
+        y.flat[at] = at_risk
+    return d.reshape(steps.shape), y.reshape(steps.shape)
+
+
+def _product_limit(d: np.ndarray, y: np.ndarray):
+    """Survival cumprod(1 - d/y) and Greenwood sums cumsum(d/(y(y-d))) along
+    the last axis, inf from the first y == d on. Both accumulate in order,
+    so an entry with d = 0 repeats the one before it exactly."""
+    survival = np.cumprod(1.0 - d / y, axis=-1)
+    terms = np.divide(d, y * (y - d), out=np.full(d.shape, np.inf), where=y > d)
+    return survival, np.cumsum(terms, axis=-1)
+
+
+def _fit(sample: SurvivalSample, censoring: bool) -> KaplanMeierFit:
+    steps, flags = _sorted_observations(sample.times, sample.events)
+    ends, d, y = _groups(steps, (~flags if censoring else flags).astype(float), censoring)
+    at = d > 0
+    d, y = d[at], y[at].astype(float)
+    survival, greenwood = _product_limit(d, y)
+    return KaplanMeierFit(event_times=steps[ends[at]], at_risk=y, n_events=d,
+                          survival=survival, greenwood_cumsum=greenwood, n=sample.n)
 
 
 def fit_kaplan_meier(sample: SurvivalSample) -> KaplanMeierFit:
@@ -164,9 +209,7 @@ def fit_kaplan_meier(sample: SurvivalSample) -> KaplanMeierFit:
     usual convention that events happen first, so a censored subject at time
     u is still in the risk set of the events at u.
     """
-    uniq, total, events, at_risk = _step_counts(sample)
-    mask = events > 0
-    return _product_limit(uniq[mask], events[mask], at_risk[mask].astype(float), sample.n)
+    return _fit(sample, censoring=False)
 
 
 def fit_censoring_km(sample: SurvivalSample) -> KaplanMeierFit:
@@ -176,11 +219,7 @@ def fit_censoring_km(sample: SurvivalSample) -> KaplanMeierFit:
     censorings at tied times, the events at a time u are removed from the
     risk set before the censorings at u are counted.
     """
-    uniq, total, events, at_risk = _step_counts(sample)
-    censored = total - events
-    mask = censored > 0
-    y = (at_risk - events)[mask].astype(float)
-    return _product_limit(uniq[mask], censored[mask], y, sample.n)
+    return _fit(sample, censoring=True)
 
 
 def quantile_at(fit: KaplanMeierFit, p: float) -> QuantileEstimate:

@@ -1,12 +1,19 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import contextlib
+import io
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survquant.cli import main, read_dataset
 from survquant.errors import DatasetFormatError, ValidationError
@@ -162,6 +169,13 @@ class TestInvalidInputExitCode:
         with pytest.raises(DatasetFormatError, match="line 3: not UTF-8"):
             read_dataset(str(path))
 
+    def test_not_utf8_after_a_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,status,group\n0.5,1,1\n0.7,1,2\n\xff\n")
+        code, out, err = run_cli(capsys, "test", str(path), "--p", "0.5")
+        assert_one_line_error(code, out, err)
+        assert "line 4: not UTF-8 text (byte 0xff)" in err
+
     def test_scenario_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "s.cfg"
         path.write_bytes(b"lambda_a = 1.5\np = 0.5\n# caf\xe9\n")
@@ -196,14 +210,19 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert "underflows to 0" in err
 
-    def test_threads_env_not_integer(self, scenario_file, capsys, monkeypatch):
-        monkeypatch.setenv("SURVQUANT_THREADS", "abc")
-        code, out, err = run_cli(
-            capsys, "simulate", "--scenario", scenario_file, "--n", "25",
-            "--reps", "2", "--seed", "1",
-        )
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e200"])
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_sigma_eps_out_of_range(self, tmp_path, scenario_file, capsys, command,
+                                    sigma):
+        # the perturbations' sum of squares underflows to 0 or overflows
+        if command == "test":
+            argv = ["test", make_dataset(tmp_path / "d.csv"), "--p", "0.5"]
+        else:
+            argv = ["simulate", "--scenario", scenario_file, "--n", "25",
+                    "--reps", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--sigma-eps", sigma)
         assert_one_line_error(code, out, err)
-        assert "SURVQUANT_THREADS" in err
+        assert "sigma_eps is out of range" in err
 
     def test_simulate_negative_seed(self, scenario_file, capsys):
         code, out, err = run_cli(
@@ -429,6 +448,37 @@ class TestCmdTest:
         assert tuning["bandwidth_mode"] == "auto"
         assert 0.1 <= tuning["bandwidth_arm1"] <= 1.0
         assert 0.1 <= tuning["bandwidth_arm2"] <= 1.0
+
+
+class TestFarSpan:
+    @pytest.mark.parametrize("top", ["1e308", "1e200"])
+    def test_kde_on_times_spanning_the_float_range(self, tmp_path, capsys, top):
+        # the Fourier frequency count overflows and the pairwise kernel
+        # arguments overflow to -inf, whose exp is the correct 0
+        times = [0.2 * k for k in range(1, 21)] + [float(top)]
+        lines = ["time,status,group"]
+        lines += [f"{t!r},1,{g}" for g in (1, 2) for t in times]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "test", str(path), "--p", "0.5",
+                                 "--method", "kde", "--json", "-")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["results"][0]
+        assert result["delta_hat"] == 0.0
+        assert result["p_value"] == 1.0
+
+
+class TestTinyBandwidth:
+    @pytest.mark.parametrize("p", ["0.5", "0.25,0.5"])
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-320"])
+    def test_variance_not_positive_exits_3(self, tmp_path, capsys, bandwidth, p):
+        # the kernel estimate at an event time overflows, so 1/f^2 and with
+        # it the quantile variance are 0
+        path = make_dataset(tmp_path / "d.csv")
+        code, out, err = run_cli(capsys, "test", path, "--p", p, "--method", "kde",
+                                 "--bandwidth", bandwidth)
+        assert (code, out) == (3, "")
+        assert err == "error: quantile variance is not positive\n"
 
 
 class TestCmdPower:
@@ -671,3 +721,176 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("# manifest: ")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated inputs
+
+# Each generated input starts valid and takes a few edits, so that most runs
+# get past the first check and the edits reach the statistics.
+SPECIAL_TIMES = ["-0", "0", "nan", "inf", "-inf", "1e308", "1e200", "5e-324", "-1", "x"]
+
+
+@st.composite
+def fuzz_datasets(draw):
+    """Dataset bytes: ties, all censored, one arm only, NaN/inf, -0, 1e308,
+    a byte-order mark, an extra column, bytes that are not UTF-8."""
+    grid = draw(st.sampled_from([None, 0.5, 0.1]))  # a coarse grid gives ties
+    rows = []
+    for group in "12":
+        for _ in range(draw(st.integers(8, 30))):
+            t = draw(st.floats(0.01, 10.0))
+            rows.append([repr(round(t / grid) * grid if grid else t),
+                         draw(st.sampled_from("011")), group])
+    header, prefix, bad_byte, extra = "time,status,group", b"", None, False
+    for edit in draw(st.lists(st.sampled_from(
+        ["special", "censored", "one-arm", "bom", "extra", "not-utf8"]), max_size=2,
+    )):
+        if edit == "special":
+            rows[draw(st.integers(0, len(rows) - 1))][0] = draw(st.sampled_from(SPECIAL_TIMES))
+        elif edit == "censored":
+            rows = [[t, "0", g] for t, _, g in rows]
+        elif edit == "one-arm":
+            rows = [[t, s, "1"] for t, s, _ in rows]
+        elif edit == "bom":
+            prefix = b"\xef\xbb\xbf"
+        elif edit == "extra":
+            extra = True
+        else:
+            bad_byte = draw(st.integers(0, len(rows)))
+    if extra:
+        header += ",note"
+        rows = [row + ["x"] for row in rows]
+    lines = [header] + [",".join(row) for row in rows]
+    if bad_byte is not None:
+        lines.insert(bad_byte + 1, "\udcff")
+    return prefix + ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+SCENARIO_EDITS = {
+    "lambda_a": ["1e-300", "1e300", "0", "-1", "nan", "inf", None],
+    "delta": ["0", "-0.1", "1e-12", "10", "inf", None],
+    "lambda_b": ["2.0", "0"],
+    "t_cut": ["0.2", "0", "5"],
+    "p": ["0.25", "0.999999", "1e-9", "1", None],
+    "p_list": ["0.25, 0.5", "0.25, 0.5, 0.75", "0.5, 0.5"],
+    "lambda_cens": ["0", "50", "1e-300", None],
+    "target_censoring": ["0.3", "0.99"],
+    "mu1": ["0.3", "1"],
+    "colour": ["red"],
+}
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """The README's plan with up to two keys set to extreme values, added,
+    or dropped (None)."""
+    values = {"lambda_a": "1.5", "delta": "0.1", "p": "0.5", "lambda_cens": "0.48"}
+    for key in draw(st.lists(st.sampled_from(sorted(SCENARIO_EDITS)), max_size=2)):
+        values[key] = draw(st.sampled_from(SCENARIO_EDITS[key]))
+    return "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
+
+
+# per flag: the values of a typical run ([] leaves the flag out), then
+# extremes that are still syntactically valid
+FLAGS = {
+    "test": {
+        "--p": (["0.5", "0.25,0.5,0.75"], ["0.9", "0.5,0.5", "1e-9"]),
+        "--method": ([[], "ls", "kde"], []),
+        "--sigma-eps": ([[]], ["auto", "2.0", "1e-160", "1e-300", "1e-320", "1e200", "1e308",
+                               "inf", "nan", "0"]),
+        "--bandwidth": ([[]], ["auto", "0.3", "1e-300", "1e-320", "1e300", "inf", "nan", "0"]),
+        "--alpha": ([[]], ["0", "1", "1e-300"]),
+        "--seed": ([[], "5"], ["-1"]),
+        "--bonferroni": ([[], None], []),
+    },
+    "power": {
+        "--delta": (["0.1", "0.1,0.3"], ["0", "1e-300", "-0.2", "1e300"]),
+        "--n": (["100", "10,1000"], ["0", "1", "1000000000000"]),
+        "--p": ([[], "0.5"], ["0.9", "1e-9"]),
+        "--alpha": ([[]], ["1e-300", "0.999999"]),
+    },
+    "samplesize": {
+        "--power": (["0.8", "0.8,0.9"], ["0.05", "1", "0.999999"]),
+        "--delta": ([[], "0.1"], ["0", "1e-12", "-0.5", "1e300"]),
+        "--p": ([[], "0.5"], ["0.9"]),
+    },
+    "simulate": {
+        "--n": (["5", "25"], ["1", "2"]),
+        "--reps": (["3", "8"], ["0", "1"]),
+        "--p": ([[], "0.5", "0.25,0.5,0.75"], ["0.99"]),
+        "--delta": ([[]], ["0", "-0.1"]),
+        "--method": ([[], "kde"], []),
+        "--sigma-eps": ([[]], ["auto", "1e-300", "1e-320", "1e200", "1e308", "inf", "nan"]),
+        "--bandwidth": ([[]], ["0.3", "1e-300", "1e-320", "1e300", "inf", "nan"]),
+        "--seed": ([[], "1"], ["-1"]),
+        "--threads": ([[], "4"], ["0"]),
+        "--timing": ([[], None], []),
+    },
+}
+
+
+@st.composite
+def fuzz_argv(draw, command):
+    """argv of one command; the dataset or scenario path is filled in later."""
+    flags = FLAGS[command]
+    wild = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command, "DATA"] if command == "test" else [command, "--scenario", "SCENARIO"]
+    for flag, (typical, extreme) in flags.items():
+        value = draw(st.sampled_from(typical + extreme if flag in wild else typical))
+        if value is None:
+            argv.append(flag)  # a switch
+        elif value != []:
+            argv += [flag, value]
+    return argv + draw(st.sampled_from([[], ["--json", "-"]]))
+
+
+@contextlib.contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the block once seconds of wall time have
+    passed, so a call that never returns fails instead of hanging; no
+    budget where the platform has no interval timer."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestExitContractFuzz:
+    """Any mix of inputs exits 0, 2 or 3 within a time budget; 2 and 3 print
+    exactly one error line. A traceback or a RuntimeWarning fails the test."""
+
+    @pytest.mark.parametrize("command", ["test", "power", "samplesize", "simulate"])
+    @settings(max_examples=75, deadline=None)
+    @given(data=st.data())
+    def test_exit_contract(self, command, data):
+        argv = data.draw(fuzz_argv(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            if command == "test":
+                path = Path(tmp) / "d.csv"
+                path.write_bytes(data.draw(fuzz_datasets()))
+                argv[argv.index("DATA")] = str(path)
+            else:
+                path = Path(tmp) / "s.cfg"
+                path.write_text(data.draw(fuzz_scenarios()))
+                argv[argv.index("SCENARIO")] = str(path)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    time_budget(20):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert len(errors) == (0 if code == 0 else 1), (argv, err.getvalue())

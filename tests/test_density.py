@@ -87,6 +87,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="bandwidth"):
             KdeConfig(bandwidth=-0.5)
 
+    def test_kde_bandwidth_finite(self):
+        # an infinite bandwidth gave a density of 0 and Infinity in --json
+        with pytest.raises(ValidationError, match="bandwidth must be positive and finite"):
+            KdeConfig(bandwidth=math.inf)
+
     def test_kde_unknown_string(self):
         with pytest.raises(ValidationError, match="select-by-cv"):
             KdeConfig(bandwidth="auto")
@@ -254,7 +259,7 @@ class TestSigmaSelection:
         walks to the leftmost window and its smallest sigma."""
         monkeypatch.setattr(
             "survquant.density._ls_slopes",
-            lambda steps, padded, n, p, t0, eps, order: (np.full(len(eps), 0.7), None),
+            lambda steps, survival, n, p, t0, eps, order: (np.full(len(eps), 0.7), None),
         )
         sample = SurvivalSample(np.arange(1.0, 30.0), np.ones(29, bool))
         sel = select_sigma_ls(sample, 0.5, np.linspace(1.0, 9.0, 9), seed=0)
@@ -274,7 +279,7 @@ class TestSigmaSelection:
                 profile = rng.integers(0, 4, size) * 0.1
             monkeypatch.setattr(
                 "survquant.density._ls_slopes",
-                lambda steps, padded, n, p, t0, eps, order: (profile, None),
+                lambda steps, survival, n, p, t0, eps, order: (profile, None),
             )
             grid = np.arange(1.0, size + 1.0)
             sel = select_sigma_ls(sample, 0.5, grid, seed=0)
@@ -314,6 +319,15 @@ class TestSigmaSelection:
             select_sigma_ls(sample, 0.5, [-1.0, 2.0], seed=0)
         with pytest.raises(ValidationError, match="n_draws"):
             select_sigma_ls(sample, 0.5, np.linspace(0.1, 10, 40), n_draws=1)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e200])
+    def test_scale_out_of_range(self, sigma):
+        # the sum of squared perturbations underflows to 0 or overflows
+        sample = SurvivalSample(np.array([1.0, 2.0, 3.0]), np.ones(3, bool))
+        with pytest.raises(ValidationError, match="sigma_eps is out of range"):
+            select_sigma_ls(sample, 0.5, [1.0, sigma], seed=0)
+        with pytest.raises(ValidationError, match="sigma_eps is out of range"):
+            estimate_density_ls(sample, 0.5, LsConfig(sigma, seed=0))
 
     def test_beats_worst_grid_point_on_most_seeds(self):
         """The plateau pick should rarely be the grid's worst estimate of the

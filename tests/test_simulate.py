@@ -325,6 +325,16 @@ def public_p_value(plan, data, rep):
         return math.nan
 
 
+def block_public_p_values(plan, first, times, events):
+    """The public test on each row of a block whose first replicate is first."""
+    return np.array([
+        public_p_value(plan, TwoArmData(*(
+            SurvivalSample(times[r, a], events[r, a]) for a in (0, 1)
+        )), first + r)
+        for r in range(times.shape[0])
+    ])
+
+
 def serial_p_values(plan):
     """Replicate by replicate: sample_trial, then the public test."""
     return np.array([
@@ -378,6 +388,38 @@ def engine_plans(draw):
     )
 
 
+@st.composite
+def tied_blocks(draw, method, j_count):
+    """A plan, the index of a block's first replicate and the block's draws,
+    with the times of random rows rounded to a grid, so those rows are tied."""
+    if method == "ls":
+        tuning = draw(st.sampled_from([None, LsConfig(sigma_eps=0.3, n_draws=25)]))
+    else:
+        tuning = KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.1))
+    count = draw(st.integers(1, 8))
+    plan = SimulationPlan(
+        scenario=TrialScenario(
+            ExponentialArm(1.5), ExponentialArm(draw(st.sampled_from([1.5, 3.0]))),
+            # heavy enough censoring for failed replicates
+            censoring_rate=draw(st.sampled_from([0.0, 0.48, 4.0])),
+        ),
+        n_per_group=draw(st.integers(3, 40)),
+        probabilities=(draw(st.sampled_from([(0.5,), (0.75,)])) if j_count == 1
+                       else (0.25, 0.5, 0.75)),
+        replications=count,
+        density_method=method,
+        tuning=tuning,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    first = draw(st.integers(0, 1000))
+    times, events, eps = simulate._draw_block(plan, first, count)
+    for r in range(count):
+        grid = draw(st.sampled_from([None, 0.5, 0.1, 0.05, 0.02]))
+        if grid is not None:
+            times[r] = np.round(times[r] / grid) * grid
+    return plan, first, times, events, eps
+
+
 class TestBlockEngine:
     @settings(max_examples=40, deadline=None)
     @given(plan=engine_plans())
@@ -420,31 +462,25 @@ class TestBlockEngine:
             assert eps[r].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("probabilities", [(0.5,), (0.25, 0.5, 0.75)])
-    def test_tied_rows_take_the_public_test(self, monkeypatch, probabilities):
+    def test_tied_rows_take_the_public_test(self, probabilities):
         plan = small_plan(n_per_group=40, probabilities=probabilities,
                           replications=6, master_seed=11)
         times, events, eps = simulate._draw_block(plan, 0, 6)
         # times on a grid of 0.1 in rows 1 and 4, in one arm each
         times[1, 0] = np.round(times[1, 0], 1)
         times[4, 1] = np.round(times[4, 1], 1)
-        tests = []
-        for name in ("univariate_test", "multivariate_test"):
-            public = getattr(simulate, name)
-            monkeypatch.setattr(
-                simulate, name,
-                lambda data, *args, public=public: tests.append(data) or public(data, *args),
-            )
-        p_values = simulate._block_p_values(plan, 0, times, events, eps)
-        assert [data.arm1.times.tobytes() for data in tests] == [
-            times[1, 0].tobytes(), times[4, 0].tobytes()
-        ]
-        expected = [
-            public_p_value(plan, TwoArmData(*(
-                SurvivalSample(times[r, a], events[r, a]) for a in (0, 1)
-            )), r)
-            for r in range(6)
-        ]
-        assert p_values.tobytes() == np.array(expected).tobytes()
+        p_values = simulate._block_p_values(plan, times, events, eps)
+        assert p_values.tobytes() == block_public_p_values(plan, 0, times, events).tobytes()
+
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    @pytest.mark.parametrize("j_count", [1, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_tied_blocks_equal_the_public_test(self, method, j_count, data):
+        plan, first, times, events, eps = data.draw(tied_blocks(method, j_count))
+        engine = outcome(lambda pl: simulate._block_p_values(pl, times, events, eps), plan)
+        public = outcome(lambda pl: block_public_p_values(pl, first, times, events), plan)
+        assert same_outcome(engine, public)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_invalid_sample_raises(self):

@@ -23,7 +23,7 @@ from survquant import (
     phi_hat,
     quantile_at,
 )
-from survquant.simulate import _km_rows
+from survquant.survival import _product_limit, _sorted_observations, _step_sizes
 
 # 6 subjects, 2 censored; steps land at 1, 3, 5, 6 with Y = 6, 4, 2, 1:
 #   S(1) = 5/6,  S(3) = 5/6 * 3/4 = 5/8,  S(5) = 5/16,  S(6) = 0
@@ -34,6 +34,11 @@ BASIC = SurvivalSample(
 
 
 class TestSampleValidation:
+    def test_negative_zero_is_zero(self):
+        sample = SurvivalSample(np.array([-0.0, 1.0]), np.array([True, True]))
+        assert not np.signbit(sample.times).any()
+        assert not np.signbit(fit_kaplan_meier(sample).event_times).any()
+
     def test_empty_sample(self):
         with pytest.raises(ValidationError, match="empty"):
             SurvivalSample(times=np.array([]), events=np.array([], dtype=bool))
@@ -201,6 +206,23 @@ tied_samples = st.lists(
 ))
 
 
+@st.composite
+def blocks(draw):
+    """(rows, n) times and event flags; each row is untied or on a coarse
+    grid of 12 times, so ties are common."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    times = []
+    for _ in range(rows):
+        if draw(st.booleans()):
+            row = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+            times.append([k / 8 for k in row])
+        else:
+            times.append(draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n,
+                                       unique=True)))
+    events = draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))
+    return np.array(times), np.array(events).reshape(rows, n)
+
+
 class TestProductLimitProperties:
     @settings(max_examples=200, deadline=None)
     @given(sample=tied_samples)
@@ -222,28 +244,27 @@ class TestProductLimitProperties:
         assert result.n == sample.n
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=80, unique=True),
-        data=st.data(),
-    )
-    def test_simulation_rows_equal_the_fit(self, times, data):
-        """An untied row of the simulation engine: every entry at an event
-        equals fit_kaplan_meier's, and a censoring repeats the entry before
-        it (or 1 and 0 before the first event)."""
-        events = np.array(data.draw(st.lists(
-            st.booleans(), min_size=len(times), max_size=len(times)
-        )))
-        sample = SurvivalSample(np.array(times), events)
-        order = np.argsort(sample.times)
-        hits = sample.events[order]
-        padded, greenwood = _km_rows(hits[None, :])
-        fit = fit_kaplan_meier(sample)
-        assert padded[0, 1:][hits].tolist() == fit.survival.tolist()
-        assert greenwood[0][hits].tolist() == fit.greenwood_cumsum.tolist()
-        assert padded[0, 0] == 1.0
-        for k in np.flatnonzero(~hits):
-            assert padded[0, k + 1] == padded[0, k]
-            assert greenwood[0, k] == (greenwood[0, k - 1] if k else 0.0)
+    @given(block=blocks())
+    def test_simulation_rows_equal_the_fit(self, block):
+        """The kernel over a block whose rows mix tied and untied times, as
+        the simulation engine runs it: at each step of a row every entry
+        equals that row's own fit, and elsewhere it repeats the entry before
+        it (1 and 0 before the first step)."""
+        times, events = block
+        steps, flags = _sorted_observations(times, events)
+        d, y = _step_sizes(steps, flags)
+        survival, greenwood = _product_limit(d, y)
+        for r in range(times.shape[0]):
+            result = fit_kaplan_meier(SurvivalSample(times[r], events[r]))
+            at = d[r] > 0
+            assert steps[r][at].tolist() == result.event_times.tolist()
+            assert d[r][at].tolist() == result.n_events.tolist()
+            assert y[r][at].tolist() == result.at_risk.tolist()
+            assert survival[r][at].tolist() == result.survival.tolist()
+            assert greenwood[r][at].tolist() == result.greenwood_cumsum.tolist()
+            before = ~at
+            assert (survival[r][before] == np.append(1.0, survival[r][:-1])[before]).all()
+            assert (greenwood[r][before] == np.append(0.0, greenwood[r][:-1])[before]).all()
 
 
 class TestStepEvaluation:
