@@ -28,6 +28,7 @@ from survquant import (
 from survquant.density import (
     _cv_criterion,
     _event_weights,
+    _fourier_terms,
     _ls_slope,
     _pair_sums,
     _pair_sums_exact,
@@ -103,6 +104,13 @@ class TestConfigValidation:
     def test_kde_grid_strictly_increasing(self):
         with pytest.raises(ValidationError, match="increasing"):
             KdeConfig(bandwidth="select-by-cv", cv_grid=[0.3, 0.2])
+
+    def test_kde_grid_finite(self):
+        sample = exponential_sample(np.random.default_rng(12), 40)
+        with pytest.raises(ValidationError, match="cv_grid values must be finite"):
+            KdeConfig(bandwidth="select-by-cv", cv_grid=[0.1, math.inf])
+        with pytest.raises(ValidationError, match="cv_grid values must be finite"):
+            select_bandwidth_cv(sample, [0.1, math.inf])
 
 
 class TestLsSlope:
@@ -416,6 +424,15 @@ class TestCvCriterion:
                 loop[k] = integral_sq - 2.0 * cross / (n * (n - 1))
             assert np.array_equal(_cv_criterion(full_h, full_h2, sum_w2, n, grid), loop)
 
+    def test_grid_value_whose_square_underflows(self):
+        """h * h is 0 below h = 1.5e-154: the pairwise sums run with no
+        warning (the suite turns RuntimeWarning into an error) and with ties
+        among the events, and the pick is the usable bandwidth."""
+        times = exponential_sample(np.random.default_rng(13), 40).times
+        sample = SurvivalSample(np.r_[times, times[:5]], np.ones(45, dtype=bool))
+        assert select_bandwidth_cv(sample, [1e-200, 1.0]) == 1.0
+        assert select_bandwidth_cv(sample, [1e-200, 1e-160, 1.0]) == 1.0
+
     def test_needs_two_events(self):
         sample = SurvivalSample(
             np.array([1.0, 2.0]), np.array([True, False])
@@ -563,18 +580,56 @@ class TestFourierPairSums:
             ]
             assert picks[0] == picks[1], (n, seed)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ticks=st.lists(st.integers(0, 400), min_size=2, max_size=60),
+        spacing=st.sampled_from([0.001, 0.05, 1.0, 10.0]),
+        weight_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fourier_equals_double_sum_and_picks_alike(self, ticks, spacing, weight_seed):
+        """On tied integer ticks with weights 1 to 3, over spans of up to
+        4,000 in a grid from 0.1 (some 60,000 frequencies), the Fourier sums
+        equal the double sum over the full matrix, and the CV argmin is that
+        of the pairwise sums."""
+        times = np.sort(np.array(ticks, dtype=float)) * spacing
+        weights = np.random.default_rng(weight_seed).integers(1, 4, times.size).astype(float)
+        grid = np.array([0.1, 0.2, 0.5, 1.0])
+        full_h, full_h2 = _pair_sums_fourier(times, weights, grid)
+        d2 = (times[:, None] - times[None, :]) ** 2
+        ww = weights[:, None] * weights[None, :]
+        for k, h in enumerate(grid):
+            assert_allclose(full_h[k], np.sum(ww * np.exp(-d2 / (2 * h * h))), rtol=1e-12)
+            assert_allclose(full_h2[k], np.sum(ww * np.exp(-d2 / (4 * h * h))), rtol=1e-12)
+        sum_w2, n = float(weights @ weights), times.size
+        picks = [
+            int(np.argmin(_cv_criterion(*pair_sums, sum_w2, n, grid)))
+            for pair_sums in ((full_h, full_h2), _pair_sums_exact(times, weights, grid))
+        ]
+        assert picks[0] == picks[1]
+
     def test_dispatch(self, monkeypatch):
-        """The cheaper path runs: pairwise for few events, Fourier for an
-        arm of the README's plan in years, pairwise again for the same arm
-        in days, whose span needs some 15,000 frequencies."""
+        """The cheaper path runs: pairwise for few events and for a span so
+        wide that K overflows, Fourier for an arm of the README's plan in
+        years and for the same arm in days (some 11,000 frequencies),
+        pairwise for a 150-per-arm trial in days. The two days arms sit on
+        either side of the timed break-even, where K (m + G) is about 4
+        times G m(m-1)/2."""
         scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
         times, weights = _sorted_events(sample_trial(scenario, 300, 300, 1).arm1)
+        small_times, small_weights = _sorted_events(sample_trial(scenario, 150, 150, 1).arm1)
+        for arm, low, high in (((times * 365.0, weights), 1.0, 4.0),
+                               ((small_times * 365.0, small_weights), 4.0, 10.0)):
+            m, size = arm[0].size, CV_GRID.size
+            _, n_freq = _fourier_terms(float(arm[0][-1] - arm[0][0]), CV_GRID)
+            assert low < n_freq * (m + size) / (size * m * (m - 1) / 2) < high
         calls = []
         monkeypatch.setattr("survquant.density._pair_sums_exact",
                             lambda *a: calls.append("exact"))
         monkeypatch.setattr("survquant.density._pair_sums_fourier",
                             lambda *a: calls.append("fourier"))
-        _pair_sums(np.linspace(0.0, 2.0, 20), np.ones(20), CV_GRID)
+        _pair_sums(np.linspace(0.0, 2.0, 8), np.ones(8), CV_GRID)
+        _pair_sums(np.array([0.0, 1e300]), np.ones(2), np.array([1e-10, 1.0]))
         _pair_sums(times, weights, CV_GRID)
         _pair_sums(times * 365.0, weights, CV_GRID)
-        assert calls == ["exact", "fourier", "exact"]
+        _pair_sums(small_times * 365.0, small_weights, CV_GRID)
+        assert calls == ["exact", "exact", "fourier", "fourier", "exact"]
