@@ -29,7 +29,8 @@ from .errors import UnreachableQuantileError, ValidationError
 from .survival import (
     KaplanMeierFit,
     SurvivalSample,
-    fit_censoring_km,
+    _censoring_before,
+    _sorted_observations,
     fit_kaplan_meier,
     quantile_at,
 )
@@ -293,33 +294,53 @@ def _select_sigma(fit: KaplanMeierFit, p: float, t0: float, grid: np.ndarray,
 # -------------------------------------------------------------------- KDE --
 
 
-def _event_weights(sample: SurvivalSample, cens_fit: KaplanMeierFit):
-    """Event times and 1/S_cens(T-) weights; zero-weight events are dropped."""
-    event_times = sample.times[sample.events]
-    s_before = np.atleast_1d(cens_fit.survival_before(event_times))
-    keep = s_before > 0.0
-    n_dropped = int(np.sum(~keep))
-    weights = 1.0 / s_before[keep]
-    return event_times[keep], weights, n_dropped
+def _sorted_rows(sample: SurvivalSample):
+    """The sample as a one-row block: its sorted times and event flags, and
+    S_cens(u-) at each of them (survival._censoring_before)."""
+    steps, flags = _sorted_observations(sample.times, sample.events)
+    return steps, flags, _censoring_before(steps, flags)
+
+
+def _cv_events(steps: np.ndarray, flags: np.ndarray, before: np.ndarray):
+    """The sorted event times of a sorted row and their weights 1/S_cens(T-),
+    as the CV sums take them; events with S_cens(T-) = 0 are dropped."""
+    kept = flags & (before > 0.0)
+    return steps[kept], 1.0 / before[kept]
 
 
 class _KdeMachine:
     """Per-sample KDE state: resolved bandwidth, event weights and flags.
 
-    Built once per arm so that CV bandwidth selection and the censoring fit
-    are not repeated for every evaluation point.
+    Built once per arm so that CV bandwidth selection and the censoring
+    weights are not repeated for every evaluation point. of_row builds it
+    from one arm of a block of the simulation engine, which has sorted the
+    arm and run its censoring fit already; a sample takes the same route as
+    a one-row block.
     """
 
     def __init__(self, sample: SurvivalSample, cfg: KdeConfig):
-        self.n = sample.n
-        cens_fit = fit_censoring_km(sample)
-        self.times, self.weights, n_dropped = _event_weights(sample, cens_fit)
-        self.flags = ("truncated-weights",) if n_dropped else ()
+        self._setup(sample.times, sample.events, *_sorted_rows(sample), cfg)
+
+    @classmethod
+    def of_row(cls, times, events, steps, flags, before, cfg: KdeConfig):
+        """The machine of an arm given in draw order (times, events) and as
+        a sorted row (steps, flags) with S_cens(u-) at each observation."""
+        machine = cls.__new__(cls)
+        machine._setup(times, events, steps, flags, before, cfg)
+        return machine
+
+    def _setup(self, times, events, steps, flags, before, cfg):
+        self.n = times.size
+        # at() sums in draw order. Every observation at a time u has the
+        # weight of u's first one in sorted order: they share S_cens(u-).
+        drawn = times[events]
+        s_before = before[np.searchsorted(steps, drawn, side="left")]
+        keep = s_before > 0.0
+        self.times, self.weights = drawn[keep], 1.0 / s_before[keep]
+        self.flags = () if keep.all() else ("truncated-weights",)
         if isinstance(cfg.bandwidth, str):
             grid = cfg.cv_grid
-            self.h = select_bandwidth_cv(
-                sample, grid, events=(self.times, self.weights)
-            )
+            self.h = _cv_bandwidth(*_cv_events(steps, flags, before), self.n, grid)
             if grid.size >= 2 and self.h in (grid[0], grid[-1]):
                 # the CV minimum may lie beyond the grid, as when the grid
                 # does not fit the time unit of the data
@@ -357,9 +378,33 @@ def estimate_density_kde(
 _FOURIER_C = math.sqrt(2.0 * math.log(1e19))
 
 
-# The cost of one Fourier frequency (its m phase terms and G kernel terms)
-# in pairwise kernel evaluations, as timed in _pair_sums.
+# Products small enough for OpenBLAS to run them on the calling thread. On
+# a 2-vCPU Xeon, OpenBLAS 0.3.31 ran matrix products with both sides at most
+# _TILE = 16 rows there whatever their inner length (tried to 100,000), and
+# matrix-vector products of up to about 4.6e5 elements, of which _MATVEC
+# takes 2^18; larger ones went to its thread pool, where some processes
+# stalled for milliseconds on calls that take microseconds.
+_TILE = 16
+_MATVEC = 1 << 18
+
+# Floor of the kernels' exponents. np.exp runs some ten times slower on
+# arguments whose result underflows, and a hundred times slower where the
+# result is subnormal, as is the square of a kernel below 1.5e-154. At
+# exp(-354) = 1.8e-154 the kernel and its square, 3.3e-308, are normal
+# floats, and a term that small cannot move a sum that holds the diagonal
+# or (sum w)^2 of at least 1.
+_EXP_FLOOR = -354.0
+
+# Pairs per block of the pairwise sums: the block's kernel matrix takes
+# 8 G _PAIR_BLOCK bytes, 3 MB on the default grid.
+_PAIR_BLOCK = 1 << 13
+
+
+# The cost of one Fourier frequency (its m phase terms and G kernel terms),
+# and the Fourier path's fixed cost over the pairwise path's, in pairwise
+# kernel evaluations, as timed in _pair_sums.
 _FREQUENCY_COST = 0.25
+_FOURIER_FIXED_COST = 15_000
 
 
 def _fourier_terms(span: float, grid: np.ndarray):
@@ -384,17 +429,23 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     selected bandwidth does not depend on which one runs; the cheaper one
     does. For m events and G bandwidths the pairwise path evaluates
     G m(m-1)/2 kernels, and the Fourier path's time grows as K (m + G),
-    where K grows with the event-time span over h_min (see _fourier_terms).
-    Timed on both paths over arms of the README plan in months, weeks and
-    days (n = 40 to 1,000, three runs), the two break even where
-    K (m + G) is about 4.3 times G m(m-1)/2, so one frequency costs about
-    _FREQUENCY_COST = 1/4 of a pairwise kernel. Fewer events or a wider
-    span keep the pairwise sums, as do spans so wide that K overflows.
-    times must be sorted ascending.
+    where K grows with the event-time span over h_min (see _fourier_terms);
+    the Fourier path also has the larger fixed cost, its tables and kernel
+    matrix, some 30 us more than the pairwise one on two events and 46
+    bandwidths (about 9,000 kernels). So the Fourier path runs when
+    _FREQUENCY_COST K (m + G) + _FOURIER_FIXED_COST < G m(m-1)/2, that is
+    K (m + G) / 4 + 15,000 < G m(m-1)/2. Both paths were timed on 96 arms
+    of the README plan with the default grid (years, months, weeks and
+    days; n = 10 to 1,000; three seeds). This rule took the faster path on
+    93 of them, and at most 1.21 times the faster time on the other three;
+    no other pair of constants on a grid of them did better. Without the
+    fixed cost the rule took the slower path on 9 arms, up to 1.43 times
+    the faster time. Few events or a wider span keep the pairwise sums, as
+    do spans so wide that K overflows. times must be sorted ascending.
     """
     m, size = times.size, grid.size
     _, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
-    if _FREQUENCY_COST * n_freq * (m + size) < size * m * (m - 1) / 2:
+    if _FREQUENCY_COST * n_freq * (m + size) + _FOURIER_FIXED_COST < size * m * (m - 1) / 2:
         return _pair_sums_fourier(times, weights, grid)
     return _pair_sums_exact(times, weights, grid)
 
@@ -402,29 +453,63 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
 def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     """Pair sums over the upper triangle, the diagonal added exactly.
 
-    One buffer serves every bandwidth: the Gaussian at scale h*sqrt(2) is the
-    square root of the one at h.
+    The pairs run in blocks of rows of at most _PAIR_BLOCK pairs (or one
+    row), so memory stays O(G _PAIR_BLOCK) at any m. A block's (G, pairs)
+    kernel matrix serves every bandwidth: the Gaussian at scale h*sqrt(2) is
+    the square root of the one at h.
     """
-    i, j = np.triu_indices(times.size, 1)
+    m = times.size
     diagonal = float(weights @ weights)
-    pair_weights = weights[i] * weights[j]
-    full_h = np.empty(grid.size)
-    full_h2 = np.empty(grid.size)
-    kernel = np.empty(i.size)
-    # a kernel argument that overflows is -inf, and exp(-inf) = 0 is its limit
+    # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a tie
+    # (d = 0) the argument 0 * -inf = nan; the floor keeps the factor
+    # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR)
+    factors = -0.5 / np.maximum(grid * grid, _TINY)
+    cross_h = np.zeros(grid.size)
+    cross_h2 = np.zeros(grid.size)
+    rows = max(1, _PAIR_BLOCK // m)
+    # a squared distance that overflows is inf, and its exponent -inf is
+    # floored like any other
     with np.errstate(over="ignore"):
-        dist_sq = (times[j] - times[i]) ** 2
-        for k, h in enumerate(grid):
-            # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a
-            # tie (d = 0) the argument 0 * -inf = nan; the floor keeps the
-            # factor finite, so a tie weighs exp(0) = 1 and a pair apart
-            # exp(-inf) = 0
-            np.multiply(dist_sq, -0.5 / max(h * h, _TINY), out=kernel)
+        for first in range(0, m - 1, rows):
+            i, j = np.triu_indices(min(rows, m - 1 - first), 1, m - first)
+            i += first
+            j += first
+            pair_weights = weights[i] * weights[j]
+            kernel = np.multiply.outer(factors, (times[j] - times[i]) ** 2)
+            np.maximum(kernel, _EXP_FLOOR, out=kernel)
             np.exp(kernel, out=kernel)
-            full_h[k] = diagonal + 2.0 * float(pair_weights @ kernel)
+            cross_h += _matvec(kernel, pair_weights)
             np.sqrt(kernel, out=kernel)
-            full_h2[k] = diagonal + 2.0 * float(pair_weights @ kernel)
-    return full_h, full_h2
+            cross_h2 += _matvec(kernel, pair_weights)
+    return diagonal + 2.0 * cross_h, diagonal + 2.0 * cross_h2
+
+
+def _tiles(size: int):
+    """Slices that split range(size) into the fewest near-equal parts of at
+    most _TILE; none has one element unless size does."""
+    count = -(-size // _TILE)
+    return [slice(size * i // count, size * (i + 1) // count) for i in range(count)]
+
+
+def _tiled_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for (M, k) and (N, k) arrays, at most _TILE rows of each per
+    call, so OpenBLAS runs every call on the calling thread. A call with
+    one row is a matrix-vector product, which it threads sooner; _tiles
+    makes none where M and N are above 1."""
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.result_type(a, b))
+    for rows in _tiles(a.shape[0]):
+        for cols in _tiles(b.shape[0]):
+            np.matmul(a[rows], b[cols].T, out=out[rows, cols])
+    return out
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v in blocks of rows of at most _MATVEC entries (at least one
+    row), which OpenBLAS runs on the calling thread."""
+    rows = max(1, _MATVEC // a.shape[1])
+    if rows >= a.shape[0]:
+        return a @ v
+    return np.concatenate([a[first : first + rows] @ v for first in range(0, a.shape[0], rows)])
 
 
 def _running_powers(first, ratio: np.ndarray, rows: int) -> np.ndarray:
@@ -454,7 +539,8 @@ def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray)
     rounding grows with a table's rows (about sqrt(K)), not with K. All
     bandwidths then take one pass: a (G, K) matrix of the kernel's transform
     times the power spectrum gives every full_h, and the same matrix squared
-    in place gives every full_h2.
+    in place gives every full_h2. The products run on the calling thread
+    (_tiled_product, _matvec).
     """
     period, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
     step = 2.0 * math.pi / period
@@ -462,18 +548,19 @@ def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray)
     phase = (times - times[0]) * step
     fine = _running_powers(1.0, np.exp(-1j * phase), block)
     coarse = _running_powers(weights, np.exp(-1j * block * phase), n_freq // block + 1)
-    spectrum = (coarse @ fine.T).ravel()[1 : n_freq + 1]
+    spectrum = _tiled_product(coarse, fine).ravel()[1 : n_freq + 1]
     del coarse, fine  # freed before the (G, K) kernel matrix
     power = spectrum.real ** 2 + spectrum.imag ** 2
     freq_sq = (np.arange(1, n_freq + 1) * step) ** 2
     total = float(weights.sum()) ** 2
     scale = grid * _SQRT_2PI / period
     kernel = np.multiply.outer(-0.5 * grid * grid, freq_sq)
+    np.maximum(kernel, _EXP_FLOOR, out=kernel)
     np.exp(kernel, out=kernel)
-    full_h = scale * (total + 2.0 * (kernel @ power))
+    full_h = scale * (total + 2.0 * _matvec(kernel, power))
     # the transform at scale h*sqrt(2) is the square of the one at h
     np.square(kernel, out=kernel)
-    full_h2 = math.sqrt(2.0) * scale * (total + 2.0 * (kernel @ power))
+    full_h2 = math.sqrt(2.0) * scale * (total + 2.0 * _matvec(kernel, power))
     return full_h, full_h2
 
 
@@ -485,18 +572,17 @@ def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):
     return integral_sq - 2.0 * cross / (n * (n - 1))
 
 
-def _cv_scores(sample: SurvivalSample, grid: np.ndarray, events=None) -> np.ndarray:
-    if events is None:
-        times, weights, _ = _event_weights(sample, fit_censoring_km(sample))
-    else:
-        times, weights = events
+def _cv_scores(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray):
+    """The CV scores over grid of sorted event times and their weights."""
     if times.size < 2:
         raise ValidationError("bandwidth selection needs at least 2 events")
-    order = np.argsort(times)
-    times = times[order]
-    weights = weights[order]
     full_h, full_h2 = _pair_sums(times, weights, grid)
-    return _cv_criterion(full_h, full_h2, float(weights @ weights), sample.n, grid)
+    return _cv_criterion(full_h, full_h2, float(weights @ weights), n, grid)
+
+
+def _cv_bandwidth(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray) -> float:
+    """Grid argmin of the CV scores of sorted event times and weights."""
+    return float(grid[int(np.argmin(_cv_scores(times, weights, n, grid)))])
 
 
 def cv_score(sample: SurvivalSample, h: float) -> float:
@@ -509,15 +595,11 @@ def cv_score(sample: SurvivalSample, h: float) -> float:
     """
     if not h > 0:
         raise ValidationError("bandwidth must be positive")
-    return float(_cv_scores(sample, np.asarray([h], dtype=float))[0])
+    grid = np.asarray([h], dtype=float)
+    return float(_cv_scores(*_cv_events(*_sorted_rows(sample)), sample.n, grid)[0])
 
 
-def select_bandwidth_cv(sample: SurvivalSample, grid, *, events=None) -> float:
-    """Grid argmin of the least-squares CV criterion.
-
-    events is the (times, weights) pair of the sample's censoring-weighted
-    events, for a caller that has already fitted the censoring distribution.
-    """
+def select_bandwidth_cv(sample: SurvivalSample, grid) -> float:
+    """Grid argmin of the least-squares CV criterion."""
     arr = _validated_grid(grid, "cv_grid")
-    scores = _cv_scores(sample, arr, events)
-    return float(arr[int(np.argmin(scores))])
+    return _cv_bandwidth(*_cv_events(*_sorted_rows(sample)), sample.n, arr)

@@ -77,7 +77,11 @@ def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
     Upsilon[j,l] = (1-p_j)(1-p_l) phi(min(t_j,t_l)) / (mu f_j f_l) from the
     arm's p_j-quantiles t_j, phis[j] = phi(t_j), densities f_j = f(t_j) and
     allocation fraction mu. Off-diagonal entries are mirrored, so the matrix
-    is exactly symmetric.
+    is exactly symmetric. An infinite phi, the saturated limit of
+    scenarios.phi_exponential far out in a heavily censored tail, is kept:
+    its entries are inf, the planned variance is inf and the power of the
+    test is alpha, with no error. Only an entry that overflows from the
+    densities is rejected.
     """
     if any(f <= 0 for f in densities):
         raise ValidationError("densities must be positive at every quantile")

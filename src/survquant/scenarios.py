@@ -166,8 +166,13 @@ def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
 
     The integrand rate / (e^{-rate s} e^{-c s}) integrates to
     rate/(rate+c) * (e^{(rate+c) t} - 1). Saturates to inf once the
-    exponential overflows, which is the honest limit for quantiles far out
-    in a heavily censored tail.
+    exponential overflows, (rate + c) t above about 709.8, which is the
+    honest limit for quantiles far out in a heavily censored tail. The inf
+    is not an error: it passes through upsilon into an infinite variance,
+    so the noncentrality is 0 and the power is alpha at every n. For
+    example lambda_a = 0.1, delta = 0.5, p = 0.95 and lambda_cens = 50 put
+    the control quantile at t = 30, where (rate + c) t = 1,503, and the
+    `power` command prints 0.05 and exits 0.
     """
     _check_rate(rate, "rate")
     if censoring_rate < 0:

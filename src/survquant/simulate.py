@@ -36,6 +36,7 @@ from .survival import (
     _CDF_ATOL,
     SurvivalSample,
     TwoArmData,
+    _censoring_before,
     _product_limit,
     _sorted_observations,
     _step_sizes,
@@ -237,10 +238,11 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     failure.
 
     The fits' product-limit kernel runs over the whole block, tied times
-    included, so each step of a row equals fit_kaplan_meier's bit for bit.
-    Quantiles, Greenwood factors and LS slopes follow as arrays, KDE
-    estimates from the row's samples in draw order, and Psi_hat and the
-    p-value from the tests' own arithmetic. A sample that SurvivalSample
+    included, so each step of a row equals fit_kaplan_meier's bit for bit;
+    for KDE it runs on the censoring side as well, for the censoring
+    weights of every row. Quantiles, Greenwood factors and LS slopes follow
+    as arrays, KDE estimates from each arm's sorted row and its draw order,
+    and Psi_hat and the p-value from the tests' own arithmetic. A sample that SurvivalSample
     rejects raises once the rows before it have run, as in a serial loop.
     """
     count, _, n = times.shape
@@ -276,6 +278,7 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
         )
     else:
         kde_tuning = plan.tuning if plan.tuning is not None else _default_tuning("kde")
+        before = _censoring_before(steps, flags)
 
     out = np.full(count, np.nan)
     for r in np.flatnonzero(estimable):
@@ -283,7 +286,8 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
         if plan.density_method == "ls":
             values = slopes[r].tolist()
         else:
-            machines = [_KdeMachine(SurvivalSample(times[r, a], events[r, a]), kde_tuning)
+            machines = [_KdeMachine.of_row(times[r, a], events[r, a], steps[r, a], flags[r, a],
+                                           before[r, a], kde_tuning)
                         for a in (0, 1)]
             values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
         # equal arms: each allocation fraction is n / 2n = 0.5

@@ -11,6 +11,8 @@ estimated here from right-censored samples:
 One tie-aware product-limit kernel (_sorted_observations, _groups,
 _product_limit) serves fit_kaplan_meier, fit_censoring_km and, through
 _step_sizes, the simulation engine, whose steps equal the fit's bit for bit.
+_censoring_before runs it on the censoring side for whole blocks, for the
+weights of the kernel density estimate.
 """
 from __future__ import annotations
 
@@ -163,18 +165,20 @@ def _groups(steps: np.ndarray, counted: np.ndarray, censoring: bool):
     return ends, d, y
 
 
-def _step_sizes(steps: np.ndarray, flags: np.ndarray):
-    """(d, y) of the event fit at every observation of sorted (..., n)
-    blocks: _groups' counts at the last observation of each time, and d = 0,
-    y > 0 elsewhere, which makes the product-limit factor there exactly 1.0
-    and the Greenwood term exactly 0.0. Untied rows skip the bookkeeping."""
+def _step_sizes(steps: np.ndarray, counted: np.ndarray, censoring: bool = False):
+    """(d, y) of the event fit, or with censoring of the censoring fit, at
+    every observation of sorted (..., n) blocks; counted flags what the fit
+    counts (events, or censorings). _groups' counts sit at the last
+    observation of each time, and d = 0, y > 0 elsewhere, which makes the
+    product-limit factor there exactly 1.0 and the Greenwood term exactly
+    0.0. Untied rows skip the bookkeeping."""
     rows = steps.reshape(-1, steps.shape[-1])
     n = rows.shape[1]
-    d = flags.reshape(rows.shape).astype(float)
+    d = counted.reshape(rows.shape).astype(float)
     y = np.broadcast_to(np.arange(n, 0, -1, dtype=float), rows.shape)
     tied = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
     if tied.size:
-        ends, counts, at_risk = _groups(rows[tied], d[tied], censoring=False)
+        ends, counts, at_risk = _groups(rows[tied], d[tied], censoring)
         at = tied[ends // n] * n + ends % n
         d[tied] = 0.0
         d.flat[at] = counts
@@ -183,13 +187,28 @@ def _step_sizes(steps: np.ndarray, flags: np.ndarray):
     return d.reshape(steps.shape), y.reshape(steps.shape)
 
 
+def _survival(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product-limit survival cumprod(1 - d/y) along the last axis."""
+    return np.cumprod(1.0 - d / y, axis=-1)
+
+
 def _product_limit(d: np.ndarray, y: np.ndarray):
     """Survival cumprod(1 - d/y) and Greenwood sums cumsum(d/(y(y-d))) along
     the last axis, inf from the first y == d on. Both accumulate in order,
     so an entry with d = 0 repeats the one before it exactly."""
-    survival = np.cumprod(1.0 - d / y, axis=-1)
     terms = np.divide(d, y * (y - d), out=np.full(d.shape, np.inf), where=y > d)
-    return survival, np.cumsum(terms, axis=-1)
+    return _survival(d, y), np.cumsum(terms, axis=-1)
+
+
+def _censoring_before(steps: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """S_cens(u-) of each row's censoring fit at every observation u of
+    sorted (..., n) blocks, equal bit for bit to
+    fit_censoring_km(row).survival_before(u). The censoring steps come with
+    a factor of exactly 1.0 between them, so the product before an
+    observation is the product of the steps strictly before its time, tied
+    observations included: inside a tie the factors are 1.0 too."""
+    survival = _survival(*_step_sizes(steps, ~flags, censoring=True))
+    return np.concatenate((np.ones(steps.shape[:-1] + (1,)), survival[..., :-1]), axis=-1)
 
 
 def _fit(sample: SurvivalSample, censoring: bool) -> KaplanMeierFit:

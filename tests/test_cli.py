@@ -374,13 +374,13 @@ class TestCmdTest:
         import survquant.density as density
 
         calls = []
-        select = density.select_bandwidth_cv
+        select = density._cv_bandwidth
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args[0])
-            return select(*args, **kwargs)
+            return select(*args)
 
-        monkeypatch.setattr(density, "select_bandwidth_cv", counting)
+        monkeypatch.setattr(density, "_cv_bandwidth", counting)
         path = make_dataset(tmp_path / "d.csv", n=80, rate2=2.0)
         code, out, _ = run_cli(
             capsys, "test", path, "--p", "0.25,0.5,0.75", "--bonferroni",
@@ -539,6 +539,20 @@ class TestCmdPower:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_saturated_phi_gives_alpha(self, tmp_path, capsys):
+        """Far out in a heavily censored tail phi_exponential saturates to
+        inf (expm1(50.1 * 30) overflows), the planned variance is inf and
+        the power is alpha at any n: exit 0, no message."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("lambda_a = 0.1\nlambda_cens = 50\n")
+        code, out, err = run_cli(
+            capsys, "power", "--scenario", str(cfg),
+            "--p", "0.95", "--delta", "0.5", "--n", "100,1000000",
+        )
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[2:] == ["0.95,0.5,100,0.05", "0.95,0.5,1000000,0.05"]
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code, _, err = run_cli(

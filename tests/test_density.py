@@ -27,15 +27,18 @@ from survquant import (
 )
 from survquant.density import (
     _cv_criterion,
-    _event_weights,
+    _cv_events,
     _fourier_terms,
+    _KdeMachine,
     _ls_slope,
     _pair_sums,
     _pair_sums_exact,
     _pair_sums_fourier,
+    _sorted_rows,
 )
 from survquant.scenarios import scenario_from_delta
 from survquant.simulate import sample_trial
+from survquant.survival import _censoring_before
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 CV_GRID = np.arange(0.1, 1.0 + 1e-12, 0.02)  # the CLI's default grid
@@ -51,10 +54,10 @@ def exponential_sample(rng, n, rate=1.5, cens_rate=0.48):
 
 
 def _sorted_events(sample):
-    """The sample's censoring-weighted event times and weights, sorted."""
-    times, weights, _ = _event_weights(sample, fit_censoring_km(sample))
-    order = np.argsort(times)
-    return times[order], weights[order]
+    """The sample's event times, sorted, and their weights 1/S_cens(T-)
+    from the public censoring fit."""
+    times = np.sort(sample.times[sample.events])
+    return times, 1.0 / fit_censoring_km(sample).survival_before(times)
 
 
 def linear_cdf_fit(slope_inv, n_nodes=400, n=400):
@@ -382,20 +385,35 @@ class TestKdeEstimator:
     def test_zero_weight_events_dropped_and_flagged(self):
         # The censoring fit of a sample can never exhaust before an event
         # (any later event keeps the risk set alive), so the truncation path
-        # is exercised with a handcrafted censoring fit instead.
-        dead_cens_fit = KaplanMeierFit(
-            event_times=np.array([1.0]),
-            at_risk=np.array([1.0]),
-            n_events=np.array([1.0]),
-            survival=np.array([0.0]),
-            greenwood_cumsum=np.array([np.inf]),
-            n=2,
-        )
-        sample = SurvivalSample(np.array([0.5, 2.0]), np.array([True, True]))
-        times, weights, n_dropped = _event_weights(sample, dead_cens_fit)
-        assert n_dropped == 1
-        assert_allclose(times, [0.5])
-        assert_allclose(weights, [1.0])
+        # is exercised with handcrafted censoring left limits instead: S_cens
+        # drops to 0 between the two events.
+        times, events = np.array([2.0, 0.5]), np.array([True, True])
+        steps, flags, before = np.array([0.5, 2.0]), events, np.array([1.0, 0.0])
+        machine = _KdeMachine.of_row(times, events, steps, flags, before,
+                                     KdeConfig(bandwidth=1.0))
+        assert machine.flags == ("truncated-weights",)
+        assert machine.times.tolist() == [0.5]
+        assert machine.weights.tolist() == [1.0]
+        cv_times, cv_weights = _cv_events(steps, flags, before)
+        assert cv_times.tolist() == [0.5]
+        assert cv_weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_weights_equal_the_censoring_fit(self, tied):
+        """The weights in draw order (at()) and sorted (the CV sums) are
+        1/S_cens(T-) of fit_censoring_km, bit for bit."""
+        sample = exponential_sample(np.random.default_rng(17), 300)
+        if tied:
+            sample = SurvivalSample(np.round(sample.times, 1), sample.events)
+        machine = _KdeMachine(sample, KdeConfig(bandwidth=0.3))
+        drawn = sample.times[sample.events]
+        reference = 1.0 / fit_censoring_km(sample).survival_before(drawn)
+        assert machine.times.tobytes() == drawn.tobytes()
+        assert machine.weights.tobytes() == reference.tobytes()
+        cv_times, cv_weights = _cv_events(*_sorted_rows(sample))
+        sorted_times, sorted_weights = _sorted_events(sample)
+        assert cv_times.tobytes() == sorted_times.tobytes()
+        assert cv_weights.tobytes() == sorted_weights.tobytes()
 
     def test_nonnegative_output(self):
         rng = np.random.default_rng(13)
@@ -446,8 +464,7 @@ class TestCvCriterion:
         must agree with the assembled criterion to 1e-6 relative."""
         rng = np.random.default_rng(15)
         sample = exponential_sample(rng, 60)
-        cens = fit_censoring_km(sample)
-        times, weights, _ = _event_weights(sample, cens)
+        times, weights = _sorted_events(sample)
         n = sample.n
         for h in (0.25, 0.6):
             def fhat(t):
@@ -522,15 +539,15 @@ class TestCvCriterion:
     def test_one_censoring_fit_per_cv_estimate(self, monkeypatch):
         calls = []
 
-        def counting(sample):
-            calls.append(sample)
-            return fit_censoring_km(sample)
+        def counting(steps, flags):
+            calls.append(steps)
+            return _censoring_before(steps, flags)
 
-        monkeypatch.setattr("survquant.density.fit_censoring_km", counting)
+        monkeypatch.setattr("survquant.density._censoring_before", counting)
         sample = exponential_sample(np.random.default_rng(24), 120)
         cfg = KdeConfig(bandwidth="select-by-cv", cv_grid=CV_GRID)
         estimate_density_kde(sample, 0.46, cfg)
-        assert calls == [sample]
+        assert [steps.tolist() for steps in calls] == [np.sort(sample.times).tolist()]
 
 
 class TestCvGridEdgeFlag:
@@ -608,12 +625,13 @@ class TestFourierPairSums:
         assert picks[0] == picks[1]
 
     def test_dispatch(self, monkeypatch):
-        """The cheaper path runs: pairwise for few events and for a span so
-        wide that K overflows, Fourier for an arm of the README's plan in
-        years and for the same arm in days (some 11,000 frequencies),
-        pairwise for a 150-per-arm trial in days. The two days arms sit on
-        either side of the timed break-even, where K (m + G) is about 4
-        times G m(m-1)/2."""
+        """The cheaper path runs: pairwise for few events, also where the
+        Fourier path's fixed cost alone tips the choice (20 events), and for
+        a span so wide that K overflows, Fourier for an arm of the README's
+        plan in years and for the same arm in days (some 11,000
+        frequencies), pairwise for a 150-per-arm trial in days. The two days
+        arms sit on either side of the timed break-even, where K (m + G) is
+        about 4 times G m(m-1)/2."""
         scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
         times, weights = _sorted_events(sample_trial(scenario, 300, 300, 1).arm1)
         small_times, small_weights = _sorted_events(sample_trial(scenario, 150, 150, 1).arm1)
@@ -628,8 +646,9 @@ class TestFourierPairSums:
         monkeypatch.setattr("survquant.density._pair_sums_fourier",
                             lambda *a: calls.append("fourier"))
         _pair_sums(np.linspace(0.0, 2.0, 8), np.ones(8), CV_GRID)
+        _pair_sums(np.linspace(0.0, 2.0, 20), np.ones(20), CV_GRID)
         _pair_sums(np.array([0.0, 1e300]), np.ones(2), np.array([1e-10, 1.0]))
         _pair_sums(times, weights, CV_GRID)
         _pair_sums(times * 365.0, weights, CV_GRID)
         _pair_sums(small_times * 365.0, small_weights, CV_GRID)
-        assert calls == ["exact", "exact", "fourier", "fourier", "exact"]
+        assert calls == ["exact", "exact", "exact", "fourier", "fourier", "exact"]

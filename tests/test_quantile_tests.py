@@ -380,17 +380,18 @@ class TestBonferroni:
         import survquant.density as density
 
         calls = []
-        select = density.select_bandwidth_cv
+        select = density._cv_bandwidth
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return select(*args, **kwargs)
+        def counting(times, *args):
+            calls.append(times.tolist())
+            return select(times, *args)
 
-        monkeypatch.setattr(density, "select_bandwidth_cv", counting)
+        monkeypatch.setattr(density, "_cv_bandwidth", counting)
         data = two_arm(25, n=150)
         cfg = KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.05))
         bonferroni_followup(data, [0.25, 0.5, 0.75], "kde", cfg)
-        assert calls == [data.arm1, data.arm2]
+        assert calls == [np.sort(arm.times[arm.events]).tolist()
+                         for arm in (data.arm1, data.arm2)]
 
 
 class TestTuningMatchesMethod:

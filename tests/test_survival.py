@@ -23,7 +23,12 @@ from survquant import (
     phi_hat,
     quantile_at,
 )
-from survquant.survival import _product_limit, _sorted_observations, _step_sizes
+from survquant.survival import (
+    _censoring_before,
+    _product_limit,
+    _sorted_observations,
+    _step_sizes,
+)
 
 # 6 subjects, 2 censored; steps land at 1, 3, 5, 6 with Y = 6, 4, 2, 1:
 #   S(1) = 5/6,  S(3) = 5/6 * 3/4 = 5/8,  S(5) = 5/16,  S(6) = 0
@@ -206,21 +211,15 @@ tied_samples = st.lists(
 ))
 
 
-@st.composite
-def blocks(draw):
-    """(rows, n) times and event flags; each row is untied or on a coarse
-    grid of 12 times, so ties are common."""
-    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
-    times = []
-    for _ in range(rows):
-        if draw(st.booleans()):
-            row = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
-            times.append([k / 8 for k in row])
-        else:
-            times.append(draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n,
-                                       unique=True)))
-    events = draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))
-    return np.array(times), np.array(events).reshape(rows, n)
+def block_from_seed(seed):
+    """(rows, n) times and event flags drawn from a numpy seed; each row is
+    untied or on a coarse grid of 13 times, so ties are common, and the
+    share of events varies from block to block."""
+    rng = np.random.default_rng(seed)
+    rows, n = int(rng.integers(1, 5)), int(rng.integers(1, 31))
+    tied = rng.random((rows, 1)) < 0.5
+    times = np.where(tied, rng.integers(0, 13, (rows, n)) / 8, rng.uniform(0.0, 50.0, (rows, n)))
+    return times, rng.random((rows, n)) < rng.random()
 
 
 class TestProductLimitProperties:
@@ -244,27 +243,39 @@ class TestProductLimitProperties:
         assert result.n == sample.n
 
     @settings(max_examples=200, deadline=None)
-    @given(block=blocks())
-    def test_simulation_rows_equal_the_fit(self, block):
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("fit,censoring", [
+        (fit_kaplan_meier, False),
+        (fit_censoring_km, True),
+    ], ids=["events", "censoring"])
+    def test_simulation_rows_equal_the_fit(self, fit, censoring, seed):
         """The kernel over a block whose rows mix tied and untied times, as
         the simulation engine runs it: at each step of a row every entry
         equals that row's own fit, and elsewhere it repeats the entry before
-        it (1 and 0 before the first step)."""
-        times, events = block
+        it (1 and 0 before the first step). On the censoring side every
+        observation's left limit, whose inverse weighs the KDE's events, is
+        fit_censoring_km's survival_before to the bit."""
+        times, events = block_from_seed(seed)
         steps, flags = _sorted_observations(times, events)
-        d, y = _step_sizes(steps, flags)
+        d, y = _step_sizes(steps, ~flags if censoring else flags, censoring)
         survival, greenwood = _product_limit(d, y)
+        before = _censoring_before(steps, flags)
         for r in range(times.shape[0]):
-            result = fit_kaplan_meier(SurvivalSample(times[r], events[r]))
+            sample = SurvivalSample(times[r], events[r])
+            result = fit(sample)
             at = d[r] > 0
             assert steps[r][at].tolist() == result.event_times.tolist()
             assert d[r][at].tolist() == result.n_events.tolist()
             assert y[r][at].tolist() == result.at_risk.tolist()
             assert survival[r][at].tolist() == result.survival.tolist()
             assert greenwood[r][at].tolist() == result.greenwood_cumsum.tolist()
-            before = ~at
-            assert (survival[r][before] == np.append(1.0, survival[r][:-1])[before]).all()
-            assert (greenwood[r][before] == np.append(0.0, greenwood[r][:-1])[before]).all()
+            before_step = ~at
+            assert (survival[r][before_step]
+                    == np.append(1.0, survival[r][:-1])[before_step]).all()
+            assert (greenwood[r][before_step]
+                    == np.append(0.0, greenwood[r][:-1])[before_step]).all()
+            if censoring:
+                assert before[r].tolist() == result.survival_before(steps[r]).tolist()
 
 
 class TestStepEvaluation:
