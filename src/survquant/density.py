@@ -381,8 +381,8 @@ _FOURIER_C = math.sqrt(2.0 * math.log(1e19))
 # Products small enough for OpenBLAS to run them on the calling thread. On
 # a 2-vCPU Xeon, OpenBLAS 0.3.31 ran matrix products with both sides at most
 # _TILE = 16 rows there whatever their inner length (tried to 100,000), and
-# matrix-vector products of up to about 4.6e5 elements, of which _MATVEC
-# takes 2^18; larger ones went to its thread pool, where some processes
+# matrix-vector products of up to about 4.6e5 elements (_MATVEC = 2^18
+# stays below); larger ones went to its thread pool, where some processes
 # stalled for milliseconds on calls that take microseconds.
 _TILE = 16
 _MATVEC = 1 << 18
@@ -504,8 +504,9 @@ def _tiled_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v in blocks of rows of at most _MATVEC entries (at least one
-    row), which OpenBLAS runs on the calling thread."""
+    """a @ v in blocks of rows of at most _MATVEC entries, which OpenBLAS
+    runs on the calling thread; only a single row longer than that may
+    still go to its threads."""
     rows = max(1, _MATVEC // a.shape[1])
     if rows >= a.shape[0]:
         return a @ v

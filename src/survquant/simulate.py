@@ -242,8 +242,9 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     for KDE it runs on the censoring side as well, for the censoring
     weights of every row. Quantiles, Greenwood factors and LS slopes follow
     as arrays, KDE estimates from each arm's sorted row and its draw order,
-    and Psi_hat and the p-value from the tests' own arithmetic. A sample that SurvivalSample
-    rejects raises once the rows before it have run, as in a serial loop.
+    and Psi_hat and the p-value from the tests' own arithmetic. A sample
+    that SurvivalSample rejects raises once the rows before it have run, as
+    in a serial loop.
     """
     count, _, n = times.shape
     valid = np.isfinite(times).all(axis=(1, 2)) & (times >= 0).all(axis=(1, 2))

@@ -187,17 +187,13 @@ def _step_sizes(steps: np.ndarray, counted: np.ndarray, censoring: bool = False)
     return d.reshape(steps.shape), y.reshape(steps.shape)
 
 
-def _survival(d: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The product-limit survival cumprod(1 - d/y) along the last axis."""
-    return np.cumprod(1.0 - d / y, axis=-1)
-
-
 def _product_limit(d: np.ndarray, y: np.ndarray):
     """Survival cumprod(1 - d/y) and Greenwood sums cumsum(d/(y(y-d))) along
     the last axis, inf from the first y == d on. Both accumulate in order,
     so an entry with d = 0 repeats the one before it exactly."""
+    survival = np.cumprod(1.0 - d / y, axis=-1)
     terms = np.divide(d, y * (y - d), out=np.full(d.shape, np.inf), where=y > d)
-    return _survival(d, y), np.cumsum(terms, axis=-1)
+    return survival, np.cumsum(terms, axis=-1)
 
 
 def _censoring_before(steps: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -207,7 +203,7 @@ def _censoring_before(steps: np.ndarray, flags: np.ndarray) -> np.ndarray:
     a factor of exactly 1.0 between them, so the product before an
     observation is the product of the steps strictly before its time, tied
     observations included: inside a tie the factors are 1.0 too."""
-    survival = _survival(*_step_sizes(steps, ~flags, censoring=True))
+    survival, _ = _product_limit(*_step_sizes(steps, ~flags, censoring=True))
     return np.concatenate((np.ones(steps.shape[:-1] + (1,)), survival[..., :-1]), axis=-1)
 
 

@@ -31,10 +31,13 @@ from survquant.density import (
     _fourier_terms,
     _KdeMachine,
     _ls_slope,
+    _matvec,
     _pair_sums,
     _pair_sums_exact,
     _pair_sums_fourier,
     _sorted_rows,
+    _tiled_product,
+    _tiles,
 )
 from survquant.scenarios import scenario_from_delta
 from survquant.simulate import sample_trial
@@ -596,6 +599,23 @@ class TestFourierPairSums:
                 for pair_sums in (_pair_sums_exact, _pair_sums_fourier)
             ]
             assert picks[0] == picks[1], (n, seed)
+
+    def test_products_in_pieces_equal_one_product(self):
+        """The Fourier products run in pieces small enough for OpenBLAS to
+        keep them on the calling thread: tiles of at most 16 rows a side,
+        none of one row where a side has more, and matrix-vector blocks of
+        at most 2^18 entries. They equal the product of one call."""
+        rng = np.random.default_rng(31)
+        for rows, cols, inner in ((1, 5, 30), (17, 15, 766), (40, 33, 50), (16, 16, 3)):
+            a = rng.random((rows, inner)) + 1j * rng.random((rows, inner))
+            b = rng.random((cols, inner)) + 1j * rng.random((cols, inner))
+            assert_allclose(_tiled_product(a, b), a @ b.T, rtol=1e-13)
+            for size in (rows, cols):
+                lengths = [part.stop - part.start for part in _tiles(size)]
+                assert sum(lengths) == size and max(lengths) <= 16
+                assert min(lengths) > 1 or size == 1
+        kernel, v = rng.random((46, 9000)), rng.random(9000)  # blocks of 29 rows
+        assert_allclose(_matvec(kernel, v), kernel @ v, rtol=1e-13)
 
     @settings(max_examples=60, deadline=None)
     @given(
