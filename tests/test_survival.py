@@ -259,23 +259,20 @@ class TestProductLimitProperties:
         steps, flags = _sorted_observations(times, events)
         d, y = _step_sizes(steps, ~flags if censoring else flags, censoring)
         survival, greenwood = _product_limit(d, y)
-        before = _censoring_before(steps, flags)
+        left_limits = _censoring_before(steps, flags)
         for r in range(times.shape[0]):
-            sample = SurvivalSample(times[r], events[r])
-            result = fit(sample)
+            result = fit(SurvivalSample(times[r], events[r]))
             at = d[r] > 0
             assert steps[r][at].tolist() == result.event_times.tolist()
             assert d[r][at].tolist() == result.n_events.tolist()
             assert y[r][at].tolist() == result.at_risk.tolist()
             assert survival[r][at].tolist() == result.survival.tolist()
             assert greenwood[r][at].tolist() == result.greenwood_cumsum.tolist()
-            before_step = ~at
-            assert (survival[r][before_step]
-                    == np.append(1.0, survival[r][:-1])[before_step]).all()
-            assert (greenwood[r][before_step]
-                    == np.append(0.0, greenwood[r][:-1])[before_step]).all()
+            before = ~at
+            assert (survival[r][before] == np.append(1.0, survival[r][:-1])[before]).all()
+            assert (greenwood[r][before] == np.append(0.0, greenwood[r][:-1])[before]).all()
             if censoring:
-                assert before[r].tolist() == result.survival_before(steps[r]).tolist()
+                assert left_limits[r].tolist() == result.survival_before(steps[r]).tolist()
 
 
 class TestStepEvaluation:
