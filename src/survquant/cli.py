@@ -309,6 +309,13 @@ def _kde_tuning(args):
     return KdeConfig(bandwidth), manifest
 
 
+def _ls_sigma(args):
+    """--sigma-eps for --method ls: None, 'auto' or a number."""
+    if args.bandwidth is not None:
+        raise ValidationError("--bandwidth applies to --method kde only")
+    return _number_or_auto("--sigma-eps", args.sigma_eps)
+
+
 def _resolve_test_tuning(args, data, probabilities):
     """Check the tuning flags, fit both arms once, then resolve 'auto'.
 
@@ -321,20 +328,16 @@ def _resolve_test_tuning(args, data, probabilities):
     if args.method == "kde":
         tuning, manifest = _kde_tuning(args)
     else:
-        if args.bandwidth is not None:
-            raise ValidationError("--bandwidth applies to --method kde only")
-        sigma = _number_or_auto("--sigma-eps", args.sigma_eps)
+        sigma = _ls_sigma(args)
         manifest = {"method": "ls", "sigma_eps": sigma, "sigma_eps_mode": "fixed"}
         tuning = None if sigma in (None, "auto") else LsConfig(sigma, seed=args.seed)
     assembly = _Assembly(data, probabilities)
     if tuning is not None:
         return assembly, tuning, manifest, []
-    chosen, flags = [], set()
-    for arm in assembly.arms:
-        for p, t in zip(probabilities, arm.times):
-            selection = _select_sigma(arm.fit, p, t, _SIGMA_AUTO_GRID, seed=args.seed)
-            chosen.append(selection.sigma_eps)
-            flags.update(selection.flags)
+    selections = [selection for arm in assembly.arms
+                  for selection in _select_sigma(arm.fit, probabilities, arm.times,
+                                                 _SIGMA_AUTO_GRID, seed=args.seed)]
+    chosen = [selection.sigma_eps for selection in selections]
     sigma = max(chosen)
     manifest = {
         "method": "ls",
@@ -342,6 +345,7 @@ def _resolve_test_tuning(args, data, probabilities):
         "sigma_eps_mode": "auto",
         "sigma_eps_selections": chosen,
     }
+    flags = {flag for selection in selections for flag in selection.flags}
     return assembly, LsConfig(sigma, seed=args.seed), manifest, sorted(flags)
 
 
@@ -508,9 +512,7 @@ def cmd_simulate(args) -> int:
     if args.method == "kde":
         tuning, manifest_tuning = _kde_tuning(args)
     else:
-        if args.bandwidth is not None:
-            raise ValidationError("--bandwidth applies to --method kde only")
-        sigma = _number_or_auto("--sigma-eps", args.sigma_eps)
+        sigma = _ls_sigma(args)
         if sigma in (None, "auto"):
             sigma = DEFAULT_SIM_SIGMA_EPS
         tuning = LsConfig(sigma_eps=sigma)

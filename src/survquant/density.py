@@ -25,14 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import UnreachableQuantileError, ValidationError
+from .errors import ValidationError
 from .survival import (
     KaplanMeierFit,
     SurvivalSample,
     _censoring_before,
+    _fit_quantiles,
     _sorted_observations,
     fit_kaplan_meier,
-    quantile_at,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -136,35 +136,16 @@ def _clamp(value: float, floor: float) -> float:
 # --------------------------------------------------------------------- LS --
 
 
-def _quantile_time(fit: KaplanMeierFit, p, arm=None) -> float:
-    """The fit's p-quantile time; raises, naming the arm if given, when the
-    curve never reaches p."""
-    q = quantile_at(fit, p)
-    if not q.reachable:
-        raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf, arm=arm)
-    return q.time
-
-
-def _ls_slope(fit: KaplanMeierFit, p: float, t0: float, eps: np.ndarray):
-    """No-intercept regression slope of y on eps, with its flags.
-
-    y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p); F is 0 left of the first
-    event time, so also left of the origin.
-    """
-    values, zero = _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0,
-                              eps[None, :], np.argsort(eps)[None, :])
-    return float(values[0]), (("zero-slope",) if zero[0] else ())
-
-
 def _ls_slopes(steps, survival, n: int, p, t0, eps, order):
-    """_ls_slope for k sets of probes on each of several step curves.
+    """No-intercept regression slopes of y on eps for k probe sets per curve.
 
-    steps (..., m) and survival (..., m) hold the curves: F = 1 - survival[j]
-    past sorted step j and 0 before the first. t0 and p broadcast to
+    y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p). steps (..., m) and survival
+    (..., m) hold the curves: F = 1 - survival[j] past sorted step j and 0
+    before the first, so also left of the origin. t0 and p broadcast to
     (..., k), and the draws eps and the order that sorts each of their rows
     to (..., k, B). Returns the slopes (..., k) and where they are 0 for a
-    zero numerator (the "zero-slope" flag). Raises ValidationError when a set
-    of draws has a sum of squares that is 0 or not finite, as from a
+    zero numerator (the "zero-slope" flag). Raises ValidationError when a
+    set of draws has a sum of squares that is 0 or not finite, as from a
     sigma_eps near the ends of the float range.
     """
     with np.errstate(over="ignore"):
@@ -185,6 +166,7 @@ def _ls_slopes(steps, survival, n: int, p, t0, eps, order):
                                eps.shape[:-1])
     shape = sets + eps.shape[-1:]
     t0 = np.broadcast_to(t0, sets)
+    steps = np.broadcast_to(steps, sets[:-1] + steps.shape[-1:])
     y_steps = np.broadcast_to(y_steps, sets + padded.shape[-1:])
     denominators = np.broadcast_to(denominators.reshape(eps.shape[:-1]), sets)
     eps, order, scaled = (np.broadcast_to(a, shape) for a in (eps, order, scaled))
@@ -210,7 +192,8 @@ def estimate_density_ls(
 ) -> DensityAtQuantile:
     """Least-squares density estimate at the estimated quantile F^{-1}(p)."""
     fit = fit_kaplan_meier(sample)
-    return _ls_density_from_fit(fit, p, cfg, _quantile_time(fit, p))
+    times, _ = _fit_quantiles(fit, [p])
+    return _ls_densities(fit, [p], cfg, times.tolist())[0]
 
 
 def _ls_draws(cfg: LsConfig, seed) -> np.ndarray:
@@ -218,13 +201,16 @@ def _ls_draws(cfg: LsConfig, seed) -> np.ndarray:
     return np.random.default_rng(seed).normal(0.0, cfg.sigma_eps, int(cfg.n_draws))
 
 
-def _ls_density_from_fit(fit: KaplanMeierFit, p: float, cfg: LsConfig, t0: float):
-    """The LS estimate at the fit's p-quantile time t0."""
-    value, flags = _ls_slope(fit, p, t0, _ls_draws(cfg, cfg.seed))
-    return DensityAtQuantile(
-        p=p, quantile_time=t0, value=value, method="ls",
-        tuning=float(cfg.sigma_eps), flags=flags,
-    )
+def _ls_densities(fit: KaplanMeierFit, probabilities, cfg: LsConfig, times):
+    """The LS estimates at the fit's quantile times, one per probability,
+    from one _ls_slopes call. Each probability draws its own eps from
+    cfg.seed, in order, so a Generator seed advances across them."""
+    eps = np.stack([_ls_draws(cfg, cfg.seed) for _ in probabilities])
+    values, zero = _ls_slopes(fit.event_times, fit.survival, fit.n, np.asarray(probabilities),
+                              np.asarray(times), eps, np.argsort(eps, axis=-1))
+    return [DensityAtQuantile(p=p, quantile_time=t, value=float(value), method="ls",
+                              tuning=float(cfg.sigma_eps), flags=("zero-slope",) if z else ())
+            for p, t, value, z in zip(probabilities, times, values, zero)]
 
 
 @dataclass(frozen=True)
@@ -257,38 +243,35 @@ def select_sigma_ls(
     if not np.all(arr > 0):
         raise ValidationError("sigma grid values must be positive")
     fit = fit_kaplan_meier(sample)
-    return _select_sigma(fit, p, _quantile_time(fit, p), np.sort(arr), n_draws, seed)
+    times, _ = _fit_quantiles(fit, [p])
+    return _select_sigma(fit, [p], times, np.sort(arr), n_draws, seed)[0]
 
 
-def _select_sigma(fit: KaplanMeierFit, p: float, t0: float, grid: np.ndarray,
-                  n_draws: int = 1000, seed=None) -> SigmaSelection:
-    """select_sigma_ls on a fitted arm whose p-quantile time is t0; the
-    grid is positive and sorted."""
+def _select_sigma(fit: KaplanMeierFit, probabilities, times, grid: np.ndarray,
+                  n_draws: int = 1000, seed=None) -> list:
+    """select_sigma_ls at each probability of a fitted arm whose quantile
+    times are times, from one standard normal draw and one _ls_slopes call
+    over the (J, G) sets; the grid is positive and sorted."""
     if int(n_draws) < 2:
         raise ValidationError("n_draws must be at least 2")
-    rng = np.random.default_rng(seed)
-    eps_std = rng.normal(0.0, 1.0, int(n_draws))
+    eps_std = np.random.default_rng(seed).normal(0.0, 1.0, int(n_draws))
     # sigma * eps_std keeps the order of eps_std for every sigma > 0
-    profile, _ = _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0,
-                            grid[:, None] * eps_std, np.argsort(eps_std)[None, :])
-
+    profiles, _ = _ls_slopes(fit.event_times, fit.survival, fit.n,
+                             np.asarray(probabilities)[:, None], np.asarray(times)[:, None],
+                             grid[:, None] * eps_std, np.argsort(eps_std)[None, :])
     window = 5
     if grid.size < window:
         # lower middle element so the fallback stays on the grid
         chosen = float(grid[(grid.size - 1) // 2])
-        return SigmaSelection(
-            sigma_eps=chosen, grid=grid, profile=profile, flags=("short-grid",)
-        )
-
-    steps = np.abs(np.diff(profile))
-    variation = sliding_window_view(steps, window - 1).sum(axis=1)
-    start = int(np.argmin(variation))  # leftmost minimum
-    block = profile[start : start + window]
-    med = float(np.median(block))
-    offset = int(np.argmin(np.abs(block - med)))  # leftmost = smallest sigma
-    return SigmaSelection(
-        sigma_eps=float(grid[start + offset]), grid=grid, profile=profile
-    )
+        return [SigmaSelection(sigma_eps=chosen, grid=grid, profile=profile, flags=("short-grid",))
+                for profile in profiles]
+    variation = sliding_window_view(np.abs(np.diff(profiles)), window - 1, axis=-1).sum(axis=-1)
+    starts = variation.argmin(axis=-1)  # leftmost minimum
+    blocks = sliding_window_view(profiles, window, axis=-1)[np.arange(len(profiles)), starts]
+    # leftmost = smallest sigma
+    offsets = np.abs(blocks - np.median(blocks, axis=-1, keepdims=True)).argmin(axis=-1)
+    return [SigmaSelection(sigma_eps=float(grid[start + offset]), grid=grid, profile=profile)
+            for start, offset, profile in zip(starts, offsets, profiles)]
 
 
 # -------------------------------------------------------------------- KDE --
@@ -312,24 +295,13 @@ class _KdeMachine:
     """Per-sample KDE state: resolved bandwidth, event weights and flags.
 
     Built once per arm so that CV bandwidth selection and the censoring
-    weights are not repeated for every evaluation point. of_row builds it
-    from one arm of a block of the simulation engine, which has sorted the
-    arm and run its censoring fit already; a sample takes the same route as
-    a one-row block.
+    weights are not repeated for every evaluation point. It takes an arm in
+    draw order (times, events) and as a sorted row (steps, flags) with
+    S_cens(u-) at each observation, from a block of the simulation engine
+    or from _sorted_rows.
     """
 
-    def __init__(self, sample: SurvivalSample, cfg: KdeConfig):
-        self._setup(sample.times, sample.events, *_sorted_rows(sample), cfg)
-
-    @classmethod
-    def of_row(cls, times, events, steps, flags, before, cfg: KdeConfig):
-        """The machine of an arm given in draw order (times, events) and as
-        a sorted row (steps, flags) with S_cens(u-) at each observation."""
-        machine = cls.__new__(cls)
-        machine._setup(times, events, steps, flags, before, cfg)
-        return machine
-
-    def _setup(self, times, events, steps, flags, before, cfg):
+    def __init__(self, times, events, steps, flags, before, cfg: KdeConfig):
         self.n = times.size
         # at() sums in draw order. Every observation at a time u has the
         # weight of u's first one in sorted order: they share S_cens(u-).
@@ -370,7 +342,7 @@ def estimate_density_kde(
     divide by its own censoring step. Events whose weight denominator is 0
     are dropped and flagged (a known truncation bias).
     """
-    return _KdeMachine(sample, cfg).at(t, p=p)
+    return _KdeMachine(sample.times, sample.events, *_sorted_rows(sample), cfg).at(t, p=p)
 
 
 # Wrap-around and truncation of the Fourier pair sums each stay below

@@ -35,12 +35,12 @@ from .density import (
     _check_tuning,
     _clamp,
     _KdeMachine,
-    _ls_density_from_fit,
-    _quantile_time,
+    _ls_densities,
+    _sorted_rows,
 )
 from .errors import SingularCovarianceError, ValidationError
 from .power import _wald_form, upsilon
-from .survival import KaplanMeierFit, TwoArmData, fit_kaplan_meier, phi_hat
+from .survival import KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
 
 DEFAULT_DENSITY_FLOOR = 1e-8
 
@@ -93,16 +93,17 @@ class _ArmPieces:
     def __init__(self, sample, probabilities, arm_label):
         self.sample = sample
         self.fit = fit_kaplan_meier(sample)
-        self.times = [_quantile_time(self.fit, p, arm_label) for p in probabilities]
-        self.phis = [phi_hat(self.fit, t) for t in self.times]
+        times, sums = _fit_quantiles(self.fit, probabilities, arm_label)
+        self.times = times.tolist()
+        self.phis = _phis(self.fit.n, sums).tolist()
 
     def estimate(self, probabilities, density_method, tuning):
-        pairs = zip(probabilities, self.times)
         if density_method == "ls":
-            self.densities = [_ls_density_from_fit(self.fit, p, tuning, t) for p, t in pairs]
+            self.densities = _ls_densities(self.fit, probabilities, tuning, self.times)
         else:
-            machine = _KdeMachine(self.sample, tuning)
-            self.densities = [machine.at(t, p=p) for p, t in pairs]
+            rows = _sorted_rows(self.sample)
+            machine = _KdeMachine(self.sample.times, self.sample.events, *rows, tuning)
+            self.densities = [machine.at(t, p=p) for p, t in zip(probabilities, self.times)]
 
 
 def _psi_hat(probabilities, times, phis, densities, mus, density_floor):
@@ -264,9 +265,8 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
         raise ValidationError("one density per probability is required")
     if not 0 < mu_hat <= 1:
         raise ValidationError("mu_hat must lie in (0, 1]")
-    times = [_quantile_time(fit, p) for p in probabilities]
-    phis = [phi_hat(fit, t) for t in times]
-    return upsilon(probabilities, times, phis, values, mu_hat)
+    times, sums = _fit_quantiles(fit, probabilities)
+    return upsilon(probabilities, times.tolist(), _phis(fit.n, sums).tolist(), values, mu_hat)
 
 
 def _singular(psi, probabilities) -> SingularCovarianceError:

@@ -4,13 +4,14 @@ Determinism contract: replicate k draws everything it needs from
 SeedSequence(master_seed, spawn_key=(k,)), so results depend only on the
 master seed and the replicate index. Replicates run in blocks on the
 calling thread: a block draws each replicate's data in turn, then fits,
-probes and tests its rows together as arrays. The fits come from the
-product-limit kernel of fit_kaplan_meier, tied times included, and the rest
-from the serial test's arithmetic in the serial test's order, so every
-p-value equals the one univariate_test or multivariate_test gives on
-sample_trial's data for that replicate. SimulationPlan.threads is validated
-but does not change how they run, so the report is the same for any thread
-count.
+probes and tests its rows together as arrays, through the serial test's
+kernels (the product-limit fit, tied times included, survival._quantiles,
+density._ls_slopes or density._KdeMachine) and its arithmetic in its
+order, so every p-value equals the one univariate_test or
+multivariate_test gives on sample_trial's data for that replicate.
+SimulationPlan.threads is validated but does not change how they run, so
+the report is the same for any thread count. A plan without a formula
+power fails before any replicate runs.
 """
 from __future__ import annotations
 
@@ -33,11 +34,11 @@ from .quantile_tests import (
 )
 from .scenarios import TrialScenario, scenario_psi, scenario_sigma2
 from .survival import (
-    _CDF_ATOL,
     SurvivalSample,
     TwoArmData,
     _censoring_before,
     _product_limit,
+    _quantiles,
     _sorted_observations,
     _step_sizes,
 )
@@ -240,11 +241,11 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     The fits' product-limit kernel runs over the whole block, tied times
     included, so each step of a row equals fit_kaplan_meier's bit for bit;
     for KDE it runs on the censoring side as well, for the censoring
-    weights of every row. Quantiles, Greenwood factors and LS slopes follow
-    as arrays, KDE estimates from each arm's sorted row and its draw order,
-    and Psi_hat and the p-value from the tests' own arithmetic. A sample
-    that SurvivalSample rejects raises once the rows before it have run, as
-    in a serial loop.
+    weights of every row. Quantiles and Greenwood factors follow from the
+    full rows, LS slopes from one call for the block, KDE estimates from
+    each arm's sorted row and its draw order, and Psi_hat and the p-value
+    from the tests' own arithmetic. A sample that SurvivalSample rejects
+    raises once the rows before it have run, as in a serial loop.
     """
     count, _, n = times.shape
     valid = np.isfinite(times).all(axis=(1, 2)) & (times >= 0).all(axis=(1, 2))
@@ -260,15 +261,10 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     d, y = _step_sizes(steps, flags)
     survival, greenwood = _product_limit(d, y)
 
-    # first event where the CDF reaches p, as quantile_at finds it
     ps = plan.probabilities
-    p_column = np.array(ps)[:, None]
-    found = (1.0 - survival[:, :, None, :] >= p_column - _CDF_ATOL) & (d > 0)[:, :, None, :]
-    idx = found.argmax(axis=-1)
-    quantiles = np.take_along_axis(steps, idx, axis=-1)
-    sums = np.take_along_axis(greenwood, idx, axis=-1)
+    quantiles, sums, reached = _quantiles(steps, d, survival, greenwood, ps)
     phis = n * sums
-    estimable = (found.any(axis=-1) & np.isfinite(sums)).all(axis=(1, 2))
+    estimable = (reached & np.isfinite(sums)).all(axis=(1, 2))
 
     if plan.density_method == "ls":
         rows = np.flatnonzero(estimable)
@@ -287,8 +283,8 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
         if plan.density_method == "ls":
             values = slopes[r].tolist()
         else:
-            machines = [_KdeMachine.of_row(times[r, a], events[r, a], steps[r, a], flags[r, a],
-                                           before[r, a], kde_tuning)
+            machines = [_KdeMachine(times[r, a], events[r, a], steps[r, a], flags[r, a],
+                                    before[r, a], kde_tuning)
                         for a in (0, 1)]
             values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
         # equal arms: each allocation fraction is n / 2n = 0.5
@@ -307,6 +303,8 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
 def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     """Run the plan's replicates and summarize the rejection frequency."""
     started = time.perf_counter()
+    # before any replicate: a plan without a formula power fails at once
+    formula_power = _formula_power(plan)
     reps = plan.replications
     p_values = np.empty(reps)
     shares = np.empty(reps)
@@ -332,7 +330,7 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     return RejectionReport(
         rate=rate,
         mc_se=se,
-        formula_power=_formula_power(plan),
+        formula_power=formula_power,
         n_failures=failures,
         n_used=used,
         replications=reps,

@@ -12,16 +12,16 @@ One tie-aware product-limit kernel (_sorted_observations, _groups,
 _product_limit) serves fit_kaplan_meier, fit_censoring_km and, through
 _step_sizes, the simulation engine, whose steps equal the fit's bit for bit.
 _censoring_before runs it on the censoring side for whole blocks, for the
-weights of the kernel density estimate.
+weights of the kernel density estimate. _quantiles holds the quantile rule,
+for a fit's steps and for the engine's full rows alike.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTailError, ValidationError
+from .errors import DegenerateTailError, UnreachableQuantileError, ValidationError
 
 # Cumulative products of step factors round: 0.75 * (2/3) is
 # 0.49999999999999994, yet the median of an uncensored {1,2,3,4} must be 2.
@@ -237,17 +237,50 @@ def fit_censoring_km(sample: SurvivalSample) -> KaplanMeierFit:
     return _fit(sample, censoring=True)
 
 
+def _quantiles(steps, d, survival, greenwood, probabilities):
+    """The first step with events (d > 0) where the CDF 1 - survival reaches
+    p, on each row of (..., m) step curves and at every p at once: its time,
+    Greenwood sum and whether p is reached, each (..., J), nan if not."""
+    if steps.shape[-1] == 0:
+        shape = steps.shape[:-1] + (len(probabilities),)
+        return np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    found = 1.0 - survival[..., None, :] >= np.asarray(probabilities)[:, None] - _CDF_ATOL
+    found &= d[..., None, :] > 0
+    idx = found.argmax(axis=-1)
+    reached = found.any(axis=-1)
+    time, sums = (np.where(reached, np.take_along_axis(a, idx, axis=-1), np.nan)
+                  for a in (steps, greenwood))
+    return time, sums, reached
+
+
+def _fit_quantiles(fit: KaplanMeierFit, probabilities, arm=None):
+    """The fit's quantile times and Greenwood sums; raises
+    UnreachableQuantileError, naming the arm if given, where p is unreached."""
+    times, sums, reached = _quantiles(fit.event_times, fit.n_events, fit.survival,
+                                      fit.greenwood_cumsum, probabilities)
+    for p, ok in zip(probabilities, reached):
+        if not ok:
+            raise UnreachableQuantileError(p=p, max_probability=fit.max_cdf, arm=arm)
+    return times, sums
+
+
+def _phis(n: int, sums):
+    """n times the Greenwood sums; raises DegenerateTailError if one is inf."""
+    if not np.all(np.isfinite(sums)):
+        raise DegenerateTailError(
+            "variance factor is infinite: the risk set is exhausted by "
+            "events at or before the requested time"
+        )
+    return n * sums
+
+
 def quantile_at(fit: KaplanMeierFit, p: float) -> QuantileEstimate:
     """Smallest event time where the estimated CDF reaches p."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
-    if fit.event_times.size == 0:
-        return QuantileEstimate(p=p, time=math.nan, reachable=False)
-    cdf = 1.0 - fit.survival
-    idx = int(np.searchsorted(cdf, p - _CDF_ATOL, side="left"))
-    if idx >= fit.event_times.size:
-        return QuantileEstimate(p=p, time=math.nan, reachable=False)
-    return QuantileEstimate(p=p, time=float(fit.event_times[idx]), reachable=True)
+    time, _, reached = _quantiles(fit.event_times, fit.n_events, fit.survival,
+                                  fit.greenwood_cumsum, [p])
+    return QuantileEstimate(p=p, time=float(time[0]), reachable=bool(reached[0]))
 
 
 def phi_hat(fit: KaplanMeierFit, t: float) -> float:
@@ -260,10 +293,4 @@ def phi_hat(fit: KaplanMeierFit, t: float) -> float:
     if fit.event_times.size == 0 or t < fit.event_times[0]:
         raise ValidationError("phi_hat requires at least one event at or before t")
     idx = int(np.searchsorted(fit.event_times, t, side="right")) - 1
-    value = fit.greenwood_cumsum[idx]
-    if not np.isfinite(value):
-        raise DegenerateTailError(
-            "variance factor is infinite: the risk set is exhausted by "
-            "events at or before the requested time"
-        )
-    return float(fit.n * value)
+    return float(_phis(fit.n, fit.greenwood_cumsum[idx]))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survquant import sample_trial, scenario_from_delta
 from survquant.cli import main, read_dataset
 from survquant.errors import DatasetFormatError, ValidationError
 
@@ -341,16 +342,21 @@ class TestCmdTest:
         assert code == 2
         assert "distinct" in err
 
-    def test_flag_cross_validation(self, tmp_path, capsys):
-        path = make_dataset(tmp_path / "d.csv")
-        code, _, err = run_cli(capsys, "test", path, "--p", "0.5",
-                               "--method", "ls", "--bandwidth", "0.3")
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_flag_cross_validation(self, tmp_path, capsys, scenario_file, command):
+        if command == "test":
+            argv = ["test", make_dataset(tmp_path / "d.csv"), "--p", "0.5"]
+        else:
+            argv = ["simulate", "--scenario", scenario_file, "--n", "20", "--reps", "2"]
+        code, _, err = run_cli(capsys, *argv, "--method", "ls", "--bandwidth", "0.3")
         assert code == 2
-        assert "kde only" in err
-        code, _, err = run_cli(capsys, "test", path, "--p", "0.5",
-                               "--method", "kde", "--sigma-eps", "1.0")
+        assert err == "error: --bandwidth applies to --method kde only\n"
+        code, _, err = run_cli(capsys, *argv, "--method", "kde", "--sigma-eps", "1.0")
         assert code == 2
-        assert "ls only" in err
+        assert err == "error: --sigma-eps applies to --method ls only\n"
+        code, _, err = run_cli(capsys, *argv, "--sigma-eps", "wide")
+        assert code == 2
+        assert err == "error: --sigma-eps must be a number or 'auto', got 'wide'\n"
 
     def test_multivariate_with_bonferroni(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "d.csv", n=60, rate2=2.5)
@@ -393,12 +399,16 @@ class TestCmdTest:
     def test_ls_auto_bonferroni_fits_each_arm_once(self, tmp_path, capsys,
                                                    monkeypatch):
         """The automatic sigma, the LS probes and every test read one KM fit
-        per arm and one quantile lookup per arm and probability."""
+        and one quantile lookup per arm; each arm probes its sigma grid at
+        every probability in one _ls_slopes call, and its densities in
+        another."""
+        import survquant.density as density
         import survquant.survival as survival
 
-        counts = {"fit_kaplan_meier": 0, "quantile_at": 0}
-        for name in counts:
-            original = getattr(survival, name)
+        homes = {"fit_kaplan_meier": survival, "_quantiles": survival, "_ls_slopes": density}
+        counts = dict.fromkeys(homes, 0)
+        for name, home in homes.items():
+            original = getattr(home, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
@@ -414,7 +424,7 @@ class TestCmdTest:
         )
         assert code == 0
         assert json.loads(out)["manifest"]["tuning"]["sigma_eps_mode"] == "auto"
-        assert counts == {"fit_kaplan_meier": 2, "quantile_at": 6}
+        assert counts == {"fit_kaplan_meier": 2, "_quantiles": 2, "_ls_slopes": 4}
 
     def test_sigma_auto_records_selections(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "d.csv")
@@ -448,6 +458,67 @@ class TestCmdTest:
         assert tuning["bandwidth_mode"] == "auto"
         assert 0.1 <= tuning["bandwidth_arm1"] <= 1.0
         assert 0.1 <= tuning["bandwidth_arm2"] <= 1.0
+
+
+class TestFrozenTestOutput:
+    """`test --json -` on one 200-per-arm trial of the delayed-effect plan
+    (sample_trial, seed 3): statistics and p-values (joint first, then the
+    Bonferroni follow-up), the tuning picks and the flags."""
+
+    EDGE = ["arm1:cv-grid-edge", "arm2:cv-grid-edge"]
+    RUNS = {
+        "ls-auto-j1": (
+            ["--p", "0.5"],
+            {"method": "ls", "sigma_eps": 2.0, "sigma_eps_mode": "auto",
+             "sigma_eps_selections": [2.0, 1.0]},
+            [(3.336414276025058, 0.0008486659670612364, [])],
+        ),
+        "ls-auto-j3-bonferroni": (
+            ["--p", "0.25,0.5,0.75", "--bonferroni"],
+            {"method": "ls", "sigma_eps": 9.85, "sigma_eps_mode": "auto",
+             "sigma_eps_selections": [9.85, 2.0, 5.05, 0.9500000000000001, 1.0,
+                                      2.3000000000000003]},
+            [(8.66753786750982, 0.034053847742816265, []),
+             (0.7942228772462108, 0.4270656925339552, []),
+             (1.7869522410145946, 0.07394520794999825, []),
+             (2.919800197928646, 0.0035025586824241495, [])],
+        ),
+        "ls-fixed": (
+            ["--p", "0.25,0.75", "--sigma-eps", "0.8", "--seed", "7"],
+            {"method": "ls", "sigma_eps": 0.8, "sigma_eps_mode": "fixed"},
+            [(12.154520070515007, 0.00229445477326227, [])],
+        ),
+        "kde-auto-j3-bonferroni": (
+            ["--p", "0.25,0.5,0.75", "--bonferroni", "--method", "kde"],
+            {"method": "kde", "bandwidth_mode": "auto", "bandwidth_arm1": 0.1,
+             "bandwidth_arm2": 0.1},
+            [(14.97850352225182, 0.0018351116357032346, EDGE),
+             (2.095714163324395, 0.03610755468965419, EDGE),
+             (3.356938681497604, 0.0007881058880278909, EDGE),
+             (3.391241047568873, 0.0006957687805866401, EDGE)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_frozen(self, tmp_path, capsys, name):
+        data = sample_trial(scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2,
+                                                censoring_rate=0.48), 200, 200, 3)
+        lines = ["time,status,group"]
+        for group, arm in ((1, data.arm1), (2, data.arm2)):
+            lines += [f"{float(t)!r},{int(e)},{group}" for t, e in zip(arm.times, arm.events)]
+        path = tmp_path / "trial.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv, tuning, expected = self.RUNS[name]
+        code, out, err = run_cli(capsys, "test", str(path), *argv, "--json", "-")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["manifest"]["tuning"] == tuning
+        rows = payload["results"] + payload.get("bonferroni", [])
+        assert len(rows) == len(expected)
+        for row, (statistic, p_value, flags) in zip(rows, expected):
+            assert row["statistic"] == pytest.approx(statistic, rel=1e-12)
+            assert row["p_value"] == pytest.approx(p_value, rel=1e-12)
+            assert row["flags"] == flags
 
 
 class TestFarSpan:

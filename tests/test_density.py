@@ -30,11 +30,13 @@ from survquant.density import (
     _cv_events,
     _fourier_terms,
     _KdeMachine,
-    _ls_slope,
+    _ls_densities,
+    _ls_slopes,
     _matvec,
     _pair_sums,
     _pair_sums_exact,
     _pair_sums_fourier,
+    _select_sigma,
     _sorted_rows,
     _tiled_product,
     _tiles,
@@ -119,28 +121,34 @@ class TestConfigValidation:
             select_bandwidth_cv(sample, [0.1, math.inf])
 
 
+def ls_slopes(fit, p, t0, eps):
+    """_ls_slopes on the fit's curve for the sets of draws in the rows of
+    eps: (slopes, zero numerators), one entry per row."""
+    return _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0, eps,
+                      np.argsort(eps, axis=-1))
+
+
 class TestLsSlope:
     def test_recovers_exact_linear_cdf(self):
         """On a CDF that is exactly linear at every probed point the
         regression returns the slope itself, for any draw positions."""
         fit = linear_cdf_fit(512.0)  # slope 1/512, n=400 so sqrt(n)=20
         # eps multiples of 20 land the probes t0 + eps/sqrt(n) on integers
-        eps = 20.0 * np.array([-7.0, -3.0, 2.0, 5.0, 11.0])
-        slope, flags = _ls_slope(fit, p=100.0 / 512.0, t0=100.0, eps=eps)
-        assert flags == ()
-        assert_allclose(slope, 1.0 / 512.0, rtol=1e-13)
+        eps = 20.0 * np.array([[-7.0, -3.0, 2.0, 5.0, 11.0]])
+        slopes, zero = ls_slopes(fit, p=100.0 / 512.0, t0=100.0, eps=eps)
+        assert zero.tolist() == [False]
+        assert_allclose(slopes, [1.0 / 512.0], rtol=1e-13)
 
     def test_doubling_cdf_doubles_slope(self):
-        eps = 20.0 * np.array([-4.0, 1.0, 3.0, 9.0])
-        a1, _ = _ls_slope(linear_cdf_fit(512.0), 100.0 / 512.0, 100.0, eps)
-        a2, _ = _ls_slope(linear_cdf_fit(256.0), 100.0 / 256.0, 100.0, eps)
+        eps = 20.0 * np.array([[-4.0, 1.0, 3.0, 9.0]])
+        a1, _ = ls_slopes(linear_cdf_fit(512.0), 100.0 / 512.0, 100.0, eps)
+        a2, _ = ls_slopes(linear_cdf_fit(256.0), 100.0 / 256.0, 100.0, eps)
         assert_allclose(a2, 2.0 * a1, rtol=1e-13)
 
     def test_permutation_invariance(self):
         fit = linear_cdf_fit(512.0)
         eps = np.array([-31.0, -2.5, 4.0, 17.0, 60.0, 88.0])
-        a, _ = _ls_slope(fit, 100.0 / 512.0, 100.0, eps)
-        b, _ = _ls_slope(fit, 100.0 / 512.0, 100.0, eps[::-1].copy())
+        (a, b), _ = ls_slopes(fit, 100.0 / 512.0, 100.0, np.stack([eps, eps[::-1]]))
         assert_allclose(a, b, rtol=1e-12)
 
     def test_two_point_symmetric_difference_quotient(self):
@@ -149,19 +157,19 @@ class TestLsSlope:
         sample = SurvivalSample(np.arange(1.0, 17.0), np.ones(16, bool))
         fit = fit_kaplan_meier(sample)
         c, t0, p = 6.0, 8.0, 0.5
-        slope, _ = _ls_slope(fit, p, t0, np.array([c, -c]))
+        slopes, _ = ls_slopes(fit, p, t0, np.array([[c, -c]]))
         h = c / 4.0  # c / sqrt(16)
         expected = (fit.cdf_at(t0 + h) - fit.cdf_at(t0 - h)) / (2.0 * h)
-        assert_allclose(slope, expected, rtol=1e-12)
+        assert_allclose(slopes, [expected], rtol=1e-12)
 
     def test_zero_slope_flag(self):
         # Both probes stay inside the flat step right of the median of {1,2}
         # where the CDF equals p exactly, so the numerator vanishes.
         sample = SurvivalSample(np.array([1.0, 2.0]), np.ones(2, bool))
         fit = fit_kaplan_meier(sample)
-        slope, flags = _ls_slope(fit, 0.5, 1.0, np.array([0.1, 0.2]))
-        assert slope == 0.0
-        assert flags == ("zero-slope",)
+        slopes, zero = ls_slopes(fit, 0.5, 1.0, np.array([[0.1, 0.2]]))
+        assert slopes.tolist() == [0.0]
+        assert zero.tolist() == [True]
 
 
 class TestEstimateDensityLs:
@@ -204,6 +212,18 @@ class TestEstimateDensityLs:
             errors.append(abs(out.value - 0.75) / 0.75)
         assert np.mean(errors) < 0.10
 
+    def test_generator_seed_draws_in_probability_order(self):
+        """One call at several probabilities equals one estimate per
+        probability in turn, each drawing from the same Generator."""
+        sample = exponential_sample(np.random.default_rng(7), 300)
+        fit = fit_kaplan_meier(sample)
+        ps = [0.25, 0.5, 0.75]
+        times = [quantile_at(fit, p).time for p in ps]
+        cfg = LsConfig(sigma_eps=1.0, seed=np.random.default_rng(11))
+        together = _ls_densities(fit, ps, cfg, times)
+        cfg = LsConfig(sigma_eps=1.0, seed=np.random.default_rng(11))
+        assert together == [estimate_density_ls(sample, p, cfg) for p in ps]
+
     def test_clamped_floor(self):
         out = estimate_density_ls(
             SurvivalSample(np.array([1.0, 2.0]), np.ones(2, bool)),
@@ -223,7 +243,8 @@ def ls_slope_reference(fit, p, t0, eps):
 
 class TestSortedProbes:
     """Probing with sorted draws and putting y back in draw order changes no
-    bit of the slope, for one draw or a whole sigma grid."""
+    bit of the slope, for one draw or a whole sigma grid, and at one
+    probability or at several on one curve."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -243,13 +264,19 @@ class TestSortedProbes:
             return
         eps_std = np.random.default_rng(seed).normal(0.0, 1.0, n_draws)
         grid = np.array([0.05, 0.5, 1.0, 3.0, 10.0])
-        for sigma in grid:
-            value, flags = _ls_slope(fit, p, q.time, sigma * eps_std)
-            assert value == ls_slope_reference(fit, p, q.time, sigma * eps_std)
-            assert (flags == ("zero-slope",)) == (value == 0.0)
+        reference = [ls_slope_reference(fit, p, q.time, sigma * eps_std) for sigma in grid]
+        values, zero = ls_slopes(fit, p, q.time, grid[:, None] * eps_std)
+        assert values.tolist() == reference
+        assert zero.tolist() == [value == 0.0 for value in reference]
         sel = select_sigma_ls(sample, p, grid, n_draws=n_draws, seed=seed)
-        assert sel.profile.tolist() == [
-            ls_slope_reference(fit, p, q.time, sigma * eps_std) for sigma in grid
+        assert sel.profile.tolist() == reference
+        # every reachable probability of the curve in one (J, G) call
+        ps = [r for r in (0.1, 0.25, 0.5, 0.75) if quantile_at(fit, r).reachable]
+        times = [quantile_at(fit, r).time for r in ps]
+        selections = _select_sigma(fit, ps, times, grid, n_draws=n_draws, seed=seed)
+        assert [s.profile.tolist() for s in selections] == [
+            [ls_slope_reference(fit, r, t, sigma * eps_std) for sigma in grid]
+            for r, t in zip(ps, times)
         ]
 
 
@@ -273,7 +300,7 @@ class TestSigmaSelection:
         walks to the leftmost window and its smallest sigma."""
         monkeypatch.setattr(
             "survquant.density._ls_slopes",
-            lambda steps, survival, n, p, t0, eps, order: (np.full(len(eps), 0.7), None),
+            lambda steps, survival, n, p, t0, eps, order: (np.full((1, len(eps)), 0.7), None),
         )
         sample = SurvivalSample(np.arange(1.0, 30.0), np.ones(29, bool))
         sel = select_sigma_ls(sample, 0.5, np.linspace(1.0, 9.0, 9), seed=0)
@@ -293,7 +320,7 @@ class TestSigmaSelection:
                 profile = rng.integers(0, 4, size) * 0.1
             monkeypatch.setattr(
                 "survquant.density._ls_slopes",
-                lambda steps, survival, n, p, t0, eps, order: (profile, None),
+                lambda steps, survival, n, p, t0, eps, order: (profile[None], None),
             )
             grid = np.arange(1.0, size + 1.0)
             sel = select_sigma_ls(sample, 0.5, grid, seed=0)
@@ -392,8 +419,7 @@ class TestKdeEstimator:
         # drops to 0 between the two events.
         times, events = np.array([2.0, 0.5]), np.array([True, True])
         steps, flags, before = np.array([0.5, 2.0]), events, np.array([1.0, 0.0])
-        machine = _KdeMachine.of_row(times, events, steps, flags, before,
-                                     KdeConfig(bandwidth=1.0))
+        machine = _KdeMachine(times, events, steps, flags, before, KdeConfig(bandwidth=1.0))
         assert machine.flags == ("truncated-weights",)
         assert machine.times.tolist() == [0.5]
         assert machine.weights.tolist() == [1.0]
@@ -408,7 +434,8 @@ class TestKdeEstimator:
         sample = exponential_sample(np.random.default_rng(17), 300)
         if tied:
             sample = SurvivalSample(np.round(sample.times, 1), sample.events)
-        machine = _KdeMachine(sample, KdeConfig(bandwidth=0.3))
+        machine = _KdeMachine(sample.times, sample.events, *_sorted_rows(sample),
+                              KdeConfig(bandwidth=0.3))
         drawn = sample.times[sample.events]
         reference = 1.0 / fit_censoring_km(sample).survival_before(drawn)
         assert machine.times.tobytes() == drawn.tobytes()

@@ -201,6 +201,19 @@ class TestAccounting:
         sigma2, _ = scenario_sigma2(NULL_SCENARIO, 0.5)
         assert sigma2 > 0
 
+    def test_impossible_formula_power_fails_before_any_replicate(self, monkeypatch):
+        """At p = 1e-12 the planned Psi is singular: the error comes before
+        a block of replicates has run."""
+        blocks = []
+        monkeypatch.setattr(simulate, "_block_p_values",
+                            lambda *args: blocks.append(args) or np.zeros(len(args[1])))
+        scenario = TrialScenario(ExponentialArm(1.5), ExponentialArm(2.0), censoring_rate=4.0)
+        plan = small_plan(scenario=scenario, n_per_group=500, probabilities=(1e-12, 0.5),
+                          replications=3000, master_seed=1)
+        with pytest.raises(SingularCovarianceError, match="psi must be positive definite"):
+            empirical_rejection(plan)
+        assert blocks == []
+
     def test_timing_fields(self):
         report = empirical_rejection(small_plan(replications=5))
         assert report.wall_time_s > 0
@@ -490,4 +503,7 @@ class TestBlockEngine:
         with pytest.raises(ValidationError, match="finite and non-negative"):
             serial_p_values(plan)
         with pytest.raises(ValidationError, match="finite and non-negative"):
+            simulate._block_p_values(plan, *simulate._draw_block(plan, 0, 3))
+        # the plan has no formula power either, and that fails first
+        with pytest.raises(ValidationError, match="densities must be positive"):
             empirical_rejection(plan)

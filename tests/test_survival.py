@@ -26,6 +26,7 @@ from survquant import (
 from survquant.survival import (
     _censoring_before,
     _product_limit,
+    _quantiles,
     _sorted_observations,
     _step_sizes,
 )
@@ -273,6 +274,37 @@ class TestProductLimitProperties:
             assert (greenwood[r][before] == np.append(0.0, greenwood[r][:-1])[before]).all()
             if censoring:
                 assert left_limits[r].tolist() == result.survival_before(steps[r]).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_full_row_quantiles_equal_the_fit(self, seed):
+        """The quantile rule on the simulation engine's full rows, restricted
+        to steps with events, finds each row's quantile_at time and phi_hat
+        factor, also at p far below the 1e-9 slack (where a censored first
+        observation must not count) and at p the curve never reaches."""
+        probabilities = [1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+        times, events = block_from_seed(seed)
+        first = times.argmin(axis=1)
+        events[np.arange(times.shape[0]), first] = False
+        steps, flags = _sorted_observations(times, events)
+        d, y = _step_sizes(steps, flags)
+        survival, greenwood = _product_limit(d, y)
+        found, sums, reached = _quantiles(steps, d, survival, greenwood, probabilities)
+        n = times.shape[1]
+        for r in range(times.shape[0]):
+            fit = fit_kaplan_meier(SurvivalSample(times[r], events[r]))
+            for j, p in enumerate(probabilities):
+                q = quantile_at(fit, p)
+                assert reached[r, j] == q.reachable
+                if not q.reachable:
+                    assert math.isnan(found[r, j]) and math.isnan(sums[r, j])
+                    continue
+                assert found[r, j] == q.time
+                try:
+                    phi = phi_hat(fit, q.time)
+                except DegenerateTailError:
+                    phi = math.inf
+                assert n * sums[r, j] == phi
 
 
 class TestStepEvaluation:
