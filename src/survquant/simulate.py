@@ -37,6 +37,7 @@ from .survival import (
     SurvivalSample,
     TwoArmData,
     _censoring_before,
+    _check_probabilities,
     _product_limit,
     _quantiles,
     _sorted_observations,
@@ -84,9 +85,7 @@ class SimulationPlan:
         probabilities = tuple(float(p) for p in self.probabilities)
         if not probabilities:
             raise ValidationError("at least one probability is required")
-        for p in probabilities:
-            if not 0.0 < p < 1.0:
-                raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
+        _check_probabilities(probabilities)
         if len(set(probabilities)) != len(probabilities):
             raise ValidationError("probabilities must be distinct")
         object.__setattr__(self, "probabilities", probabilities)

@@ -253,9 +253,16 @@ def _quantiles(steps, d, survival, greenwood, probabilities):
     return time, sums, reached
 
 
+def _check_probabilities(probabilities):
+    for p in probabilities:
+        if not 0.0 < p < 1.0:
+            raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
+
+
 def _fit_quantiles(fit: KaplanMeierFit, probabilities, arm=None):
-    """The fit's quantile times and Greenwood sums; raises
-    UnreachableQuantileError, naming the arm if given, where p is unreached."""
+    """The fit's quantile times and Greenwood sums; raises ValidationError for
+    p outside (0, 1), UnreachableQuantileError (naming the arm) if unreached."""
+    _check_probabilities(probabilities)
     times, sums, reached = _quantiles(fit.event_times, fit.n_events, fit.survival,
                                       fit.greenwood_cumsum, probabilities)
     for p, ok in zip(probabilities, reached):
@@ -276,8 +283,7 @@ def _phis(n: int, sums):
 
 def quantile_at(fit: KaplanMeierFit, p: float) -> QuantileEstimate:
     """Smallest event time where the estimated CDF reaches p."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
+    _check_probabilities([p])
     time, _, reached = _quantiles(fit.event_times, fit.n_events, fit.survival,
                                   fit.greenwood_cumsum, [p])
     return QuantileEstimate(p=p, time=float(time[0]), reachable=bool(reached[0]))

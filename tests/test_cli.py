@@ -266,6 +266,15 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert "alpha must lie strictly between 0 and 1" in err
 
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    @pytest.mark.parametrize("p", ["0", "-0.5", "1", "0.5,0"])
+    def test_test_probability_outside_unit_interval(self, tmp_path, capsys, p, method):
+        path = make_dataset(tmp_path / "d.csv")
+        code, out, err = run_cli(capsys, "test", path, f"--p={p}", "--method", method)
+        assert_one_line_error(code, out, err)
+        bad = float(p.split(",")[-1])
+        assert err == f"error: p must lie strictly between 0 and 1, got {bad!r}\n"
+
 
 class TestCmdTest:
     def test_identical_groups_json(self, tmp_path, capsys):

@@ -173,6 +173,14 @@ class TestLsSlope:
 
 
 class TestEstimateDensityLs:
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, math.nan])
+    def test_probability_domain(self, p):
+        sample = exponential_sample(np.random.default_rng(4), 50)
+        with pytest.raises(ValidationError, match="strictly between"):
+            estimate_density_ls(sample, p, LsConfig(sigma_eps=1.0, seed=0))
+        with pytest.raises(ValidationError, match="strictly between"):
+            select_sigma_ls(sample, p, [0.5, 1.0, 2.0], seed=0)
+
     def test_unreachable_quantile(self):
         sample = SurvivalSample(
             np.array([1.0, 2.0, 3.0]), np.array([True, False, False])

@@ -61,6 +61,24 @@ def two_arm_data(draw):
     return TwoArmData(draw(arm_strategy(n1)), draw(arm_strategy(n2)))
 
 
+class TestProbabilityDomain:
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
+    def test_every_entry_point_rejects(self, p, method):
+        data = two_arm(8, n=60)
+        tuning = LS_FIXED if method == "ls" else KDE_FIXED
+        calls = [
+            lambda: univariate_test(data, p, method, tuning),
+            lambda: sigma_hat_univariate(data, p, method, tuning),
+            lambda: multivariate_test(data, [0.5, p], method, tuning),
+            lambda: bonferroni_followup(data, [0.5, p], method, tuning),
+            lambda: upsilon_matrix(fit_kaplan_meier(data.arm1), [p], [1.0], 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="strictly between"):
+                call()
+
+
 class TestUnivariate:
     def test_identical_arms(self):
         rng = np.random.default_rng(1)

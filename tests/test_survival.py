@@ -293,13 +293,19 @@ class TestProductLimitProperties:
         n = times.shape[1]
         for r in range(times.shape[0]):
             fit = fit_kaplan_meier(SurvivalSample(times[r], events[r]))
+            # independent reference: the first step of the compressed fit
+            # whose CDF is within 1e-9 of p
+            cdf = 1.0 - fit.survival
             for j, p in enumerate(probabilities):
                 q = quantile_at(fit, p)
+                idx = int(np.searchsorted(cdf, p - 1e-9, side="left"))
+                assert q.reachable == (idx < cdf.size)
                 assert reached[r, j] == q.reachable
                 if not q.reachable:
                     assert math.isnan(found[r, j]) and math.isnan(sums[r, j])
                     continue
-                assert found[r, j] == q.time
+                assert found[r, j] == q.time == fit.event_times[idx]
+                assert sums[r, j] == fit.greenwood_cumsum[idx]
                 try:
                     phi = phi_hat(fit, q.time)
                 except DegenerateTailError:
