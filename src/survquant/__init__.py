@@ -9,6 +9,7 @@ from .errors import (
     NumericalError,
     SingularCovarianceError,
     SurvQuantError,
+    TooFewEventsError,
     UnattainablePowerError,
     UnreachableQuantileError,
     ValidationError,

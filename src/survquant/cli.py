@@ -120,7 +120,10 @@ def _emit_json(payload, destination: str) -> None:
     if destination == "-":
         sys.stdout.write(text)
     else:
-        Path(destination).write_text(text)
+        try:
+            Path(destination).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write JSON output {destination}: {exc}") from None
 
 
 def _emit_results(json_path, manifest: dict, header, rows, text_view) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import TooFewEventsError, ValidationError
 from .survival import (
     KaplanMeierFit,
     SurvivalSample,
@@ -136,17 +136,19 @@ def _clamp(value: float, floor: float) -> float:
 # --------------------------------------------------------------------- LS --
 
 
-def _ls_slopes(steps, survival, n: int, p, t0, eps, order):
+def _ls_slopes(steps, survival, n: int, p, t0, eps):
     """No-intercept regression slopes of y on eps for k probe sets per curve.
 
     y_b = sqrt(n) (F(t0 + eps_b/sqrt(n)) - p). steps (..., m) and survival
     (..., m) hold the curves: F = 1 - survival[j] past sorted step j and 0
     before the first, so also left of the origin. t0 and p broadcast to
-    (..., k), and the draws eps and the order that sorts each of their rows
-    to (..., k, B). Returns the slopes (..., k) and where they are 0 for a
-    zero numerator (the "zero-slope" flag). Raises ValidationError when a
-    set of draws has a sum of squares that is 0 or not finite, as from a
-    sigma_eps near the ends of the float range.
+    (..., k), and the draws eps to (..., k, B), each set sorted ascending:
+    sorted draws give sorted probes, which searchsorted places several times
+    faster, and the slope's sums do not depend on the order of the draws.
+    Returns the slopes (..., k) and where they are 0 for a zero numerator
+    (the "zero-slope" flag). Raises ValidationError when a set of draws has
+    a sum of squares that is 0 or not finite, as from a sigma_eps near the
+    ends of the float range.
     """
     with np.errstate(over="ignore"):
         denominators = np.array([float(row @ row) for row in eps.reshape(-1, eps.shape[-1])])
@@ -158,10 +160,6 @@ def _ls_slopes(steps, survival, n: int, p, t0, eps, order):
     padded = np.concatenate((np.ones(survival.shape[:-1] + (1,)), survival), axis=-1)
     # y is a step function of the probe as well: its value past each step
     y_steps = root_n * ((1.0 - padded[..., None, :]) - np.asarray(p)[..., None])
-    # sorted draws give sorted probes, which searchsorted places several
-    # times faster than probes in draw order
-    scaled = np.take_along_axis(eps, order, axis=-1)
-    scaled /= root_n
     sets = np.broadcast_shapes(steps.shape[:-1] + (1,), np.shape(t0), np.shape(p),
                                eps.shape[:-1])
     shape = sets + eps.shape[-1:]
@@ -169,14 +167,11 @@ def _ls_slopes(steps, survival, n: int, p, t0, eps, order):
     steps = np.broadcast_to(steps, sets[:-1] + steps.shape[-1:])
     y_steps = np.broadcast_to(y_steps, sets + padded.shape[-1:])
     denominators = np.broadcast_to(denominators.reshape(eps.shape[:-1]), sets)
-    eps, order, scaled = (np.broadcast_to(a, shape) for a in (eps, order, scaled))
-    y = np.empty(shape[-1])
+    eps, scaled = np.broadcast_to(eps, shape), np.broadcast_to(eps / root_n, shape)
     values = np.zeros(sets)
     zero = np.zeros(sets, dtype=bool)
     for index in np.ndindex(sets):
-        # y goes back to draw order, which keeps the summation order of the
-        # dot product
-        y[order[index]] = y_steps[index][
+        y = y_steps[index][
             np.searchsorted(steps[index[:-1]], t0[index] + scaled[index], side="right")
         ]
         numerator = float(eps[index] @ y)
@@ -197,8 +192,8 @@ def estimate_density_ls(
 
 
 def _ls_draws(cfg: LsConfig, seed) -> np.ndarray:
-    """The perturbation draws eps of an LS estimate made from seed."""
-    return np.random.default_rng(seed).normal(0.0, cfg.sigma_eps, int(cfg.n_draws))
+    """The perturbation draws eps of an LS estimate made from seed, sorted."""
+    return np.sort(np.random.default_rng(seed).normal(0.0, cfg.sigma_eps, int(cfg.n_draws)))
 
 
 def _ls_densities(fit: KaplanMeierFit, probabilities, cfg: LsConfig, times):
@@ -207,7 +202,7 @@ def _ls_densities(fit: KaplanMeierFit, probabilities, cfg: LsConfig, times):
     cfg.seed, in order, so a Generator seed advances across them."""
     eps = np.stack([_ls_draws(cfg, cfg.seed) for _ in probabilities])
     values, zero = _ls_slopes(fit.event_times, fit.survival, fit.n, np.asarray(probabilities),
-                              np.asarray(times), eps, np.argsort(eps, axis=-1))
+                              np.asarray(times), eps)
     return [DensityAtQuantile(p=p, quantile_time=t, value=float(value), method="ls",
                               tuning=float(cfg.sigma_eps), flags=("zero-slope",) if z else ())
             for p, t, value, z in zip(probabilities, times, values, zero)]
@@ -254,11 +249,12 @@ def _select_sigma(fit: KaplanMeierFit, probabilities, times, grid: np.ndarray,
     over the (J, G) sets; the grid is positive and sorted."""
     if int(n_draws) < 2:
         raise ValidationError("n_draws must be at least 2")
-    eps_std = np.random.default_rng(seed).normal(0.0, 1.0, int(n_draws))
-    # sigma * eps_std keeps the order of eps_std for every sigma > 0
+    # sorted, so for every sigma > 0 sigma * eps_std is sorted too and
+    # equals _ls_draws at sigma from the same seed
+    eps_std = np.sort(np.random.default_rng(seed).normal(0.0, 1.0, int(n_draws)))
     profiles, _ = _ls_slopes(fit.event_times, fit.survival, fit.n,
                              np.asarray(probabilities)[:, None], np.asarray(times)[:, None],
-                             grid[:, None] * eps_std, np.argsort(eps_std)[None, :])
+                             grid[:, None] * eps_std)
     window = 5
     if grid.size < window:
         # lower middle element so the fallback stays on the grid
@@ -286,7 +282,8 @@ def _sorted_rows(sample: SurvivalSample):
 
 def _cv_events(steps: np.ndarray, flags: np.ndarray, before: np.ndarray):
     """The sorted event times of a sorted row and their weights 1/S_cens(T-),
-    as the CV sums take them; events with S_cens(T-) = 0 are dropped."""
+    as the CV sums and _KdeMachine.at take them; events with S_cens(T-) = 0
+    are dropped."""
     kept = flags & (before > 0.0)
     return steps[kept], 1.0 / before[kept]
 
@@ -295,24 +292,19 @@ class _KdeMachine:
     """Per-sample KDE state: resolved bandwidth, event weights and flags.
 
     Built once per arm so that CV bandwidth selection and the censoring
-    weights are not repeated for every evaluation point. It takes an arm in
-    draw order (times, events) and as a sorted row (steps, flags) with
-    S_cens(u-) at each observation, from a block of the simulation engine
-    or from _sorted_rows.
+    weights are not repeated for every evaluation point. It takes an arm as
+    a sorted row (steps, flags) with S_cens(u-) at each observation, from a
+    block of the simulation engine or from _sorted_rows, and at() sums over
+    the same sorted events and weights (_cv_events) as the CV sums.
     """
 
-    def __init__(self, times, events, steps, flags, before, cfg: KdeConfig):
-        self.n = times.size
-        # at() sums in draw order. Every observation at a time u has the
-        # weight of u's first one in sorted order: they share S_cens(u-).
-        drawn = times[events]
-        s_before = before[np.searchsorted(steps, drawn, side="left")]
-        keep = s_before > 0.0
-        self.times, self.weights = drawn[keep], 1.0 / s_before[keep]
-        self.flags = () if keep.all() else ("truncated-weights",)
+    def __init__(self, steps, flags, before, cfg: KdeConfig):
+        self.n = steps.size
+        self.times, self.weights = _cv_events(steps, flags, before)
+        self.flags = () if self.times.size == np.count_nonzero(flags) else ("truncated-weights",)
         if isinstance(cfg.bandwidth, str):
             grid = cfg.cv_grid
-            self.h = _cv_bandwidth(*_cv_events(steps, flags, before), self.n, grid)
+            self.h = _cv_bandwidth(self.times, self.weights, self.n, grid)
             if grid.size >= 2 and self.h in (grid[0], grid[-1]):
                 # the CV minimum may lie beyond the grid, as when the grid
                 # does not fit the time unit of the data
@@ -342,7 +334,7 @@ def estimate_density_kde(
     divide by its own censoring step. Events whose weight denominator is 0
     are dropped and flagged (a known truncation bias).
     """
-    return _KdeMachine(sample.times, sample.events, *_sorted_rows(sample), cfg).at(t, p=p)
+    return _KdeMachine(*_sorted_rows(sample), cfg).at(t, p=p)
 
 
 # Wrap-around and truncation of the Fourier pair sums each stay below
@@ -548,7 +540,7 @@ def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):
 def _cv_scores(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray):
     """The CV scores over grid of sorted event times and their weights."""
     if times.size < 2:
-        raise ValidationError("bandwidth selection needs at least 2 events")
+        raise TooFewEventsError("bandwidth selection needs at least 2 events")
     full_h, full_h2 = _pair_sums(times, weights, grid)
     return _cv_criterion(full_h, full_h2, float(weights @ weights), n, grid)
 

@@ -36,6 +36,10 @@ class DegenerateTailError(NumericalError):
     """Greenwood variance accumulator is infinite at an included step."""
 
 
+class TooFewEventsError(NumericalError):
+    """An arm has too few events for bandwidth selection by cross-validation."""
+
+
 class SingularCovarianceError(NumericalError):
     """Quantile-difference covariance matrix is not positive definite."""
 

@@ -101,8 +101,7 @@ class _ArmPieces:
         if density_method == "ls":
             self.densities = _ls_densities(self.fit, probabilities, tuning, self.times)
         else:
-            rows = _sorted_rows(self.sample)
-            machine = _KdeMachine(self.sample.times, self.sample.events, *rows, tuning)
+            machine = _KdeMachine(*_sorted_rows(self.sample), tuning)
             self.densities = [machine.at(t, p=p) for p, t in zip(probabilities, self.times)]
 
 

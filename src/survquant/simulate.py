@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
-from .errors import SingularCovarianceError, ValidationError
+from .errors import SingularCovarianceError, TooFewEventsError, ValidationError
 from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
@@ -100,12 +100,13 @@ class RejectionReport:
     """Empirical rejection rate with its Monte Carlo uncertainty.
 
     n_failures counts replicates where the test could not be run at all
-    (unreachable quantile, degenerate variance, singular covariance); they
-    are excluded from the denominator n_used. p_values holds one entry per
-    replicate, NaN for failed ones. Replicates run in blocks, so each is
-    charged its block's wall time divided by the block's size:
-    rep_time_mean_s is the mean of those shares and rep_time_sd_s their
-    standard deviation (ddof=1), 0 when all replicates share one block.
+    (unreachable quantile, degenerate variance, singular covariance, too
+    few events for a cross-validated bandwidth); they are excluded from the
+    denominator n_used. p_values holds one entry per replicate, NaN for
+    failed ones. Replicates run in blocks, so each is charged its block's
+    wall time divided by the block's size: rep_time_mean_s is the mean of
+    those shares and rep_time_sd_s their standard deviation (ddof=1), 0
+    when all replicates share one block.
     """
 
     rate: float
@@ -205,10 +206,10 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     them.
 
     Returns observed times and event flags, each (count, 2, n) with arm 1
-    first along axis 1, and the LS perturbation draws (count, n_draws), or
-    None for KDE. Replicate k takes its uniforms from
-    SeedSequence(master_seed, spawn_key=(k,)) in sample_trial's order, so
-    its rows equal sample_trial's arrays. Its perturbations come from that
+    first along axis 1, and the LS perturbation draws (count, n_draws),
+    each row sorted as _ls_draws sorts it, or None for KDE. Replicate k
+    takes its uniforms from SeedSequence(master_seed, spawn_key=(k,)) in
+    sample_trial's order, so its rows equal sample_trial's arrays. Its perturbations come from that
     seed's first child: the serial test re-seeds every (arm, p) from it, so
     one draw serves them all.
     """
@@ -241,10 +242,11 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     included, so each step of a row equals fit_kaplan_meier's bit for bit;
     for KDE it runs on the censoring side as well, for the censoring
     weights of every row. Quantiles and Greenwood factors follow from the
-    full rows, LS slopes from one call for the block, KDE estimates from
-    each arm's sorted row and its draw order, and Psi_hat and the p-value
-    from the tests' own arithmetic. A sample that SurvivalSample rejects
-    raises once the rows before it have run, as in a serial loop.
+    full rows, LS slopes from one call for the block on its sorted draws,
+    KDE estimates from each arm's sorted row, and Psi_hat and the p-value
+    from the tests' own arithmetic, every sum over the same sorted terms as
+    in the serial test. A sample that SurvivalSample rejects raises once
+    the rows before it have run, as in a serial loop.
     """
     count, _, n = times.shape
     valid = np.isfinite(times).all(axis=(1, 2)) & (times >= 0).all(axis=(1, 2))
@@ -268,10 +270,8 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     if plan.density_method == "ls":
         rows = np.flatnonzero(estimable)
         slopes = np.empty(quantiles.shape)
-        slopes[rows], _ = _ls_slopes(
-            steps[rows], survival[rows], n, ps, quantiles[rows],
-            eps[rows][:, None, None, :], np.argsort(eps[rows], axis=-1)[:, None, None, :],
-        )
+        slopes[rows], _ = _ls_slopes(steps[rows], survival[rows], n, ps, quantiles[rows],
+                                     eps[rows][:, None, None, :])
     else:
         kde_tuning = plan.tuning if plan.tuning is not None else _default_tuning("kde")
         before = _censoring_before(steps, flags)
@@ -279,22 +279,21 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     out = np.full(count, np.nan)
     for r in np.flatnonzero(estimable):
         arm_times = quantiles[r].tolist()
-        if plan.density_method == "ls":
-            values = slopes[r].tolist()
-        else:
-            machines = [_KdeMachine(times[r, a], events[r, a], steps[r, a], flags[r, a],
-                                    before[r, a], kde_tuning)
-                        for a in (0, 1)]
-            values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
-        # equal arms: each allocation fraction is n / 2n = 0.5
-        _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5),
-                                  DEFAULT_DENSITY_FLOOR)
         try:
+            if plan.density_method == "ls":
+                values = slopes[r].tolist()
+            else:
+                machines = [_KdeMachine(steps[r, a], flags[r, a], before[r, a], kde_tuning)
+                            for a in (0, 1)]
+                values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
+            # equal arms: each allocation fraction is n / 2n = 0.5
+            _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5),
+                                      DEFAULT_DENSITY_FLOOR)
             if len(ps) == 1:
                 out[r] = _univariate_statistic(2 * n, float(deltas[0]), psi[0, 0])[2]
             else:
                 out[r] = _joint_statistic(2 * n, deltas, psi, ps)[1]
-        except SingularCovarianceError:
+        except (TooFewEventsError, SingularCovarianceError):
             pass
     return out
 

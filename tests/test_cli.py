@@ -21,6 +21,8 @@ from survquant.errors import DatasetFormatError, ValidationError
 
 SCENARIO_TEXT = "lambda_a = 1.5\ndelta = 0.1\np = 0.5\nlambda_cens = 0.48\n"
 SCENARIO_DELAYED = SCENARIO_TEXT + "t_cut = 0.2\n"
+# a proportional-hazards null with enough censoring for failed replicates
+SCENARIO_NULL = "lambda_a = 1.5\ndelta = 0\np = 0.75\nlambda_cens = 1.0\n"
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +227,21 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert "sigma_eps is out of range" in err
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["test", "power", "samplesize", "simulate"])
+    def test_json_path_not_writable(self, tmp_path, scenario_file, capsys, command, target):
+        argv = {
+            "test": ["test", make_dataset(tmp_path / "d.csv"), "--p", "0.5"],
+            "power": ["power", "--scenario", scenario_file, "--delta", "0.1", "--n", "10"],
+            "samplesize": ["samplesize", "--scenario", scenario_file, "--power", "0.8"],
+            "simulate": ["simulate", "--scenario", scenario_file, "--n", "20", "--reps", "2",
+                         "--seed", "1"],
+        }[command]
+        path = tmp_path / "no-such-dir" / "out.json" if target == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--json", str(path))
+        assert_one_line_error(code, out, err)
+        assert f"cannot write JSON output {path}: " in err
+
     def test_simulate_negative_seed(self, scenario_file, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", scenario_file, "--n", "25",
@@ -330,6 +347,18 @@ class TestCmdTest:
         assert code == 3
         assert err.startswith("error: quantile not estimable in arm 2: ")
         assert err.count("\n") == 1
+
+    def test_kde_with_one_event_exit_3(self, tmp_path, capsys):
+        # arm 1 reaches p = 0.1 at its one event, too few events for CV
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "time,status,group\n"
+            "0.1,1,1\n0.2,0,1\n0.3,0,1\n0.4,0,1\n0.5,0,1\n0.6,0,1\n"
+            "0.1,1,2\n0.2,1,2\n0.3,1,2\n0.4,0,2\n0.5,1,2\n0.6,0,2\n"
+        )
+        code, out, err = run_cli(capsys, "test", str(path), "--p", "0.1", "--method", "kde")
+        assert (code, out) == (3, "")
+        assert err == "error: bandwidth selection needs at least 2 events\n"
 
     def test_extra_column_warning(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -793,6 +822,21 @@ class TestCmdSimulate:
         row = out.splitlines()[2].split(",")
         assert row[0] == "0.25;0.5"
 
+    def test_kde_arm_with_one_event_is_a_failure(self, tmp_path, capsys):
+        """A replicate with an arm that reaches the quantile on fewer than
+        2 events cannot select a bandwidth; like a replicate whose
+        quantile is unreachable, it counts as failed and the run goes on."""
+        path = tmp_path / "s.cfg"
+        path.write_text("lambda_a = 1.5\ndelta = 0.1\np = 0.5\nlambda_cens = 3\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--n", "10", "--reps", "40",
+            "--seed", "1", "--method", "kde",
+        )
+        assert (code, err) == (0, "")
+        row = dict(zip(out.splitlines()[1].split(","), out.splitlines()[2].split(",")))
+        assert int(row["failures"]) > 0
+        assert int(row["failures"]) + int(row["used"]) == 40
+
     def test_kde_cross_flag(self, scenario_file, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", scenario_file, "--n", "25",
@@ -801,6 +845,91 @@ class TestCmdSimulate:
         )
         assert code == 2
         assert "ls only" in err
+
+
+class TestFrozenSimulateOutput:
+    """`simulate` stdout, byte for byte: LS at J=1 on the delayed-effect
+    plan and at J=3 on the proportional one, a null plan where some
+    replicates fail, and KDE with cross-validated bandwidths at J=1 and
+    J=3. Any change to a sampled draw, a fit, a density or a p-value that
+    moves a replicate across alpha shows here."""
+
+    RUNS = {
+        "ls-j1": (
+            SCENARIO_DELAYED, ["--n", "200", "--reps", "800", "--seed", "1"],
+            (
+                '# manifest: {"command":"simulate","config":{"alpha":0.05,"n_per_group":200,'
+                '"p":[0.5],"replications":800,"scenario":{"censoring_rate":0.48,'
+                '"form":"delayed-effect","lambda_a":1.5,"lambda_b":2.425365449362177,'
+                '"mu1":0.5,"t_cut":0.2}},"seeds":{"master_seed":1},"tuning":{"method":"ls",'
+                '"sigma_eps":5.0},"version":"0.1.0"}\n'
+                'p,delta,empirical,mc_se,formula,failures,used,replications,flags\n'
+                '0.5,0.10000000000000003,0.2425,0.015153124677768609,0.39695892010424877,0,'
+                '800,800,\n'
+            ),
+        ),
+        "ls-j3": (
+            SCENARIO_TEXT, ["--n", "100", "--reps", "300", "--seed", "2", "--p", "0.25,0.5,0.75"],
+            (
+                '# manifest: {"command":"simulate","config":{"alpha":0.05,"n_per_group":100,'
+                '"p":[0.25,0.5,0.75],"replications":300,"scenario":{"censoring_rate":0.48,'
+                '"form":"proportional","lambda_a":1.5,"lambda_b":3.1341996891338173,'
+                '"mu1":0.5}},"seeds":{"master_seed":2},"tuning":{"method":"ls",'
+                '"sigma_eps":5.0},"version":"0.1.0"}\n'
+                'p,delta,empirical,mc_se,formula,failures,used,replications,flags\n'
+                '0.25;0.5;0.75,0.1;0.24094208396532094;0.48188416793064187,'
+                '0.8333333333333334,0.021516574145596757,0.892392707168792,0,300,300,\n'
+            ),
+        ),
+        "ph-null": (
+            SCENARIO_NULL, ["--n", "50", "--reps", "600", "--seed", "0"],
+            (
+                '# manifest: {"command":"simulate","config":{"alpha":0.05,"n_per_group":50,'
+                '"p":[0.75],"replications":600,"scenario":{"censoring_rate":1.0,'
+                '"form":"proportional","lambda_a":1.5,"lambda_b":1.5,"mu1":0.5}},'
+                '"seeds":{"master_seed":0},"tuning":{"method":"ls","sigma_eps":5.0},'
+                '"version":"0.1.0"}\n'
+                'p,delta,empirical,mc_se,formula,failures,used,replications,flags\n'
+                '0.75,0.0,0.008756567425569177,0.0038988726990119775,0.05,29,571,600,\n'
+            ),
+        ),
+        "kde-j1": (
+            SCENARIO_DELAYED, ["--n", "300", "--reps", "100", "--seed", "3", "--method", "kde"],
+            (
+                '# manifest: {"command":"simulate","config":{"alpha":0.05,"n_per_group":300,'
+                '"p":[0.5],"replications":100,"scenario":{"censoring_rate":0.48,'
+                '"form":"delayed-effect","lambda_a":1.5,"lambda_b":2.425365449362177,'
+                '"mu1":0.5,"t_cut":0.2}},"seeds":{"master_seed":3},'
+                '"tuning":{"bandwidth_mode":"auto","method":"kde"},"version":"0.1.0"}\n'
+                'p,delta,empirical,mc_se,formula,failures,used,replications,flags\n'
+                '0.5,0.10000000000000003,0.6,0.04898979485566356,0.5478456937055887,0,100,'
+                '100,\n'
+            ),
+        ),
+        "kde-j3": (
+            SCENARIO_TEXT,
+            ["--n", "200", "--reps", "60", "--seed", "4", "--method", "kde", "--p", "0.25,0.5,0.75"],
+            (
+                '# manifest: {"command":"simulate","config":{"alpha":0.05,"n_per_group":200,'
+                '"p":[0.25,0.5,0.75],"replications":60,"scenario":{"censoring_rate":0.48,'
+                '"form":"proportional","lambda_a":1.5,"lambda_b":3.1341996891338173,'
+                '"mu1":0.5}},"seeds":{"master_seed":4},"tuning":{"bandwidth_mode":"auto",'
+                '"method":"kde"},"version":"0.1.0"}\n'
+                'p,delta,empirical,mc_se,formula,failures,used,replications,flags\n'
+                '0.25;0.5;0.75,0.1;0.24094208396532094;0.48188416793064187,1.0,0.0,'
+                '0.99679174570886,0,60,60,\n'
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_frozen(self, tmp_path, capsys, name):
+        text, argv, expected = self.RUNS[name]
+        path = tmp_path / "plan.scn"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(path), *argv)
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 @pytest.mark.skipif(

@@ -14,6 +14,7 @@ from survquant import (
     KdeConfig,
     LsConfig,
     SurvivalSample,
+    TooFewEventsError,
     UnreachableQuantileError,
     ValidationError,
     cv_score,
@@ -123,9 +124,8 @@ class TestConfigValidation:
 
 def ls_slopes(fit, p, t0, eps):
     """_ls_slopes on the fit's curve for the sets of draws in the rows of
-    eps: (slopes, zero numerators), one entry per row."""
-    return _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0, eps,
-                      np.argsort(eps, axis=-1))
+    eps, each sorted first: (slopes, zero numerators), one entry per row."""
+    return _ls_slopes(fit.event_times, fit.survival, fit.n, p, t0, np.sort(eps, axis=-1))
 
 
 class TestLsSlope:
@@ -242,7 +242,8 @@ class TestEstimateDensityLs:
 
 
 def ls_slope_reference(fit, p, t0, eps):
-    """The LS slope probed in draw order, through the fit's own CDF."""
+    """The LS slope with the draws probed and summed in the order given,
+    through the fit's own CDF."""
     root_n = math.sqrt(fit.n)
     y = root_n * (fit.cdf_at(t0 + eps / root_n) - p)
     numerator = float(eps @ y)
@@ -250,8 +251,9 @@ def ls_slope_reference(fit, p, t0, eps):
 
 
 class TestSortedProbes:
-    """Probing with sorted draws and putting y back in draw order changes no
-    bit of the slope, for one draw or a whole sigma grid, and at one
+    """On the sorted draws that _ls_draws and _select_sigma make, the
+    searchsorted probes give the slope of probing each draw through the
+    fit's CDF, bit for bit, for one draw or a whole sigma grid, and at one
     probability or at several on one curve."""
 
     @settings(max_examples=60, deadline=None)
@@ -270,7 +272,7 @@ class TestSortedProbes:
         q = quantile_at(fit, p)
         if not q.reachable:
             return
-        eps_std = np.random.default_rng(seed).normal(0.0, 1.0, n_draws)
+        eps_std = np.sort(np.random.default_rng(seed).normal(0.0, 1.0, n_draws))
         grid = np.array([0.05, 0.5, 1.0, 3.0, 10.0])
         reference = [ls_slope_reference(fit, p, q.time, sigma * eps_std) for sigma in grid]
         values, zero = ls_slopes(fit, p, q.time, grid[:, None] * eps_std)
@@ -286,6 +288,65 @@ class TestSortedProbes:
             [ls_slope_reference(fit, r, t, sigma * eps_std) for sigma in grid]
             for r, t in zip(ps, times)
         ]
+
+
+def mixed_sample(seed, n, tied, censored):
+    """n exponential times from one numpy seed, on a grid of 1/20 when tied
+    (so ties, and probes on a step, are common), with about 40% of them
+    censored when censored."""
+    rng = np.random.default_rng(seed)
+    times = rng.exponential(1.0, n)
+    if tied:
+        times = np.round(times * 20.0) / 20.0
+    events = rng.random(n) < 0.6 if censored else np.ones(n, bool)
+    return SurvivalSample(times, events)
+
+
+class TestOrderIndependence:
+    """Both estimators sum over sorted terms (the LS draws, the KDE events);
+    a sum in draw order gives the same value up to rounding."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        tied=st.booleans(),
+        censored=st.booleans(),
+        p=st.sampled_from([0.1, 0.25, 0.5, 0.75]),
+        sigma=st.sampled_from([0.05, 0.5, 1.0, 3.0, 10.0]),
+        n_draws=st.integers(2, 400),
+    )
+    def test_ls_slope_equals_the_draw_order_sum(self, seed, n, tied, censored, p, sigma,
+                                                n_draws):
+        sample = mixed_sample(seed, n, tied, censored)
+        fit = fit_kaplan_meier(sample)
+        q = quantile_at(fit, p)
+        if not q.reachable:
+            return
+        value = estimate_density_ls(sample, p, LsConfig(sigma, n_draws, seed)).value
+        eps = np.random.default_rng(seed).normal(0.0, sigma, n_draws)  # draw order
+        reference = ls_slope_reference(fit, p, q.time, eps)
+        assert abs(value - reference) <= 1e-13 * abs(reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 150),
+        tied=st.booleans(),
+        censored=st.booleans(),
+        h=st.floats(0.01, 2.0),
+        t=st.floats(0.0, 3.0),
+    )
+    def test_kde_equals_the_draw_order_sum(self, seed, n, tied, censored, h, t):
+        sample = mixed_sample(seed, n, tied, censored)
+        value = estimate_density_kde(sample, t, KdeConfig(bandwidth=h)).value
+        drawn = sample.times[sample.events]
+        weights = 1.0 / fit_censoring_km(sample).survival_before(drawn)
+        total = 0.0
+        for time, weight in zip(drawn.tolist(), weights.tolist()):
+            total += weight * math.exp(-0.5 * ((time - t) / h) ** 2)
+        reference = total / (sample.n * h * SQRT_2PI)
+        assert abs(value - reference) <= 1e-13 * reference
 
 
 class TestSigmaSelection:
@@ -308,7 +369,7 @@ class TestSigmaSelection:
         walks to the leftmost window and its smallest sigma."""
         monkeypatch.setattr(
             "survquant.density._ls_slopes",
-            lambda steps, survival, n, p, t0, eps, order: (np.full((1, len(eps)), 0.7), None),
+            lambda steps, survival, n, p, t0, eps: (np.full((1, len(eps)), 0.7), None),
         )
         sample = SurvivalSample(np.arange(1.0, 30.0), np.ones(29, bool))
         sel = select_sigma_ls(sample, 0.5, np.linspace(1.0, 9.0, 9), seed=0)
@@ -328,7 +389,7 @@ class TestSigmaSelection:
                 profile = rng.integers(0, 4, size) * 0.1
             monkeypatch.setattr(
                 "survquant.density._ls_slopes",
-                lambda steps, survival, n, p, t0, eps, order: (profile[None], None),
+                lambda steps, survival, n, p, t0, eps: (profile[None], None),
             )
             grid = np.arange(1.0, size + 1.0)
             sel = select_sigma_ls(sample, 0.5, grid, seed=0)
@@ -425,9 +486,9 @@ class TestKdeEstimator:
         # (any later event keeps the risk set alive), so the truncation path
         # is exercised with handcrafted censoring left limits instead: S_cens
         # drops to 0 between the two events.
-        times, events = np.array([2.0, 0.5]), np.array([True, True])
-        steps, flags, before = np.array([0.5, 2.0]), events, np.array([1.0, 0.0])
-        machine = _KdeMachine(times, events, steps, flags, before, KdeConfig(bandwidth=1.0))
+        steps, flags = np.array([0.5, 2.0]), np.array([True, True])
+        before = np.array([1.0, 0.0])
+        machine = _KdeMachine(steps, flags, before, KdeConfig(bandwidth=1.0))
         assert machine.flags == ("truncated-weights",)
         assert machine.times.tolist() == [0.5]
         assert machine.weights.tolist() == [1.0]
@@ -437,21 +498,19 @@ class TestKdeEstimator:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_weights_equal_the_censoring_fit(self, tied):
-        """The weights in draw order (at()) and sorted (the CV sums) are
-        1/S_cens(T-) of fit_censoring_km, bit for bit."""
+        """The sorted event times and weights that the CV sums and at() read
+        are the events' times and 1/S_cens(T-) of fit_censoring_km, bit for
+        bit."""
         sample = exponential_sample(np.random.default_rng(17), 300)
         if tied:
             sample = SurvivalSample(np.round(sample.times, 1), sample.events)
-        machine = _KdeMachine(sample.times, sample.events, *_sorted_rows(sample),
-                              KdeConfig(bandwidth=0.3))
-        drawn = sample.times[sample.events]
-        reference = 1.0 / fit_censoring_km(sample).survival_before(drawn)
-        assert machine.times.tobytes() == drawn.tobytes()
-        assert machine.weights.tobytes() == reference.tobytes()
         cv_times, cv_weights = _cv_events(*_sorted_rows(sample))
         sorted_times, sorted_weights = _sorted_events(sample)
         assert cv_times.tobytes() == sorted_times.tobytes()
         assert cv_weights.tobytes() == sorted_weights.tobytes()
+        machine = _KdeMachine(*_sorted_rows(sample), KdeConfig(bandwidth=0.3))
+        assert machine.times.tobytes() == sorted_times.tobytes()
+        assert machine.weights.tobytes() == sorted_weights.tobytes()
 
     def test_nonnegative_output(self):
         rng = np.random.default_rng(13)
@@ -493,7 +552,8 @@ class TestCvCriterion:
         sample = SurvivalSample(
             np.array([1.0, 2.0]), np.array([True, False])
         )
-        with pytest.raises(ValidationError, match="2 events"):
+        # not estimable from the data, like an unreachable quantile
+        with pytest.raises(TooFewEventsError, match="2 events"):
             select_bandwidth_cv(sample, [0.2, 0.4])
 
     def test_closed_form_matches_quadrature(self):

@@ -20,6 +20,7 @@ from survquant import (
     SimulationPlan,
     SingularCovarianceError,
     SurvivalSample,
+    TooFewEventsError,
     TrialScenario,
     TwoArmData,
     UnreachableQuantileError,
@@ -316,7 +317,8 @@ class TestRejectionRates:
 # ---------------------------------------------------------------------------
 # the block engine against the public test, one replicate at a time
 
-_NOT_ESTIMABLE = (UnreachableQuantileError, DegenerateTailError, SingularCovarianceError)
+_NOT_ESTIMABLE = (UnreachableQuantileError, DegenerateTailError, SingularCovarianceError,
+                  TooFewEventsError)
 
 
 def replicate_seed(plan, rep):
@@ -449,6 +451,25 @@ class TestBlockEngine:
         assert report.n_failures > 0
         assert report.p_values.tobytes() == serial_p_values(plan).tobytes()
 
+    def test_too_few_events_for_cv_match(self):
+        # under censoring at rate 3, some arms of 10 reach the median on
+        # a single event, too few for bandwidth selection
+        plan = SimulationPlan(scenario_from_delta(1.5, 0.5, 0.1, censoring_rate=3.0),
+                              10, (0.5,), 40, density_method="kde", master_seed=1)
+        raised = 0
+        for rep in range(plan.replications):
+            data = sample_trial(plan.scenario, 10, 10, replicate_seed(plan, rep))
+            try:
+                univariate_test(data, 0.5, "kde")
+            except TooFewEventsError:
+                raised += 1
+            except _NOT_ESTIMABLE:
+                pass
+        assert raised > 0
+        report = empirical_rejection(plan)
+        assert report.n_failures >= raised
+        assert report.p_values.tobytes() == serial_p_values(plan).tobytes()
+
     def test_block_size_does_not_matter(self, monkeypatch):
         plan = small_plan(probabilities=(0.25, 0.5), replications=25)
         default = empirical_rejection(plan).p_values
@@ -469,9 +490,9 @@ class TestBlockEngine:
                 assert times[r, arm].tobytes() == sample.times.tobytes()
                 assert events[r, arm].tobytes() == sample.events.tobytes()
             child = replicate_seed(plan, 4 + r).spawn(1)[0]
-            expected = np.random.default_rng(child).normal(
+            expected = np.sort(np.random.default_rng(child).normal(
                 0.0, DEFAULT_SIM_SIGMA_EPS, 1000
-            )
+            ))
             assert eps[r].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("probabilities", [(0.5,), (0.25, 0.5, 0.75)])
