@@ -540,7 +540,7 @@ def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):
 def _cv_scores(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray):
     """The CV scores over grid of sorted event times and their weights."""
     if times.size < 2:
-        raise TooFewEventsError("bandwidth selection needs at least 2 events")
+        raise TooFewEventsError()
     full_h, full_h2 = _pair_sums(times, weights, grid)
     return _cv_criterion(full_h, full_h2, float(weights @ weights), n, grid)
 

@@ -39,6 +39,11 @@ class DegenerateTailError(NumericalError):
 class TooFewEventsError(NumericalError):
     """An arm has too few events for bandwidth selection by cross-validation."""
 
+    def __init__(self, arm=None):
+        self.arm = arm
+        where = f" in arm {arm}" if arm is not None else ""
+        super().__init__(f"bandwidth selection needs at least 2 events{where}")
+
 
 class SingularCovarianceError(NumericalError):
     """Quantile-difference covariance matrix is not positive definite."""

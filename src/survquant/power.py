@@ -13,16 +13,19 @@ sigma^2 and Psi come from one per-arm covariance kernel, upsilon(), shared
 by the closed-form scenarios and the data-driven tests: sigma^2 is the sum of
 the two arms' J=1 terms and Psi the sum of their matrices.
 
-The special-function substrate (normal cdf/quantile, central and noncentral
-chi-squared) comes from scipy.special; the noncentral CDF is chndtr.
+The special functions behind every power and sample size (normal
+cdf/quantile, central and noncentral chi-squared; the noncentral CDF is
+chndtr) come from scipy.special, imported on first use by _special(). The
+import costs a fresh process about 0.2 s, and the quantile tests, which use
+upsilon and _wald_form from this module, compute their own tails without it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, gammainc, gammaincinv, ndtr, ndtri
 
 from .errors import (
     SingularCovarianceError,
@@ -31,23 +34,31 @@ from .errors import (
 )
 
 
+@functools.cache
+def _special():
+    """The scipy.special module, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
+
+
 def normal_cdf(x):
     """Standard normal CDF (erfc-based, |error| well under 1e-12)."""
-    return ndtr(x)
+    return _special().ndtr(x)
 
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"quantile input must be in (0, 1), got {p!r}")
-    return float(ndtri(p))
+    return float(_special().ndtri(p))
 
 
 def chi2_cdf(x, dof: int):
     """Central chi-squared CDF via the regularized incomplete gamma."""
     if dof < 1:
         raise ValidationError("degrees of freedom must be at least 1")
-    return gammainc(dof / 2.0, np.asarray(x, dtype=float) / 2.0)
+    return _special().gammainc(dof / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
 def chi2_quantile(p: float, dof: int) -> float:
@@ -55,7 +66,7 @@ def chi2_quantile(p: float, dof: int) -> float:
         raise ValidationError(f"quantile input must be in (0, 1), got {p!r}")
     if dof < 1:
         raise ValidationError("degrees of freedom must be at least 1")
-    return float(2.0 * gammaincinv(dof / 2.0, p))
+    return float(2.0 * _special().gammaincinv(dof / 2.0, p))
 
 
 def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
@@ -68,7 +79,7 @@ def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
         raise ValidationError("noncentrality must be non-negative")
     if noncentrality == 0.0:
         return float(chi2_cdf(x, dof))
-    return float(chndtr(x, dof, noncentrality))
+    return float(_special().chndtr(x, dof, noncentrality))
 
 
 def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
@@ -152,6 +163,7 @@ def _univariate_power(n_total, delta, sigma, alpha):
         return float(alpha)
     shift = math.sqrt(n_total) * delta / sigma
     q = normal_quantile(1.0 - alpha / 2.0)
+    ndtr = _special().ndtr
     return float(ndtr(-(q - shift)) + ndtr(-q - shift))
 
 

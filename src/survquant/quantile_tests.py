@@ -18,14 +18,18 @@ each arm's Kaplan-Meier quantiles t_j, Greenwood variance factors phi(t_j),
 clamped density estimates f(t_j) and allocation fraction mu. Every test
 reads one such estimate: sigma_hat^2 at p_j is its diagonal entry psi[j, j],
 so the J=1 joint test is the univariate test squared.
+
+Both tails come from the standard library, so that a test loads no scipy:
+the normal tail from erf/erfc and the chi-squared tail at integer degrees
+of freedom from its finite sums.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
 
 from .density import (
     DEFAULT_CV_GRID,
@@ -38,11 +42,51 @@ from .density import (
     _ls_densities,
     _sorted_rows,
 )
-from .errors import SingularCovarianceError, ValidationError
+from .errors import SingularCovarianceError, TooFewEventsError, ValidationError
 from .power import _wald_form, upsilon
 from .survival import KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
 
 DEFAULT_DENSITY_FLOOR = 1e-8
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_two_sided(statistic: float) -> float:
+    """2 Phi(-|statistic|), with the branch of scipy's ndtr: 1 - erf(z)
+    below z = sqrt(1/2), erfc(z) from there, at z = |statistic| sqrt(1/2)."""
+    z = abs(statistic) * _SQRT_HALF
+    return 1.0 - math.erf(z) if z < _SQRT_HALF else math.erfc(z)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(chi^2_dof > x) at integer dof, from the finite sums of Abramowitz
+    & Stegun 26.4.4 (even dof) and 26.4.5 (odd dof). With h = x/2,
+
+        Q = [erfc(sqrt(h)) if dof is odd] + sum_a e^-h h^a / Gamma(a + 1)
+
+    over the dof // 2 exponents a = 0, 1, ... (even) or 1/2, 3/2, ... (odd).
+    Each term is the one before it times h / a. Where e^-h is not a normal
+    float (x > 1416) but the sum may still be, the terms run down from the
+    last and largest one, e^(a log h - h - lgamma(a + 1)), instead."""
+    if x == math.inf:
+        return 0.0
+    h = 0.5 * x
+    odd = dof % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    first = 0.5 * odd  # the smallest exponent
+    scale = math.exp(-h)
+    if scale >= sys.float_info.min:
+        term = 2.0 * scale * math.sqrt(h / math.pi) if odd else scale
+        for k in range(1, dof // 2 + 1):
+            total += term
+            term *= h / (first + k)
+        return total
+    a = first + dof // 2 - 1
+    term = math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+    for _ in range(dof // 2):
+        total += term
+        term *= a / h
+        a -= 1.0
+    return total
 
 
 @dataclass(frozen=True)
@@ -92,6 +136,7 @@ class _ArmPieces:
 
     def __init__(self, sample, probabilities, arm_label):
         self.sample = sample
+        self.label = arm_label
         self.fit = fit_kaplan_meier(sample)
         times, sums = _fit_quantiles(self.fit, probabilities, arm_label)
         self.times = times.tolist()
@@ -101,7 +146,10 @@ class _ArmPieces:
         if density_method == "ls":
             self.densities = _ls_densities(self.fit, probabilities, tuning, self.times)
         else:
-            machine = _KdeMachine(*_sorted_rows(self.sample), tuning)
+            try:
+                machine = _KdeMachine(*_sorted_rows(self.sample), tuning)
+            except TooFewEventsError:
+                raise TooFewEventsError(self.label) from None
             self.densities = [machine.at(t, p=p) for p, t in zip(probabilities, self.times)]
 
 
@@ -207,7 +255,7 @@ def _univariate_statistic(n: int, delta_hat: float, psi_jj) -> tuple:
         raise SingularCovarianceError(message="quantile variance is not positive")
     sigma = math.sqrt(psi_jj)
     statistic = math.sqrt(n) * delta_hat / sigma
-    return sigma, statistic, 2.0 * float(ndtr(-abs(statistic)))
+    return sigma, statistic, _normal_two_sided(statistic)
 
 
 def _univariate_from_pieces(assembly: _Assembly, j: int) -> UnivariateTestResult:
@@ -289,8 +337,7 @@ def _joint_statistic(n: int, deltas: np.ndarray, psi, probabilities) -> tuple:
     statistic = _wald_form(psi, math.sqrt(n) * deltas)
     if statistic is None:
         raise _singular(psi, probabilities)
-    dof = len(probabilities)
-    return statistic, float(gammaincc(dof / 2.0, statistic / 2.0))
+    return statistic, _chi2_sf(statistic, len(probabilities))
 
 
 def _multivariate_from_pieces(assembly: _Assembly) -> MultivariateTestResult:

@@ -358,7 +358,7 @@ class TestCmdTest:
         )
         code, out, err = run_cli(capsys, "test", str(path), "--p", "0.1", "--method", "kde")
         assert (code, out) == (3, "")
-        assert err == "error: bandwidth selection needs at least 2 events\n"
+        assert err == "error: bandwidth selection needs at least 2 events in arm 1\n"
 
     def test_extra_column_warning(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

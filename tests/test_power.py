@@ -399,15 +399,71 @@ class TestUpsilon:
         assert out[1, 1] == math.inf and math.isfinite(out[0, 1])
 
 
-def test_import_loads_no_scipy_linalg_or_stats():
-    # a fresh interpreter, so modules this test session imported don't count
-    code = (
-        "import sys, survquant; print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.linalg', 'scipy.stats'))))"
-    )
+def run_fresh(code):
+    """The lines that code prints in a fresh interpreter, so that modules
+    this test session imported don't count."""
     package_root = str(Path(survquant.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=120, check=True, env={**os.environ, "PYTHONPATH": package_root},
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()
+
+
+def scipy_modules_after(code, prefixes=("scipy",)):
+    """The sorted names of the modules starting with prefixes that a fresh
+    interpreter holds after running code, as printed."""
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    return run_fresh(code)[-1]
+
+
+def test_import_loads_no_scipy_linalg_or_stats():
+    assert scipy_modules_after("import survquant", ("scipy.linalg", "scipy.stats")) == "[]"
+
+
+@pytest.fixture(scope="module")
+def trial_csv(tmp_path_factory):
+    data = survquant.sample_trial(
+        survquant.scenario_from_delta(1.5, 0.5, 0.3, censoring_rate=0.48), 80, 80, 5
+    )
+    lines = ["time,status,group"]
+    for group, arm in ((1, data.arm1), (2, data.arm2)):
+        lines += [f"{float(t)!r},{int(e)},{group}" for t, e in zip(arm.times, arm.events)]
+    path = tmp_path_factory.mktemp("trial") / "trial.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def run_main(*argv):
+    """Code that runs the CLI on argv with its output discarded."""
+    return (
+        "import contextlib, io\nfrom survquant import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+    )
+
+
+class TestStartUpImports:
+    """scipy stays off the start-up path: importing survquant, or its CLI,
+    or running a whole `test`, loads no scipy module; `power` loads
+    scipy.special on first use."""
+
+    @pytest.mark.parametrize("code", ["import survquant", "import survquant.cli"])
+    def test_import_loads_no_scipy(self, code):
+        assert scipy_modules_after(code) == "[]"
+
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    def test_test_command_loads_no_scipy(self, trial_csv, method):
+        code = run_main("test", trial_csv, "--p", "0.25,0.5,0.75", "--bonferroni",
+                        "--method", method)
+        assert scipy_modules_after(code) == "[]"
+
+    def test_power_loads_scipy_special_on_first_use(self, tmp_path):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text("lambda_a = 1.5\ndelta = 0.1\np = 0.5\nlambda_cens = 0.48\n")
+        code = (
+            "import sys\nimport survquant.cli\nbefore = 'scipy.special' in sys.modules\n"
+            + run_main("power", "--scenario", str(scenario), "--delta", "0.1", "--n", "200")
+            + "print(before, 'scipy.special' in sys.modules)"
+        )
+        assert run_fresh(code)[-1] == "False True"

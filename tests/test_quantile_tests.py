@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gammaincc, ndtr
 
 from survquant import (
     KdeConfig,
@@ -27,6 +28,7 @@ from survquant import (
     univariate_test,
     upsilon_matrix,
 )
+from survquant.quantile_tests import _chi2_sf, _normal_two_sided
 
 KDE_FIXED = KdeConfig(bandwidth=0.3)
 KDE_CV = KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.02))
@@ -348,6 +350,50 @@ class TestMultivariate:
         data = two_arm(19)
         out = multivariate_test(data, [0.3, 0.6], "kde", KDE_FIXED)
         assert out.tuning1 == 0.3 and out.tuning2 == 0.3
+
+
+def tail_rtol(x):
+    """The relative bound on a tail at chi-squared argument x (z^2 for the
+    normal tail) against scipy: 1e-13 up to x = 100. Beyond, both sides
+    exponentiate an argument of size x/2 that is rounded, each in its own
+    way, and a rounding of x/2 moves e^(-x/2) by x/2 times 2^-53 relative;
+    so the bound grows as 4 x 2^-52. Seen over 2e5 random points: at most
+    1.9 x 2^-52 (dof 1, x = 1359) for the chi-squared tail and 0.3 x 2^-52
+    for the normal one."""
+    return 1e-13 if x <= 100 else max(1e-13, 4.0 * x * 2.0**-52)
+
+
+class TestTails:
+    """The standard-library tails of the tests against scipy.special, where
+    the p-value is above 1e-300."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(z=st.floats(-38.0, 38.0))
+    def test_normal_two_sided(self, z):
+        expected = 2.0 * ndtr(-abs(z))
+        assume(expected > 1e-300)
+        assert _normal_two_sided(z) == pytest.approx(expected, rel=tail_rtol(z * z), abs=0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(0.0, 100.0), dof=st.integers(1, 64))
+    def test_chi2_sf(self, x, dof):
+        expected = gammaincc(dof / 2.0, x / 2.0)
+        assert _chi2_sf(x, dof) == pytest.approx(expected, rel=tail_rtol(x), abs=0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(100.0, 2000.0), dof=st.integers(1, 64))
+    def test_chi2_sf_far_tail(self, x, dof):
+        # past x = 1416, e^(-x/2) is no normal float but the sum may be
+        expected = gammaincc(dof / 2.0, x / 2.0)
+        assume(expected > 1e-300)
+        assert _chi2_sf(x, dof) == pytest.approx(expected, rel=tail_rtol(x), abs=0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 8])
+    def test_ends(self, dof):
+        assert _chi2_sf(0.0, dof) == 1.0
+        assert _chi2_sf(math.inf, dof) == 0.0
+        assert _normal_two_sided(0.0) == 1.0
+        assert _normal_two_sided(-math.inf) == 0.0
 
 
 class TestBonferroni:

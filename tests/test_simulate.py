@@ -528,3 +528,86 @@ class TestBlockEngine:
         # the plan has no formula power either, and that fails first
         with pytest.raises(ValidationError, match="densities must be positive"):
             empirical_rejection(plan)
+
+
+DELAYED_PLAN = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
+HEAVY_CENSORING = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=1.5)
+
+
+class TestFrozenPValues:
+    """The engine's p-values for fixed seeds, as values: LS at J=1 and J=3
+    on the delayed-effect plan, KDE at J=1 on it and on a heavily censored
+    variant where 4 of 40 replicates fail. Printed rates move only when a
+    replicate crosses alpha; these pins move with any drift in a draw, a
+    fit, a density or a tail. The values are compared at 1e-12 relative,
+    not hashed, because the tails come from the platform's libm."""
+
+    PLANS = {
+        "ls-j1": SimulationPlan(DELAYED_PLAN, 200, (0.5,), 40, master_seed=11),
+        "ls-j3": SimulationPlan(DELAYED_PLAN, 150, (0.25, 0.5, 0.75), 40, master_seed=12),
+        "kde-j1": SimulationPlan(DELAYED_PLAN, 40, (0.75,), 40, density_method="kde",
+                                 master_seed=13),
+        "kde-j1-failures": SimulationPlan(HEAVY_CENSORING, 15, (0.5,), 40,
+                                          density_method="kde", master_seed=13),
+    }
+    nan = math.nan
+    EXPECTED = {
+        "ls-j1": [
+            0.030208433725272463, 0.5916816078121474, 0.8252047743309165, 0.14723654034210418,
+            0.9767721776265442, 0.8768512879427965, 0.05711329666113206, 0.0720967436613874,
+            0.49518550492274493, 0.28103483937644713, 0.12901435757943752, 0.8124465900484485,
+            0.04075769604152232, 0.6028363239290694, 0.49388376901249575, 0.302113119059499,
+            0.9256306983311429, 0.17866656482101717, 0.09515022833200057, 0.05451767640226144,
+            0.07152346615094181, 0.013829388474452345, 0.13464085700419098, 0.14315913924158363,
+            0.29097256980364283, 0.3628950365532254, 0.17692030323701413, 0.22913454457755222,
+            0.019404812189377164, 0.1461751265650306, 0.06313545830166324, 0.6522152737027385,
+            0.5580315644299039, 0.052966410847726034, 0.455296435637799, 0.0511797575164024,
+            0.05062090688355681, 0.15489731303655568, 0.2604467196625595, 0.055495293279132836,
+        ],
+        "ls-j3": [
+            0.7575361150113128, 0.038145652762850896, 0.4181467692157006, 0.02445447745132347,
+            0.2132026447235916, 0.09524764699150766, 0.004223152402516641, 0.864455199375558,
+            0.09737561123153354, 0.0016048883151165683, 0.025001769927127597,
+            0.08281721885723561, 0.2081429270853274, 0.0018474092896733534, 0.37107470656893865,
+            0.08664904495577525, 0.02855470742405056, 0.008721378403028076,
+            0.0035613812397453687, 0.07699738079845823, 0.0036125416088662377,
+            0.19269555149858764, 0.19024258396797128, 0.2103483945425366, 0.004084726791303504,
+            0.028516527198360037, 0.03854173845429201, 0.03540726668314876, 0.06254023941927413,
+            0.16155509160624443, 0.002823430811194307, 0.2884475636236483, 0.9717838180925831,
+            0.32443264010260103, 0.03045805473751327, 0.271495085155376, 0.9284890189414178,
+            0.5905090648331794, 0.43357039211463577, 0.009488001155750627,
+        ],
+        "kde-j1": [
+            0.39657742280327046, 0.7274229648017685, 0.13188865282730353, 0.3334276939578149,
+            0.03789998683616023, 0.9243815731993026, 0.9056731559047613, 0.1944484651157794,
+            0.6552422926543412, 0.4620134483234697, 0.8649987892919158, 0.43412229901717814,
+            0.6803349920323063, 0.03329634442770844, 0.4822988465941983, 0.18618461379120987,
+            0.11166683480773093, 0.0035085261734202258, 0.011936577086315042,
+            0.18564033183249473, 0.05067817764590653, 0.0008195559167386408,
+            0.24807136274613917, 0.5079812410255831, 0.3345411536612529, 0.7415267229455924,
+            0.0005770631399473182, 0.026773485240487737, 0.079776671516087, 0.79915656010605,
+            0.11323997464768293, 0.0047800036992798195, 0.7647113337467744, 0.4418035577236351,
+            0.0010262053532087544, 0.7532282769746671, 0.7914876721570454,
+            8.503119930801602e-06, 0.12944797378170939, 0.03610871282189082,
+        ],
+        "kde-j1-failures": [
+            0.9228466615862718, 0.7090736123805806, 0.3431087815298247, 0.5678150900855232,
+            0.9023869191951199, 0.8514740254779176, nan, 0.6830728682787625,
+            0.49584143794881363, 0.39423757423008954, nan, 0.3063703381717784,
+            0.6204355882149825, 0.6324440824155559, 0.8928457166599884, 0.4758411803247572,
+            0.9992330137100094, 0.3013590213021603, 0.8723518023874015, 0.7132022117141461,
+            0.9475650732001375, 0.417168653257192, 0.4045730251096752, 0.8593999276588797,
+            0.8089193657897544, 0.3822345573286787, nan, 0.7774271334766637,
+            0.23227083454362984, 0.5387569003508961, 0.7514553499029976, 0.8309668893413599,
+            0.48965340642779687, nan, 0.49488704564892083, 0.8075968393695301,
+            0.5721272595886602, 0.31173214176357456, 0.9526696800084057, 0.11245042420475378,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_p_values(self, name):
+        p_values = empirical_rejection(self.PLANS[name]).p_values
+        expected = np.array(self.EXPECTED[name])
+        assert np.array_equal(np.isnan(p_values), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        np.testing.assert_allclose(p_values[finite], expected[finite], rtol=1e-12, atol=0)
