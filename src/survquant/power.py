@@ -162,9 +162,9 @@ def _univariate_power(n_total, delta, sigma, alpha):
     if delta == 0.0:
         return float(alpha)
     shift = math.sqrt(n_total) * delta / sigma
-    q = normal_quantile(1.0 - alpha / 2.0)
-    ndtr = _special().ndtr
-    return float(ndtr(-(q - shift)) + ndtr(-q - shift))
+    special = _special()  # once per call: this runs at every step of a solve
+    q = float(special.ndtri(1.0 - alpha / 2.0))
+    return float(special.ndtr(-(q - shift)) + special.ndtr(-q - shift))
 
 
 def power_univariate(spec: PowerSpec) -> float:
