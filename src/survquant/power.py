@@ -282,10 +282,14 @@ def min_sample_size(
             raise UnattainablePowerError("all deltas are 0: no sample size reaches the target")
         threshold = chi2_quantile(1.0 - alpha, dof)
 
+        # the arguments are valid by construction, so each step calls
+        # chndtr itself, fetched once per solve
+        chndtr = _special().chndtr
+
         def power_at_total(n_total):
             if n_total == 0:
                 return float(alpha)
-            return 1.0 - noncentral_chi2_cdf(threshold, dof, n_total * quad)
+            return 1.0 - float(chndtr(threshold, dof, n_total * quad))
 
         # chi-squared analogue of the univariate seed; the search corrects it
         seed_total = (
