@@ -15,7 +15,8 @@ the two arms' J=1 terms and Psi the sum of their matrices.
 
 The special functions behind every power and sample size (normal
 cdf/quantile, central and noncentral chi-squared; the noncentral CDF is
-chndtr) come from scipy.special, imported on first use by _special(). The
+chndtr, and chndtrinc, its inverse in the noncentrality, seeds the joint
+sample size) come from scipy.special, imported on first use by _special(). The
 import costs a fresh process about 0.2 s, and the quantile tests, which use
 upsilon and _wald_form from this module, compute their own tails without it.
 """
@@ -158,12 +159,12 @@ class PowerSpec:
         return 2 * int(self.per_group_n)
 
 
-def _univariate_power(n_total, delta, sigma, alpha):
+def _univariate_power(n_total, delta, sigma, alpha, q):
+    """Power at total n_total; q = q_{1-alpha/2}, computed once by the caller."""
     if delta == 0.0:
         return float(alpha)
     shift = math.sqrt(n_total) * delta / sigma
     special = _special()  # once per call: this runs at every step of a solve
-    q = float(special.ndtri(1.0 - alpha / 2.0))
     return float(special.ndtr(-(q - shift)) + special.ndtr(-q - shift))
 
 
@@ -172,7 +173,8 @@ def power_univariate(spec: PowerSpec) -> float:
     if spec.sigma is None:
         raise ValidationError("univariate power needs a scalar sigma")
     delta = float(np.asarray(spec.deltas).reshape(()))
-    return _univariate_power(spec.n_total, delta, float(spec.sigma), spec.alpha)
+    q = normal_quantile(1.0 - spec.alpha / 2.0)
+    return _univariate_power(spec.n_total, delta, float(spec.sigma), spec.alpha, q)
 
 
 _PSI_RTOL = 1e-10  # relative positive-definiteness tolerance
@@ -245,10 +247,14 @@ def min_sample_size(
 ) -> SampleSizeResult:
     """Minimum per-group sample size under equal allocation.
 
-    Seeded by the closed-form inversion sqrt(n) = (q_{1-a/2} + q_{power})
-    * sigma/Delta (total n, rounded up to the next even integer before
-    halving), then settled by an integer search so that the returned
-    per-group n satisfies power(n) >= target and power(n-1) < target. Raises
+    The search starts from a seed. With sigma it is the closed-form inversion
+    sqrt(n) = (q_{1-a/2} + q_{power}) * sigma/Delta of total n, which ignores
+    the far tail; with psi it is chndtrinc, the noncentrality at which the
+    chi-squared power is exactly the target, divided by Delta' Psi^-1 Delta.
+    The seed only says where to start: a gallop and a bisection settle the
+    returned per-group n so that power(n) >= target and power(n-1) < target,
+    and both powers are the ones the search itself evaluated. A seed that is
+    nan, inf or past 2^52 per group starts the search at 2^52. Raises
     UnattainablePowerError when n would exceed 2^52.
     """
     if not 0.0 < alpha < 1.0:
@@ -267,14 +273,12 @@ def min_sample_size(
         sigma = float(sigma)
         if not sigma > 0:
             raise ValidationError("sigma must be positive")
+        q = normal_quantile(1.0 - alpha / 2.0)
 
         def power_at_total(n_total):
-            return _univariate_power(n_total, delta, sigma, alpha)
+            return _univariate_power(n_total, delta, sigma, alpha, q)
 
-        root = (
-            (normal_quantile(1.0 - alpha / 2.0) + normal_quantile(target_power))
-            * sigma / abs(delta)
-        )
+        root = (q + normal_quantile(target_power)) * sigma / abs(delta)
         seed_total = root * root  # inf rather than OverflowError
     else:
         quad, dof = _noncentrality(psi, deltas)
@@ -284,29 +288,29 @@ def min_sample_size(
 
         # the arguments are valid by construction, so each step calls
         # chndtr itself, fetched once per solve
-        chndtr = _special().chndtr
+        special = _special()
+        chndtr = special.chndtr
 
         def power_at_total(n_total):
             if n_total == 0:
                 return float(alpha)
             return 1.0 - float(chndtr(threshold, dof, n_total * quad))
 
-        # chi-squared analogue of the univariate seed; the search corrects it
-        seed_total = (
-            (normal_quantile(1.0 - alpha / 2.0) + normal_quantile(target_power)) ** 2
-            / quad
-        )
+        seed_total = float(special.chndtrinc(threshold, dof, 1.0 - target_power)) / quad
 
-    if not seed_total / 2.0 <= _MAX_PER_GROUP:
-        raise _too_large(target_power)
+    powers = {}  # per-group n -> power, every one the search evaluates
 
     def reaches(per_group):
-        return power_at_total(2 * per_group) >= target_power
+        powers[per_group] = power = power_at_total(2 * per_group)
+        return power >= target_power
 
-    # The seed's error grows with n (the far tail it ignores, the chi-squared
-    # analogue), so gallop away from it to a bracket lo < n <= hi with
-    # reaches(hi) and not reaches(lo), then bisect; power at 0 is alpha.
-    hi = max(1, math.ceil(seed_total / 2.0))
+    # The seed can miss (the far tail the univariate seed ignores, the
+    # tolerance of chndtrinc's root finder), so gallop away from it to a
+    # bracket lo < n <= hi with reaches(hi) and not reaches(lo), then bisect;
+    # power at 0 is alpha.
+    seed = seed_total / 2.0
+    # a nan, inf or past-the-cap seed fails the comparison and starts at the cap
+    hi = max(1, math.ceil(seed)) if seed <= _MAX_PER_GROUP else _MAX_PER_GROUP
     if reaches(hi):
         lo, step = hi - 1, 1
         while lo > 0 and reaches(lo):
@@ -323,11 +327,12 @@ def min_sample_size(
             hi = mid
         else:
             lo = mid
-    per_group = hi
+    # lo > 0 was evaluated by the search: the gallop stops on it or the
+    # bisection moved to it
     return SampleSizeResult(
-        per_group_n=per_group,
-        total_n=2 * per_group,
-        achieved_power=power_at_total(2 * per_group),
-        power_at_n_minus_1=power_at_total(2 * (per_group - 1)),
+        per_group_n=hi,
+        total_n=2 * hi,
+        achieved_power=powers[hi],
+        power_at_n_minus_1=powers[lo] if lo else power_at_total(0),
         target_power=target_power,
     )

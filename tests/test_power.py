@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 
 import survquant
 from survquant import (
@@ -22,8 +24,12 @@ from survquant import (
     normal_quantile,
     power_multivariate,
     power_univariate,
+    scenario_from_delta,
+    scenario_psi,
+    scenario_sigma2,
 )
-from survquant.power import upsilon
+from survquant import power
+from survquant.power import SampleSizeResult, upsilon
 from survquant.errors import (
     SingularCovarianceError,
     UnattainablePowerError,
@@ -361,9 +367,10 @@ class TestMinSampleSize:
     @pytest.mark.parametrize("target", [0.8, 0.999999])
     @pytest.mark.parametrize("kind", ["sigma", "psi"])
     def test_tiny_delta_settles_with_certificate(self, kind, target):
-        """Near 1e14 per group the seed is off by millions of subjects (the
-        ignored far tail; the chi-squared analogue); the search still
-        settles in a few dozen power evaluations."""
+        """Near 1e14 per group the univariate seed is off by up to 2e9
+        subjects (the far tail it ignores) and the chndtrinc seed by up to a
+        few thousand (its root finder's tolerance); the search still settles
+        in a few dozen power evaluations."""
         if kind == "sigma":
             result = min_sample_size(target, 1e-7, sigma=1.4)
         else:
@@ -380,6 +387,207 @@ class TestMinSampleSize:
     def test_past_the_cap_unattainable(self, deltas, variance):
         with pytest.raises(UnattainablePowerError, match=r"more than 2\^52"):
             min_sample_size(0.8, deltas, **variance)
+
+    def test_target_just_above_alpha_past_the_seed_cap(self):
+        # the normal-quantile seed is about 1e5 times n, past 2^52, so the
+        # search starts at the cap and gallops down
+        result = min_sample_size(0.0500001, 1e-9, sigma=1.0)
+        assert result.per_group_n == 436_489_705_097
+        assert result.achieved_power == 0.05000010000000002
+        assert result.power_at_n_minus_1 == 0.05000009999999999
+
+    def test_joint_target_just_above_alpha(self):
+        # the plan's J=3 delayed-effect inputs with deltas x 1e-8
+        psi, deltas = plan_joint_inputs(0.1, 0.2, (0.25, 0.5, 0.75))
+        result = min_sample_size(0.0500001, deltas * 1e-8, psi=psi)
+        assert result.per_group_n == 441_979_808_340
+        assert result.achieved_power >= 0.0500001 > result.power_at_n_minus_1
+
+
+# The plan the benchmark solves: exponential arm at rate 1.5, quantile p=0.5
+# shifted by delta, equal hazards until t_cut or none, censoring at rate 0.48.
+PLAN_FAMILIES = (None, 0.2)
+PLAN_TARGETS = (0.8, 0.9, 0.95)
+
+
+def plan_joint_inputs(delta, t_cut, ps):
+    scenario = scenario_from_delta(1.5, 0.5, delta, t_cut=t_cut, censoring_rate=0.48)
+    psi = scenario_psi(scenario, ps)
+    return psi, np.array([scenario.quantile_difference(p) for p in ps])
+
+
+class _CountingSpecial:
+    """scipy.special with chndtr and chndtrinc calls counted."""
+
+    def __init__(self, module, counts):
+        self._module, self._counts = module, counts
+
+    def __getattr__(self, name):
+        function = getattr(self._module, name)
+        if name not in ("chndtr", "chndtrinc"):
+            return function
+
+        def counted(*args):
+            self._counts[name] += 1
+            return function(*args)
+
+        return counted
+
+
+class TestSolveWork:
+    """A seed whose ceiling is the answer settles a solve in two power
+    evaluations, and the certificate reuses them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"chndtr": 0, "chndtrinc": 0, "univariate": 0}
+        module = power._special()
+        monkeypatch.setattr(power, "_special", lambda: _CountingSpecial(module, counts))
+        univariate = power._univariate_power
+
+        def counted(*args):
+            counts["univariate"] += 1
+            return univariate(*args)
+
+        monkeypatch.setattr(power, "_univariate_power", counted)
+        return counts
+
+    @pytest.mark.parametrize("ps", [(0.5, 0.75), (0.25, 0.5, 0.75), (0.2, 0.4, 0.6, 0.8)])
+    @pytest.mark.parametrize("t_cut", PLAN_FAMILIES)
+    def test_joint_solve_calls(self, counts, t_cut, ps):
+        psi, deltas = plan_joint_inputs(0.1, t_cut, ps)
+        for target in PLAN_TARGETS:
+            before = dict(counts)
+            result = min_sample_size(target, deltas, psi=psi)
+            assert counts["chndtr"] - before["chndtr"] <= 2
+            assert counts["chndtrinc"] - before["chndtrinc"] == 1
+            assert result.achieved_power >= target > result.power_at_n_minus_1
+
+    @pytest.mark.parametrize("p", [0.5, 0.75])
+    @pytest.mark.parametrize("t_cut", PLAN_FAMILIES)
+    def test_univariate_solve_evaluations(self, counts, t_cut, p):
+        scenario = scenario_from_delta(1.5, p, 0.1, t_cut=t_cut, censoring_rate=0.48)
+        sigma = math.sqrt(scenario_sigma2(scenario, p)[0])
+        for target in PLAN_TARGETS:
+            before = counts["univariate"]
+            min_sample_size(target, 0.1, sigma=sigma)
+            assert counts["univariate"] - before <= 2
+
+
+def _reference_solve(power_at, target):
+    """Plain bisection over [1, 2^52] per group with the certificate, where
+    power_at(n) is the power at n per group and power at 0 is below target."""
+    cap = 2 ** 52
+    if not power_at(cap) >= target:
+        raise UnattainablePowerError(
+            f"power {target:g} needs more than 2^52 subjects per group"
+        )
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if power_at(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return SampleSizeResult(hi, 2 * hi, power_at(hi), power_at(hi - 1), target)
+
+
+def _outcome(solve):
+    """solve()'s result, or the message of the UnattainablePowerError it raises."""
+    try:
+        return solve()
+    except UnattainablePowerError as error:
+        return str(error)
+
+
+alphas = st.sampled_from([0.01, 0.05, 0.1]) | st.floats(1e-3, 0.5)
+magnitudes = st.floats(-10.0, 0.5).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def targets_for(draw, alpha):
+    return draw(st.one_of(
+        st.floats(1e-9, 1e-6).map(lambda gap: alpha + gap),  # just above alpha
+        st.floats(0.999999, 1.0, exclude_max=True),
+        st.floats(alpha, 1.0, exclude_min=True, exclude_max=True),
+    ))
+
+
+@st.composite
+def univariate_problems(draw):
+    alpha = draw(alphas)
+    delta = draw(magnitudes) * draw(st.sampled_from([-1.0, 1.0]))
+    return alpha, draw(targets_for(alpha)), delta, draw(st.floats(0.1, 10.0))
+
+
+@st.composite
+def joint_problems(draw):
+    alpha = draw(alphas)
+    size = draw(st.integers(2, 4))
+    entries = st.floats(-1.0, 1.0)
+    root = np.array(draw(st.lists(entries, min_size=size * size, max_size=size * size)))
+    root = root.reshape(size, size)
+    psi = root @ root.T + draw(st.floats(0.05, 2.0)) * np.eye(size)
+    # each delta is 0 or within a factor 10 of the scale, and one is not 0
+    shares = st.sampled_from([0.0, -1.0, 1.0]).flatmap(
+        lambda sign: st.just(0.0) if sign == 0.0 else st.floats(0.1, 1.0).map(sign.__mul__)
+    )
+    deltas = np.array(draw(st.lists(shares, min_size=size, max_size=size)))
+    assume(np.any(deltas))
+    return alpha, draw(targets_for(alpha)), draw(magnitudes) * deltas, psi
+
+
+def _agrees(got, want):
+    """The same result or error message, or two certified answers.
+
+    Where the target is within a few rounding errors of the power, the power
+    computed in floats is not monotone in n, and it can cross the target at
+    several n close together. Each crossing is certified, and which one a
+    search meets depends on where it starts; two different certified
+    answers are the proof of such a double crossing."""
+    return got == want or all(
+        isinstance(result, SampleSizeResult)
+        and result.achieved_power >= result.target_power > result.power_at_n_minus_1
+        for result in (got, want)
+    )
+
+
+class TestMinSampleSizeAgainstBisection:
+    """min_sample_size, which starts from a seed and gallops, against a
+    plain bisection over [1, 2^52] on the public power functions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(univariate_problems())
+    def test_univariate(self, problem):
+        alpha, target, delta, sigma = problem
+        q = normal_quantile(1.0 - alpha / 2.0)
+
+        def power_at(per_group):
+            if per_group == 0:
+                return float(2.0 * special.ndtr(-q))
+            return power_univariate(
+                PowerSpec(alpha=alpha, deltas=delta, sigma=sigma, per_group_n=per_group)
+            )
+
+        got = _outcome(lambda: min_sample_size(target, delta, sigma=sigma, alpha=alpha))
+        want = _outcome(lambda: _reference_solve(power_at, target))
+        assert _agrees(got, want), (got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(joint_problems())
+    def test_joint(self, problem):
+        alpha, target, deltas, psi = problem
+
+        def power_at(per_group):
+            if per_group == 0:
+                return alpha
+            return power_multivariate(
+                PowerSpec(alpha=alpha, deltas=deltas, psi=psi, per_group_n=per_group)
+            )
+
+        got = _outcome(lambda: min_sample_size(target, deltas, psi=psi, alpha=alpha))
+        want = _outcome(lambda: _reference_solve(power_at, target))
+        assert _agrees(got, want), (got, want)
 
 
 class TestUpsilon:
