@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -237,26 +237,21 @@ def read_dataset(path: str):
 # ---------------------------------------------------------------------------
 # scenario plumbing
 
-def _read_scenario_values(path: str) -> dict:
-    return parse_scenario_values(_read_text(path, "scenario config")[1])
-
-
-def _merge_scenario(values: dict, p_values=None, delta=None) -> dict:
-    merged = dict(values)
+def _scenario_values(path: str, p_values=None, delta=None) -> dict:
+    """The scenario file's values with --p and --delta laid over them;
+    ScenarioConfig checks the result."""
+    values = parse_scenario_values(_read_text(path, "scenario config")[1])
     if p_values is not None:
-        merged.pop("p", None)
-        merged.pop("p_list", None)
+        values.pop("p", None)
+        values.pop("p_list", None)
         if len(p_values) == 1:
-            merged["p"] = p_values[0]
+            values["p"] = p_values[0]
         else:
-            merged["p_list"] = tuple(p_values)
+            values["p_list"] = tuple(p_values)
     if delta is not None:
-        merged.pop("delta", None)
-        merged.pop("lambda_b", None)
-        merged["delta"] = delta
-    if "lambda_a" not in merged:
-        raise ValidationError("scenario config is missing lambda_a")
-    return merged
+        values.pop("lambda_b", None)
+        values["delta"] = delta
+    return values
 
 
 def _scenario_summary(config: ScenarioConfig, scenario) -> dict:
@@ -277,12 +272,15 @@ def _scenario_summary(config: ScenarioConfig, scenario) -> dict:
     return summary
 
 
-def _single_p(args, merged: dict) -> float:
-    if args.p is not None:
-        return args.p
-    if merged.get("p") is not None:
-        return merged["p"]
-    raise ValidationError("a quantile probability is required (--p or config p=)")
+def _planning_config(args, delta) -> ScenarioConfig:
+    """The scenario of power or samplesize, which plan one quantile p."""
+    values = _scenario_values(args.scenario, None if args.p is None else [args.p], delta)
+    if "p" not in values:
+        if "p_list" in values:
+            raise ValidationError(f"{args.subcommand} plans one quantile, so it reads "
+                                  "no p_list (only simulate does): give --p or config p=")
+        raise ValidationError("a quantile probability is required (--p or config p=)")
+    return ScenarioConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +432,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_power(args) -> int:
-    values = _read_scenario_values(args.scenario)
-    merged = _merge_scenario(values, p_values=[args.p] if args.p is not None else None)
-    p = _single_p(args, merged)
+    config = _planning_config(args, args.delta[0])
+    p = config.p
     rows = []
-    scenario_manifest = None
     for delta in args.delta:
-        config = ScenarioConfig(**_merge_scenario(merged, p_values=[p], delta=delta))
-        scenario = resolve_scenario(config)
-        if scenario_manifest is None:
-            scenario_manifest = _scenario_summary(config, scenario)
-            scenario_manifest.pop("lambda_b", None)  # varies with delta
+        scenario = resolve_scenario(replace(config, delta=delta))
         sigma2, _ = scenario_sigma2(scenario, p)
         for n in args.n:
             spec = PowerSpec(
@@ -452,6 +444,8 @@ def cmd_power(args) -> int:
                 per_group_n=n,
             )
             rows.append([p, delta, n, power_univariate(spec)])
+    scenario_manifest = _scenario_summary(config, scenario)
+    scenario_manifest.pop("lambda_b", None)  # varies with delta
     config_out = {
         "scenario": scenario_manifest,
         "p": p,
@@ -466,14 +460,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
-    values = _read_scenario_values(args.scenario)
-    merged = _merge_scenario(
-        values,
-        p_values=[args.p] if args.p is not None else None,
-        delta=args.delta,
-    )
-    p = _single_p(args, merged)
-    config = ScenarioConfig(**_merge_scenario(merged, p_values=[p]))
+    config = _planning_config(args, args.delta)
+    p = config.p
     scenario = resolve_scenario(config)
     sigma2, _ = scenario_sigma2(scenario, p)
     delta = scenario.quantile_difference(p) if args.delta is None else args.delta
@@ -499,9 +487,7 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    values = _read_scenario_values(args.scenario)
-    merged = _merge_scenario(values, p_values=args.p, delta=args.delta)
-    config = ScenarioConfig(**merged)
+    config = ScenarioConfig(**_scenario_values(args.scenario, args.p, args.delta))
     scenario = resolve_scenario(config)
     probabilities = config.probabilities
 
@@ -565,24 +551,22 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _float_list(text: str):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
+def _list_of(kind, noun: str):
+    """argparse type for a comma list of at least one kind(token)."""
+    def parse(text: str):
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}s, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+        return values
+    return parse
 
 
-def _int_list(text: str):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+_float_list = _list_of(float, "number")
+_int_list = _list_of(int, "integer")
 
 
 def build_parser() -> argparse.ArgumentParser:

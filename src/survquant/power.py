@@ -125,9 +125,9 @@ def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
 class PowerSpec:
     """Inputs of a power evaluation.
 
-    Exactly one of total_n / per_group_n is given; per_group_n assumes equal
-    allocation (mu1 = 0.5) and means total_n = 2 * per_group_n. deltas is a
-    scalar with sigma, or a vector with the psi matrix.
+    Exactly one of total_n / per_group_n is given; per_group_n means
+    total_n = 2 * per_group_n. The allocation enters only through sigma or
+    psi. deltas is a scalar with sigma, or a vector with the psi matrix.
     """
 
     alpha: float
@@ -136,15 +136,12 @@ class PowerSpec:
     psi: object = None
     total_n: object = None
     per_group_n: object = None
-    mu1: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie strictly between 0 and 1")
         if (self.total_n is None) == (self.per_group_n is None):
             raise ValidationError("give exactly one of total_n or per_group_n")
-        if self.per_group_n is not None and self.mu1 != 0.5:
-            raise ValidationError("per_group_n implies equal allocation (mu1=0.5)")
         if self.n_total < 2:
             raise ValidationError("sample size must be at least 2")
         if (self.sigma is None) == (self.psi is None):

@@ -188,18 +188,14 @@ def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
 
 def phi_piecewise(rate_early: float, rate_late: float, t_cut: float,
                   censoring_rate: float, t: float) -> float:
-    """phi(t) for the two-piece exponential arm under exponential censoring."""
+    """phi(t) for the two-piece exponential arm under exponential censoring:
+    phi_exponential of the early piece, plus the late piece past t_cut."""
     _check_rate(rate_early, "rate_early")
     _check_rate(rate_late, "rate_late")
-    if censoring_rate < 0:
-        raise ValidationError("censoring_rate must be non-negative")
-    if t < 0:
-        raise ValidationError("t must be non-negative")
-    a = rate_early + censoring_rate
+    early = phi_exponential(rate_early, censoring_rate, min(t, t_cut))
+    if t <= t_cut:
+        return early
     try:
-        if t <= t_cut:
-            return rate_early / a * math.expm1(a * t)
-        early = rate_early / a * math.expm1(a * t_cut)
         b = rate_late + censoring_rate
         # on (t_cut, t] the inverse of S(s) S_c(s) carries the accumulated
         # early-piece hazard as the constant factor e^{(rate_early-rate_late) t_cut}
@@ -272,6 +268,16 @@ class TrialScenario:
         )
 
 
+def _two_arms(rate_control, comparator_rate, t_cut, censoring_rate, mu1) -> TrialScenario:
+    """Exponential control; the comparator takes over after t_cut, if any."""
+    arm1 = ExponentialArm(rate_control)
+    if t_cut is None:
+        arm2 = ExponentialArm(comparator_rate)
+    else:
+        arm2 = PiecewiseExponentialArm(rate_control, comparator_rate, t_cut)
+    return TrialScenario(arm1, arm2, censoring_rate=censoring_rate, mu1=mu1)
+
+
 def scenario_from_delta(
     rate_control: float,
     p: float,
@@ -285,44 +291,39 @@ def scenario_from_delta(
     t_cut=None gives the proportional-hazards comparator, otherwise the
     delayed-effect comparator whose hazard equals the control's until t_cut.
     """
-    arm1 = ExponentialArm(rate_control)
     if t_cut is None:
-        arm2 = ExponentialArm(rate_from_delta_scn1(rate_control, p, delta))
+        rate = rate_from_delta_scn1(rate_control, p, delta)
     else:
-        late = rate_from_delta_scn2(rate_control, p, delta, t_cut)
-        arm2 = PiecewiseExponentialArm(rate_control, late, t_cut)
-    return TrialScenario(arm1, arm2, censoring_rate=censoring_rate, mu1=mu1)
+        rate = rate_from_delta_scn2(rate_control, p, delta, t_cut)
+    return _two_arms(rate_control, rate, t_cut, censoring_rate, mu1)
 
 
-def _arm_upsilon(arm, probabilities, censoring_rate, mu):
-    times = [arm.quantile(p) for p in probabilities]
-    phis = [arm.phi(t, censoring_rate) for t in times]
-    return upsilon(probabilities, times, phis, [arm.density(t) for t in times], mu)
+def _psi_with_pieces(scenario: TrialScenario, probabilities):
+    """Psi and, per arm, the quantiles, the densities there and phi there:
+    both arms' pieces first, then arm 1's upsilon plus arm 2's."""
+    pieces = []
+    for arm in (scenario.arm1, scenario.arm2):
+        times = [arm.quantile(p) for p in probabilities]
+        pieces.append((times, [arm.density(t) for t in times],
+                       [arm.phi(t, scenario.censoring_rate) for t in times]))
+    (t1, f1, phi1), (t2, f2, phi2) = pieces
+    psi = (upsilon(probabilities, t1, phi1, f1, scenario.mu1)
+           + upsilon(probabilities, t2, phi2, f2, scenario.mu2))
+    return psi, pieces
 
 
 def scenario_sigma2(scenario: TrialScenario, p: float):
     """Asymptotic variance of the scaled quantile difference, plus pieces.
 
-    Returns (sigma2, diagnostics) where diagnostics carries the per-arm
-    quantiles, densities, and phi values that make up the sum.
+    sigma2 is the J=1 entry of scenario_psi(scenario, [p]). Returns
+    (sigma2, diagnostics) where diagnostics carries the per-arm quantiles,
+    densities, and phi values that make up the sum.
     """
     _check_probability(p)
-    t1 = scenario.arm1.quantile(p)
-    t2 = scenario.arm2.quantile(p)
-    diag = {
-        "p": p,
-        "quantile1": t1,
-        "quantile2": t2,
-        "density1": scenario.arm1.density(t1),
-        "density2": scenario.arm2.density(t2),
-        "phi1": scenario.arm1.phi(t1, scenario.censoring_rate),
-        "phi2": scenario.arm2.phi(t2, scenario.censoring_rate),
-    }
-    sigma2 = (
-        upsilon([p], [t1], [diag["phi1"]], [diag["density1"]], scenario.mu1)
-        + upsilon([p], [t2], [diag["phi2"]], [diag["density2"]], scenario.mu2)
-    )
-    return float(sigma2[0, 0]), diag
+    psi, ((t1, f1, phi1), (t2, f2, phi2)) = _psi_with_pieces(scenario, [p])
+    diag = {"p": p, "quantile1": t1[0], "quantile2": t2[0], "density1": f1[0],
+            "density2": f2[0], "phi1": phi1[0], "phi2": phi2[0]}
+    return float(psi[0, 0]), diag
 
 
 def scenario_psi(scenario: TrialScenario, probabilities) -> np.ndarray:
@@ -334,9 +335,7 @@ def scenario_psi(scenario: TrialScenario, probabilities) -> np.ndarray:
         _check_probability(p)
     if np.unique(ps).size != ps.size:
         raise ValidationError("probabilities must be distinct")
-    return _arm_upsilon(
-        scenario.arm1, ps, scenario.censoring_rate, scenario.mu1
-    ) + _arm_upsilon(scenario.arm2, ps, scenario.censoring_rate, scenario.mu2)
+    return _psi_with_pieces(scenario, ps)[0]
 
 
 def calibrate_censoring(arm, target_fraction: float, tol: float = 1e-8) -> float:
@@ -383,7 +382,7 @@ class ScenarioConfig:
     mu1 (default 0.5).
     """
 
-    lambda_a: float
+    lambda_a: float = None
     lambda_b: float = None
     delta: float = None
     t_cut: float = None
@@ -394,6 +393,8 @@ class ScenarioConfig:
     mu1: float = 0.5
 
     def __post_init__(self):
+        if self.lambda_a is None:
+            raise ValidationError("scenario config is missing lambda_a")
         _check_rate(self.lambda_a, "lambda_a")
         if (self.lambda_b is None) == (self.delta is None):
             raise ValidationError("give exactly one of lambda_b or delta")
@@ -463,10 +464,7 @@ def parse_scenario_values(text: str) -> dict:
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
-    values = parse_scenario_values(text)
-    if "lambda_a" not in values:
-        raise ValidationError("scenario config is missing lambda_a")
-    return ScenarioConfig(**values)
+    return ScenarioConfig(**parse_scenario_values(text))
 
 
 def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
@@ -475,22 +473,17 @@ def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
     delta-form configs use the first probability as the planning quantile;
     target_censoring is calibrated on the control arm by bisection.
     """
-    arm1 = ExponentialArm(config.lambda_a)
     if config.target_censoring is not None:
-        censoring_rate = calibrate_censoring(arm1, config.target_censoring)
-    elif config.lambda_cens is not None:
-        if config.lambda_cens < 0:
-            raise ValidationError("lambda_cens must be non-negative")
-        censoring_rate = config.lambda_cens
+        censoring_rate = calibrate_censoring(ExponentialArm(config.lambda_a),
+                                             config.target_censoring)
+    elif config.lambda_cens is not None and config.lambda_cens < 0:
+        raise ValidationError("lambda_cens must be non-negative")
     else:
-        censoring_rate = 0.0
+        censoring_rate = 0.0 if config.lambda_cens is None else config.lambda_cens
     if config.delta is not None:
         return scenario_from_delta(
             config.lambda_a, config.probabilities[0], config.delta,
             t_cut=config.t_cut, censoring_rate=censoring_rate, mu1=config.mu1,
         )
-    if config.t_cut is None:
-        arm2 = ExponentialArm(config.lambda_b)
-    else:
-        arm2 = PiecewiseExponentialArm(config.lambda_a, config.lambda_b, config.t_cut)
-    return TrialScenario(arm1, arm2, censoring_rate=censoring_rate, mu1=config.mu1)
+    return _two_arms(config.lambda_a, config.lambda_b, config.t_cut, censoring_rate,
+                     config.mu1)

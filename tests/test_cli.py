@@ -639,6 +639,22 @@ class TestCmdPower:
         assert code == 2
         assert "quantile probability is required" in err
 
+    @pytest.mark.parametrize("command,argv", [
+        ("power", ["--delta", "0.1", "--n", "100"]),
+        ("samplesize", ["--power", "0.8"]),
+    ])
+    def test_p_list_needs_one_p(self, tmp_path, capsys, command, argv):
+        """Both commands plan one quantile: a file with only p_list asks
+        for --p or p=, and --p plans at that quantile."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("lambda_a = 1.5\ndelta = 0.1\np_list = 0.25, 0.5, 0.75\n")
+        code, out, err = run_cli(capsys, command, "--scenario", str(cfg), *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {command} plans one quantile, so it reads no p_list "
+                       "(only simulate does): give --p or config p=\n")
+        code, _, err = run_cli(capsys, command, "--scenario", str(cfg), "--p", "0.5", *argv)
+        assert (code, err) == (0, "")
+
     def test_infeasible_delta(self, scenario_file, capsys):
         # the median of the control arm is about 0.46, so a shift of 0.5
         # leaves no positive comparator quantile

@@ -154,10 +154,6 @@ class TestPowerSpec:
         with pytest.raises(ValidationError, match="exactly one of total_n"):
             PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0)
 
-    def test_per_group_forces_equal_allocation(self):
-        with pytest.raises(ValidationError, match="equal allocation"):
-            PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0, per_group_n=50, mu1=0.3)
-
     def test_sample_size_floor(self):
         with pytest.raises(ValidationError, match="at least 2"):
             PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0, total_n=1)

@@ -228,6 +228,23 @@ class TestPhi:
         assert above == pytest.approx(below, rel=1e-9)
         assert above >= below
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate_early=st.floats(1e-3, 1e3),
+        rate_late=st.floats(1e-3, 1e3),
+        t_cut=st.floats(1e-3, 1e3),
+        censoring_rate=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        fraction=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_piecewise_is_exponential_up_to_cut(self, rate_early, rate_late, t_cut,
+                                                censoring_rate, fraction):
+        """Up to the cut the two-piece arm is exponential(rate_early), and
+        phi_piecewise returns phi_exponential's float, inf included."""
+        t = min(fraction * t_cut, t_cut)
+        assert phi_piecewise(rate_early, rate_late, t_cut, censoring_rate, t) == (
+            phi_exponential(rate_early, censoring_rate, t)
+        )
+
     def test_saturates_instead_of_overflowing(self):
         assert phi_exponential(0.1, 50.0, 30.0) == math.inf
         assert phi_piecewise(0.1, 0.2, 1.0, 50.0, 30.0) == math.inf
@@ -517,6 +534,10 @@ class TestScenarioConfigParsing:
 
 
 class TestScenarioConfigValidation:
+    def test_lambda_a_required(self):
+        with pytest.raises(ValidationError, match="missing lambda_a"):
+            ScenarioConfig(delta=0.1, p=0.5)
+
     def test_exactly_one_comparator(self):
         with pytest.raises(ValidationError, match="lambda_b or delta"):
             ScenarioConfig(lambda_a=1.0, lambda_b=2.0, delta=0.1, p=0.5)
