@@ -253,6 +253,12 @@ def min_sample_size(
     and both powers are the ones the search itself evaluated. A seed that is
     nan, inf or past 2^52 per group starts the search at 2^52. Raises
     UnattainablePowerError when n would exceed 2^52.
+
+    Within a few rounding errors of the target the float power is not
+    monotone in n (targets within about 1e-6 of alpha at n above about 1e8
+    per group, or any n above about 1e14). There the result is a certified
+    crossing that can depend on where the search starts, not always the
+    smallest.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie strictly between 0 and 1")

@@ -77,6 +77,14 @@ class SimulationPlan:
     def __post_init__(self):
         if self.n_per_group < 2:
             raise ValidationError("n_per_group must be at least 2")
+        # a replicate's uniforms: an event and a censoring draw per subject and arm
+        if 4 * self.n_per_group * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise ValidationError(f"n_per_group={self.n_per_group} is too large: one "
+                                  "replicate's draws would not fit in a numpy array")
+        if self.scenario.mu1 != 0.5:
+            raise ValidationError("simulation draws n_per_group subjects per arm and tests "
+                                  "at equal allocation, so it needs mu1 = 0.5, got "
+                                  f"{self.scenario.mu1:g}")
         if self.replications < 1:
             raise ValidationError("replications must be at least 1")
         if not 0.0 < self.alpha < 1.0:

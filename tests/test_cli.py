@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import signal
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survquant
 from survquant import sample_trial, scenario_from_delta
 from survquant.cli import main, read_dataset
 from survquant.errors import DatasetFormatError, ValidationError
@@ -771,6 +773,38 @@ class TestCmdSimulate:
         _, from_env, _ = run_cli(capsys, *argv)
         assert from_env == explicit
 
+    def test_n_past_the_largest_array(self, scenario_file, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario_file,
+            "--n", "1152921504606846976", "--reps", "1", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_per_group=1152921504606846976 is too large")
+        assert err.count("\n") == 1
+
+    def test_out_of_memory(self, scenario_file, capsys, monkeypatch):
+        """An n that fits numpy's limits but not the machine: MemoryError is
+        one error line and exit 2 (raised here by a stand-in engine)."""
+        def exhausted(plan):
+            raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+        monkeypatch.setattr("survquant.cli.empirical_rejection", exhausted)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario_file,
+            "--n", "99999999999", "--reps", "1", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
+
+    def test_unequal_allocation(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SCENARIO_DELAYED + "mu1 = 0.3\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(cfg), "--n", "30", "--reps", "5",
+        )
+        assert (code, out) == (2, "")
+        assert "needs mu1 = 0.5, got 0.3" in err
+
     def test_ci_env_requires_seed(self, scenario_file, capsys, monkeypatch):
         monkeypatch.setenv("CI", "true")
         code, _, err = run_cli(
@@ -960,6 +994,25 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("# manifest: ")
+
+
+class TestClosedStdout:
+    def test_closed_pipe_is_one_error_line(self, scenario_file):
+        """The read end of stdout is closed before the command starts, so
+        its first write fails: one error line and exit 2, no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(survquant.__file__).parents[1]))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "survquant.cli", "power", "--scenario",
+                 scenario_file, "--delta", "0.1", "--n", "500"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == "error: standard output was closed by its reader\n"
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,23 @@ class TestPlanValidation:
         with pytest.raises(ValidationError, match="threads"):
             small_plan(threads=0)
 
+    def test_draws_must_fit_in_an_array(self):
+        """A replicate draws 4n float64 uniforms; past numpy's largest array
+        the plan is rejected before anything is allocated."""
+        largest = np.iinfo(np.intp).max // (4 * np.dtype(float).itemsize)
+        assert small_plan(n_per_group=largest).n_per_group == largest
+        for n in (largest + 1, 2 ** 60):
+            with pytest.raises(ValidationError, match="too large"):
+                small_plan(n_per_group=n)
+
+    def test_unequal_allocation_rejected(self):
+        """The engine draws n per arm and tests at (0.5, 0.5), so a scenario
+        with another mu1 would compare two different designs."""
+        scenario = TrialScenario(ExponentialArm(1.5), ExponentialArm(1.5),
+                                 censoring_rate=0.48, mu1=0.3)
+        with pytest.raises(ValidationError, match="needs mu1 = 0.5, got 0.3"):
+            small_plan(scenario=scenario)
+
 
 class TestDeterminism:
     def test_repeat_run_is_identical(self):
