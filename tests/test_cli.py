@@ -801,6 +801,7 @@ class TestCmdSimulate:
         cfg.write_text(SCENARIO_DELAYED + "mu1 = 0.3\n")
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", str(cfg), "--n", "30", "--reps", "5",
+            "--seed", "1",
         )
         assert (code, out) == (2, "")
         assert "needs mu1 = 0.5, got 0.3" in err
