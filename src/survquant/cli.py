@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import DEFAULT_CV_GRID, KdeConfig, LsConfig, _select_sigma
+from .density import KdeConfig, LsConfig, _select_sigma
 from .errors import DatasetFormatError, NumericalError, ValidationError
 from .power import PowerSpec, min_sample_size, power_univariate
 from .quantile_tests import (
@@ -126,14 +126,22 @@ def _emit_json(payload, destination: str) -> None:
             raise ValidationError(f"cannot write JSON output {destination}: {exc}") from None
 
 
-def _emit_results(json_path, manifest: dict, header, rows, text_view) -> None:
-    """With --json, the manifest and one object per row go to json_path;
-    otherwise the text view (_emit_csv or _emit_table) renders the rows."""
+def _emit(json_path, payload: dict, tables, view) -> None:
+    """With --json, payload goes to json_path; otherwise view (_emit_csv or
+    _emit_table) renders each (title, header, rows) of tables after its
+    title, with payload's manifest."""
     if json_path:
-        results = [dict(zip(header, row)) for row in rows]
-        _emit_json({"manifest": manifest, "results": results}, json_path)
-    else:
-        text_view(manifest, header, rows)
+        _emit_json(payload, json_path)
+        return
+    for title, header, rows in tables:
+        sys.stdout.write(title)
+        view(payload["manifest"], header, rows)
+
+
+def _emit_results(json_path, manifest: dict, header, rows, view) -> None:
+    """_emit with one JSON object per row."""
+    results = [dict(zip(header, row)) for row in rows]
+    _emit(json_path, {"manifest": manifest, "results": results}, [("", header, rows)], view)
 
 
 def _manifest(command: str, config: dict, seeds: dict, tuning: dict,
@@ -286,74 +294,51 @@ def _planning_config(args, delta) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # tuning resolution
 
-def _number_or_auto(flag: str, spec):
-    """A tuning flag's value: None or 'auto' as given, otherwise a float."""
-    if spec is None or spec == "auto":
-        return spec
-    try:
-        return float(spec)
-    except ValueError:
-        raise ValidationError(
-            f"{flag} must be a number or 'auto', got {spec!r}"
-        ) from None
+def _density_tuning(args):
+    """The tuning that --method's flag fixes and its manifest entry, or
+    (None, entry) for 'auto', the default, which each command resolves.
 
-
-def _kde_tuning(args):
-    """KDE tuning and its manifest entry from --bandwidth (default auto)."""
-    if args.sigma_eps is not None:
-        raise ValidationError("--sigma-eps applies to --method ls only")
-    bandwidth = _number_or_auto("--bandwidth", args.bandwidth)
-    if bandwidth in (None, "auto"):
-        tuning = KdeConfig("select-by-cv", DEFAULT_CV_GRID)
-        return tuning, {"method": "kde", "bandwidth_mode": "auto"}
-    manifest = {"method": "kde", "bandwidth": bandwidth, "bandwidth_mode": "fixed"}
-    return KdeConfig(bandwidth), manifest
-
-
-def _ls_sigma(args):
-    """--sigma-eps for --method ls: None, 'auto' or a number."""
-    if args.bandwidth is not None:
-        raise ValidationError("--bandwidth applies to --method kde only")
-    return _number_or_auto("--sigma-eps", args.sigma_eps)
-
-
-def _resolve_test_tuning(args, data, probabilities):
-    """Check the tuning flags, fit both arms once, then resolve 'auto'.
-
-    Returns (assembly, tuning, manifest_tuning, notes); a flag error exits
-    before any fitting. For LS the automatic sigma is the largest
-    plateau-stable choice over arm x probability (symmetric in the arms,
-    errs toward smoothing), tuned on the assembly's KM fits; the
-    per-selection values are recorded.
+    test and simulate call this before any other check, so a flag error
+    comes first: the other method's flag, then a value that is neither a
+    number nor 'auto', then the config's own check of the number.
     """
-    if args.method == "kde":
-        tuning, manifest = _kde_tuning(args)
+    if args.method == "ls":
+        flag, key, spec = "--sigma-eps", "sigma_eps", args.sigma_eps
+        if args.bandwidth is not None:
+            raise ValidationError("--bandwidth applies to --method kde only")
     else:
-        sigma = _ls_sigma(args)
-        manifest = {"method": "ls", "sigma_eps": sigma, "sigma_eps_mode": "fixed"}
-        tuning = None if sigma in (None, "auto") else LsConfig(sigma, seed=args.seed)
-    assembly = _Assembly(data, probabilities)
-    if tuning is not None:
-        return assembly, tuning, manifest, []
+        flag, key, spec = "--bandwidth", "bandwidth", args.bandwidth
+        if args.sigma_eps is not None:
+            raise ValidationError("--sigma-eps applies to --method ls only")
+    if spec is None or spec == "auto":
+        return None, {"method": args.method, f"{key}_mode": "auto"}
+    try:
+        value = float(spec)
+    except ValueError:
+        raise ValidationError(f"{flag} must be a number or 'auto', got {spec!r}") from None
+    tuning = LsConfig(value, seed=args.seed) if args.method == "ls" else KdeConfig(value)
+    return tuning, {"method": args.method, key: value, f"{key}_mode": "fixed"}
+
+
+def _auto_sigma(assembly, probabilities, seed):
+    """test's LS tuning under 'auto' and the per-selection values: the
+    largest plateau-stable sigma over arm x probability (symmetric in the
+    arms, errs toward smoothing), tuned on the assembly's KM fits. The
+    selection's flags are warnings on stderr."""
     selections = [selection for arm in assembly.arms
                   for selection in _select_sigma(arm.fit, probabilities, arm.times,
-                                                 _SIGMA_AUTO_GRID, seed=args.seed)]
+                                                 _SIGMA_AUTO_GRID, seed=seed)]
+    for flag in sorted({flag for selection in selections for flag in selection.flags}):
+        print(f"warning: sigma selection: {flag}", file=sys.stderr)
     chosen = [selection.sigma_eps for selection in selections]
-    sigma = max(chosen)
-    manifest = {
-        "method": "ls",
-        "sigma_eps": sigma,
-        "sigma_eps_mode": "auto",
-        "sigma_eps_selections": chosen,
-    }
-    flags = {flag for selection in selections for flag in selection.flags}
-    return assembly, LsConfig(sigma, seed=args.seed), manifest, sorted(flags)
+    return LsConfig(max(chosen), seed=seed), chosen
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_test(args) -> int:
+    tuning, manifest_tuning = _density_tuning(args)
     data, dataset_info = read_dataset(args.data)
     if dataset_info["ignored_columns"]:
         print(
@@ -370,11 +355,12 @@ def cmd_test(args) -> int:
         raise ValidationError("alpha must lie strictly between 0 and 1")
     if args.bonferroni and len(probabilities) < 2:
         raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")
-    assembly, tuning, manifest_tuning, notes = _resolve_test_tuning(
-        args, data, probabilities
-    )
-    for note in notes:
-        print(f"warning: sigma selection: {note}", file=sys.stderr)
+    # one Psi_hat (KM fits, quantiles, densities) for every result
+    assembly = _Assembly(data, probabilities)
+    if args.method == "ls" and tuning is None:
+        tuning, chosen = _auto_sigma(assembly, probabilities, args.seed)
+        manifest_tuning.update(sigma_eps=tuning.sigma_eps, sigma_eps_selections=chosen)
+    assembly.estimate(args.method, tuning, DEFAULT_DENSITY_FLOOR)
 
     config = {
         "p": list(probabilities),
@@ -383,8 +369,6 @@ def cmd_test(args) -> int:
         "bonferroni": bool(args.bonferroni),
     }
     seeds = {"seed": args.seed} if args.method == "ls" else {}
-    # one Psi_hat (KM fits, quantiles, densities) for every result
-    assembly.estimate(args.method, tuning, DEFAULT_DENSITY_FLOOR)
     if args.method == "kde":
         for k, arm in enumerate(assembly.arms, start=1):
             manifest_tuning[f"bandwidth_arm{k}"] = arm.densities[0].tuning
@@ -392,42 +376,30 @@ def cmd_test(args) -> int:
 
     if len(probabilities) == 1:
         result = _univariate_from_pieces(assembly, 0)
+        header = ["p", "delta_hat", "statistic", "p_value", "flags"]
+        rows = [[result.p, result.delta_hat, result.statistic, result.p_value,
+                 ";".join(result.flags)]]
         payload = {"manifest": manifest, "results": [asdict(result)]}
-        if args.json:
-            _emit_json(payload, args.json)
-        else:
-            header = ["p", "delta_hat", "statistic", "p_value", "flags"]
-            rows = [[
-                result.p, result.delta_hat, result.statistic, result.p_value,
-                ";".join(result.flags),
-            ]]
-            _emit_table(manifest, header, rows)
+        _emit(args.json, payload, [("", header, rows)], _emit_table)
         return 0
 
-    followup = []
-    if args.bonferroni:
-        followup = _bonferroni_from_pieces(assembly, args.alpha)
+    followup = _bonferroni_from_pieces(assembly, args.alpha) if args.bonferroni else []
     joint = _multivariate_from_pieces(assembly)
+    tables = [("", ["statistic", "dof", "p_value", "flags"],
+               [[joint.statistic, joint.dof, joint.p_value, ";".join(joint.flags)]])]
+    if followup:
+        tables.append((
+            "\nBonferroni follow-up:\n",
+            ["p", "delta_hat", "statistic", "p_value", "adjusted_p", "reject"],
+            [[r.p, r.delta_hat, r.statistic, r.p_value, r.adjusted_p_value, r.reject_adjusted]
+             for r in followup],
+        ))
     payload = {
         "manifest": manifest,
         "results": [asdict(joint)],
         "bonferroni": [asdict(r) for r in followup],
     }
-    if args.json:
-        _emit_json(payload, args.json)
-        return 0
-    header = ["statistic", "dof", "p_value", "flags"]
-    rows = [[joint.statistic, joint.dof, joint.p_value, ";".join(joint.flags)]]
-    _emit_table(manifest, header, rows)
-    if followup:
-        sys.stdout.write("\nBonferroni follow-up:\n")
-        header = ["p", "delta_hat", "statistic", "p_value", "adjusted_p", "reject"]
-        rows = [
-            [r.p, r.delta_hat, r.statistic, r.p_value, r.adjusted_p_value,
-             r.reject_adjusted]
-            for r in followup
-        ]
-        _emit_table(manifest, header, rows)
+    _emit(args.json, payload, tables, _emit_table)
     return 0
 
 
@@ -487,6 +459,7 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    tuning, manifest_tuning = _density_tuning(args)
     config = ScenarioConfig(**_scenario_values(args.scenario, args.p, args.delta))
     scenario = resolve_scenario(config)
     probabilities = config.probabilities
@@ -497,15 +470,6 @@ def cmd_simulate(args) -> int:
         seed = 0
     else:
         seed = args.seed
-
-    if args.method == "kde":
-        tuning, manifest_tuning = _kde_tuning(args)
-    else:
-        sigma = _ls_sigma(args)
-        if sigma in (None, "auto"):
-            sigma = DEFAULT_SIM_SIGMA_EPS
-        tuning = LsConfig(sigma_eps=sigma)
-        manifest_tuning = {"method": "ls", "sigma_eps": sigma}
 
     plan = SimulationPlan(
         scenario=scenario,
@@ -518,6 +482,8 @@ def cmd_simulate(args) -> int:
         master_seed=seed,
         threads=args.threads,
     )
+    if args.method == "ls":  # the scale the plan runs with, 'auto' or not
+        manifest_tuning = {"method": "ls", "sigma_eps": plan.tuning.sigma_eps}
     report = empirical_rejection(plan)
 
     deltas = [scenario.quantile_difference(p) for p in probabilities]
@@ -576,62 +542,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    test = sub.add_parser("test", help="test quantile equality on a dataset")
+    # flags that several subcommands share, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--alpha", type=float, default=0.05,
+                        help="significance level (default 0.05)")
+    output.add_argument("--json", metavar="PATH",
+                        help="write canonical JSON to PATH ('-' for stdout) "
+                             "instead of the table or CSV")
+    planning = argparse.ArgumentParser(add_help=False)
+    planning.add_argument("--scenario", required=True, help="key=value scenario config file")
+    density = argparse.ArgumentParser(add_help=False)
+    density.add_argument("--method", choices=("ls", "kde"), default="ls")
+    density.add_argument("--sigma-eps", default=None,
+                         help="LS perturbation scale, or 'auto' (the default): test "
+                              "selects it from the data, simulate takes "
+                              f"{DEFAULT_SIM_SIGMA_EPS}")
+    density.add_argument("--bandwidth", default=None,
+                         help="KDE bandwidth, or 'auto' (the default) for CV selection")
+
+    test = sub.add_parser("test", parents=[output, density],
+                          help="test quantile equality on a dataset")
     test.add_argument("data", help="CSV file with header time,status,group")
     test.add_argument("--p", type=_float_list, required=True,
                       help="quantile probability, or comma list for the joint test")
-    test.add_argument("--method", choices=("ls", "kde"), default="ls")
-    test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--sigma-eps", default=None,
-                      help="LS perturbation scale, or 'auto' (default auto)")
-    test.add_argument("--bandwidth", default=None,
-                      help="KDE bandwidth, or 'auto' for CV selection (default auto)")
     test.add_argument("--bonferroni", action="store_true",
                       help="per-quantile follow-up with Bonferroni adjustment")
     test.add_argument("--seed", type=int, default=0,
                       help="seed for the LS perturbation draws (default 0)")
-    test.add_argument("--json", metavar="PATH",
-                      help="write canonical JSON to PATH ('-' for stdout)")
     test.set_defaults(handler=cmd_test)
 
-    power = sub.add_parser("power", help="closed-form power over a (delta, n) grid")
-    power.add_argument("--scenario", required=True, help="key=value scenario config file")
+    power = sub.add_parser("power", parents=[planning, output],
+                           help="closed-form power over a (delta, n) grid")
     power.add_argument("--p", type=float, default=None)
     power.add_argument("--delta", type=_float_list, required=True,
                        help="comma list of quantile differences")
     power.add_argument("--n", type=_int_list, required=True,
                        help="comma list of per-group sample sizes")
-    power.add_argument("--alpha", type=float, default=0.05)
-    power.add_argument("--json", metavar="PATH",
-                       help="write canonical JSON instead of CSV")
     power.set_defaults(handler=cmd_power)
 
-    size = sub.add_parser("samplesize", help="minimum per-group n for target powers")
-    size.add_argument("--scenario", required=True)
+    size = sub.add_parser("samplesize", parents=[planning, output],
+                          help="minimum per-group n for target powers")
     size.add_argument("--p", type=float, default=None)
     size.add_argument("--delta", type=float, default=None,
                       help="quantile difference (falls back to the scenario's)")
     size.add_argument("--power", type=_float_list, required=True,
                       help="comma list of target powers")
-    size.add_argument("--alpha", type=float, default=0.05)
-    size.add_argument("--json", metavar="PATH")
     size.set_defaults(handler=cmd_samplesize)
 
-    sim = sub.add_parser("simulate", help="empirical rejection rate by Monte Carlo")
-    sim.add_argument("--scenario", required=True)
+    sim = sub.add_parser("simulate", parents=[planning, output, density],
+                         help="empirical rejection rate by Monte Carlo")
     sim.add_argument("--n", type=int, required=True, help="per-group sample size")
     sim.add_argument("--reps", type=int, required=True, help="number of replicates")
     sim.add_argument("--p", type=_float_list, default=None,
                      help="quantile probability or comma list (joint test)")
     sim.add_argument("--delta", type=float, default=None,
                      help="override the scenario's quantile difference")
-    sim.add_argument("--method", choices=("ls", "kde"), default="ls")
-    sim.add_argument("--alpha", type=float, default=0.05)
-    sim.add_argument("--sigma-eps", default=None,
-                     help="LS perturbation scale, or 'auto' for the default "
-                          f"{DEFAULT_SIM_SIGMA_EPS}")
-    sim.add_argument("--bandwidth", default=None,
-                     help="KDE bandwidth, or 'auto' for per-replicate CV")
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (default 0; required when CI is set)")
     sim.add_argument("--threads", type=int, default=1,
@@ -639,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "always run serially")
     sim.add_argument("--timing", action="store_true",
                      help="append per-replicate timing columns")
-    sim.add_argument("--json", metavar="PATH")
     sim.set_defaults(handler=cmd_simulate)
 
     return parser

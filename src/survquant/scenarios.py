@@ -175,8 +175,8 @@ def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
     `power` command prints 0.05 and exits 0.
     """
     _check_rate(rate, "rate")
-    if censoring_rate < 0:
-        raise ValidationError("censoring_rate must be non-negative")
+    if not censoring_rate >= 0:  # nan included
+        raise ValidationError(f"censoring_rate must be non-negative, got {censoring_rate!r}")
     if t < 0:
         raise ValidationError("t must be non-negative")
     total = rate + censoring_rate
@@ -248,8 +248,9 @@ class TrialScenario:
     mu1: float = 0.5
 
     def __post_init__(self):
-        if self.censoring_rate < 0:
-            raise ValidationError("censoring_rate must be non-negative")
+        if not self.censoring_rate >= 0:  # nan included
+            raise ValidationError("censoring_rate must be non-negative, "
+                                  f"got {self.censoring_rate!r}")
         if not 0.0 < self.mu1 < 1.0:
             raise ValidationError("mu1 must lie strictly between 0 and 1")
 
@@ -476,8 +477,9 @@ def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
     if config.target_censoring is not None:
         censoring_rate = calibrate_censoring(ExponentialArm(config.lambda_a),
                                              config.target_censoring)
-    elif config.lambda_cens is not None and config.lambda_cens < 0:
-        raise ValidationError("lambda_cens must be non-negative")
+    elif config.lambda_cens is not None and not 0 <= config.lambda_cens < math.inf:
+        raise ValidationError("lambda_cens must be finite and non-negative, "
+                              f"got {config.lambda_cens!r}")
     else:
         censoring_rate = 0.0 if config.lambda_cens is None else config.lambda_cens
     if config.delta is not None:

@@ -15,7 +15,6 @@ power fails before any replicate runs.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -61,7 +60,15 @@ DEFAULT_SIM_SIGMA_EPS = 5.0
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Everything one empirical-rejection run depends on."""
+    """Everything one empirical-rejection run depends on.
+
+    tuning=None takes the plan's default, set once here:
+    LsConfig(DEFAULT_SIM_SIGMA_EPS) for LS and the library's CV default
+    for KDE. An LS config's seed is not used: each replicate seeds its
+    perturbations from its own child seed, the same for both arms, so the
+    draws act as common random numbers and the result is symmetric in the
+    arms.
+    """
 
     scenario: TrialScenario
     n_per_group: int
@@ -90,6 +97,9 @@ class SimulationPlan:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie strictly between 0 and 1")
         _check_tuning(self.density_method, self.tuning)
+        if self.tuning is None:
+            object.__setattr__(self, "tuning", LsConfig(DEFAULT_SIM_SIGMA_EPS)
+                               if self.density_method == "ls" else _default_tuning("kde"))
         probabilities = tuple(float(p) for p in self.probabilities)
         if not probabilities:
             raise ValidationError("at least one probability is required")
@@ -183,17 +193,6 @@ def _formula_power(plan: SimulationPlan) -> float:
     return power_multivariate(spec)
 
 
-def _replicate_tuning(plan: SimulationPlan, seed_seq) -> object:
-    tuning = plan.tuning
-    if plan.density_method == "ls":
-        if tuning is None:
-            tuning = LsConfig(sigma_eps=DEFAULT_SIM_SIGMA_EPS)
-        # same child seed for both arms: the perturbation draws act as
-        # common random numbers, keeping the result arm-order symmetric
-        return dataclasses.replace(tuning, seed=seed_seq)
-    return tuning
-
-
 def _replicate_seeds(plan: SimulationPlan, rep: int):
     """Replicate rep's seed and its first child (what seed.spawn(1) gives),
     the seed of its LS perturbations."""
@@ -205,7 +204,7 @@ def _block_rows(plan: SimulationPlan) -> int:
     """Replicates per block: about _BLOCK_VALUES draws, at least one."""
     per_rep = 2 * plan.n_per_group
     if plan.density_method == "ls":
-        per_rep += int(_replicate_tuning(plan, None).n_draws)
+        per_rep += int(plan.tuning.n_draws)
     return max(1, _BLOCK_VALUES // per_rep)
 
 
@@ -224,7 +223,7 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     scenario, n = plan.scenario, plan.n_per_group
     censored = scenario.censoring_rate > 0
     uniforms = np.empty((count, 4 if censored else 2, n))
-    ls = _replicate_tuning(plan, None) if plan.density_method == "ls" else None
+    ls = plan.tuning if plan.density_method == "ls" else None
     eps = np.empty((count, int(ls.n_draws))) if ls else None
     for r in range(count):
         seed, child = _replicate_seeds(plan, first + r)
@@ -281,7 +280,6 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
         slopes[rows], _ = _ls_slopes(steps[rows], survival[rows], n, ps, quantiles[rows],
                                      eps[rows][:, None, None, :])
     else:
-        kde_tuning = plan.tuning if plan.tuning is not None else _default_tuning("kde")
         before = _censoring_before(steps, flags)
 
     out = np.full(count, np.nan)
@@ -291,7 +289,7 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
             if plan.density_method == "ls":
                 values = slopes[r].tolist()
             else:
-                machines = [_KdeMachine(steps[r, a], flags[r, a], before[r, a], kde_tuning)
+                machines = [_KdeMachine(steps[r, a], flags[r, a], before[r, a], plan.tuning)
                             for a in (0, 1)]
                 values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
             # equal arms: each allocation fraction is n / 2n = 0.5

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import survquant
 from survquant import sample_trial, scenario_from_delta
-from survquant.cli import main, read_dataset
+from survquant.cli import build_parser, main, read_dataset
 from survquant.errors import DatasetFormatError, ValidationError
 
 SCENARIO_TEXT = "lambda_a = 1.5\ndelta = 0.1\np = 0.5\nlambda_cens = 0.48\n"
@@ -244,6 +245,20 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert f"cannot write JSON output {path}: " in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["power", "samplesize", "simulate"])
+    def test_lambda_cens_not_finite(self, tmp_path, capsys, command, value):
+        path = tmp_path / "s.cfg"
+        path.write_text(SCENARIO_TEXT.replace("0.48", value))
+        argv = {
+            "power": ["--delta", "0.1", "--n", "10"],
+            "samplesize": ["--power", "0.8"],
+            "simulate": ["--n", "20", "--reps", "2", "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), *argv)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: lambda_cens must be finite and non-negative, got {value}\n"
+
     def test_simulate_negative_seed(self, scenario_file, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", scenario_file, "--n", "25",
@@ -397,6 +412,21 @@ class TestCmdTest:
         code, _, err = run_cli(capsys, *argv, "--sigma-eps", "wide")
         assert code == 2
         assert err == "error: --sigma-eps must be a number or 'auto', got 'wide'\n"
+
+    def test_flag_errors_before_the_ci_seed_rule(self, capsys, scenario_file, monkeypatch):
+        """simulate without --seed under CI gives test_flag_cross_validation's
+        flag errors, not the seed rule's."""
+        monkeypatch.setenv("CI", "true")
+        argv = ["simulate", "--scenario", scenario_file, "--n", "20", "--reps", "2"]
+        for flags, line in [
+            (["--method", "ls", "--bandwidth", "0.3"],
+             "error: --bandwidth applies to --method kde only\n"),
+            (["--method", "kde", "--sigma-eps", "1.0"],
+             "error: --sigma-eps applies to --method ls only\n"),
+            (["--sigma-eps", "wide"],
+             "error: --sigma-eps must be a number or 'auto', got 'wide'\n"),
+        ]:
+            assert run_cli(capsys, *argv, *flags) == (2, "", line)
 
     def test_multivariate_with_bonferroni(self, tmp_path, capsys):
         path = make_dataset(tmp_path / "d.csv", n=60, rate2=2.5)
@@ -559,6 +589,100 @@ class TestFrozenTestOutput:
             assert row["statistic"] == pytest.approx(statistic, rel=1e-12)
             assert row["p_value"] == pytest.approx(p_value, rel=1e-12)
             assert row["flags"] == flags
+
+
+class TestFrozenTextViews:
+    """The table views of `test` (J=1, and J=3 with its Bonferroni
+    follow-up) on TestFrozenTestOutput's trial and of `samplesize` on
+    SCENARIO_TEXT, byte for byte; {path} stands for the dataset's path."""
+
+    MANIFEST = (
+        '{"command":"test","config":{"alpha":0.05,"bonferroni":%s,"method":"ls","p":%s},'
+        '"dataset":{"ignored_columns":[],"path":"{path}","sha256":'
+        '"a9035bc587cd0c86478319341594083cb2d95d96b5bddf24a6c374ea4b716aaa"},'
+        '"seeds":{"seed":0},"tuning":{"method":"ls","sigma_eps":%s,"sigma_eps_mode":"auto",'
+        '"sigma_eps_selections":%s},"version":"0.1.0"}'
+    )
+    J3 = MANIFEST % ("true", "[0.25,0.5,0.75]", "9.85",
+                     "[9.85,2.0,5.05,0.9500000000000001,1.0,2.3000000000000003]")
+    RUNS = {
+        "test-j1": (
+            ["--p", "0.5"],
+            "p    delta_hat  statistic  p_value      flags\n"
+            "---  ---------  ---------  -----------  -----\n"
+            "0.5  0.191967   3.33641    0.000848666\n"
+            "\nmanifest: " + MANIFEST % ("false", "[0.5]", "2.0", "[2.0,1.0]") + "\n",
+        ),
+        "test-j3-bonferroni": (
+            ["--p", "0.25,0.5,0.75", "--bonferroni"],
+            "statistic  dof  p_value    flags\n"
+            "---------  ---  ---------  -----\n"
+            "8.66754    3    0.0340538\n"
+            "\nmanifest: " + J3 + "\n"
+            "\nBonferroni follow-up:\n"
+            "p     delta_hat  statistic  p_value     adjusted_p  reject\n"
+            "----  ---------  ---------  ----------  ----------  ------\n"
+            "0.25  0.0775995  0.794223   0.427066    1           false\n"
+            "0.5   0.191967   1.78695    0.0739452   0.221836    false\n"
+            "0.75  0.314954   2.9198     0.00350256  0.0105077   true\n"
+            "\nmanifest: " + J3 + "\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_test_table(self, tmp_path, capsys, name):
+        data = sample_trial(scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2,
+                                                censoring_rate=0.48), 200, 200, 3)
+        lines = ["time,status,group"]
+        for group, arm in ((1, data.arm1), (2, data.arm2)):
+            lines += [f"{float(t)!r},{int(e)},{group}" for t, e in zip(arm.times, arm.events)]
+        path = tmp_path / "trial.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv, expected = self.RUNS[name]
+        code, out, err = run_cli(capsys, "test", str(path), *argv)
+        assert (code, err) == (0, "")
+        assert out == expected.replace("{path}", str(path))
+
+    def test_samplesize_table(self, scenario_file, capsys):
+        code, out, err = run_cli(capsys, "samplesize", "--scenario", scenario_file,
+                                 "--power", "0.8,0.9")
+        assert (code, err) == (0, "")
+        assert out == (
+            "target_power  per_group_n  total_n  achieved_power\n"
+            "------------  -----------  -------  --------------\n"
+            "0.8           632          1264     0.800128\n"
+            "0.9           846          1692     0.900069\n"
+            '\nmanifest: {"command":"samplesize","config":{"alpha":0.05,'
+            '"delta":0.10000000000000003,"p":0.5,"scenario":{"censoring_rate":0.48,'
+            '"form":"proportional","lambda_a":1.5,"lambda_b":1.9142523574697405,"mu1":0.5},'
+            '"targets":[0.8,0.9]},"seeds":{},"tuning":{"method":"closed-form"},'
+            '"version":"0.1.0"}\n'
+        )
+
+
+class TestParser:
+    """Each subcommand offers exactly these option strings (and test its
+    data argument), whichever parser declares them."""
+
+    OPTIONS = {
+        "test": ("--alpha --bandwidth --bonferroni --json --method --p --seed --sigma-eps",
+                 ["data"]),
+        "power": ("--alpha --delta --json --n --p --scenario", []),
+        "samplesize": ("--alpha --delta --json --p --power --scenario", []),
+        "simulate": ("--alpha --bandwidth --delta --json --method --n --p --reps "
+                     "--scenario --seed --sigma-eps --threads --timing", []),
+    }
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_option_strings(self, command):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        actions = subparsers.choices[command]._actions
+        options = sorted(s for a in actions for s in a.option_strings
+                         if s not in ("-h", "--help"))
+        flags, positionals = self.OPTIONS[command]
+        assert options == flags.split()
+        assert [a.dest for a in actions if not a.option_strings] == positionals
 
 
 class TestFarSpan:
@@ -757,6 +881,15 @@ class TestCmdSimulate:
         header = out.splitlines()[1].split(",")
         assert "empirical" in header
         assert "rep_time_mean_s" not in header
+
+    def test_default_sigma_eps_bytes(self, scenario_file, capsys):
+        """No --sigma-eps, 'auto' and the default 5.0 print the same bytes."""
+        argv = ["simulate", "--scenario", scenario_file, "--n", "30",
+                "--reps", "12", "--seed", "3"]
+        runs = [run_cli(capsys, *argv, *flag)
+                for flag in ([], ["--sigma-eps", "auto"], ["--sigma-eps", "5.0"])]
+        assert runs[0][0] == 0
+        assert runs[1:] == runs[:1] * 2
 
     def test_thread_count_byte_identity(self, scenario_file, capsys):
         argv = ["simulate", "--scenario", scenario_file, "--n", "30",

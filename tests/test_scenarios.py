@@ -255,6 +255,10 @@ class TestPhi:
         with pytest.raises(ValidationError, match="non-negative"):
             phi_exponential(RATE, CENS, -1.0)
 
+    def test_nan_censoring_rate_rejected(self):
+        with pytest.raises(ValidationError, match="censoring_rate must be non-negative, got nan"):
+            phi_exponential(RATE, math.nan, 1.0)
+
 
 class TestRateSolvers:
     def test_scn1_reference_values(self):
@@ -344,6 +348,10 @@ class TestTrialScenario:
             TrialScenario(ExponentialArm(1.0), ExponentialArm(1.0), censoring_rate=-1.0)
         with pytest.raises(ValidationError, match="mu1"):
             TrialScenario(ExponentialArm(1.0), ExponentialArm(1.0), mu1=1.0)
+
+    def test_nan_censoring_rate_rejected(self):
+        with pytest.raises(ValidationError, match="censoring_rate must be non-negative, got nan"):
+            TrialScenario(ExponentialArm(1.0), ExponentialArm(1.0), censoring_rate=math.nan)
 
 
 class TestScenarioSigma2:

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: sampling, determinism, accounting."""
 
+import dataclasses
 import math
 import threading
 
@@ -31,8 +32,9 @@ from survquant import (
     scenario_sigma2,
     univariate_test,
 )
+from survquant.density import DEFAULT_CV_GRID
 from survquant.errors import ValidationError
-from survquant.simulate import DEFAULT_SIM_SIGMA_EPS, _replicate_tuning
+from survquant.simulate import DEFAULT_SIM_SIGMA_EPS
 
 NULL_SCENARIO = TrialScenario(
     ExponentialArm(1.5), ExponentialArm(1.5), censoring_rate=0.48
@@ -119,6 +121,13 @@ class TestPlanValidation:
     def test_tuning_must_match_method(self, method, tuning):
         with pytest.raises(ValidationError, match="takes a"):
             small_plan(density_method=method, tuning=tuning)
+
+    def test_default_tuning(self):
+        """tuning=None takes the documented default of each method, once."""
+        assert small_plan().tuning == LsConfig(DEFAULT_SIM_SIGMA_EPS)
+        kde = small_plan(density_method="kde").tuning
+        assert kde.bandwidth == "select-by-cv"
+        assert np.array_equal(kde.cv_grid, DEFAULT_CV_GRID)
 
     def test_probabilities(self):
         with pytest.raises(ValidationError, match="at least one"):
@@ -344,7 +353,9 @@ def replicate_seed(plan, rep):
 
 def public_p_value(plan, data, rep):
     """The public test on one replicate's data, tuned as that replicate."""
-    tuning = _replicate_tuning(plan, replicate_seed(plan, rep).spawn(1)[0])
+    tuning = plan.tuning
+    if plan.density_method == "ls":
+        tuning = dataclasses.replace(tuning, seed=replicate_seed(plan, rep).spawn(1)[0])
     try:
         if len(plan.probabilities) == 1:
             return univariate_test(
