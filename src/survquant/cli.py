@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .density import KdeConfig, LsConfig, _select_sigma
-from .errors import DatasetFormatError, NumericalError, ValidationError
+from .errors import DatasetFormatError, NumericalError, ValidationError, _check_open_unit
 from .power import PowerSpec, min_sample_size, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
@@ -48,7 +48,7 @@ from .quantile_tests import (
 )
 from .scenarios import ScenarioConfig, parse_scenario_values, resolve_scenario, scenario_sigma2
 from .simulate import DEFAULT_SIM_SIGMA_EPS, SimulationPlan, empirical_rejection
-from .survival import SurvivalSample, TwoArmData
+from .survival import SurvivalSample, TwoArmData, _probabilities
 
 _SIGMA_AUTO_GRID = np.linspace(0.1, 10.0, 199)  # 0.1 .. 10 in steps of 0.05
 _REQUIRED_COLUMNS = ("time", "status", "group")
@@ -346,13 +346,10 @@ def cmd_test(args) -> int:
             + ", ".join(dataset_info["ignored_columns"]),
             file=sys.stderr,
         )
-    probabilities = args.p
-    if len(set(probabilities)) != len(probabilities):
-        raise ValidationError("--p entries must be distinct")
+    probabilities = _probabilities(args.p)
     if args.seed < 0:
         raise ValidationError("--seed must be non-negative")
-    if not 0 < args.alpha < 1:
-        raise ValidationError("alpha must lie strictly between 0 and 1")
+    _check_open_unit("alpha", args.alpha)
     if args.bonferroni and len(probabilities) < 2:
         raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")
     # one Psi_hat (KM fits, quantiles, densities) for every result

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TooFewEventsError, ValidationError
+from .errors import TooFewEventsError, ValidationError, _check_positive
 from .survival import (
     KaplanMeierFit,
     SurvivalSample,
@@ -53,8 +53,7 @@ class LsConfig:
     seed: object = None  # anything numpy.random.default_rng accepts
 
     def __post_init__(self):
-        if not self.sigma_eps > 0:
-            raise ValidationError("sigma_eps must be positive")
+        _check_positive("sigma_eps", self.sigma_eps)
         if int(self.n_draws) < 2:
             raise ValidationError("n_draws must be at least 2")
 
@@ -558,8 +557,7 @@ def cv_score(sample: SurvivalSample, h: float) -> float:
     With no censoring all weights are 1 and this is the classical
     least-squares cross-validation criterion.
     """
-    if not h > 0:
-        raise ValidationError("bandwidth must be positive")
+    _check_positive("bandwidth", h)
     grid = np.asarray([h], dtype=float)
     return float(_cv_scores(*_cv_events(*_sorted_rows(sample)), sample.n, grid)[0])
 

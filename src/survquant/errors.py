@@ -14,6 +14,18 @@ class ValidationError(SurvQuantError):
     """Invalid input: shapes, domains, config files, datasets."""
 
 
+def _check_open_unit(name, value):
+    """Raise ValidationError unless 0 < value < 1 (nan fails)."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must lie strictly between 0 and 1, got {float(value)!r}")
+
+
+def _check_positive(name, value):
+    """Raise ValidationError unless value > 0 (nan fails)."""
+    if not value > 0:
+        raise ValidationError(f"{name} must be positive, got {float(value)!r}")
+
+
 class NumericalError(SurvQuantError):
     """A quantity is not estimable or a computation degenerates."""
 

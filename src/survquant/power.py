@@ -32,6 +32,8 @@ from .errors import (
     SingularCovarianceError,
     UnattainablePowerError,
     ValidationError,
+    _check_open_unit,
+    _check_positive,
 )
 
 
@@ -138,16 +140,15 @@ class PowerSpec:
     per_group_n: object = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie strictly between 0 and 1")
+        _check_open_unit("alpha", self.alpha)
         if (self.total_n is None) == (self.per_group_n is None):
             raise ValidationError("give exactly one of total_n or per_group_n")
         if self.n_total < 2:
             raise ValidationError("sample size must be at least 2")
         if (self.sigma is None) == (self.psi is None):
             raise ValidationError("give exactly one of sigma or psi")
-        if self.sigma is not None and not float(self.sigma) > 0:
-            raise ValidationError("sigma must be positive")
+        if self.sigma is not None:
+            _check_positive("sigma", float(self.sigma))
 
     @property
     def n_total(self) -> int:
@@ -260,8 +261,7 @@ def min_sample_size(
     crossing that can depend on where the search starts, not always the
     smallest.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie strictly between 0 and 1")
+    _check_open_unit("alpha", alpha)
     if not alpha < target_power < 1.0:
         raise UnattainablePowerError(
             f"target power must lie strictly between alpha={alpha:g} and 1"
@@ -274,8 +274,7 @@ def min_sample_size(
         if delta == 0.0:
             raise UnattainablePowerError("delta is 0: no sample size reaches the target")
         sigma = float(sigma)
-        if not sigma > 0:
-            raise ValidationError("sigma must be positive")
+        _check_positive("sigma", sigma)
         q = normal_quantile(1.0 - alpha / 2.0)
 
         def power_at_total(n_total):

@@ -42,9 +42,10 @@ from .density import (
     _ls_densities,
     _sorted_rows,
 )
-from .errors import SingularCovarianceError, TooFewEventsError, ValidationError
+from .errors import SingularCovarianceError, TooFewEventsError, ValidationError, _check_open_unit
 from .power import _wald_form, upsilon
-from .survival import KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
+from .survival import (KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, _probabilities,
+                       fit_kaplan_meier)
 
 DEFAULT_DENSITY_FLOOR = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
@@ -367,14 +368,8 @@ def multivariate_test(
     density_floor: float = DEFAULT_DENSITY_FLOOR,
 ) -> MultivariateTestResult:
     """Wald-type joint test of equality at several quantiles."""
-    probabilities = list(probabilities)
-    if len(probabilities) < 1:
-        raise ValidationError("at least one probability is required")
-    if len(set(probabilities)) != len(probabilities):
-        raise ValidationError("probabilities must be distinct")
-    return _multivariate_from_pieces(
-        _Assembly(data, probabilities).estimate(density_method, tuning, density_floor)
-    )
+    assembly = _Assembly(data, _probabilities(probabilities))
+    return _multivariate_from_pieces(assembly.estimate(density_method, tuning, density_floor))
 
 
 def _bonferroni_from_pieces(assembly: _Assembly, alpha):
@@ -398,12 +393,12 @@ def bonferroni_followup(
     alpha: float = 0.05,
     density_floor: float = DEFAULT_DENSITY_FLOOR,
 ):
-    """Per-quantile univariate tests with Bonferroni-adjusted p-values."""
-    probabilities = list(probabilities)
+    """Per-quantile univariate tests with Bonferroni-adjusted p-values. The
+    probabilities must be distinct, or one would count twice in the adjustment."""
+    probabilities = _probabilities(probabilities)
     if len(probabilities) < 2:
         raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")
-    if not 0 < alpha < 1:
-        raise ValidationError("alpha must lie strictly between 0 and 1")
+    _check_open_unit("alpha", alpha)
     # one KM fit and one density set-up (KDE bandwidth selection) per arm,
     # shared by every probability
     return _bonferroni_from_pieces(

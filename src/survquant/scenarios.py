@@ -27,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDeltaError, ValidationError
+from .errors import InfeasibleDeltaError, ValidationError, _check_open_unit, _check_positive
 from .power import upsilon
+from .survival import _probabilities
 
 
 def exp_quantile(rate: float, p: float) -> float:
     """p-quantile of the exponential distribution, -log(1-p)/rate."""
-    _check_rate(rate, "rate")
-    _check_probability(p)
+    _check_positive("rate", rate)
+    _check_open_unit("p", p)
     return -math.log1p(-p) / rate
 
 
@@ -42,22 +43,12 @@ def exp_density(rate: float, t: float) -> float:
     return rate * math.exp(-rate * t)
 
 
-def _check_probability(p):
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"probability must lie strictly in (0, 1), got {p!r}")
-
-
-def _check_rate(value, name):
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExponentialArm:
     rate: float
 
     def __post_init__(self):
-        _check_rate(self.rate, "rate")
+        _check_positive("rate", self.rate)
 
     def quantile(self, p: float) -> float:
         return exp_quantile(self.rate, p)
@@ -97,10 +88,9 @@ class PiecewiseExponentialArm:
     t_cut: float
 
     def __post_init__(self):
-        _check_rate(self.rate_early, "rate_early")
-        _check_rate(self.rate_late, "rate_late")
-        if not self.t_cut > 0:
-            raise ValidationError(f"t_cut must be positive, got {self.t_cut!r}")
+        _check_positive("rate_early", self.rate_early)
+        _check_positive("rate_late", self.rate_late)
+        _check_positive("t_cut", self.t_cut)
 
     def cumulative_hazard(self, t: float) -> float:
         if t <= self.t_cut:
@@ -151,9 +141,9 @@ def piecewise_quantile(rate_early: float, rate_late: float, t_cut: float,
     Below the cut the cumulative hazard is rate_early * t; past it the
     residual log survival accrues at rate_late.
     """
-    _check_rate(rate_early, "rate_early")
-    _check_rate(rate_late, "rate_late")
-    _check_probability(p)
+    _check_positive("rate_early", rate_early)
+    _check_positive("rate_late", rate_late)
+    _check_open_unit("p", p)
     target = -math.log1p(-p)
     knee = rate_early * t_cut
     if target < knee:
@@ -174,7 +164,7 @@ def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
     the control quantile at t = 30, where (rate + c) t = 1,503, and the
     `power` command prints 0.05 and exits 0.
     """
-    _check_rate(rate, "rate")
+    _check_positive("rate", rate)
     if not censoring_rate >= 0:  # nan included
         raise ValidationError(f"censoring_rate must be non-negative, got {censoring_rate!r}")
     if t < 0:
@@ -190,8 +180,8 @@ def phi_piecewise(rate_early: float, rate_late: float, t_cut: float,
                   censoring_rate: float, t: float) -> float:
     """phi(t) for the two-piece exponential arm under exponential censoring:
     phi_exponential of the early piece, plus the late piece past t_cut."""
-    _check_rate(rate_early, "rate_early")
-    _check_rate(rate_late, "rate_late")
+    _check_positive("rate_early", rate_early)
+    _check_positive("rate_late", rate_late)
     early = phi_exponential(rate_early, censoring_rate, min(t, t_cut))
     if t <= t_cut:
         return early
@@ -251,8 +241,7 @@ class TrialScenario:
         if not self.censoring_rate >= 0:  # nan included
             raise ValidationError("censoring_rate must be non-negative, "
                                   f"got {self.censoring_rate!r}")
-        if not 0.0 < self.mu1 < 1.0:
-            raise ValidationError("mu1 must lie strictly between 0 and 1")
+        _check_open_unit("mu1", self.mu1)
 
     @property
     def mu2(self) -> float:
@@ -320,7 +309,6 @@ def scenario_sigma2(scenario: TrialScenario, p: float):
     (sigma2, diagnostics) where diagnostics carries the per-arm quantiles,
     densities, and phi values that make up the sum.
     """
-    _check_probability(p)
     psi, ((t1, f1, phi1), (t2, f2, phi2)) = _psi_with_pieces(scenario, [p])
     diag = {"p": p, "quantile1": t1[0], "quantile2": t2[0], "density1": f1[0],
             "density2": f2[0], "phi1": phi1[0], "phi2": phi2[0]}
@@ -329,14 +317,7 @@ def scenario_sigma2(scenario: TrialScenario, p: float):
 
 def scenario_psi(scenario: TrialScenario, probabilities) -> np.ndarray:
     """Covariance matrix of the scaled quantile-difference vector."""
-    ps = np.asarray(probabilities, dtype=float)
-    if ps.ndim != 1 or ps.size == 0:
-        raise ValidationError("probabilities must be a non-empty 1-d sequence")
-    for p in ps:
-        _check_probability(p)
-    if np.unique(ps).size != ps.size:
-        raise ValidationError("probabilities must be distinct")
-    return _psi_with_pieces(scenario, ps)[0]
+    return _psi_with_pieces(scenario, _probabilities(probabilities))[0]
 
 
 def calibrate_censoring(arm, target_fraction: float, tol: float = 1e-8) -> float:
@@ -346,11 +327,7 @@ def calibrate_censoring(arm, target_fraction: float, tol: float = 1e-8) -> float
     geometrically first. Stops when the bracket width drops under
     tol * max(1, hi).
     """
-    if not 0.0 < target_fraction < 1.0:
-        raise ValidationError(
-            f"target censored fraction must lie strictly in (0, 1), got "
-            f"{target_fraction!r}"
-        )
+    _check_open_unit("target censored fraction", target_fraction)
     lo, hi = 0.0, 1.0
     while arm.censored_fraction(hi) < target_fraction:
         hi *= 2.0
@@ -396,7 +373,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.lambda_a is None:
             raise ValidationError("scenario config is missing lambda_a")
-        _check_rate(self.lambda_a, "lambda_a")
+        _check_positive("lambda_a", self.lambda_a)
         if (self.lambda_b is None) == (self.delta is None):
             raise ValidationError("give exactly one of lambda_b or delta")
         if self.lambda_cens is not None and self.target_censoring is not None:
@@ -406,14 +383,9 @@ class ScenarioConfig:
         if (self.p is None) == (self.p_list is None):
             raise ValidationError("give exactly one of p or p_list")
         if self.p is not None:
-            _check_probability(self.p)
-        if self.p_list is not None:
-            if len(self.p_list) == 0:
-                raise ValidationError("p_list must not be empty")
-            for value in self.p_list:
-                _check_probability(value)
-            if len(set(self.p_list)) != len(self.p_list):
-                raise ValidationError("p_list entries must be distinct")
+            _check_open_unit("p", self.p)
+        else:
+            object.__setattr__(self, "p_list", _probabilities(self.p_list))
 
     @property
     def probabilities(self) -> tuple:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
-from .errors import SingularCovarianceError, TooFewEventsError, ValidationError
+from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError,
+                     _check_open_unit)
 from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
@@ -36,7 +37,7 @@ from .survival import (
     SurvivalSample,
     TwoArmData,
     _censoring_before,
-    _check_probabilities,
+    _probabilities,
     _product_limit,
     _quantiles,
     _sorted_observations,
@@ -94,19 +95,12 @@ class SimulationPlan:
                                   f"{self.scenario.mu1:g}")
         if self.replications < 1:
             raise ValidationError("replications must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie strictly between 0 and 1")
+        _check_open_unit("alpha", self.alpha)
         _check_tuning(self.density_method, self.tuning)
         if self.tuning is None:
             object.__setattr__(self, "tuning", LsConfig(DEFAULT_SIM_SIGMA_EPS)
                                if self.density_method == "ls" else _default_tuning("kde"))
-        probabilities = tuple(float(p) for p in self.probabilities)
-        if not probabilities:
-            raise ValidationError("at least one probability is required")
-        _check_probabilities(probabilities)
-        if len(set(probabilities)) != len(probabilities):
-            raise ValidationError("probabilities must be distinct")
-        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "probabilities", _probabilities(self.probabilities))
         if self.threads < 1:
             raise ValidationError("threads must be at least 1")
         if self.master_seed < 0:

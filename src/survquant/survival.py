@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTailError, UnreachableQuantileError, ValidationError
+from .errors import (DegenerateTailError, UnreachableQuantileError, ValidationError,
+                     _check_open_unit)
 
 # Cumulative products of step factors round: 0.75 * (2/3) is
 # 0.49999999999999994, yet the median of an uncensored {1,2,3,4} must be 2.
@@ -255,8 +256,23 @@ def _quantiles(steps, d, survival, greenwood, probabilities):
 
 def _check_probabilities(probabilities):
     for p in probabilities:
-        if not 0.0 < p < 1.0:
-            raise ValidationError(f"p must lie strictly between 0 and 1, got {p!r}")
+        _check_open_unit("p", p)
+
+
+def _probabilities(values) -> tuple:
+    """values as a tuple of floats: the one check of a probability list, a
+    1-d sequence of at least one entry, each in (0, 1), all distinct."""
+    try:
+        ps = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        ps = None
+    if ps is None or ps.ndim != 1 or ps.size == 0:
+        raise ValidationError("probabilities must be a 1-d sequence with at least one entry")
+    ps = tuple(ps.tolist())
+    _check_probabilities(ps)
+    if len(set(ps)) != len(ps):
+        raise ValidationError("probabilities must be distinct")
+    return ps
 
 
 def _fit_quantiles(fit: KaplanMeierFit, probabilities, arm=None):

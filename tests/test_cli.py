@@ -259,6 +259,34 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert err == f"error: lambda_cens must be finite and non-negative, got {value}\n"
 
+    @pytest.mark.parametrize("flag,value,line", [
+        ("--p", "1.5", "error: p must lie strictly between 0 and 1, got 1.5\n"),
+        ("--alpha", "1.5", "error: alpha must lie strictly between 0 and 1, got 1.5\n"),
+    ], ids=["p", "alpha"])
+    @pytest.mark.parametrize("command", ["test", "power", "samplesize", "simulate"])
+    def test_one_line_per_rule(self, tmp_path, scenario_file, capsys, command, flag, value,
+                               line):
+        """Every command reports a p or an alpha outside (0, 1) with the same line."""
+        argv = {
+            "test": ["test", make_dataset(tmp_path / "d.csv"), "--p", "0.5"],
+            "power": ["power", "--scenario", scenario_file, "--delta", "0.1", "--n", "10"],
+            "samplesize": ["samplesize", "--scenario", scenario_file, "--power", "0.8"],
+            "simulate": ["simulate", "--scenario", scenario_file, "--n", "20", "--reps", "2",
+                         "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out, err) == (2, "", line)
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_repeated_probability(self, tmp_path, scenario_file, capsys, command):
+        argv = {
+            "test": ["test", make_dataset(tmp_path / "d.csv")],
+            "simulate": ["simulate", "--scenario", scenario_file, "--n", "20", "--reps", "2",
+                         "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, "--p", "0.25,0.5,0.25")
+        assert (code, out, err) == (2, "", "error: probabilities must be distinct\n")
+
     def test_simulate_negative_seed(self, scenario_file, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", scenario_file, "--n", "25",

@@ -346,6 +346,11 @@ class TestMultivariate:
         with pytest.raises(ValidationError, match="at least one"):
             multivariate_test(data, [], "kde", KDE_FIXED)
 
+    def test_nested_probabilities_rejected(self):
+        data = two_arm(18)
+        with pytest.raises(ValidationError, match="1-d sequence"):
+            multivariate_test(data, [[0.25, 0.5]], "kde", KDE_FIXED)
+
     def test_records_tunings(self):
         data = two_arm(19)
         out = multivariate_test(data, [0.3, 0.6], "kde", KDE_FIXED)
@@ -425,6 +430,12 @@ class TestBonferroni:
         data = two_arm(23)
         with pytest.raises(ValidationError, match="alpha"):
             bonferroni_followup(data, [0.3, 0.5], "kde", KDE_FIXED, alpha=1.5)
+
+    def test_duplicate_probabilities_rejected(self):
+        """A repeated p would be tested twice and double its adjustment."""
+        data = two_arm(23)
+        with pytest.raises(ValidationError, match="distinct"):
+            bonferroni_followup(data, [0.5, 0.5], "kde", KDE_FIXED)
 
     @pytest.mark.parametrize("method,tuning", [
         ("kde", KdeConfig("select-by-cv", np.arange(0.1, 1.0 + 1e-12, 0.05))),

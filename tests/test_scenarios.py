@@ -96,7 +96,7 @@ class TestExponentialPieces:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.2])
     def test_rejects_bad_probability(self, p):
-        with pytest.raises(ValidationError, match="strictly in"):
+        with pytest.raises(ValidationError, match="strictly between"):
             exp_quantile(1.0, p)
 
 
@@ -465,10 +465,19 @@ class TestScenarioPsi:
         scenario = scenario_from_delta(RATE, 0.5, 0.1, censoring_rate=CENS)
         with pytest.raises(ValidationError, match="distinct"):
             scenario_psi(scenario, [0.5, 0.5])
-        with pytest.raises(ValidationError, match="non-empty"):
+        with pytest.raises(ValidationError, match="at least one"):
             scenario_psi(scenario, [])
-        with pytest.raises(ValidationError, match="strictly in"):
+        with pytest.raises(ValidationError, match="strictly between"):
             scenario_psi(scenario, [0.5, 1.5])
+
+    def test_numpy_entry_reported_as_a_float(self):
+        scenario = scenario_from_delta(RATE, 0.5, 0.1, censoring_rate=CENS)
+        with pytest.raises(ValidationError) as err:
+            scenario_psi(scenario, np.array([0.5, 1.5]))
+        assert str(err.value) == "p must lie strictly between 0 and 1, got 1.5"
+        with pytest.raises(ValidationError) as err:
+            exp_quantile(RATE, np.float64(1.5))
+        assert str(err.value) == "p must lie strictly between 0 and 1, got 1.5"
 
 
 class TestCalibrateCensoring:
@@ -489,7 +498,7 @@ class TestCalibrateCensoring:
 
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.1])
     def test_target_domain(self, target):
-        with pytest.raises(ValidationError, match="strictly in"):
+        with pytest.raises(ValidationError, match="strictly between"):
             calibrate_censoring(ExponentialArm(1.0), target)
 
 
@@ -566,11 +575,11 @@ class TestScenarioConfigValidation:
             ScenarioConfig(lambda_a=1.0, lambda_b=2.0, p=0.5, p_list=(0.5,))
 
     def test_p_list_contents(self):
-        with pytest.raises(ValidationError, match="not be empty"):
+        with pytest.raises(ValidationError, match="at least one"):
             ScenarioConfig(lambda_a=1.0, lambda_b=2.0, p_list=())
         with pytest.raises(ValidationError, match="distinct"):
             ScenarioConfig(lambda_a=1.0, lambda_b=2.0, p_list=(0.5, 0.5))
-        with pytest.raises(ValidationError, match="strictly in"):
+        with pytest.raises(ValidationError, match="strictly between"):
             ScenarioConfig(lambda_a=1.0, lambda_b=2.0, p_list=(0.5, 1.5))
 
     def test_probabilities_property(self):
