@@ -60,7 +60,8 @@ class LsConfig:
 
 @dataclass(frozen=True)
 class KdeConfig:
-    """Tuning for the kernel estimator: a bandwidth or "select-by-cv"."""
+    """Tuning for the kernel estimator: a bandwidth or "select-by-cv" over
+    cv_grid, kept as a tuple of floats so that configs hash and compare."""
 
     bandwidth: object = "select-by-cv"
     cv_grid: object = None
@@ -72,7 +73,7 @@ class KdeConfig:
                     f"bandwidth must be positive or 'select-by-cv', got {self.bandwidth!r}"
                 )
             grid = _validated_grid(self.cv_grid, "cv_grid")
-            object.__setattr__(self, "cv_grid", grid)
+            object.__setattr__(self, "cv_grid", tuple(grid.tolist()))
         elif not 0 < float(self.bandwidth) < math.inf:
             raise ValidationError("bandwidth must be positive and finite")
 
@@ -302,7 +303,7 @@ class _KdeMachine:
         self.times, self.weights = _cv_events(steps, flags, before)
         self.flags = () if self.times.size == np.count_nonzero(flags) else ("truncated-weights",)
         if isinstance(cfg.bandwidth, str):
-            grid = cfg.cv_grid
+            grid = np.asarray(cfg.cv_grid)
             self.h = _cv_bandwidth(self.times, self.weights, self.n, grid)
             if grid.size >= 2 and self.h in (grid[0], grid[-1]):
                 # the CV minimum may lie beyond the grid, as when the grid

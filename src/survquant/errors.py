@@ -26,6 +26,16 @@ def _check_positive(name, value):
         raise ValidationError(f"{name} must be positive, got {float(value)!r}")
 
 
+def _whole_number(name, value) -> int:
+    """value as an int, or ValidationError naming name: 100.0 passes; 100.7, nan, inf fail."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be a whole number, got {value}")
+
+
 class NumericalError(SurvQuantError):
     """A quantity is not estimable or a computation degenerates."""
 

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     _check_open_unit,
     _check_positive,
+    _whole_number,
 )
 
 
@@ -143,6 +144,8 @@ class PowerSpec:
         _check_open_unit("alpha", self.alpha)
         if (self.total_n is None) == (self.per_group_n is None):
             raise ValidationError("give exactly one of total_n or per_group_n")
+        field = "total_n" if self.per_group_n is None else "per_group_n"
+        object.__setattr__(self, field, _whole_number(field, getattr(self, field)))
         if self.n_total < 2:
             raise ValidationError("sample size must be at least 2")
         if (self.sigma is None) == (self.psi is None):
@@ -153,8 +156,8 @@ class PowerSpec:
     @property
     def n_total(self) -> int:
         if self.total_n is not None:
-            return int(self.total_n)
-        return 2 * int(self.per_group_n)
+            return self.total_n
+        return 2 * self.per_group_n
 
 
 def _univariate_power(n_total, delta, sigma, alpha, q):
@@ -173,6 +176,15 @@ def power_univariate(spec: PowerSpec) -> float:
     delta = float(np.asarray(spec.deltas).reshape(()))
     q = normal_quantile(1.0 - spec.alpha / 2.0)
     return _univariate_power(spec.n_total, delta, float(spec.sigma), spec.alpha, q)
+
+
+def _joint_power(n_total, quad, dof, alpha, threshold, chndtr):
+    """Power at total n_total, noncentrality n_total * quad, alpha at 0;
+    threshold = q_{dof,1-alpha} and chndtr come once from the caller."""
+    lam = n_total * quad
+    if lam == 0.0:
+        return float(alpha)
+    return 1.0 - float(chndtr(threshold, dof, lam))
 
 
 _PSI_RTOL = 1e-10  # relative positive-definiteness tolerance
@@ -206,11 +218,8 @@ def power_multivariate(spec: PowerSpec) -> float:
     if spec.psi is None:
         raise ValidationError("multivariate power needs a psi matrix")
     quad, dof = _noncentrality(spec.psi, spec.deltas)
-    if quad == 0.0:
-        return float(spec.alpha)
-    lam = spec.n_total * quad
     threshold = chi2_quantile(1.0 - spec.alpha, dof)
-    return 1.0 - noncentral_chi2_cdf(threshold, dof, lam)
+    return _joint_power(spec.n_total, quad, dof, spec.alpha, threshold, _special().chndtr)
 
 
 @dataclass(frozen=True)
@@ -287,18 +296,12 @@ def min_sample_size(
         if quad == 0.0:
             raise UnattainablePowerError("all deltas are 0: no sample size reaches the target")
         threshold = chi2_quantile(1.0 - alpha, dof)
-
-        # the arguments are valid by construction, so each step calls
-        # chndtr itself, fetched once per solve
-        special = _special()
-        chndtr = special.chndtr
+        chndtr = _special().chndtr  # fetched once per solve, not at every step
 
         def power_at_total(n_total):
-            if n_total == 0:
-                return float(alpha)
-            return 1.0 - float(chndtr(threshold, dof, n_total * quad))
+            return _joint_power(n_total, quad, dof, alpha, threshold, chndtr)
 
-        seed_total = float(special.chndtrinc(threshold, dof, 1.0 - target_power)) / quad
+        seed_total = float(_special().chndtrinc(threshold, dof, 1.0 - target_power)) / quad
 
     powers = {}  # per-group n -> power, every one the search evaluates
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
 from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError,
-                     _check_open_unit)
+                     _check_open_unit, _whole_number)
 from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
@@ -83,6 +83,8 @@ class SimulationPlan:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("n_per_group", "replications", "master_seed"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.n_per_group < 2:
             raise ValidationError("n_per_group must be at least 2")
         # a replicate's uniforms: an event and a censoring draw per subject and arm

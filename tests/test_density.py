@@ -110,6 +110,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="cv_grid"):
             KdeConfig(bandwidth="select-by-cv")
 
+    def test_kde_configs_hash_and_compare_by_value(self):
+        grid = [0.1, 0.2, 0.3]
+        as_list = KdeConfig("select-by-cv", grid)
+        as_array = KdeConfig("select-by-cv", np.array(grid))
+        assert as_list == as_array
+        assert hash(as_list) == hash(as_array)
+        assert as_list != KdeConfig("select-by-cv", [0.1, 0.2])
+        assert len({as_list, as_array, KdeConfig(0.3), KdeConfig(0.3)}) == 2
+
     def test_kde_grid_strictly_increasing(self):
         with pytest.raises(ValidationError, match="increasing"):
             KdeConfig(bandwidth="select-by-cv", cv_grid=[0.3, 0.2])

@@ -168,6 +168,23 @@ class TestPowerSpec:
         with pytest.raises(ValidationError, match="positive"):
             PowerSpec(alpha=0.05, deltas=0.1, sigma=0.0, total_n=100)
 
+    @pytest.mark.parametrize("field,value", [
+        ("per_group_n", 100.7), ("total_n", math.nan), ("total_n", math.inf),
+        ("total_n", 200.5),
+    ])
+    def test_whole_sample_size(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a whole number"):
+            PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0, **{field: value})
+
+    def test_integral_sample_sizes(self):
+        expected = power_univariate(PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0,
+                                              per_group_n=100))
+        for kwargs in ({"per_group_n": 100.0}, {"per_group_n": np.int64(100)},
+                       {"total_n": 200.0}, {"total_n": np.float64(200)}):
+            spec = PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0, **kwargs)
+            assert spec.n_total == 200 and type(spec.n_total) is int
+            assert power_univariate(spec) == expected
+
 
 class TestPowerUnivariate:
     def test_null_gives_exactly_alpha(self):

@@ -139,6 +139,31 @@ class TestPlanValidation:
         with pytest.raises(ValidationError, match="threads"):
             small_plan(threads=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_per_group", 20.5), ("replications", 2.5), ("master_seed", 1.5),
+        ("n_per_group", math.nan), ("replications", math.inf),
+    ])
+    def test_whole_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a whole number"):
+            small_plan(**{field: value})
+
+    def test_integral_floats_are_whole(self):
+        plan = small_plan(n_per_group=30.0, replications=np.int64(40), master_seed=7.0,
+                          probabilities=np.array([0.5]))
+        assert plan == small_plan()
+        assert (plan.n_per_group, plan.replications, plan.master_seed) == (30, 40, 7)
+        assert empirical_rejection(plan).rate == empirical_rejection(small_plan()).rate
+
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    def test_plans_hash_and_compare_by_value(self, method):
+        a = small_plan(density_method=method)
+        b = small_plan(density_method=method, probabilities=[0.5])
+        assert a == b and hash(a) == hash(b)
+        kde = KdeConfig("select-by-cv", np.array([0.2, 0.4]))
+        c = small_plan(density_method="kde", tuning=kde)
+        assert c == small_plan(density_method="kde", tuning=KdeConfig("select-by-cv", [0.2, 0.4]))
+        assert len({a, b, c}) == 2
+
     def test_draws_must_fit_in_an_array(self):
         """A replicate draws 4n float64 uniforms; past numpy's largest array
         the plan is rejected before anything is allocated."""
