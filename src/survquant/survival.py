@@ -263,7 +263,7 @@ def _probabilities(values) -> tuple:
     """values as a tuple of floats: the one check of a probability list, a
     1-d sequence of at least one entry, each in (0, 1), all distinct."""
     try:
-        ps = np.asarray(values, dtype=float)
+        ps = np.asarray(list(values), dtype=float)  # list() also takes a generator
     except (TypeError, ValueError):
         ps = None
     if ps is None or ps.ndim != 1 or ps.size == 0:

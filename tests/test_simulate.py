@@ -154,6 +154,12 @@ class TestPlanValidation:
         assert (plan.n_per_group, plan.replications, plan.master_seed) == (30, 40, 7)
         assert empirical_rejection(plan).rate == empirical_rejection(small_plan()).rate
 
+    def test_probabilities_from_any_iterable(self):
+        plan = small_plan(probabilities=iter([0.25, 0.5]))
+        assert plan.probabilities == (0.25, 0.5)
+        with pytest.raises(ValidationError, match="1-d sequence"):
+            small_plan(probabilities=0.5)
+
     @pytest.mark.parametrize("method", ["ls", "kde"])
     def test_plans_hash_and_compare_by_value(self, method):
         a = small_plan(density_method=method)
