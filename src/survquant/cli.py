@@ -37,7 +37,8 @@ import numpy as np
 
 from . import __version__
 from .density import KdeConfig, LsConfig, _select_sigma
-from .errors import DatasetFormatError, NumericalError, ValidationError, _check_open_unit
+from .errors import (DatasetFormatError, NumericalError, ValidationError, _check_open_unit,
+                     _whole_count)
 from .power import PowerSpec, min_sample_size, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
@@ -347,8 +348,7 @@ def cmd_test(args) -> int:
             file=sys.stderr,
         )
     probabilities = _probabilities(args.p)
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
+    _whole_count("--seed", args.seed, 0)
     _check_open_unit("alpha", args.alpha)
     if args.bonferroni and len(probabilities) < 2:
         raise ValidationError("Bonferroni follow-up needs at least 2 probabilities")

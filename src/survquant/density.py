@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TooFewEventsError, ValidationError, _check_positive
+from .errors import (TooFewEventsError, ValidationError, _check_finite, _check_positive,
+                     _whole_count)
 from .survival import (
     KaplanMeierFit,
     SurvivalSample,
@@ -54,8 +55,7 @@ class LsConfig:
 
     def __post_init__(self):
         _check_positive("sigma_eps", self.sigma_eps)
-        if int(self.n_draws) < 2:
-            raise ValidationError("n_draws must be at least 2")
+        object.__setattr__(self, "n_draws", _whole_count("n_draws", self.n_draws, 2))
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,24 @@ class KdeConfig:
                 )
             grid = _validated_grid(self.cv_grid, "cv_grid")
             object.__setattr__(self, "cv_grid", tuple(grid.tolist()))
-        elif not 0 < float(self.bandwidth) < math.inf:
-            raise ValidationError("bandwidth must be positive and finite")
+        else:
+            _check_positive("bandwidth", float(self.bandwidth), finite=True)
+
+
+def _positive_grid(grid, name):
+    """grid as a non-empty 1-d float array of finite positive values."""
+    arr = np.asarray(grid, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"{name} must be a non-empty 1-d sequence")
+    _check_positive(f"{name} values", float(arr.min()))  # nan is the minimum
+    _check_finite(f"{name} values", float(arr.max()))
+    return arr
 
 
 def _validated_grid(grid, name):
     if grid is None:
         raise ValidationError(f"{name} is required when selecting by CV")
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a non-empty 1-d sequence")
-    if not np.all(arr > 0):
-        raise ValidationError(f"{name} values must be positive")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} values must be finite")
+    arr = _positive_grid(grid, name)
     if arr.size > 1 and not np.all(np.diff(arr) > 0):
         raise ValidationError(f"{name} must be strictly increasing")
     return arr
@@ -193,7 +197,7 @@ def estimate_density_ls(
 
 def _ls_draws(cfg: LsConfig, seed) -> np.ndarray:
     """The perturbation draws eps of an LS estimate made from seed, sorted."""
-    return np.sort(np.random.default_rng(seed).normal(0.0, cfg.sigma_eps, int(cfg.n_draws)))
+    return np.sort(np.random.default_rng(seed).normal(0.0, cfg.sigma_eps, cfg.n_draws))
 
 
 def _ls_densities(fit: KaplanMeierFit, probabilities, cfg: LsConfig, times):
@@ -232,11 +236,7 @@ def select_sigma_ls(
     with a warning flag. This heuristic is a stand-in, see the module
     docstring.
     """
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("sigma grid must be a non-empty 1-d sequence")
-    if not np.all(arr > 0):
-        raise ValidationError("sigma grid values must be positive")
+    arr = _positive_grid(grid, "sigma grid")
     fit = fit_kaplan_meier(sample)
     times, _ = _fit_quantiles(fit, [p])
     return _select_sigma(fit, [p], times, np.sort(arr), n_draws, seed)[0]
@@ -247,11 +247,10 @@ def _select_sigma(fit: KaplanMeierFit, probabilities, times, grid: np.ndarray,
     """select_sigma_ls at each probability of a fitted arm whose quantile
     times are times, from one standard normal draw and one _ls_slopes call
     over the (J, G) sets; the grid is positive and sorted."""
-    if int(n_draws) < 2:
-        raise ValidationError("n_draws must be at least 2")
+    n_draws = _whole_count("n_draws", n_draws, 2)
     # sorted, so for every sigma > 0 sigma * eps_std is sorted too and
     # equals _ls_draws at sigma from the same seed
-    eps_std = np.sort(np.random.default_rng(seed).normal(0.0, 1.0, int(n_draws)))
+    eps_std = np.sort(np.random.default_rng(seed).normal(0.0, 1.0, n_draws))
     profiles, _ = _ls_slopes(fit.event_times, fit.survival, fit.n,
                              np.asarray(probabilities)[:, None], np.asarray(times)[:, None],
                              grid[:, None] * eps_std)
@@ -558,7 +557,7 @@ def cv_score(sample: SurvivalSample, h: float) -> float:
     With no censoring all weights are 1 and this is the classical
     least-squares cross-validation criterion.
     """
-    _check_positive("bandwidth", h)
+    _check_positive("bandwidth", h, finite=True)
     grid = np.asarray([h], dtype=float)
     return float(_cv_scores(*_cv_events(*_sorted_rows(sample)), sample.n, grid)[0])
 

@@ -4,6 +4,7 @@ Two broad families matter to callers: validation errors (bad inputs,
 infeasible parameters) and numerical errors (quantities that cannot be
 estimated from the data at hand). The CLI maps them to exit codes 2 and 3.
 """
+import math
 
 
 class SurvQuantError(Exception):
@@ -14,26 +15,46 @@ class ValidationError(SurvQuantError):
     """Invalid input: shapes, domains, config files, datasets."""
 
 
+def _invalid(name, rule, value) -> ValidationError:
+    return ValidationError(f"{name} must {rule}, got {float(value)!r}")
+
+
 def _check_open_unit(name, value):
     """Raise ValidationError unless 0 < value < 1 (nan fails)."""
     if not 0.0 < value < 1.0:
-        raise ValidationError(f"{name} must lie strictly between 0 and 1, got {float(value)!r}")
+        raise _invalid(name, "lie strictly between 0 and 1", value)
 
 
-def _check_positive(name, value):
-    """Raise ValidationError unless value > 0 (nan fails)."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {float(value)!r}")
+def _check_positive(name, value, finite=False):
+    """Raise ValidationError unless value > 0; nan fails, inf fails if finite."""
+    if not (0 < value < math.inf if finite else value > 0):
+        raise _invalid(name, "be positive and finite" if finite else "be positive", value)
 
 
-def _whole_number(name, value) -> int:
-    """value as an int, or ValidationError naming name: 100.0 passes; 100.7, nan, inf fail."""
+def _check_non_negative(name, value, finite=False):
+    """Raise ValidationError unless value >= 0; nan fails, inf fails if finite."""
+    if not (0 <= value < math.inf if finite else value >= 0):
+        raise _invalid(name, "be finite and non-negative" if finite else "be non-negative", value)
+
+
+def _check_finite(name, value):
+    """Raise ValidationError unless value is neither nan nor infinite."""
+    if not math.isfinite(value):
+        raise _invalid(name, "be finite", value)
+
+
+def _whole_count(name, value, least) -> int:
+    """value as an int of at least least, or ValidationError naming name:
+    100.0 passes; 100.7, nan, inf and values below least fail."""
     try:
-        if value == int(value):
-            return int(value)
+        count = int(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{name} must be a whole number, got {value}")
+        count = None
+    if count is None or count != value:
+        raise ValidationError(f"{name} must be a whole number, got {value}")
+    if count < least:
+        raise ValidationError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 class NumericalError(SurvQuantError):

@@ -32,9 +32,11 @@ from .errors import (
     SingularCovarianceError,
     UnattainablePowerError,
     ValidationError,
+    _check_finite,
+    _check_non_negative,
     _check_open_unit,
     _check_positive,
-    _whole_number,
+    _whole_count,
 )
 
 
@@ -53,34 +55,29 @@ def normal_cdf(x):
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"quantile input must be in (0, 1), got {p!r}")
+    _check_open_unit("p", p)
     return float(_special().ndtri(p))
 
 
 def chi2_cdf(x, dof: int):
     """Central chi-squared CDF via the regularized incomplete gamma."""
-    if dof < 1:
-        raise ValidationError("degrees of freedom must be at least 1")
+    _whole_count("dof", dof, 1)
     return _special().gammainc(dof / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
 def chi2_quantile(p: float, dof: int) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"quantile input must be in (0, 1), got {p!r}")
-    if dof < 1:
-        raise ValidationError("degrees of freedom must be at least 1")
+    _check_open_unit("p", p)
+    _whole_count("dof", dof, 1)
     return float(2.0 * _special().gammaincinv(dof / 2.0, p))
 
 
 def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
-    """Noncentral chi-squared CDF (scipy.special.chndtr)."""
-    if x < 0:
-        raise ValidationError("x must be non-negative")
-    if dof < 1:
-        raise ValidationError("degrees of freedom must be at least 1")
-    if noncentrality < 0:
-        raise ValidationError("noncentrality must be non-negative")
+    """Noncentral chi-squared CDF (scipy.special.chndtr); x = inf is the
+    saturated limit 1.0. Raises ValidationError for a nan or negative x, a dof
+    that is not a whole number >= 1 and a noncentrality not finite and >= 0."""
+    _check_non_negative("x", x)
+    _whole_count("dof", dof, 1)
+    _check_non_negative("noncentrality", noncentrality, finite=True)
     if noncentrality == 0.0:
         return float(chi2_cdf(x, dof))
     return float(_special().chndtr(x, dof, noncentrality))
@@ -144,10 +141,8 @@ class PowerSpec:
         _check_open_unit("alpha", self.alpha)
         if (self.total_n is None) == (self.per_group_n is None):
             raise ValidationError("give exactly one of total_n or per_group_n")
-        field = "total_n" if self.per_group_n is None else "per_group_n"
-        object.__setattr__(self, field, _whole_number(field, getattr(self, field)))
-        if self.n_total < 2:
-            raise ValidationError("sample size must be at least 2")
+        field, least = ("total_n", 2) if self.per_group_n is None else ("per_group_n", 1)
+        object.__setattr__(self, field, _whole_count(field, getattr(self, field), least))
         if (self.sigma is None) == (self.psi is None):
             raise ValidationError("give exactly one of sigma or psi")
         if self.sigma is not None:
@@ -169,11 +164,18 @@ def _univariate_power(n_total, delta, sigma, alpha, q):
     return float(special.ndtr(-(q - shift)) + special.ndtr(-q - shift))
 
 
+def _scalar_delta(deltas) -> float:
+    """The one delta of the univariate formulas as a finite Python float."""
+    delta = float(np.asarray(deltas).item())
+    _check_finite("delta", delta)
+    return delta
+
+
 def power_univariate(spec: PowerSpec) -> float:
     """Asymptotic power of the two-sided univariate quantile test."""
     if spec.sigma is None:
         raise ValidationError("univariate power needs a scalar sigma")
-    delta = float(np.asarray(spec.deltas).reshape(()))
+    delta = _scalar_delta(spec.deltas)
     q = normal_quantile(1.0 - spec.alpha / 2.0)
     return _univariate_power(spec.n_total, delta, float(spec.sigma), spec.alpha, q)
 
@@ -210,6 +212,7 @@ def _noncentrality(psi, deltas):
         raise SingularCovarianceError(
             message="psi must be positive definite for the power formula"
         )
+    _check_finite("delta' psi^-1 delta", quad)
     return quad, deltas.size
 
 
@@ -237,12 +240,6 @@ class SampleSizeResult:
 # one part in 2^52, so their powers can be the same float and no integer
 # search settles.
 _MAX_PER_GROUP = 2 ** 52
-
-
-def _too_large(target_power) -> UnattainablePowerError:
-    return UnattainablePowerError(
-        f"power {target_power:g} needs more than 2^52 subjects per group"
-    )
 
 
 def min_sample_size(
@@ -279,7 +276,7 @@ def min_sample_size(
         raise ValidationError("give exactly one of sigma or psi")
 
     if sigma is not None:
-        delta = float(np.asarray(deltas).reshape(()))
+        delta = _scalar_delta(deltas)
         if delta == 0.0:
             raise UnattainablePowerError("delta is 0: no sample size reaches the target")
         sigma = float(sigma)
@@ -324,7 +321,8 @@ def min_sample_size(
         lo, hi, step = hi, min(hi + 1, _MAX_PER_GROUP), 1
         while not reaches(hi):
             if hi == _MAX_PER_GROUP:
-                raise _too_large(target_power)
+                raise UnattainablePowerError(
+                    f"power {target_power:g} needs more than 2^52 subjects per group")
             lo, hi, step = hi, min(hi + 2 * step, _MAX_PER_GROUP), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -27,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDeltaError, ValidationError, _check_open_unit, _check_positive
+from .errors import (InfeasibleDeltaError, ValidationError, _check_finite, _check_non_negative,
+                     _check_open_unit, _check_positive)
 from .power import upsilon
 from .survival import _probabilities
 
 
 def exp_quantile(rate: float, p: float) -> float:
     """p-quantile of the exponential distribution, -log(1-p)/rate."""
-    _check_positive("rate", rate)
+    _check_positive("rate", rate, finite=True)
     _check_open_unit("p", p)
     return -math.log1p(-p) / rate
 
@@ -48,7 +49,7 @@ class ExponentialArm:
     rate: float
 
     def __post_init__(self):
-        _check_positive("rate", self.rate)
+        _check_positive("rate", self.rate, finite=True)
 
     def quantile(self, p: float) -> float:
         return exp_quantile(self.rate, p)
@@ -66,8 +67,6 @@ class ExponentialArm:
         return phi_exponential(self.rate, censoring_rate, t)
 
     def censored_fraction(self, censoring_rate: float) -> float:
-        if censoring_rate == 0.0:
-            return 0.0
         return censoring_rate / (self.rate + censoring_rate)
 
     def inverse_cdf(self, x):
@@ -88,9 +87,9 @@ class PiecewiseExponentialArm:
     t_cut: float
 
     def __post_init__(self):
-        _check_positive("rate_early", self.rate_early)
-        _check_positive("rate_late", self.rate_late)
-        _check_positive("t_cut", self.t_cut)
+        _check_positive("rate_early", self.rate_early, finite=True)
+        _check_positive("rate_late", self.rate_late, finite=True)
+        _check_positive("t_cut", self.t_cut, finite=True)
 
     def cumulative_hazard(self, t: float) -> float:
         if t <= self.t_cut:
@@ -115,8 +114,6 @@ class PiecewiseExponentialArm:
         )
 
     def censored_fraction(self, censoring_rate: float) -> float:
-        if censoring_rate == 0.0:
-            return 0.0
         a = self.rate_early + censoring_rate
         b = self.rate_late + censoring_rate
         early = censoring_rate / a * -math.expm1(-a * self.t_cut)
@@ -141,8 +138,8 @@ def piecewise_quantile(rate_early: float, rate_late: float, t_cut: float,
     Below the cut the cumulative hazard is rate_early * t; past it the
     residual log survival accrues at rate_late.
     """
-    _check_positive("rate_early", rate_early)
-    _check_positive("rate_late", rate_late)
+    _check_positive("rate_early", rate_early, finite=True)
+    _check_positive("rate_late", rate_late, finite=True)
     _check_open_unit("p", p)
     target = -math.log1p(-p)
     knee = rate_early * t_cut
@@ -162,13 +159,13 @@ def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
     so the noncentrality is 0 and the power is alpha at every n. For
     example lambda_a = 0.1, delta = 0.5, p = 0.95 and lambda_cens = 50 put
     the control quantile at t = 30, where (rate + c) t = 1,503, and the
-    `power` command prints 0.05 and exits 0.
+    `power` command prints 0.05 and exits 0. t = inf is the same limit. A
+    rate that is not finite and positive, a censoring_rate that is not
+    finite and non-negative, and a nan or negative t raise ValidationError.
     """
-    _check_positive("rate", rate)
-    if not censoring_rate >= 0:  # nan included
-        raise ValidationError(f"censoring_rate must be non-negative, got {censoring_rate!r}")
-    if t < 0:
-        raise ValidationError("t must be non-negative")
+    _check_positive("rate", rate, finite=True)
+    _check_non_negative("censoring_rate", censoring_rate, finite=True)
+    _check_non_negative("t", t)
     total = rate + censoring_rate
     try:
         return rate / total * math.expm1(total * t)
@@ -180,8 +177,8 @@ def phi_piecewise(rate_early: float, rate_late: float, t_cut: float,
                   censoring_rate: float, t: float) -> float:
     """phi(t) for the two-piece exponential arm under exponential censoring:
     phi_exponential of the early piece, plus the late piece past t_cut."""
-    _check_positive("rate_early", rate_early)
-    _check_positive("rate_late", rate_late)
+    _check_positive("rate_early", rate_early, finite=True)
+    _check_positive("rate_late", rate_late, finite=True)
     early = phi_exponential(rate_early, censoring_rate, min(t, t_cut))
     if t <= t_cut:
         return early
@@ -238,9 +235,7 @@ class TrialScenario:
     mu1: float = 0.5
 
     def __post_init__(self):
-        if not self.censoring_rate >= 0:  # nan included
-            raise ValidationError("censoring_rate must be non-negative, "
-                                  f"got {self.censoring_rate!r}")
+        _check_non_negative("censoring_rate", self.censoring_rate, finite=True)
         _check_open_unit("mu1", self.mu1)
 
     @property
@@ -281,9 +276,11 @@ def scenario_from_delta(
     t_cut=None gives the proportional-hazards comparator, otherwise the
     delayed-effect comparator whose hazard equals the control's until t_cut.
     """
+    _check_finite("delta", delta)
     if t_cut is None:
         rate = rate_from_delta_scn1(rate_control, p, delta)
     else:
+        _check_positive("t_cut", t_cut, finite=True)
         rate = rate_from_delta_scn2(rate_control, p, delta, t_cut)
     return _two_arms(rate_control, rate, t_cut, censoring_rate, mu1)
 
@@ -325,15 +322,17 @@ def calibrate_censoring(arm, target_fraction: float, tol: float = 1e-8) -> float
 
     Monotone bisection on censored_fraction(rate); the bracket is grown
     geometrically first. Stops when the bracket width drops under
-    tol * max(1, hi).
+    tol * max(1, hi), or to two float spacings of hi where that is wider. A
+    tol that is not finite and positive raises ValidationError.
     """
     _check_open_unit("target censored fraction", target_fraction)
+    _check_positive("tol", tol, finite=True)
     lo, hi = 0.0, 1.0
     while arm.censored_fraction(hi) < target_fraction:
         hi *= 2.0
         if hi > 1e12:
             raise ValidationError("no finite censoring rate reaches the target")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > max(tol * max(1.0, hi), 2.0 * math.ulp(hi)):
         mid = 0.5 * (lo + hi)
         if arm.censored_fraction(mid) < target_fraction:
             lo = mid
@@ -373,7 +372,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.lambda_a is None:
             raise ValidationError("scenario config is missing lambda_a")
-        _check_positive("lambda_a", self.lambda_a)
+        _check_positive("lambda_a", self.lambda_a, finite=True)
+        if self.lambda_b is not None:
+            _check_positive("lambda_b", self.lambda_b, finite=True)
         if (self.lambda_b is None) == (self.delta is None):
             raise ValidationError("give exactly one of lambda_b or delta")
         if self.lambda_cens is not None and self.target_censoring is not None:
@@ -449,11 +450,9 @@ def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
     if config.target_censoring is not None:
         censoring_rate = calibrate_censoring(ExponentialArm(config.lambda_a),
                                              config.target_censoring)
-    elif config.lambda_cens is not None and not 0 <= config.lambda_cens < math.inf:
-        raise ValidationError("lambda_cens must be finite and non-negative, "
-                              f"got {config.lambda_cens!r}")
     else:
         censoring_rate = 0.0 if config.lambda_cens is None else config.lambda_cens
+        _check_non_negative("lambda_cens", censoring_rate, finite=True)
     if config.delta is not None:
         return scenario_from_delta(
             config.lambda_a, config.probabilities[0], config.delta,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
 from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError,
-                     _check_open_unit, _whole_number)
+                     _check_open_unit, _whole_count)
 from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     DEFAULT_DENSITY_FLOOR,
@@ -83,10 +83,9 @@ class SimulationPlan:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("n_per_group", "replications", "master_seed"):
-            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
-        if self.n_per_group < 2:
-            raise ValidationError("n_per_group must be at least 2")
+        for name, least in (("n_per_group", 2), ("replications", 1), ("master_seed", 0),
+                            ("threads", 1)):
+            object.__setattr__(self, name, _whole_count(name, getattr(self, name), least))
         # a replicate's uniforms: an event and a censoring draw per subject and arm
         if 4 * self.n_per_group * np.dtype(float).itemsize > np.iinfo(np.intp).max:
             raise ValidationError(f"n_per_group={self.n_per_group} is too large: one "
@@ -95,18 +94,12 @@ class SimulationPlan:
             raise ValidationError("simulation draws n_per_group subjects per arm and tests "
                                   "at equal allocation, so it needs mu1 = 0.5, got "
                                   f"{self.scenario.mu1:g}")
-        if self.replications < 1:
-            raise ValidationError("replications must be at least 1")
         _check_open_unit("alpha", self.alpha)
         _check_tuning(self.density_method, self.tuning)
         if self.tuning is None:
             object.__setattr__(self, "tuning", LsConfig(DEFAULT_SIM_SIGMA_EPS)
                                if self.density_method == "ls" else _default_tuning("kde"))
         object.__setattr__(self, "probabilities", _probabilities(self.probabilities))
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
-        if self.master_seed < 0:
-            raise ValidationError("master_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,7 @@ def sample_trial(scenario: TrialScenario, n1: int, n2: int, replicate_seed) -> T
     SeedSequence, Generator). Draw order is fixed: arm-1 events, arm-1
     censoring, arm-2 events, arm-2 censoring.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValidationError("both arms need at least one subject")
+    n1, n2 = _whole_count("n1", n1, 1), _whole_count("n2", n2, 1)
     rng = np.random.default_rng(replicate_seed)
 
     def one_arm(arm, size):
@@ -169,24 +161,14 @@ def _observe(scenario: TrialScenario, arm, event_u, censor_u):
 
 
 def _formula_power(plan: SimulationPlan) -> float:
-    scenario = plan.scenario
-    total = 2 * plan.n_per_group
-    if len(plan.probabilities) == 1:
-        p = plan.probabilities[0]
-        sigma2, _ = scenario_sigma2(scenario, p)
-        spec = PowerSpec(
-            alpha=plan.alpha,
-            deltas=scenario.quantile_difference(p),
-            sigma=math.sqrt(sigma2),
-            total_n=total,
-        )
-        return power_univariate(spec)
-    psi = scenario_psi(scenario, plan.probabilities)
-    deltas = np.array(
-        [scenario.quantile_difference(p) for p in plan.probabilities]
-    )
-    spec = PowerSpec(alpha=plan.alpha, deltas=deltas, psi=psi, total_n=total)
-    return power_multivariate(spec)
+    scenario, ps, total = plan.scenario, plan.probabilities, 2 * plan.n_per_group
+    deltas = [scenario.quantile_difference(p) for p in ps]
+    if len(ps) == 1:
+        sigma2, _ = scenario_sigma2(scenario, ps[0])
+        return power_univariate(PowerSpec(alpha=plan.alpha, deltas=deltas[0],
+                                          sigma=math.sqrt(sigma2), total_n=total))
+    psi = scenario_psi(scenario, ps)
+    return power_multivariate(PowerSpec(alpha=plan.alpha, deltas=deltas, psi=psi, total_n=total))
 
 
 def _replicate_seeds(plan: SimulationPlan, rep: int):
@@ -200,7 +182,7 @@ def _block_rows(plan: SimulationPlan) -> int:
     """Replicates per block: about _BLOCK_VALUES draws, at least one."""
     per_rep = 2 * plan.n_per_group
     if plan.density_method == "ls":
-        per_rep += int(plan.tuning.n_draws)
+        per_rep += plan.tuning.n_draws
     return max(1, _BLOCK_VALUES // per_rep)
 
 
@@ -220,7 +202,7 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     censored = scenario.censoring_rate > 0
     uniforms = np.empty((count, 4 if censored else 2, n))
     ls = plan.tuning if plan.density_method == "ls" else None
-    eps = np.empty((count, int(ls.n_draws))) if ls else None
+    eps = np.empty((count, ls.n_draws)) if ls else None
     for r in range(count):
         seed, child = _replicate_seeds(plan, first + r)
         np.random.default_rng(seed).random(out=uniforms[r])

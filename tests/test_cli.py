@@ -259,6 +259,48 @@ class TestInvalidInputExitCode:
         assert_one_line_error(code, out, err)
         assert err == f"error: lambda_cens must be finite and non-negative, got {value}\n"
 
+    @pytest.mark.parametrize("command,text,line", [
+        pytest.param(command, text, line, id=f"{command}-{key}")
+        for key, text, line in [
+            ("lambda_a", SCENARIO_TEXT.replace("1.5", "inf"),
+             "lambda_a must be positive and finite, got inf"),
+            ("lambda_b", SCENARIO_TEXT.replace("delta = 0.1", "lambda_b = nan"),
+             "lambda_b must be positive and finite, got nan"),
+            ("t_cut", SCENARIO_TEXT + "t_cut = nan\n",
+             "t_cut must be positive and finite, got nan"),
+            ("t_cut-lambda_b",
+             SCENARIO_TEXT.replace("delta = 0.1", "lambda_b = 1.2") + "t_cut = nan\n",
+             "t_cut must be positive and finite, got nan"),
+            ("lambda_cens", SCENARIO_TEXT.replace("0.48", "inf"),
+             "lambda_cens must be finite and non-negative, got inf"),
+        ]
+        for command in ["power", "samplesize", "simulate"]
+        # power requires --delta, which replaces lambda_b
+        if not (command == "power" and "lambda_b" in key)
+    ])
+    def test_scenario_key_not_finite(self, tmp_path, capsys, command, text, line):
+        """A non-finite scenario value is reported under its own key."""
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        argv = {
+            "power": ["--delta", "0.1", "--n", "10"],
+            "samplesize": ["--power", "0.8"],
+            "simulate": ["--n", "20", "--reps", "2", "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("command", ["power", "samplesize", "simulate"])
+    def test_delta_not_finite(self, scenario_file, capsys, command):
+        argv = {
+            "power": ["--n", "10"],
+            "samplesize": ["--power", "0.8"],
+            "simulate": ["--n", "20", "--reps", "2", "--seed", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--scenario", scenario_file, *argv,
+                                 "--delta", "nan")
+        assert (code, out, err) == (2, "", "error: delta must be finite, got nan\n")
+
     @pytest.mark.parametrize("flag,value,line", [
         ("--p", "1.5", "error: p must lie strictly between 0 and 1, got 1.5\n"),
         ("--alpha", "1.5", "error: alpha must lie strictly between 0 and 1, got 1.5\n"),

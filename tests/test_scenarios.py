@@ -35,6 +35,7 @@ from survquant import (
 )
 from survquant.errors import InfeasibleDeltaError, ValidationError
 from survquant.scenarios import exp_density
+from test_cli import time_budget
 
 # the reference setting used across the frozen values below
 RATE = 1.5
@@ -256,7 +257,8 @@ class TestPhi:
             phi_exponential(RATE, CENS, -1.0)
 
     def test_nan_censoring_rate_rejected(self):
-        with pytest.raises(ValidationError, match="censoring_rate must be non-negative, got nan"):
+        with pytest.raises(ValidationError,
+                           match="censoring_rate must be finite and non-negative, got nan"):
             phi_exponential(RATE, math.nan, 1.0)
 
 
@@ -350,7 +352,8 @@ class TestTrialScenario:
             TrialScenario(ExponentialArm(1.0), ExponentialArm(1.0), mu1=1.0)
 
     def test_nan_censoring_rate_rejected(self):
-        with pytest.raises(ValidationError, match="censoring_rate must be non-negative, got nan"):
+        with pytest.raises(ValidationError,
+                           match="censoring_rate must be finite and non-negative, got nan"):
             TrialScenario(ExponentialArm(1.0), ExponentialArm(1.0), censoring_rate=math.nan)
 
 
@@ -500,6 +503,18 @@ class TestCalibrateCensoring:
     def test_target_domain(self, target):
         with pytest.raises(ValidationError, match="strictly between"):
             calibrate_censoring(ExponentialArm(1.0), target)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_domain(self, tol):
+        # a tol of 0 or below never ended the bisection, and nan ended it at once
+        with time_budget(1.0), pytest.raises(ValidationError, match="tol must be positive"):
+            calibrate_censoring(ExponentialArm(1.0), 0.3, tol=tol)
+
+    def test_tolerance_below_the_float_spacing(self):
+        """A tol under the spacing of floats stops at adjacent floats."""
+        with time_budget(1.0):
+            rate = calibrate_censoring(ExponentialArm(1.0), 0.3, tol=1e-300)
+        assert rate == pytest.approx(0.3 / 0.7, rel=1e-15)
 
 
 class TestScenarioConfigParsing:

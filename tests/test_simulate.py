@@ -94,7 +94,7 @@ class TestSampleTrial:
         assert not np.array_equal(a.arm1.times, c.arm1.times)
 
     def test_rejects_empty_arm(self):
-        with pytest.raises(ValidationError, match="at least one subject"):
+        with pytest.raises(ValidationError, match="n1 must be at least 1, got 0"):
             sample_trial(NULL_SCENARIO, 0, 10, 1)
 
 
