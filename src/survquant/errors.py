@@ -25,6 +25,12 @@ def _check_open_unit(name, value):
         raise _invalid(name, "lie strictly between 0 and 1", value)
 
 
+def _check_unit_half_open(name, value):
+    """Raise ValidationError unless 0 < value <= 1 (nan fails)."""
+    if not 0.0 < value <= 1.0:
+        raise _invalid(name, "lie in (0, 1]", value)
+
+
 def _check_positive(name, value, finite=False):
     """Raise ValidationError unless value > 0; nan fails, inf fails if finite."""
     if not (0 < value < math.inf if finite else value > 0):

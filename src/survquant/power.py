@@ -16,14 +16,21 @@ the two arms' J=1 terms and Psi the sum of their matrices.
 The special functions behind every power and sample size (normal
 cdf/quantile, central and noncentral chi-squared; the noncentral CDF is
 chndtr, and chndtrinc, its inverse in the noncentrality, seeds the joint
-sample size) come from scipy.special, imported on first use by _special(). The
-import costs a fresh process about 0.2 s, and the quantile tests, which use
-upsilon and _wald_form from this module, compute their own tails without it.
+sample size) are scipy ufuncs, imported on first use by _special(). It loads
+only their compiled module, scipy.special._ufuncs, without running
+scipy/special/__init__.py, whose array-API layer costs a fresh process about
+0.25 s more; the ufuncs are the same objects that a later import scipy.special
+hands out. The quantile tests, which use upsilon and _wald_form from this
+module, compute their own tails without scipy.
 """
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +49,34 @@ from .errors import (
 
 @functools.cache
 def _special():
-    """The scipy.special module, imported on the first call."""
+    """scipy's special-function ufuncs (ndtr, chndtr, ...), imported on the
+    first call: the compiled module scipy.special._ufuncs, loaded under a
+    stand-in parent if scipy.special is not loaded yet. If that private
+    route fails (_ufuncs is not a public name, and scipy >= 1.9 is
+    accepted), the whole of scipy.special."""
+    if "scipy.special" in sys.modules:
+        return importlib.import_module("scipy.special._ufuncs")
+    import scipy
+
+    # A stand-in parent package that holds only the directory, so that the
+    # import finds the submodule without running the package's __init__.
+    stand_in = types.ModuleType("scipy.special")
+    stand_in.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+    sys.modules["scipy.special"] = stand_in
+    try:
+        # a statement, not importlib.import_module, so that -X importtime lists it
+        import scipy.special._ufuncs
+
+        return sys.modules["scipy.special._ufuncs"]
+    except Exception:
+        sys.modules.pop("scipy.special._ufuncs", None)
+    finally:
+        if sys.modules.get("scipy.special") is stand_in:
+            del sys.modules["scipy.special"]
+        # vars(), not getattr(): scipy's module __getattr__ would import the
+        # whole of scipy.special on a miss
+        if vars(scipy).get("special") is stand_in:
+            delattr(scipy, "special")
     import scipy.special
 
     return scipy.special
@@ -166,7 +200,12 @@ def _univariate_power(n_total, delta, sigma, alpha, q):
 
 def _scalar_delta(deltas) -> float:
     """The one delta of the univariate formulas as a finite Python float."""
-    delta = float(np.asarray(deltas).item())
+    deltas = np.asarray(deltas)
+    if deltas.size != 1:
+        raise ValidationError(
+            f"delta must be a single number with sigma, got {deltas.size} values"
+        )
+    delta = float(deltas.item())
     _check_finite("delta", delta)
     return delta
 

@@ -42,7 +42,8 @@ from .density import (
     _ls_densities,
     _sorted_rows,
 )
-from .errors import SingularCovarianceError, TooFewEventsError, ValidationError, _check_open_unit
+from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError, _check_open_unit,
+                     _check_unit_half_open)
 from .power import _wald_form, upsilon
 from .survival import (KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, _probabilities,
                        fit_kaplan_meier)
@@ -311,8 +312,7 @@ def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float)
     ]
     if len(values) != len(probabilities):
         raise ValidationError("one density per probability is required")
-    if not 0 < mu_hat <= 1:
-        raise ValidationError("mu_hat must lie in (0, 1]")
+    _check_unit_half_open("mu_hat", mu_hat)
     times, sums = _fit_quantiles(fit, probabilities)
     return upsilon(probabilities, times.tolist(), _phis(fit.n, sums).tolist(), values, mu_hat)
 

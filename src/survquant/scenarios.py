@@ -140,6 +140,7 @@ def piecewise_quantile(rate_early: float, rate_late: float, t_cut: float,
     """
     _check_positive("rate_early", rate_early, finite=True)
     _check_positive("rate_late", rate_late, finite=True)
+    _check_positive("t_cut", t_cut, finite=True)
     _check_open_unit("p", p)
     target = -math.log1p(-p)
     knee = rate_early * t_cut
@@ -179,6 +180,7 @@ def phi_piecewise(rate_early: float, rate_late: float, t_cut: float,
     phi_exponential of the early piece, plus the late piece past t_cut."""
     _check_positive("rate_early", rate_early, finite=True)
     _check_positive("rate_late", rate_late, finite=True)
+    _check_positive("t_cut", t_cut, finite=True)
     early = phi_exponential(rate_early, censoring_rate, min(t, t_cut))
     if t <= t_cut:
         return early
@@ -215,6 +217,7 @@ def rate_from_delta_scn2(rate_control: float, p: float, delta: float,
     quantile must land strictly past the cut for a positive late rate to
     exist.
     """
+    _check_positive("t_cut", t_cut, finite=True)
     shifted = exp_quantile(rate_control, p) - delta
     if shifted <= t_cut:
         raise InfeasibleDeltaError(
@@ -280,7 +283,6 @@ def scenario_from_delta(
     if t_cut is None:
         rate = rate_from_delta_scn1(rate_control, p, delta)
     else:
-        _check_positive("t_cut", t_cut, finite=True)
         rate = rate_from_delta_scn2(rate_control, p, delta, t_cut)
     return _two_arms(rate_control, rate, t_cut, censoring_rate, mu1)
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +231,12 @@ class TestPowerUnivariate:
         with pytest.raises(ValidationError, match="scalar sigma"):
             power_univariate(spec)
 
+    def test_vector_delta_names_delta(self):
+        # numpy's .item() raised a bare ValueError here
+        spec = PowerSpec(alpha=0.05, deltas=[0.1, 0.2], sigma=1.0, per_group_n=10)
+        with pytest.raises(ValidationError, match="delta must be a single number"):
+            power_univariate(spec)
+
 
 class TestPowerMultivariate:
     def test_null_gives_exactly_alpha(self):
@@ -345,6 +352,11 @@ class TestMinSampleSize:
     def test_zero_delta_unattainable(self):
         with pytest.raises(UnattainablePowerError, match="delta is 0"):
             min_sample_size(0.8, 0.0, sigma=1.0)
+
+    def test_vector_delta_with_sigma_names_delta(self):
+        # numpy's .item() raised a bare ValueError here
+        with pytest.raises(ValidationError, match="delta must be a single number"):
+            min_sample_size(0.8, [0.1, 0.2], sigma=1.0)
 
     def test_zero_delta_vector_unattainable(self):
         with pytest.raises(UnattainablePowerError, match="all deltas"):
@@ -664,10 +676,21 @@ def run_main(*argv):
     )
 
 
+# the names power.py reads off _special(): `_special().ndtr` or `special.ndtr`
+UFUNC_NAMES = sorted(set(re.findall(r"(?<![\w.])_?special(?:\(\))?\.([a-z]\w*)",
+                                    Path(power.__file__).read_text())))
+# a power and a joint sample size: ndtr, ndtri, gammaincinv, chndtr, chndtrinc
+PLAN_VALUES = (
+    "from survquant import PowerSpec, min_sample_size, power_univariate\n"
+    "print(repr(power_univariate(PowerSpec(alpha=0.05, deltas=0.1, sigma=1.3, total_n=900))),\n"
+    "      min_sample_size(0.8, [0.1, 0.2], psi=[[1.0, 0.3], [0.3, 1.2]]))\n"
+)
+
+
 class TestStartUpImports:
     """scipy stays off the start-up path: importing survquant, or its CLI,
-    or running a whole `test`, loads no scipy module; `power` loads
-    scipy.special on first use."""
+    or running a whole `test`, loads no scipy module; `power` loads only
+    scipy's compiled special-function ufuncs, on first use."""
 
     @pytest.mark.parametrize("code", ["import survquant", "import survquant.cli"])
     def test_import_loads_no_scipy(self, code):
@@ -679,12 +702,43 @@ class TestStartUpImports:
                         "--method", method)
         assert scipy_modules_after(code) == "[]"
 
-    def test_power_loads_scipy_special_on_first_use(self, tmp_path):
+    def test_power_loads_only_the_ufuncs_on_first_use(self, tmp_path):
         scenario = tmp_path / "scenario.cfg"
         scenario.write_text("lambda_a = 1.5\ndelta = 0.1\np = 0.5\nlambda_cens = 0.48\n")
         code = (
-            "import sys\nimport survquant.cli\nbefore = 'scipy.special' in sys.modules\n"
+            "import sys\nimport survquant.cli\nbefore = 'scipy.special._ufuncs' in sys.modules\n"
             + run_main("power", "--scenario", str(scenario), "--delta", "0.1", "--n", "200")
-            + "print(before, 'scipy.special' in sys.modules)"
+            + "print(before, [m in sys.modules for m in ('scipy.special._ufuncs', "
+            "'scipy.special', 'scipy._lib._array_api')])"
         )
-        assert run_fresh(code)[-1] == "False True"
+        assert run_fresh(code)[-1] == "False [True, False, False]"
+
+    def test_ufunc_names(self):
+        assert UFUNC_NAMES == ["chndtr", "chndtrinc", "gammainc", "gammaincinv", "ndtr", "ndtri"]
+
+    def test_ufuncs_are_the_objects_scipy_special_hands_out(self):
+        code = (
+            "import sys\nfrom survquant import power\nufuncs = power._special()\n"
+            "private = ufuncs.__name__ == 'scipy.special._ufuncs' "
+            "and 'scipy.special' not in sys.modules\n"
+            "import scipy.special\n"
+            f"print(private, [getattr(ufuncs, n) is getattr(scipy.special, n) for n in {UFUNC_NAMES!r}])"
+        )
+        assert run_fresh(code)[-1] == f"True {[True] * len(UFUNC_NAMES)}"
+
+    def test_failed_private_import_falls_back_to_scipy_special(self):
+        code = (
+            "import builtins, sys\nimport_ = builtins.__import__\n"
+            "def failing(name, *args):\n"
+            "    if name == 'scipy.special._ufuncs':\n"
+            "        raise ImportError(name)\n"
+            "    return import_(name, *args)\n"
+            "builtins.__import__ = failing\n"
+            "from survquant import power\nufuncs = power._special()\n"
+            "import scipy\nreal = sys.modules['scipy.special']\n"
+            "print(ufuncs is real, real.__file__.endswith('__init__.py'), "
+            "vars(scipy)['special'] is real)\n"
+            + PLAN_VALUES
+        )
+        private_route = run_fresh(PLAN_VALUES)[-1]
+        assert run_fresh(code)[-2:] == ["True True True", private_route]

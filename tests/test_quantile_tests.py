@@ -226,6 +226,17 @@ class TestUpsilonMatrix:
         with pytest.raises(ValidationError, match="mu_hat"):
             upsilon_matrix(fit, [0.5], [0.8], mu_hat=0.0)
 
+    @pytest.mark.parametrize("mu_hat", [0.0, -0.5, 1.5, math.nan])
+    def test_mu_hat_outside_half_open_unit_interval(self, mu_hat):
+        fit = fit_kaplan_meier(censored_arm(np.random.default_rng(12), 50))
+        with pytest.raises(ValidationError, match=r"mu_hat must lie in \(0, 1\], got"):
+            upsilon_matrix(fit, [0.5], [0.8], mu_hat=mu_hat)
+
+    def test_mu_hat_of_one_is_allowed(self):
+        fit = fit_kaplan_meier(censored_arm(np.random.default_rng(12), 50))
+        half = upsilon_matrix(fit, [0.5], [0.8], mu_hat=0.5)
+        assert_allclose(upsilon_matrix(fit, [0.5], [0.8], mu_hat=1.0), half / 2, rtol=1e-14)
+
     def test_population_convergence(self):
         """Against the closed-form matrix for Exp(1.5) with Exp(0.48)
         censoring at p=(0.3, 0.5), allocation 1/2; true densities are fed in

@@ -129,6 +129,12 @@ class TestPiecewiseArm:
                 -math.log1p(-p), rel=1e-10
             )
 
+    @pytest.mark.parametrize("t_cut", [math.nan, -1.0, 0.0, math.inf])
+    def test_free_quantile_rejects_bad_t_cut(self, t_cut):
+        # nan gave nan and -1.0 gave 0.693, the exponential(1) median
+        with pytest.raises(ValidationError, match="t_cut must be positive and finite"):
+            piecewise_quantile(1.0, 1.0, t_cut, 0.5)
+
     def test_hazard_right_continuous_at_cut(self):
         arm = PiecewiseExponentialArm(1.0, 3.0, t_cut=0.5)
         assert arm.hazard(0.5) == 3.0
@@ -261,6 +267,11 @@ class TestPhi:
                            match="censoring_rate must be finite and non-negative, got nan"):
             phi_exponential(RATE, math.nan, 1.0)
 
+    @pytest.mark.parametrize("t_cut", [math.nan, -1.0, 0.0, math.inf])
+    def test_piecewise_rejects_bad_t_cut(self, t_cut):
+        with pytest.raises(ValidationError, match="t_cut must be positive and finite"):
+            phi_piecewise(1.0, 1.0, t_cut, 0.5, 1.0)
+
 
 class TestRateSolvers:
     def test_scn1_reference_values(self):
@@ -316,6 +327,11 @@ class TestRateSolvers:
             rate_from_delta_scn2(RATE, 0.5, MEDIAN - T_CUT, T_CUT)
         with pytest.raises(InfeasibleDeltaError):
             rate_from_delta_scn2(RATE, 0.5, 0.3, T_CUT)
+
+    @pytest.mark.parametrize("t_cut", [math.nan, -1.0, 0.0, math.inf])
+    def test_scn2_rejects_bad_t_cut(self, t_cut):
+        with pytest.raises(ValidationError, match="t_cut must be positive and finite"):
+            rate_from_delta_scn2(RATE, 0.5, 0.1, t_cut)
 
 
 class TestTrialScenario:
