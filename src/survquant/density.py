@@ -154,8 +154,11 @@ def _ls_slopes(steps, survival, n: int, p, t0, eps):
     a sum of squares that is 0 or not finite, as from a sigma_eps near the
     ends of the float range.
     """
+    # numpy's pairwise sums, not BLAS dots, whose bits depend on the BLAS
+    # kernel and on operand addresses: the block engine and the serial test
+    # hold the same draws at different addresses, and agree bit for bit.
     with np.errstate(over="ignore"):
-        denominators = np.array([float(row @ row) for row in eps.reshape(-1, eps.shape[-1])])
+        denominators = np.add.reduce(eps * eps, axis=-1)
     if not np.all(np.isfinite(denominators) & (denominators > 0)):
         raise ValidationError(
             "sigma_eps is out of range: the sum of squared perturbations is 0 or not finite"
@@ -170,20 +173,16 @@ def _ls_slopes(steps, survival, n: int, p, t0, eps):
     t0 = np.broadcast_to(t0, sets)
     steps = np.broadcast_to(steps, sets[:-1] + steps.shape[-1:])
     y_steps = np.broadcast_to(y_steps, sets + padded.shape[-1:])
-    denominators = np.broadcast_to(denominators.reshape(eps.shape[:-1]), sets)
     eps, scaled = np.broadcast_to(eps, shape), np.broadcast_to(eps / root_n, shape)
-    values = np.zeros(sets)
-    zero = np.zeros(sets, dtype=bool)
+    numerators = np.empty(sets)
     for index in np.ndindex(sets):
         y = y_steps[index][
             np.searchsorted(steps[index[:-1]], t0[index] + scaled[index], side="right")
         ]
-        numerator = float(eps[index] @ y)
-        if numerator == 0.0:
-            zero[index] = True
-        else:
-            values[index] = numerator / float(denominators[index])
-    return values, zero
+        numerators[index] = np.add.reduce(eps[index] * y)
+    zero = numerators == 0.0
+    # +0.0 for a zero numerator, also a -0.0 one
+    return np.where(zero, 0.0, numerators / denominators), zero
 
 
 def estimate_density_ls(

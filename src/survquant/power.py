@@ -190,10 +190,11 @@ class PowerSpec:
 
 
 def _univariate_power(n_total, delta, sigma, alpha, q):
-    """Power at total n_total; q = q_{1-alpha/2}, computed once by the caller."""
-    if delta == 0.0:
-        return float(alpha)
+    """Power at total n_total, alpha at a zero shift (2 Phi(-q) rounds above
+    it); q = q_{1-alpha/2}, computed once by the caller."""
     shift = math.sqrt(n_total) * delta / sigma
+    if shift == 0.0:
+        return float(alpha)
     special = _special()  # once per call: this runs at every step of a solve
     return float(special.ndtr(-(q - shift)) + special.ndtr(-q - shift))
 
@@ -238,7 +239,7 @@ def _wald_form(psi, z):
     if not (eigenvalues[0] > 0 and eigenvalues[0] > _PSI_RTOL * eigenvalues[-1]):
         return None
     root = np.linalg.solve(np.linalg.cholesky(psi), z)
-    return float(root @ root)
+    return float(np.add.reduce(root * root))  # not BLAS: see density._ls_slopes
 
 
 def _noncentrality(psi, deltas):
@@ -301,10 +302,10 @@ def min_sample_size(
     UnattainablePowerError when n would exceed 2^52.
 
     Within a few rounding errors of the target the float power is not
-    monotone in n (targets within about 1e-6 of alpha at n above about 1e8
-    per group, or any n above about 1e14). There the result is a certified
-    crossing that can depend on where the search starts, not always the
-    smallest.
+    monotone in n (targets within a few ulps of alpha at any n, within about
+    1e-6 of it at n above about 1e8 per group, or any target at n above
+    about 1e14). There the result is a certified crossing that can depend
+    on where the search starts, not always the smallest.
     """
     _check_open_unit("alpha", alpha)
     if not alpha < target_power < 1.0:

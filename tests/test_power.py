@@ -1,5 +1,6 @@
 """Tests for the closed-form power formulas and the sample size search."""
 
+import ast
 import math
 import os
 import re
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import special, stats
+from scipy import stats
 
 import survquant
 from survquant import (
@@ -583,13 +584,16 @@ class TestMinSampleSizeAgainstBisection:
 
     @settings(max_examples=150, deadline=None)
     @given(univariate_problems())
+    # targets an ulp or two above alpha, where 2 Phi(-q) at n = 0 rounds
+    # above alpha and so above the target
+    @example((0.21875, 0.21875000000000003, -1e-09, 4.0))
+    @example((0.01, 0.010000000000000002, -1.0, 1.0))
     def test_univariate(self, problem):
         alpha, target, delta, sigma = problem
-        q = normal_quantile(1.0 - alpha / 2.0)
 
         def power_at(per_group):
             if per_group == 0:
-                return float(2.0 * special.ndtr(-q))
+                return alpha
             return power_univariate(
                 PowerSpec(alpha=alpha, deltas=delta, sigma=sigma, per_group_n=per_group)
             )
@@ -687,10 +691,18 @@ PLAN_VALUES = (
 )
 
 
+@pytest.fixture(scope="module")
+def plan_scenario(tmp_path_factory):
+    path = tmp_path_factory.mktemp("plan") / "plan.scn"
+    path.write_text("lambda_a = 1.5\ndelta = 0.1\np = 0.5\nt_cut = 0.2\nlambda_cens = 0.48\n")
+    return str(path)
+
+
 class TestStartUpImports:
     """scipy stays off the start-up path: importing survquant, or its CLI,
-    or running a whole `test`, loads no scipy module; `power` loads only
-    scipy's compiled special-function ufuncs, on first use."""
+    or running a whole `test`, loads no scipy module; `power`, `samplesize`
+    and `simulate` load only scipy's compiled special-function ufuncs, on
+    first use."""
 
     @pytest.mark.parametrize("code", ["import survquant", "import survquant.cli"])
     def test_import_loads_no_scipy(self, code):
@@ -702,16 +714,33 @@ class TestStartUpImports:
                         "--method", method)
         assert scipy_modules_after(code) == "[]"
 
-    def test_power_loads_only_the_ufuncs_on_first_use(self, tmp_path):
-        scenario = tmp_path / "scenario.cfg"
-        scenario.write_text("lambda_a = 1.5\ndelta = 0.1\np = 0.5\nlambda_cens = 0.48\n")
+    def test_power_loads_only_the_ufuncs_on_first_use(self, plan_scenario):
         code = (
             "import sys\nimport survquant.cli\nbefore = 'scipy.special._ufuncs' in sys.modules\n"
-            + run_main("power", "--scenario", str(scenario), "--delta", "0.1", "--n", "200")
+            + run_main("power", "--scenario", plan_scenario, "--delta", "0.1", "--n", "200")
             + "print(before, [m in sys.modules for m in ('scipy.special._ufuncs', "
             "'scipy.special', 'scipy._lib._array_api')])"
         )
         assert run_fresh(code)[-1] == "False [True, False, False]"
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--delta", "0.1,0.2", "--n", "50,100"],
+        ["samplesize", "--power", "0.8,0.9"],
+        ["simulate", "--n", "200", "--reps", "20", "--seed", "1", "--p", "0.5,0.75"],
+        ["simulate", "--n", "200", "--reps", "5", "--seed", "1", "--method", "kde"],
+    ], ids=["power", "samplesize", "simulate-ls", "simulate-kde"])
+    def test_planning_command_loads_only_the_ufuncs(self, plan_scenario, argv):
+        modules = set(ast.literal_eval(
+            scipy_modules_after(run_main(*argv, "--scenario", plan_scenario))
+        ))
+        assert "scipy.special._ufuncs" in modules
+        # not scipy/special/__init__.py and its array-API layer
+        assert not modules & {"scipy._lib._array_api",
+                              "scipy.special._support_alternative_backends"}
+        # no public subpackage (scipy.linalg, scipy.stats, ...) but special
+        # and version, a module that scipy itself loads
+        public = {m.split(".")[1] for m in modules if re.match(r"scipy\.[a-z]", m)}
+        assert public <= {"special", "version"}
 
     def test_ufunc_names(self):
         assert UFUNC_NAMES == ["chndtr", "chndtrinc", "gammainc", "gammaincinv", "ndtr", "ndtri"]
