@@ -41,7 +41,6 @@ from .errors import (DatasetFormatError, NumericalError, ValidationError, _check
                      _whole_count)
 from .power import PowerSpec, min_sample_size, power_univariate
 from .quantile_tests import (
-    DEFAULT_DENSITY_FLOOR,
     _Assembly,
     _bonferroni_from_pieces,
     _multivariate_from_pieces,
@@ -324,14 +323,11 @@ def _density_tuning(args):
 def _auto_sigma(assembly, probabilities, seed):
     """test's LS tuning under 'auto' and the per-selection values: the
     largest plateau-stable sigma over arm x probability (symmetric in the
-    arms, errs toward smoothing), tuned on the assembly's KM fits. The
-    selection's flags are warnings on stderr."""
-    selections = [selection for arm in assembly.arms
-                  for selection in _select_sigma(arm.fit, probabilities, arm.times,
-                                                 _SIGMA_AUTO_GRID, seed=seed)]
-    for flag in sorted({flag for selection in selections for flag in selection.flags}):
-        print(f"warning: sigma selection: {flag}", file=sys.stderr)
-    chosen = [selection.sigma_eps for selection in selections]
+    arms, errs toward smoothing), tuned on the assembly's KM fits with as
+    many draws as the final estimate takes."""
+    chosen = [selection.sigma_eps for arm in assembly.arms
+              for selection in _select_sigma(arm.fit, probabilities, arm.times,
+                                             _SIGMA_AUTO_GRID, LsConfig.n_draws, seed)]
     return LsConfig(max(chosen), seed=seed), chosen
 
 
@@ -357,7 +353,7 @@ def cmd_test(args) -> int:
     if args.method == "ls" and tuning is None:
         tuning, chosen = _auto_sigma(assembly, probabilities, args.seed)
         manifest_tuning.update(sigma_eps=tuning.sigma_eps, sigma_eps_selections=chosen)
-    assembly.estimate(args.method, tuning, DEFAULT_DENSITY_FLOOR)
+    assembly.estimate(args.method, tuning)
 
     config = {
         "p": list(probabilities),

@@ -128,13 +128,17 @@ class DensityAtQuantile:
     tuning: float
     flags: tuple = ()
 
-    def clamped(self, floor: float = 1e-8) -> float:
+    def clamped(self) -> float:
         """The value as used in variance denominators: positive, floored."""
-        return _clamp(self.value, floor)
+        return _clamp(self.value)
 
 
-def _clamp(value: float, floor: float) -> float:
-    return value if value > floor else floor
+# The least density a variance denominator takes (the clamped-density flag).
+DENSITY_FLOOR = 1e-8
+
+
+def _clamp(value: float) -> float:
+    return value if value > DENSITY_FLOOR else DENSITY_FLOOR
 
 
 # --------------------------------------------------------------------- LS --
@@ -222,7 +226,7 @@ class SigmaSelection:
 
 
 def select_sigma_ls(
-    sample: SurvivalSample, p: float, grid, n_draws: int = 1000, seed=None
+    sample: SurvivalSample, p: float, grid, n_draws: int = LsConfig.n_draws, seed=None
 ) -> SigmaSelection:
     """Pick sigma_eps from a grid by plateau stability of the LS slope.
 
@@ -242,7 +246,7 @@ def select_sigma_ls(
 
 
 def _select_sigma(fit: KaplanMeierFit, probabilities, times, grid: np.ndarray,
-                  n_draws: int = 1000, seed=None) -> list:
+                  n_draws: int, seed) -> list:
     """select_sigma_ls at each probability of a fitted arm whose quantile
     times are times, from one standard normal draw and one _ls_slopes call
     over the (J, G) sets; the grid is positive and sorted."""

@@ -48,7 +48,6 @@ from .power import _wald_form, upsilon
 from .survival import (KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, _probabilities,
                        fit_kaplan_meier)
 
-DEFAULT_DENSITY_FLOOR = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -129,7 +128,7 @@ def _default_tuning(density_method):
     if density_method == "ls":
         # fixed seed so library calls are reproducible by default; pass your
         # own LsConfig to control the draws
-        return LsConfig(sigma_eps=1.0, n_draws=1000, seed=0)
+        return LsConfig(sigma_eps=1.0, seed=0)
     return KdeConfig(bandwidth="select-by-cv", cv_grid=DEFAULT_CV_GRID)
 
 
@@ -155,11 +154,11 @@ class _ArmPieces:
             self.densities = [machine.at(t, p=p) for p, t in zip(probabilities, self.times)]
 
 
-def _psi_hat(probabilities, times, phis, densities, mus, density_floor):
+def _psi_hat(probabilities, times, phis, densities, mus):
     """(clamped densities, Psi_hat, deltas) from both arms' quantile times,
     Greenwood factors, raw densities and allocation fractions, each a pair
     with arm 1 first."""
-    used = tuple([_clamp(v, density_floor) for v in values] for values in densities)
+    used = tuple([_clamp(v) for v in values] for values in densities)
     psi = (upsilon(probabilities, times[0], phis[0], used[0], mus[0])
            + upsilon(probabilities, times[1], phis[1], used[1], mus[1]))
     return used, psi, np.array([t1 - t2 for t1, t2 in zip(*times)])
@@ -186,7 +185,7 @@ class _Assembly:
             for label, sample in ((1, data.arm1), (2, data.arm2))
         )
 
-    def estimate(self, density_method, tuning, density_floor):
+    def estimate(self, density_method, tuning):
         """Add the densities, Psi_hat and the deltas; returns self."""
         _check_tuning(density_method, tuning)
         if tuning is None:
@@ -197,8 +196,7 @@ class _Assembly:
         arms = self.arms
         self.used, self.psi, self.deltas = _psi_hat(
             self.probabilities, [a.times for a in arms], [a.phis for a in arms],
-            [[d.value for d in a.densities] for a in arms], (self.mu1, self.mu2),
-            density_floor)
+            [[d.value for d in a.densities] for a in arms], (self.mu1, self.mu2))
         return self
 
     def clamped(self, j) -> bool:
@@ -222,7 +220,6 @@ def sigma_hat_univariate(
     p: float,
     density_method: str = "ls",
     tuning=None,
-    density_floor: float = DEFAULT_DENSITY_FLOOR,
 ):
     """Estimated sigma for the univariate statistic, with its ingredients.
 
@@ -230,7 +227,7 @@ def sigma_hat_univariate(
     variance: per-arm quantiles, variance factors, raw and clamped density
     values, and the allocation fractions.
     """
-    assembly = _Assembly(data, [p]).estimate(density_method, tuning, density_floor)
+    assembly = _Assembly(data, [p]).estimate(density_method, tuning)
     (arm1, arm2), (used1, used2) = assembly.arms, assembly.used
     diagnostics = {
         "p": p,
@@ -292,10 +289,9 @@ def univariate_test(
     p: float,
     density_method: str = "ls",
     tuning=None,
-    density_floor: float = DEFAULT_DENSITY_FLOOR,
 ) -> UnivariateTestResult:
     """Two-sided test of equality of the p-th survival quantiles."""
-    assembly = _Assembly(data, [p]).estimate(density_method, tuning, density_floor)
+    assembly = _Assembly(data, [p]).estimate(density_method, tuning)
     return _univariate_from_pieces(assembly, 0)
 
 
@@ -365,11 +361,10 @@ def multivariate_test(
     probabilities,
     density_method: str = "ls",
     tuning=None,
-    density_floor: float = DEFAULT_DENSITY_FLOOR,
 ) -> MultivariateTestResult:
     """Wald-type joint test of equality at several quantiles."""
     assembly = _Assembly(data, _probabilities(probabilities))
-    return _multivariate_from_pieces(assembly.estimate(density_method, tuning, density_floor))
+    return _multivariate_from_pieces(assembly.estimate(density_method, tuning))
 
 
 def _bonferroni_from_pieces(assembly: _Assembly, alpha):
@@ -391,7 +386,6 @@ def bonferroni_followup(
     density_method: str = "ls",
     tuning=None,
     alpha: float = 0.05,
-    density_floor: float = DEFAULT_DENSITY_FLOOR,
 ):
     """Per-quantile univariate tests with Bonferroni-adjusted p-values. The
     probabilities must be distinct, or one would count twice in the adjustment."""
@@ -402,6 +396,6 @@ def bonferroni_followup(
     # one KM fit and one density set-up (KDE bandwidth selection) per arm,
     # shared by every probability
     return _bonferroni_from_pieces(
-        _Assembly(data, probabilities).estimate(density_method, tuning, density_floor),
+        _Assembly(data, probabilities).estimate(density_method, tuning),
         alpha,
     )

@@ -144,7 +144,8 @@ def piecewise_quantile(rate_early: float, rate_late: float, t_cut: float,
     _check_open_unit("p", p)
     target = -math.log1p(-p)
     knee = rate_early * t_cut
-    if target < knee:
+    # one rate is one exponential, whose quantile exp_quantile rounds this way
+    if target < knee or rate_late == rate_early:
         return target / rate_early
     return t_cut + (target - knee) / rate_late
 
@@ -206,6 +207,8 @@ def rate_from_delta_scn1(rate_control: float, p: float, delta: float) -> float:
             f"delta={delta:g} pushes the comparator p-quantile to {shifted:g}; "
             "it must stay positive"
         )
+    if delta == 0:
+        return rate_control  # exactly, where the solve below rounds
     return -math.log1p(-p) / shifted
 
 
@@ -224,8 +227,9 @@ def rate_from_delta_scn2(rate_control: float, p: float, delta: float,
             f"delta={delta:g} needs the comparator p-quantile at {shifted:g}, "
             f"which does not lie past the hazard change point t_cut={t_cut:g}"
         )
-    target = -math.log1p(-p)
-    return (target - rate_control * t_cut) / (shifted - t_cut)
+    if delta == 0:
+        return rate_control  # exactly, where the solve below rounds
+    return (-math.log1p(-p) - rate_control * t_cut) / (shifted - t_cut)
 
 
 @dataclass(frozen=True)
@@ -319,22 +323,20 @@ def scenario_psi(scenario: TrialScenario, probabilities) -> np.ndarray:
     return _psi_with_pieces(scenario, _probabilities(probabilities))[0]
 
 
-def calibrate_censoring(arm, target_fraction: float, tol: float = 1e-8) -> float:
+def calibrate_censoring(arm, target_fraction: float) -> float:
     """Censoring rate giving the requested expected censored fraction.
 
     Monotone bisection on censored_fraction(rate); the bracket is grown
     geometrically first. Stops when the bracket width drops under
-    tol * max(1, hi), or to two float spacings of hi where that is wider. A
-    tol that is not finite and positive raises ValidationError.
+    1e-8 * max(1, hi).
     """
     _check_open_unit("target censored fraction", target_fraction)
-    _check_positive("tol", tol, finite=True)
     lo, hi = 0.0, 1.0
     while arm.censored_fraction(hi) < target_fraction:
         hi *= 2.0
         if hi > 1e12:
             raise ValidationError("no finite censoring rate reaches the target")
-    while hi - lo > max(tol * max(1.0, hi), 2.0 * math.ulp(hi)):
+    while hi - lo > 1e-8 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if arm.censored_fraction(mid) < target_fraction:
             lo = mid

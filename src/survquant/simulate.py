@@ -26,7 +26,6 @@ from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError
                      _check_open_unit, _whole_count)
 from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
-    DEFAULT_DENSITY_FLOOR,
     _default_tuning,
     _joint_statistic,
     _psi_hat,
@@ -271,8 +270,7 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
                             for a in (0, 1)]
                 values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
             # equal arms: each allocation fraction is n / 2n = 0.5
-            _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5),
-                                      DEFAULT_DENSITY_FLOOR)
+            _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5))
             if len(ps) == 1:
                 out[r] = _univariate_statistic(2 * n, float(deltas[0]), psi[0, 0])[2]
             else:

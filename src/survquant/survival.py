@@ -8,9 +8,9 @@ estimated here from right-censored samples:
 * the cumulative variance factor phi(t) = integral of dLambda/H up to t,
   estimated as n times the Greenwood sum  sum_j d_j / (Y_j (Y_j - d_j)).
 
-One tie-aware product-limit kernel (_sorted_observations, _groups,
-_product_limit) serves fit_kaplan_meier, fit_censoring_km and, through
-_step_sizes, the simulation engine, whose steps equal the fit's bit for bit.
+One tie-aware product-limit kernel (_sorted_observations, _step_sizes,
+_product_limit) serves fit_kaplan_meier, fit_censoring_km and the
+simulation engine, whose steps equal the fit's bit for bit.
 _censoring_before runs it on the censoring side for whole blocks, for the
 weights of the kernel density estimate. _quantiles holds the quantile rule,
 for a fit's steps and for the engine's full rows alike.
@@ -147,30 +147,13 @@ def _sorted_observations(times: np.ndarray, events: np.ndarray):
     return (keys >> np.uint64(1)).view(float), (keys & np.uint64(1)).astype(bool)
 
 
-def _groups(steps: np.ndarray, counted: np.ndarray, censoring: bool):
-    """(ends, d, y) per distinct time u of rows of sorted steps, row after
-    row: the flat index of u's last observation, the counted observations
-    at u (1.0 in counted: events, or censorings for the censoring fit) and
-    the risk set, those with T >= u less, for the censoring fit, the events
-    at u, which happen first."""
-    n = steps.shape[-1]
-    last = np.ones(steps.shape, dtype=bool)
-    np.not_equal(steps[..., 1:], steps[..., :-1], out=last[..., :-1])
-    ends = np.flatnonzero(last)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    totals = np.concatenate(([0.0], np.cumsum(counted)[ends]))
-    d = totals[1:] - totals[:-1]
-    y = n - starts % n
-    if censoring:
-        y = y - np.where(d > 0, ends + 1 - starts - d, 0)
-    return ends, d, y
-
-
 def _step_sizes(steps: np.ndarray, counted: np.ndarray, censoring: bool = False):
     """(d, y) of the event fit, or with censoring of the censoring fit, at
     every observation of sorted (..., n) blocks; counted flags what the fit
-    counts (events, or censorings). _groups' counts sit at the last
-    observation of each time, and d = 0, y > 0 elsewhere, which makes the
+    counts (events, or censorings). At the last observation of each
+    distinct time u, d counts the counted observations at u and y is the
+    risk set, those with T >= u less, for the censoring fit, the events at
+    u, which happen first. Elsewhere d = 0 and y > 0, which makes the
     product-limit factor there exactly 1.0 and the Greenwood term exactly
     0.0. Untied rows skip the bookkeeping."""
     rows = steps.reshape(-1, steps.shape[-1])
@@ -179,7 +162,15 @@ def _step_sizes(steps: np.ndarray, counted: np.ndarray, censoring: bool = False)
     y = np.broadcast_to(np.arange(n, 0, -1, dtype=float), rows.shape)
     tied = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
     if tied.size:
-        ends, counts, at_risk = _groups(rows[tied], d[tied], censoring)
+        last = np.ones((tied.size, n), dtype=bool)
+        np.not_equal(rows[tied, 1:], rows[tied, :-1], out=last[:, :-1])
+        ends = np.flatnonzero(last)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        totals = np.concatenate(([0.0], np.cumsum(d[tied])[ends]))
+        counts = totals[1:] - totals[:-1]
+        at_risk = n - starts % n
+        if censoring:
+            at_risk = at_risk - np.where(counts > 0, ends + 1 - starts - counts, 0)
         at = tied[ends // n] * n + ends % n
         d[tied] = 0.0
         d.flat[at] = counts
@@ -210,11 +201,11 @@ def _censoring_before(steps: np.ndarray, flags: np.ndarray) -> np.ndarray:
 
 def _fit(sample: SurvivalSample, censoring: bool) -> KaplanMeierFit:
     steps, flags = _sorted_observations(sample.times, sample.events)
-    ends, d, y = _groups(steps, (~flags if censoring else flags).astype(float), censoring)
+    d, y = _step_sizes(steps, ~flags if censoring else flags, censoring)
     at = d > 0
-    d, y = d[at], y[at].astype(float)
+    d, y = d[at], y[at]
     survival, greenwood = _product_limit(d, y)
-    return KaplanMeierFit(event_times=steps[ends[at]], at_risk=y, n_events=d,
+    return KaplanMeierFit(event_times=steps[at], at_risk=y, n_events=d,
                           survival=survival, greenwood_cumsum=greenwood, n=sample.n)
 
 

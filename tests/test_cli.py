@@ -999,6 +999,20 @@ class TestCmdSimulate:
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
 
+    def test_zero_shift_plans_equal_arms(self, tmp_path, capsys):
+        """At --delta 0 the delayed comparator keeps the control rate, so
+        every planned shift is 0 and the formula power is alpha."""
+        cfg = tmp_path / "plan.scn"
+        cfg.write_text(SCENARIO_DELAYED)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", str(cfg), "--n", "150", "--reps", "300",
+            "--seed", "9", "--p", "0.5,0.6,0.75", "--delta", "0",
+        )
+        assert code == 0
+        row = dict(zip(out.splitlines()[1].split(","), out.splitlines()[2].split(",")))
+        assert (row["delta"], row["formula"]) == ("0.0;0.0;0.0", "0.05")
+        assert row["empirical"] == "0.023333333333333334"
+
     def test_unequal_allocation(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SCENARIO_DELAYED + "mu1 = 0.3\n")

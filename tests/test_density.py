@@ -247,7 +247,7 @@ class TestEstimateDensityLs:
             0.5,
             LsConfig(sigma_eps=1.0, seed=0),
         )
-        assert out.clamped(floor=1e-8) >= 1e-8
+        assert out.clamped() >= 1e-8
 
 
 def ls_slope_reference(fit, p, t0, eps):

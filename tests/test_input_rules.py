@@ -123,7 +123,8 @@ CASES = [
      lambda v: math.isfinite(v) and v < MEDIAN),
     ("t_cut", lambda v: sigma2(scenario_from_delta(1.5, 0.5, 0.1, t_cut=v)),
      lambda v: 0 < v < MEDIAN - 0.1),
-    ("tol", lambda v: calibrate_censoring(ExponentialArm(1.0), 0.3, tol=v), positive_finite),
+    ("target censored fraction", lambda v: calibrate_censoring(ExponentialArm(1.0), v),
+     open_unit),
     ("n_per_group", lambda v: SimulationPlan(SCENARIO, v, (0.5,), 5).n_per_group, count(2)),
     ("replications", lambda v: SimulationPlan(SCENARIO, 10, (0.5,), v).replications,
      count(1)),

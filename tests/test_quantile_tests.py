@@ -28,6 +28,7 @@ from survquant import (
     univariate_test,
     upsilon_matrix,
 )
+from survquant import density
 from survquant.quantile_tests import _chi2_sf, _normal_two_sided
 
 KDE_FIXED = KdeConfig(bandwidth=0.3)
@@ -155,9 +156,10 @@ class TestUnivariate:
         assert err.value.arm == 2
         assert err.value.max_probability == pytest.approx(0.25)
 
-    def test_density_floor_clamps_and_flags(self):
+    def test_density_floor_clamps_and_flags(self, monkeypatch):
         data = two_arm(6)
-        out = univariate_test(data, 0.5, "kde", KDE_FIXED, density_floor=10.0)
+        monkeypatch.setattr(density, "DENSITY_FLOOR", 10.0)
+        out = univariate_test(data, 0.5, "kde", KDE_FIXED)
         assert "clamped-density" in out.flags
         # with both densities clamped to 10 the variance is fully determined
         # by the phi factors and allocations
@@ -497,3 +499,14 @@ class TestTuningMatchesMethod:
     def test_unknown_method(self):
         with pytest.raises(ValidationError, match="'ls' or 'kde'"):
             univariate_test(two_arm(27), 0.5, "kernel")
+
+    def test_ls_default_is_the_documented_config(self):
+        """No tuning means LS with sigma_eps 1, the default draw count and
+        seed 0, for the univariate and the joint test alike."""
+        data = two_arm(28)
+        documented = LsConfig(1.0, seed=0)
+        for call, arg in ((univariate_test, 0.5), (multivariate_test, [0.25, 0.5])):
+            default, explicit = call(data, arg), call(data, arg, "ls", documented)
+            for field in dataclasses.fields(default):
+                np.testing.assert_array_equal(getattr(default, field.name),
+                                              getattr(explicit, field.name))

@@ -588,6 +588,21 @@ class TestBlockEngine:
         with pytest.raises(ValidationError, match="densities must be positive"):
             empirical_rejection(plan)
 
+    def test_invalid_row_raises_after_the_rows_before_it(self, monkeypatch):
+        plan = small_plan(replications=4)
+        times, events, eps = simulate._draw_block(plan, 0, 4)
+        times[2, 1, 0] = np.inf
+        blocks, run = [], simulate._block_p_values
+
+        def recorded(plan, times, *rest):
+            blocks.append(len(times))
+            return run(plan, times, *rest)
+
+        monkeypatch.setattr(simulate, "_block_p_values", recorded)
+        with pytest.raises(ValidationError, match="times must be finite and non-negative"):
+            simulate._block_p_values(plan, times, events, eps)
+        assert blocks == [4, 2]  # rows 0 and 1 ran first
+
 
 DELAYED_PLAN = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
 HEAVY_CENSORING = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=1.5)
