@@ -22,6 +22,10 @@ scipy/special/__init__.py, whose array-API layer costs a fresh process about
 0.25 s more; the ufuncs are the same objects that a later import scipy.special
 hands out. The quantile tests, which use upsilon and _wald_form from this
 module, compute their own tails without scipy.
+
+The noncentrality's Wald form, _wald_form, calls the LAPACK gufuncs behind
+numpy.linalg's eigvalsh, cholesky and solve directly: the same bits, without
+the wrappers' checks, which cost more than the LAPACK work on a small psi.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ import types
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     SingularCovarianceError,
@@ -234,11 +239,24 @@ _PSI_RTOL = 1e-10  # relative positive-definiteness tolerance
 
 def _wald_form(psi, z):
     """z' psi^-1 z as the squared norm of L^-1 z (psi = L L'); None unless
-    the smallest eigenvalue of psi is positive and above _PSI_RTOL x largest."""
-    eigenvalues = np.linalg.eigvalsh(psi)
-    if not (eigenvalues[0] > 0 and eigenvalues[0] > _PSI_RTOL * eigenvalues[-1]):
-        return None
-    root = np.linalg.solve(np.linalg.cholesky(psi), z)
+    the smallest eigenvalue of psi is positive and above _PSI_RTOL x largest.
+    Reads only the lower triangle of psi, as numpy.linalg does.
+
+    The LAPACK calls go to numpy.linalg._umath_linalg, the private gufunc
+    module behind numpy.linalg.eigvalsh, cholesky and solve, present under
+    these names in every numpy >= 1.23: the same routines on the same
+    inputs give the same bits, without the wrappers' checks and casts,
+    which cost more than the LAPACK work on a small psi. As in the wrappers,
+    errstate quiets the floating-point flags. Where numpy.linalg.eigvalsh
+    raises LinAlgError (some nan or inf psi), the eigenvalues here are nan
+    and the rule rejects them."""
+    with np.errstate(all="ignore"):
+        eigenvalues = _umath_linalg.eigvalsh_lo(psi, signature="d->d").tolist()
+        smallest, largest = eigenvalues[0], eigenvalues[-1]
+        if not (smallest > 0 and smallest > _PSI_RTOL * largest):
+            return None
+        lower = _umath_linalg.cholesky_lo(psi, signature="d->d")
+        root = _umath_linalg.solve1(lower, z, signature="dd->d")
     return float(np.add.reduce(root * root))  # not BLAS: see density._ls_slopes
 
 
@@ -249,6 +267,11 @@ def _noncentrality(psi, deltas):
         raise ValidationError("psi shape must match the delta vector")
     quad = _wald_form(psi, deltas)
     if quad is None:
+        if not np.isfinite(psi).all():
+            raise SingularCovarianceError(
+                message="psi has an inf or nan entry (a saturated variance "
+                "factor phi), so the power formula has no noncentrality"
+            )
         raise SingularCovarianceError(
             message="psi must be positive definite for the power formula"
         )

@@ -157,13 +157,16 @@ def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
     rate/(rate+c) * (e^{(rate+c) t} - 1). Saturates to inf once the
     exponential overflows, (rate + c) t above about 709.8, which is the
     honest limit for quantiles far out in a heavily censored tail. The inf
-    is not an error: it passes through upsilon into an infinite variance,
-    so the noncentrality is 0 and the power is alpha at every n. For
-    example lambda_a = 0.1, delta = 0.5, p = 0.95 and lambda_cens = 50 put
-    the control quantile at t = 30, where (rate + c) t = 1,503, and the
-    `power` command prints 0.05 and exits 0. t = inf is the same limit. A
-    rate that is not finite and positive, a censoring_rate that is not
-    finite and non-negative, and a nan or negative t raise ValidationError.
+    is not an error: it passes through upsilon into an infinite variance.
+    For one quantile the noncentrality is then 0 and the power is alpha at
+    every n. For example lambda_a = 0.1, delta = 0.5, p = 0.95 and
+    lambda_cens = 50 put the control quantile at t = 30, where
+    (rate + c) t = 1,503, and the `power` command prints 0.05 and exits 0.
+    A joint plan with such a quantile has an inf entry in psi, and its
+    power formula raises SingularCovarianceError, which says so. t = inf
+    is the same limit. A rate that is not finite and positive, a
+    censoring_rate that is not finite and non-negative, and a nan or
+    negative t raise ValidationError.
     """
     _check_positive("rate", rate, finite=True)
     _check_non_negative("censoring_rate", censoring_rate, finite=True)

@@ -985,6 +985,22 @@ class TestCmdSimulate:
         assert err.startswith("error: n_per_group=1152921504606846976 is too large")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("probabilities", ["0.5,0.95", "0.5,0.95,0.99"])
+    def test_saturated_phi_in_a_joint_plan(self, tmp_path, capsys, probabilities):
+        """phi saturates to inf at p = 0.95 and past it (see
+        TestCmdPower.test_saturated_phi_gives_alpha), so the planned psi has
+        an inf entry and the joint power formula has no noncentrality: exit
+        3 with one error line that says so, and no traceback."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("lambda_a = 0.1\ndelta = 0.5\np = 0.95\nlambda_cens = 50\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(cfg), "--p", probabilities,
+            "--n", "50", "--reps", "5", "--seed", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: psi has an inf or nan entry")
+        assert err.count("\n") == 1
+
     def test_out_of_memory(self, scenario_file, capsys, monkeypatch):
         """An n that fits numpy's limits but not the machine: MemoryError is
         one error line and exit 2 (raised here by a stand-in engine)."""

@@ -4,6 +4,7 @@ import ast
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,79 @@ class TestPowerMultivariate:
         spec = PowerSpec(alpha=0.05, deltas=0.1, sigma=1.0, total_n=100)
         with pytest.raises(ValidationError, match="psi matrix"):
             power_multivariate(spec)
+
+
+def _reference_wald_form(psi, z):
+    """_wald_form's rule through the public np.linalg calls; the LinAlgError
+    that eigvalsh raises on some nan or inf psi counts as None."""
+    try:
+        eigenvalues = np.linalg.eigvalsh(psi)
+        if not (eigenvalues[0] > 0
+                and eigenvalues[0] > power._PSI_RTOL * eigenvalues[-1]):
+            return None
+        root = np.linalg.solve(np.linalg.cholesky(psi), z)
+    except np.linalg.LinAlgError:
+        return None
+    return float(np.add.reduce(root * root))
+
+
+def _bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+@st.composite
+def wald_inputs(draw):
+    """(psi, z): psi = A A' + diag, or with eigenvalues within a factor of 2
+    of the _PSI_RTOL edge; then perhaps inf or nan entries, or an upper
+    triangle that is not the mirror of the lower one."""
+    size = draw(st.integers(1, 5))
+
+    def floats(count, low, high):
+        return np.array(draw(st.lists(st.floats(low, high), min_size=count,
+                                      max_size=count)))
+
+    if draw(st.booleans()):
+        root = floats(size * size, -3.0, 3.0).reshape(size, size)
+        psi = root @ root.T + np.diag(floats(size, 0.0, 2.0))
+    else:
+        largest = 10.0 ** draw(st.floats(-3.0, 3.0))
+        smallest = draw(st.floats(0.5, 2.0)) * power._PSI_RTOL * largest
+        eigenvalues = np.concatenate(
+            ([smallest, largest], floats(max(size - 2, 0), smallest, largest)))[:size]
+        basis, _ = np.linalg.qr(floats(size * size, -1.0, 1.0).reshape(size, size))
+        psi = (basis * eigenvalues) @ basis.T
+    change = draw(st.sampled_from(["none", "non-finite", "upper"]))
+    if change == "non-finite":
+        cells = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                              min_size=1, max_size=size * size))
+        for cell in cells:
+            psi[cell] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    elif change == "upper":
+        psi = psi + np.triu(floats(size * size, -5.0, 5.0).reshape(size, size), 1)
+    return psi, floats(size, -10.0, 10.0)
+
+
+class TestWaldForm:
+    """_wald_form calls numpy's LAPACK gufuncs without np.linalg's wrappers;
+    it must give the bits of the public calls under the same rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wald_inputs())
+    def test_same_bits_as_numpy_linalg(self, inputs):
+        psi, z = inputs
+        assert _bits(power._wald_form(psi, z)) == _bits(_reference_wald_form(psi, z))
+
+    def test_reads_only_the_lower_triangle(self):
+        # the lower triangle is positive definite, the mirror of the upper
+        # one is not: reading the upper triangle gives None or nan
+        psi = np.array([[2.0, -50.0, 7.0], [0.5, 3.0, 99.0], [0.1, 0.2, 4.0]])
+        lower = np.tril(psi) + np.tril(psi, -1).T
+        z = np.array([1.0, -2.0, 0.5])
+        got = power._wald_form(psi, z)
+        assert got is not None
+        assert _bits(got) == _bits(_reference_wald_form(psi, z))
+        assert _bits(got) == _bits(power._wald_form(lower, z))
+        assert power._wald_form(np.triu(psi) + np.triu(psi, 1).T, z) is None
 
 
 class TestMinSampleSize:
