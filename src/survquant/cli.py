@@ -11,9 +11,10 @@ Every output embeds a run manifest: the resolved configuration, seeds, the
 tuning values actually used, and the package version, so a result can be
 reproduced from the output alone. JSON (--json) is the canonical machine
 format; the default CSV (power, simulate) and table (test, samplesize)
-views are derived from the same payload. Exit codes: 0 success, 2 invalid
-input, 3 numerical failure (unreachable quantile, singular covariance, and
-kin).
+views are derived from the same payload. JSON has no nan or infinity: a
+nan is written as null and +-inf as the strings "Infinity" and "-Infinity".
+Exit codes: 0 success, 2 invalid input, 3 numerical failure (unreachable
+quantile, singular covariance, and kin).
 
 Datasets are CSV with header time,status,group: non-negative event or
 censoring time, status 1 for an observed event and 0 for censoring, group
@@ -58,6 +59,8 @@ _REQUIRED_COLUMNS = ("time", "status", "group")
 # serialization helpers
 
 def _jsonable(value):
+    """value as plain JSON types; nan becomes null and +-inf the strings
+    "Infinity" and "-Infinity", which strict JSON parsers accept."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -66,6 +69,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (float, np.floating)):
         value = float(value)
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
         return None if math.isnan(value) else value
     if isinstance(value, (int, np.integer, bool, np.bool_)):
         return int(value) if not isinstance(value, bool) else value
@@ -73,7 +78,7 @@ def _jsonable(value):
 
 
 def _canonical(payload) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _cell(value) -> str:
@@ -116,7 +121,7 @@ def _emit_table(manifest: dict, header, rows) -> None:
 
 
 def _emit_json(payload, destination: str) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if destination == "-":
         sys.stdout.write(text)
     else:

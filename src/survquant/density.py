@@ -407,11 +407,16 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     no other pair of constants on a grid of them did better. Without the
     fixed cost the rule took the slower path on 9 arms, up to 1.43 times
     the faster time. Few events or a wider span keep the pairwise sums, as
-    do spans so wide that K overflows. times must be sorted ascending.
+    do spans so wide that K overflows and a largest bandwidth whose square
+    overflows (above 1.3e154), where the Fourier kernel's exponent
+    -h^2 u^2 / 2 would be -inf at every frequency. times and grid must be
+    sorted ascending.
     """
     m, size = times.size, grid.size
     _, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
-    if _FREQUENCY_COST * n_freq * (m + size) + _FOURIER_FIXED_COST < size * m * (m - 1) / 2:
+    h_max = float(grid[-1])
+    if (h_max * h_max < math.inf and _FREQUENCY_COST * n_freq * (m + size)
+            + _FOURIER_FIXED_COST < size * m * (m - 1) / 2):
         return _pair_sums_fourier(times, weights, grid)
     return _pair_sums_exact(times, weights, grid)
 
@@ -426,16 +431,17 @@ def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     """
     m = times.size
     diagonal = float(weights @ weights)
-    # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a tie
-    # (d = 0) the argument 0 * -inf = nan; the floor keeps the factor
-    # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR)
-    factors = -0.5 / np.maximum(grid * grid, _TINY)
     cross_h = np.zeros(grid.size)
     cross_h2 = np.zeros(grid.size)
     rows = max(1, _PAIR_BLOCK // m)
     # a squared distance that overflows is inf, and its exponent -inf is
     # floored like any other
     with np.errstate(over="ignore"):
+        # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a tie
+        # (d = 0) the argument 0 * -inf = nan; the floor keeps the factor
+        # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR);
+        # above h = 1.3e154 it overflows, and the factor is -0
+        factors = -0.5 / np.maximum(grid * grid, _TINY)
         for first in range(0, m - 1, rows):
             i, j = np.triu_indices(min(rows, m - 1 - first), 1, m - first)
             i += first

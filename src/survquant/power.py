@@ -110,15 +110,27 @@ def chi2_quantile(p: float, dof: int) -> float:
     return float(2.0 * _special().gammaincinv(dof / 2.0, p))
 
 
+# chndtr returns nan at a noncentrality above 2^63 (scipy 1.17). There the
+# noncentral chi-squared is normal, mean dof + lam and variance 2 dof + 4 lam,
+# to within its skewness, about 3 / sqrt(lam) < 1e-9; at a test's threshold
+# x, far below lam, that limit is a CDF of 0 and a power of 1.
+_CHNDTR_MAX = 2.0 ** 63
+
+
 def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
     """Noncentral chi-squared CDF (scipy.special.chndtr); x = inf is the
-    saturated limit 1.0. Raises ValidationError for a nan or negative x, a dof
-    that is not a whole number >= 1 and a noncentrality not finite and >= 0."""
+    saturated limit 1.0, and a noncentrality above 2^63 takes the normal
+    limit (see _CHNDTR_MAX). Raises ValidationError for a nan or negative x,
+    a dof that is not a whole number >= 1 and a noncentrality not finite and
+    >= 0."""
     _check_non_negative("x", x)
     _whole_count("dof", dof, 1)
     _check_non_negative("noncentrality", noncentrality, finite=True)
     if noncentrality == 0.0:
         return float(chi2_cdf(x, dof))
+    if noncentrality > _CHNDTR_MAX:
+        spread = 2.0 * math.sqrt(noncentrality + 0.5 * dof)  # sqrt(2 dof + 4 lam)
+        return float(_special().ndtr((x - dof - noncentrality) / spread))
     return float(_special().chndtr(x, dof, noncentrality))
 
 
@@ -129,7 +141,7 @@ def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
     arm's p_j-quantiles t_j, phis[j] = phi(t_j), densities f_j = f(t_j) and
     allocation fraction mu. Off-diagonal entries are mirrored, so the matrix
     is exactly symmetric. An infinite phi, the saturated limit of
-    scenarios.phi_exponential far out in a heavily censored tail, is kept:
+    scenarios.ExponentialArm.phi far out in a heavily censored tail, is kept:
     its entries are inf, the planned variance is inf and the power of the
     test is alpha, with no error. Only an entry that overflows from the
     densities is rejected.
@@ -231,6 +243,8 @@ def _joint_power(n_total, quad, dof, alpha, threshold, chndtr):
     lam = n_total * quad
     if lam == 0.0:
         return float(alpha)
+    if lam > _CHNDTR_MAX:
+        return 1.0  # the limit at the threshold, see _CHNDTR_MAX
     return 1.0 - float(chndtr(threshold, dof, lam))
 
 
@@ -247,9 +261,11 @@ def _wald_form(psi, z):
     these names in every numpy >= 1.23: the same routines on the same
     inputs give the same bits, without the wrappers' checks and casts,
     which cost more than the LAPACK work on a small psi. As in the wrappers,
-    errstate quiets the floating-point flags. Where numpy.linalg.eigvalsh
-    raises LinAlgError (some nan or inf psi), the eigenvalues here are nan
-    and the rule rejects them."""
+    errstate quiets the floating-point flags; it covers the sum of squares
+    too, which is inf once z is too large against psi, and the caller
+    judges that inf. Where numpy.linalg.eigvalsh raises LinAlgError (some
+    nan or inf psi), the eigenvalues here are nan and the rule rejects
+    them."""
     with np.errstate(all="ignore"):
         eigenvalues = _umath_linalg.eigvalsh_lo(psi, signature="d->d").tolist()
         smallest, largest = eigenvalues[0], eigenvalues[-1]
@@ -257,7 +273,7 @@ def _wald_form(psi, z):
             return None
         lower = _umath_linalg.cholesky_lo(psi, signature="d->d")
         root = _umath_linalg.solve1(lower, z, signature="dd->d")
-    return float(np.add.reduce(root * root))  # not BLAS: see density._ls_slopes
+        return float(np.add.reduce(root * root))  # not BLAS: see density._ls_slopes
 
 
 def _noncentrality(psi, deltas):

@@ -23,7 +23,7 @@ the late rate that produces the same quantile shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .survival import _probabilities
 
 def exp_quantile(rate: float, p: float) -> float:
     """p-quantile of the exponential distribution, -log(1-p)/rate."""
-    _check_positive("rate", rate, finite=True)
-    _check_open_unit("p", p)
-    return -math.log1p(-p) / rate
+    return ExponentialArm(rate).quantile(p)
 
 
 def exp_density(rate: float, t: float) -> float:
@@ -52,7 +50,8 @@ class ExponentialArm:
         _check_positive("rate", self.rate, finite=True)
 
     def quantile(self, p: float) -> float:
-        return exp_quantile(self.rate, p)
+        _check_open_unit("p", p)
+        return -math.log1p(-p) / self.rate
 
     def survival(self, t: float) -> float:
         return math.exp(-self.rate * t)
@@ -64,7 +63,33 @@ class ExponentialArm:
         return exp_density(self.rate, t)
 
     def phi(self, t: float, censoring_rate: float) -> float:
-        return phi_exponential(self.rate, censoring_rate, t)
+        """phi(t) for an exponential event arm under exponential censoring.
+
+        The integrand rate / (e^{-rate s} e^{-c s}) integrates to
+        rate/(rate+c) * (e^{(rate+c) t} - 1). Saturates to inf once the
+        exponential overflows, (rate + c) t above about 709.8, which is the
+        honest limit for quantiles far out in a heavily censored tail. The inf
+        is not an error: it passes through upsilon into an infinite variance.
+        For one quantile the noncentrality is then 0 and the power is alpha at
+        every n. For example lambda_a = 0.1, delta = 0.5, p = 0.95 and
+        lambda_cens = 50 put the control quantile at t = 30, where
+        (rate + c) t = 1,503, and the `power` command prints 0.05 and exits 0.
+        A joint plan with such a quantile has an inf entry in psi, and its
+        power formula raises SingularCovarianceError, which says so. t = inf
+        is the same limit. A censoring_rate that is not finite and
+        non-negative, and a nan or negative t raise ValidationError.
+        """
+        _check_non_negative("censoring_rate", censoring_rate, finite=True)
+        _check_non_negative("t", t)
+        return self._phi(self.rate, censoring_rate, t)
+
+    @staticmethod
+    def _phi(rate: float, censoring_rate: float, t: float) -> float:  # arguments checked
+        total = rate + censoring_rate
+        try:
+            return rate / total * math.expm1(total * t)
+        except OverflowError:
+            return math.inf
 
     def censored_fraction(self, censoring_rate: float) -> float:
         return censoring_rate / (self.rate + censoring_rate)
@@ -106,12 +131,34 @@ class PiecewiseExponentialArm:
         return self.hazard(t) * self.survival(t)
 
     def quantile(self, p: float) -> float:
-        return piecewise_quantile(self.rate_early, self.rate_late, self.t_cut, p)
+        """The cumulative hazard is rate_early * t below the cut, rate_late past it."""
+        _check_open_unit("p", p)
+        target = -math.log1p(-p)
+        knee = self.rate_early * self.t_cut
+        # one rate is one exponential, whose quantile ExponentialArm rounds this way
+        if target < knee or self.rate_late == self.rate_early:
+            return target / self.rate_early
+        return self.t_cut + (target - knee) / self.rate_late
 
     def phi(self, t: float, censoring_rate: float) -> float:
-        return phi_piecewise(
-            self.rate_early, self.rate_late, self.t_cut, censoring_rate, t
-        )
+        """ExponentialArm's phi of the early piece, plus the late piece past t_cut."""
+        _check_non_negative("censoring_rate", censoring_rate, finite=True)
+        _check_non_negative("t", t)
+        early = ExponentialArm._phi(self.rate_early, censoring_rate, min(t, self.t_cut))
+        if t <= self.t_cut:
+            return early
+        try:
+            b = self.rate_late + censoring_rate
+            # on (t_cut, t] the inverse of S(s) S_c(s) carries the accumulated
+            # early-piece hazard as the constant factor e^{(rate_early-rate_late) t_cut}
+            late = (
+                self.rate_late / b
+                * math.exp((self.rate_early - self.rate_late) * self.t_cut)
+                * (math.exp(b * t) - math.exp(b * self.t_cut))
+            )
+        except OverflowError:
+            return math.inf
+        return early + late
 
     def censored_fraction(self, censoring_rate: float) -> float:
         a = self.rate_early + censoring_rate
@@ -133,73 +180,19 @@ class PiecewiseExponentialArm:
 
 def piecewise_quantile(rate_early: float, rate_late: float, t_cut: float,
                        p: float) -> float:
-    """p-quantile of the two-piece exponential.
-
-    Below the cut the cumulative hazard is rate_early * t; past it the
-    residual log survival accrues at rate_late.
-    """
-    _check_positive("rate_early", rate_early, finite=True)
-    _check_positive("rate_late", rate_late, finite=True)
-    _check_positive("t_cut", t_cut, finite=True)
-    _check_open_unit("p", p)
-    target = -math.log1p(-p)
-    knee = rate_early * t_cut
-    # one rate is one exponential, whose quantile exp_quantile rounds this way
-    if target < knee or rate_late == rate_early:
-        return target / rate_early
-    return t_cut + (target - knee) / rate_late
+    """p-quantile of the two-piece exponential; see PiecewiseExponentialArm.quantile."""
+    return PiecewiseExponentialArm(rate_early, rate_late, t_cut).quantile(p)
 
 
 def phi_exponential(rate: float, censoring_rate: float, t: float) -> float:
-    """phi(t) for an exponential event arm under exponential censoring.
-
-    The integrand rate / (e^{-rate s} e^{-c s}) integrates to
-    rate/(rate+c) * (e^{(rate+c) t} - 1). Saturates to inf once the
-    exponential overflows, (rate + c) t above about 709.8, which is the
-    honest limit for quantiles far out in a heavily censored tail. The inf
-    is not an error: it passes through upsilon into an infinite variance.
-    For one quantile the noncentrality is then 0 and the power is alpha at
-    every n. For example lambda_a = 0.1, delta = 0.5, p = 0.95 and
-    lambda_cens = 50 put the control quantile at t = 30, where
-    (rate + c) t = 1,503, and the `power` command prints 0.05 and exits 0.
-    A joint plan with such a quantile has an inf entry in psi, and its
-    power formula raises SingularCovarianceError, which says so. t = inf
-    is the same limit. A rate that is not finite and positive, a
-    censoring_rate that is not finite and non-negative, and a nan or
-    negative t raise ValidationError.
-    """
-    _check_positive("rate", rate, finite=True)
-    _check_non_negative("censoring_rate", censoring_rate, finite=True)
-    _check_non_negative("t", t)
-    total = rate + censoring_rate
-    try:
-        return rate / total * math.expm1(total * t)
-    except OverflowError:
-        return math.inf
+    """phi(t) of an exponential arm; see ExponentialArm.phi."""
+    return ExponentialArm(rate).phi(t, censoring_rate)
 
 
 def phi_piecewise(rate_early: float, rate_late: float, t_cut: float,
                   censoring_rate: float, t: float) -> float:
-    """phi(t) for the two-piece exponential arm under exponential censoring:
-    phi_exponential of the early piece, plus the late piece past t_cut."""
-    _check_positive("rate_early", rate_early, finite=True)
-    _check_positive("rate_late", rate_late, finite=True)
-    _check_positive("t_cut", t_cut, finite=True)
-    early = phi_exponential(rate_early, censoring_rate, min(t, t_cut))
-    if t <= t_cut:
-        return early
-    try:
-        b = rate_late + censoring_rate
-        # on (t_cut, t] the inverse of S(s) S_c(s) carries the accumulated
-        # early-piece hazard as the constant factor e^{(rate_early-rate_late) t_cut}
-        late = (
-            rate_late / b
-            * math.exp((rate_early - rate_late) * t_cut)
-            * (math.exp(b * t) - math.exp(b * t_cut))
-        )
-    except OverflowError:
-        return math.inf
-    return early + late
+    """phi(t) of a two-piece exponential arm; see PiecewiseExponentialArm.phi."""
+    return PiecewiseExponentialArm(rate_early, rate_late, t_cut).phi(t, censoring_rate)
 
 
 def rate_from_delta_scn1(rate_control: float, p: float, delta: float) -> float:
@@ -348,13 +341,6 @@ def calibrate_censoring(arm, target_fraction: float) -> float:
     return 0.5 * (lo + hi)
 
 
-_SCALAR_KEYS = {
-    "lambda_a", "lambda_b", "delta", "t_cut", "lambda_cens",
-    "target_censoring", "p", "mu1",
-}
-_LIST_KEYS = {"p_list"}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parsed scenario description from flat key=value text.
@@ -400,6 +386,10 @@ class ScenarioConfig:
         if self.p is not None:
             return (self.p,)
         return self.p_list
+
+
+_LIST_KEYS = {"p_list"}
+_SCALAR_KEYS = {field.name for field in fields(ScenarioConfig)} - _LIST_KEYS
 
 
 def parse_scenario_values(text: str) -> dict:

@@ -31,7 +31,7 @@ from .quantile_tests import (
     _psi_hat,
     _univariate_statistic,
 )
-from .scenarios import TrialScenario, scenario_psi, scenario_sigma2
+from .scenarios import TrialScenario, scenario_psi
 from .survival import (
     SurvivalSample,
     TwoArmData,
@@ -162,11 +162,10 @@ def _observe(scenario: TrialScenario, arm, event_u, censor_u):
 def _formula_power(plan: SimulationPlan) -> float:
     scenario, ps, total = plan.scenario, plan.probabilities, 2 * plan.n_per_group
     deltas = [scenario.quantile_difference(p) for p in ps]
-    if len(ps) == 1:
-        sigma2, _ = scenario_sigma2(scenario, ps[0])
-        return power_univariate(PowerSpec(alpha=plan.alpha, deltas=deltas[0],
-                                          sigma=math.sqrt(sigma2), total_n=total))
     psi = scenario_psi(scenario, ps)
+    if len(ps) == 1:
+        return power_univariate(PowerSpec(alpha=plan.alpha, deltas=deltas[0],
+                                          sigma=math.sqrt(psi[0, 0]), total_n=total))
     return power_multivariate(PowerSpec(alpha=plan.alpha, deltas=deltas, psi=psi, total_n=total))
 
 

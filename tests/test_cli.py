@@ -73,6 +73,14 @@ def manifest_from_csv(out):
     return json.loads(first[len("# manifest: "):])
 
 
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestReadDataset:
     def test_round_trip(self, tmp_path):
         path = make_dataset(tmp_path / "d.csv")
@@ -786,6 +794,42 @@ class TestTinyBandwidth:
         assert err == "error: quantile variance is not positive\n"
 
 
+class TestHugeTimes:
+    """Times in a unit so small that the Wald statistic overflows: the
+    statistic is inf with no warning, and JSON writes it as a string."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        data = sample_trial(scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48),
+                            200, 200, 3)
+        lines = ["time,status,group"]
+        lines += [f"{float(t) * 1e170!r},{int(e)},{g}"
+                  for g, arm in ((1, data.arm1), (2, data.arm2))
+                  for t, e in zip(arm.times, arm.events)]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_table(self, path, capsys):
+        code, out, err = run_cli(capsys, "test", path, "--p", "0.25,0.5")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split()[:3] == ["inf", "2", "0"]
+
+    def test_json_is_strict(self, path, capsys):
+        code, out, err = run_cli(capsys, "test", path, "--p", "0.25,0.5", "--json", "-")
+        assert (code, err) == (0, "")
+        result = strict_json(out)["results"][0]
+        assert (result["statistic"], result["p_value"]) == ("Infinity", 0.0)
+
+
+def test_json_writes_non_finite_floats_as_null_and_strings():
+    from survquant.cli import _canonical
+
+    text = _canonical({"x": [float("nan"), float("inf"), -np.inf, 1.5]})
+    assert text == '{"x":[null,"Infinity","-Infinity",1.5]}'
+    assert strict_json(text) == {"x": [None, "Infinity", "-Infinity", 1.5]}
+
+
 class TestCmdPower:
     def test_csv_output(self, scenario_file, capsys):
         code, out, _ = run_cli(
@@ -1255,18 +1299,22 @@ class TestClosedStdout:
 # Each generated input starts valid and takes a few edits, so that most runs
 # get past the first check and the edits reach the statistics.
 SPECIAL_TIMES = ["-0", "0", "nan", "inf", "-inf", "1e308", "1e200", "5e-324", "-1", "x"]
+# one time unit per dataset: every power of ten a float holds, plus months and days
+TIME_SCALES = [10.0 ** k for k in range(-300, 301)] + [12.0, 365.0]
 
 
 @st.composite
 def fuzz_datasets(draw):
-    """Dataset bytes: ties, all censored, one arm only, NaN/inf, -0, 1e308,
-    a byte-order mark, an extra column, bytes that are not UTF-8."""
+    """Dataset bytes: any time unit, ties, all censored, one arm only,
+    NaN/inf, -0, 1e308, a byte-order mark, an extra column, bytes that are
+    not UTF-8."""
     grid = draw(st.sampled_from([None, 0.5, 0.1]))  # a coarse grid gives ties
+    scale = draw(st.sampled_from(TIME_SCALES))
     rows = []
     for group in "12":
         for _ in range(draw(st.integers(8, 30))):
             t = draw(st.floats(0.01, 10.0))
-            rows.append([repr(round(t / grid) * grid if grid else t),
+            rows.append([repr((round(t / grid) * grid if grid else t) * scale),
                          draw(st.sampled_from("011")), group])
     header, prefix, bad_byte, extra = "time,status,group", b"", None, False
     for edit in draw(st.lists(st.sampled_from(
@@ -1394,7 +1442,8 @@ def time_budget(seconds):
 
 class TestExitContractFuzz:
     """Any mix of inputs exits 0, 2 or 3 within a time budget; 2 and 3 print
-    exactly one error line. A traceback or a RuntimeWarning fails the test."""
+    exactly one error line, and a run with --json - that exits 0 writes
+    strict JSON. A traceback or a RuntimeWarning fails the test."""
 
     @pytest.mark.parametrize("command", ["test", "power", "samplesize", "simulate"])
     @settings(max_examples=75, deadline=None)
@@ -1420,3 +1469,5 @@ class TestExitContractFuzz:
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert len(errors) == (0 if code == 0 else 1), (argv, err.getvalue())
+        if code == 0 and "--json" in argv:
+            strict_json(out.getvalue())

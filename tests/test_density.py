@@ -26,6 +26,7 @@ from survquant import (
     select_bandwidth_cv,
     select_sigma_ls,
 )
+from survquant import density
 from survquant.density import (
     _cv_criterion,
     _cv_events,
@@ -577,6 +578,27 @@ class TestCvCriterion:
         sample = SurvivalSample(np.r_[times, times[:5]], np.ones(45, dtype=bool))
         assert select_bandwidth_cv(sample, [1e-200, 1.0]) == 1.0
         assert select_bandwidth_cv(sample, [1e-200, 1e-160, 1.0]) == 1.0
+
+    @pytest.mark.parametrize("n, path", [(60, "exact"), (500, "fourier")])
+    def test_grid_value_whose_square_overflows(self, monkeypatch, n, path):
+        """h * h is inf above h = 1.3e154. The pairwise sums take such an h
+        with no warning; the Fourier path, whose kernel exponent would be
+        -inf at every frequency, leaves it to them. Against such an h all
+        pairs weigh exp(0) = 1, so the score falls as 1 / h across the
+        switch, and the pick is the usable bandwidth."""
+        scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
+        sample = sample_trial(scenario, n, n, 1).arm1
+        calls = []
+        for name in ("exact", "fourier"):
+            original = getattr(density, f"_pair_sums_{name}")
+            monkeypatch.setattr(density, f"_pair_sums_{name}",
+                                lambda *a, name=name, original=original:
+                                calls.append(name) or original(*a))
+        score = cv_score(sample, 1e150)
+        for h in (1e155, 1e200):
+            assert cv_score(sample, h) == pytest.approx(score * 1e150 / h, rel=1e-12)
+        assert calls == [path, "exact", "exact"]
+        assert select_bandwidth_cv(sample, [0.5, 1e155]) == 0.5
 
     def test_needs_two_events(self):
         sample = SurvivalSample(

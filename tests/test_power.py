@@ -319,6 +319,41 @@ class TestPowerMultivariate:
             power_multivariate(spec)
 
 
+class TestOutOfRange:
+    """Inputs past the range of a float or of scipy's chndtr get the honest
+    limit or a clean error, never a warning (pytest runs with warnings as
+    errors) or a nan."""
+
+    def test_overflowing_wald_form_is_a_validation_error(self):
+        psi = np.eye(2) * 1e-300
+        with pytest.raises(ValidationError, match="must be finite"):
+            power_multivariate(PowerSpec(alpha=0.05, deltas=[1e5, 1e5], psi=psi, total_n=100))
+        with pytest.raises(ValidationError, match="must be finite"):
+            min_sample_size(0.9, [1e5, 1e5], psi=psi)
+        # the smallest normal float: the squared root 1.34e154 ** 2 overflows
+        psi, z = np.array([[2.2250738585072014e-308]]), np.array([2.0])
+        assert power._wald_form(psi, z) == _reference_wald_form(psi, z) == math.inf
+
+    def test_cdf_past_chndtr_range_is_the_normal_limit(self):
+        assert noncentral_chi2_cdf(5.0, 3, 1e300) == 0.0
+        assert noncentral_chi2_cdf(math.inf, 3, 1e300) == 1.0
+        # mean dof + lam, standard deviation sqrt(2 dof + 4 lam)
+        lam = 1e19
+        assert noncentral_chi2_cdf(lam + 3.0, 3, lam) == 0.5
+        sd = math.sqrt(6.0 + 4.0 * lam)
+        assert noncentral_chi2_cdf(lam + 3.0 + sd, 3, lam) == pytest.approx(
+            float(normal_cdf(1.0)), abs=1e-6)  # x rounds to a multiple of 2048
+
+    def test_joint_power_past_chndtr_range_is_one(self):
+        psi = np.eye(2) * 1e-19  # noncentrality 2 * 2e19 at one per group
+        assert power_multivariate(
+            PowerSpec(alpha=0.05, deltas=[1.0, 1.0], psi=psi, per_group_n=1)) == 1.0
+        result = min_sample_size(0.9, [1.0, 1.0], psi=psi)
+        assert (result.per_group_n, result.achieved_power) == (1, 1.0)
+        assert result.per_group_n == min_sample_size(0.9, [1.0, 1.0], psi=psi * 10).per_group_n
+        assert result.per_group_n == min_sample_size(0.9, 1.0, sigma=math.sqrt(1e-19)).per_group_n
+
+
 def _reference_wald_form(psi, z):
     """_wald_form's rule through the public np.linalg calls; the LinAlgError
     that eigvalsh raises on some nan or inf psi counts as None."""
@@ -330,7 +365,8 @@ def _reference_wald_form(psi, z):
         root = np.linalg.solve(np.linalg.cholesky(psi), z)
     except np.linalg.LinAlgError:
         return None
-    return float(np.add.reduce(root * root))
+    with np.errstate(over="ignore"):  # as in _wald_form: an overflow is inf
+        return float(np.add.reduce(root * root))
 
 
 def _bits(value):
