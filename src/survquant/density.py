@@ -427,27 +427,38 @@ def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     The pairs run in blocks of rows of at most _PAIR_BLOCK pairs (or one
     row), so memory stays O(G _PAIR_BLOCK) at any m. A block's (G, pairs)
     kernel matrix serves every bandwidth: the Gaussian at scale h*sqrt(2) is
-    the square root of the one at h.
+    the square root of the one at h. times must be sorted ascending.
+
+    The exponent is -d^2 / (2 h^2), one factor per bandwidth times d^2,
+    unless the span or the largest bandwidth squares to inf (above 1.3e154):
+    then the factor would be -0 or d^2 inf, and the whole call takes the
+    exponent as -(d/h)^2 / 2, which stays finite wherever d / h does.
     """
     m = times.size
     diagonal = float(weights @ weights)
     cross_h = np.zeros(grid.size)
     cross_h2 = np.zeros(grid.size)
     rows = max(1, _PAIR_BLOCK // m)
-    # a squared distance that overflows is inf, and its exponent -inf is
-    # floored like any other
+    span, h_max = float(times[-1] - times[0]), float(grid[-1])
+    scaled = not (span * span < math.inf and h_max * h_max < math.inf)
+    # a ratio d / h that overflows is inf, and its exponent -inf is floored
+    # like any other
     with np.errstate(over="ignore"):
         # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a tie
         # (d = 0) the argument 0 * -inf = nan; the floor keeps the factor
-        # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR);
-        # above h = 1.3e154 it overflows, and the factor is -0
+        # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR)
         factors = -0.5 / np.maximum(grid * grid, _TINY)
         for first in range(0, m - 1, rows):
             i, j = np.triu_indices(min(rows, m - 1 - first), 1, m - first)
             i += first
             j += first
             pair_weights = weights[i] * weights[j]
-            kernel = np.multiply.outer(factors, (times[j] - times[i]) ** 2)
+            if scaled:
+                kernel = (times[j] - times[i]) / grid[:, None]
+                np.square(kernel, out=kernel)
+                kernel *= -0.5
+            else:
+                kernel = np.multiply.outer(factors, (times[j] - times[i]) ** 2)
             np.maximum(kernel, _EXP_FLOOR, out=kernel)
             np.exp(kernel, out=kernel)
             cross_h += _matvec(kernel, pair_weights)

@@ -100,14 +100,11 @@ class SingularCovarianceError(NumericalError):
     def __init__(self, pair=None, message=None):
         self.pair = pair
         if message is None:
-            if pair is not None:
-                message = (
-                    "covariance matrix of the quantile differences is "
-                    f"singular; probabilities {pair[0]:g} and {pair[1]:g} "
-                    "map to nearly collinear estimates"
-                )
-            else:
-                message = "covariance matrix is not positive definite"
+            message = "quantile variance is not positive" if pair is None else (
+                "covariance matrix of the quantile differences is "
+                f"singular; probabilities {pair[0]:g} and {pair[1]:g} "
+                "map to nearly collinear estimates"
+            )
         super().__init__(message)
 
 

@@ -26,6 +26,17 @@ module, compute their own tails without scipy.
 The noncentrality's Wald form, _wald_form, calls the LAPACK gufuncs behind
 numpy.linalg's eigvalsh, cholesky and solve directly: the same bits, without
 the wrappers' checks, which cost more than the LAPACK work on a small psi.
+
+A plan evaluates many sample sizes and target powers on one design, so the
+planning work whose inputs repeat is remembered: _noncentrality keeps the
+Wald form of the last (psi, deltas) it solved, keyed by their float64
+bytes, and the test thresholds and sample-size seeds, which depend only on
+alpha, the degrees of freedom and the target, go through small fixed-size
+caches (_normal_quantile, _chi2_quantile, _joint_seed). A memo hands back
+the float that the same call computed from the same inputs, bit for bit
+equal ones with the same types, and never stores an error, so no result
+moves and a bad input raises on every call. The quantile tests call
+_wald_form directly and remember nothing.
 """
 from __future__ import annotations
 
@@ -110,28 +121,50 @@ def chi2_quantile(p: float, dof: int) -> float:
     return float(2.0 * _special().gammaincinv(dof / 2.0, p))
 
 
-# chndtr returns nan at a noncentrality above 2^63 (scipy 1.17). There the
-# noncentral chi-squared is normal, mean dof + lam and variance 2 dof + 4 lam,
-# to within its skewness, about 3 / sqrt(lam) < 1e-9; at a test's threshold
-# x, far below lam, that limit is a CDF of 0 and a power of 1.
+# Remembered thresholds and seeds, for arguments that the planning functions
+# have already checked; the public functions above stay uncached, so they
+# take any input they took before. typed=True keeps a numpy float32 apart
+# from the float of the same value, since scipy can compute in the
+# argument's precision (ndtri does).
+_normal_quantile = functools.lru_cache(maxsize=64, typed=True)(normal_quantile)
+_chi2_quantile = functools.lru_cache(maxsize=64, typed=True)(chi2_quantile)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _joint_seed(threshold, dof, miss):
+    """The noncentrality at which the joint test's power is 1 - miss."""
+    return float(_special().chndtrinc(threshold, dof, miss))
+
+
+# chndtr returns nan at a noncentrality above 2^63 (scipy 1.17), and near
+# the mean already from about 1e11. There the noncentral chi-squared is
+# normal, mean dof + lam and variance 2 dof + 4 lam, to within its skewness,
+# about 3 / sqrt(lam) < 1e-5; at a test's threshold x, far below lam, that
+# limit is a CDF of 0 and a power of 1.
 _CHNDTR_MAX = 2.0 ** 63
+
+
+def _normal_limit(x, dof, noncentrality):
+    """The noncentral chi-squared CDF at x in its normal limit."""
+    spread = 2.0 * math.sqrt(noncentrality + 0.5 * dof)  # sqrt(2 dof + 4 lam)
+    return float(_special().ndtr((x - dof - noncentrality) / spread))
 
 
 def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
     """Noncentral chi-squared CDF (scipy.special.chndtr); x = inf is the
-    saturated limit 1.0, and a noncentrality above 2^63 takes the normal
-    limit (see _CHNDTR_MAX). Raises ValidationError for a nan or negative x,
-    a dof that is not a whole number >= 1 and a noncentrality not finite and
-    >= 0."""
+    saturated limit 1.0, and a noncentrality above 2^63, or one where chndtr
+    gives nan, takes the normal limit (see _CHNDTR_MAX). Raises
+    ValidationError for a nan or negative x, a dof that is not a whole
+    number >= 1 and a noncentrality not finite and >= 0."""
     _check_non_negative("x", x)
     _whole_count("dof", dof, 1)
     _check_non_negative("noncentrality", noncentrality, finite=True)
     if noncentrality == 0.0:
         return float(chi2_cdf(x, dof))
     if noncentrality > _CHNDTR_MAX:
-        spread = 2.0 * math.sqrt(noncentrality + 0.5 * dof)  # sqrt(2 dof + 4 lam)
-        return float(_special().ndtr((x - dof - noncentrality) / spread))
-    return float(_special().chndtr(x, dof, noncentrality))
+        return _normal_limit(x, dof, noncentrality)
+    cdf = float(_special().chndtr(x, dof, noncentrality))
+    return _normal_limit(x, dof, noncentrality) if math.isnan(cdf) else cdf
 
 
 def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
@@ -233,7 +266,7 @@ def power_univariate(spec: PowerSpec) -> float:
     if spec.sigma is None:
         raise ValidationError("univariate power needs a scalar sigma")
     delta = _scalar_delta(spec.deltas)
-    q = normal_quantile(1.0 - spec.alpha / 2.0)
+    q = _normal_quantile(1.0 - spec.alpha / 2.0)
     return _univariate_power(spec.n_total, delta, float(spec.sigma), spec.alpha, q)
 
 
@@ -276,11 +309,24 @@ def _wald_form(psi, z):
         return float(np.add.reduce(root * root))  # not BLAS: see density._ls_slopes
 
 
+# ((psi bytes, deltas bytes, deltas shape), (quad, dof)) of the last design
+# _noncentrality solved, swapped in whole; None before the first
+_last_design = None
+
+
 def _noncentrality(psi, deltas):
+    """(delta' psi^-1 delta, dof), remembered for the last design only: a
+    plan asks again and again about one design, and one entry bounds the
+    memory to one copy of it."""
+    global _last_design
     psi = np.asarray(psi, dtype=float)
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     if psi.shape != (deltas.size, deltas.size):
         raise ValidationError("psi shape must match the delta vector")
+    key = (psi.tobytes(), deltas.tobytes(), deltas.shape)
+    last = _last_design
+    if last is not None and last[0] == key:
+        return last[1]
     quad = _wald_form(psi, deltas)
     if quad is None:
         if not np.isfinite(psi).all():
@@ -292,6 +338,7 @@ def _noncentrality(psi, deltas):
             message="psi must be positive definite for the power formula"
         )
     _check_finite("delta' psi^-1 delta", quad)
+    _last_design = (key, (quad, deltas.size))
     return quad, deltas.size
 
 
@@ -300,7 +347,7 @@ def power_multivariate(spec: PowerSpec) -> float:
     if spec.psi is None:
         raise ValidationError("multivariate power needs a psi matrix")
     quad, dof = _noncentrality(spec.psi, spec.deltas)
-    threshold = chi2_quantile(1.0 - spec.alpha, dof)
+    threshold = _chi2_quantile(1.0 - spec.alpha, dof)
     return _joint_power(spec.n_total, quad, dof, spec.alpha, threshold, _special().chndtr)
 
 
@@ -360,24 +407,25 @@ def min_sample_size(
             raise UnattainablePowerError("delta is 0: no sample size reaches the target")
         sigma = float(sigma)
         _check_positive("sigma", sigma)
-        q = normal_quantile(1.0 - alpha / 2.0)
+        q = _normal_quantile(1.0 - alpha / 2.0)
 
         def power_at_total(n_total):
             return _univariate_power(n_total, delta, sigma, alpha, q)
 
-        root = (q + normal_quantile(target_power)) * sigma / abs(delta)
+        # unary plus makes a 0-d array target a (hashable) numpy scalar
+        root = (q + _normal_quantile(+target_power)) * sigma / abs(delta)
         seed_total = root * root  # inf rather than OverflowError
     else:
         quad, dof = _noncentrality(psi, deltas)
         if quad == 0.0:
             raise UnattainablePowerError("all deltas are 0: no sample size reaches the target")
-        threshold = chi2_quantile(1.0 - alpha, dof)
+        threshold = _chi2_quantile(1.0 - alpha, dof)
         chndtr = _special().chndtr  # fetched once per solve, not at every step
 
         def power_at_total(n_total):
             return _joint_power(n_total, quad, dof, alpha, threshold, chndtr)
 
-        seed_total = float(_special().chndtrinc(threshold, dof, 1.0 - target_power)) / quad
+        seed_total = _joint_seed(threshold, dof, 1.0 - target_power) / quad
 
     powers = {}  # per-group n -> power, every one the search evaluates
 

@@ -251,7 +251,7 @@ def _univariate_statistic(n: int, delta_hat: float, psi_jj) -> tuple:
     Psi_hat at total sample size n; raises SingularCovarianceError when the
     entry is not positive, as when a density overflows to inf."""
     if not psi_jj > 0:
-        raise SingularCovarianceError(message="quantile variance is not positive")
+        raise SingularCovarianceError()
     sigma = math.sqrt(psi_jj)
     statistic = math.sqrt(n) * delta_hat / sigma
     return sigma, statistic, _normal_two_sided(statistic)
@@ -317,7 +317,7 @@ def _singular(psi, probabilities) -> SingularCovarianceError:
     """The error for a Psi_hat that is not positive definite."""
     j_count = psi.shape[0]
     if j_count == 1 or not np.all(np.diag(psi) > 0):
-        return SingularCovarianceError(message="quantile variance is not positive")
+        return SingularCovarianceError()
     # name the most collinear pair
     worst, pair = -1.0, (probabilities[0], probabilities[1])
     for j in range(j_count):

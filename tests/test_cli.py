@@ -762,6 +762,17 @@ class TestParser:
         assert options == flags.split()
         assert [a.dest for a in actions if not a.option_strings] == positionals
 
+    @pytest.mark.parametrize("text, message", [
+        ("abc", "expected comma-separated numbers, got 'abc'"),
+        (",", "expected at least one number"),
+    ])
+    def test_number_list_errors(self, capsys, scenario_file, text, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(["power", "--scenario", scenario_file, "--delta", text, "--n", "100"])
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument --delta: {message}\n")
+
 
 class TestFarSpan:
     @pytest.mark.parametrize("top", ["1e308", "1e200"])

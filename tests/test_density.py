@@ -600,6 +600,31 @@ class TestCvCriterion:
         assert calls == [path, "exact", "exact"]
         assert select_bandwidth_cv(sample, [0.5, 1e155]) == 0.5
 
+    @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
+    def test_score_scales_with_the_time_unit(self, h):
+        """Times and bandwidth 2^k times larger give 2^-k times the score (a
+        squared density integrated over time) up to rounding, also past
+        k = 512, where the squared span or h overflows and the pairwise sums
+        take the exponent as -(d/h)^2 / 2."""
+        scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
+        arm = sample_trial(scenario, 60, 60, 1).arm1
+        score = cv_score(arm, h)
+        for k in (100, 500, 511, 512, 520, 600, 800, 1000):
+            scaled = SurvivalSample(arm.times * 2.0 ** k, arm.events)
+            assert cv_score(scaled, h * 2.0 ** k) * 2.0 ** k == pytest.approx(score, rel=1e-12)
+
+    def test_span_and_bandwidth_whose_squares_overflow(self):
+        """Times in a unit 1e-300 as small, so that the span and the
+        bandwidths all square to inf: the score is finite, raises no
+        warning (the suite turns RuntimeWarning into an error) and is the
+        score of the unscaled times at h / 1e300, rescaled."""
+        scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
+        arm = sample_trial(scenario, 60, 60, 1).arm1
+        huge = SurvivalSample(arm.times * 1e300, arm.events)
+        for h in (1e155, 1e200, 1e300):
+            assert cv_score(huge, h) * 1e300 == pytest.approx(
+                cv_score(arm, h / 1e300), rel=1e-12)
+
     def test_needs_two_events(self):
         sample = SurvivalSample(
             np.array([1.0, 2.0]), np.array([True, False])

@@ -344,6 +344,18 @@ class TestOutOfRange:
         assert noncentral_chi2_cdf(lam + 3.0 + sd, 3, lam) == pytest.approx(
             float(normal_cdf(1.0)), abs=1e-6)  # x rounds to a multiple of 2048
 
+    @pytest.mark.parametrize("lam, ks", [(1e11, (0, 1, 10)), (1e14, range(-10, 11))])
+    def test_cdf_where_chndtr_gives_nan_is_the_normal_limit(self, lam, ks):
+        """chndtr gives nan near the mean from a noncentrality of about 1e11
+        (scipy 1.17); the CDF there is the normal limit, whose error is of
+        the order of the skewness 3 / sqrt(lam)."""
+        sd = math.sqrt(6.0 + 4.0 * lam)
+        for k in ks:
+            assert noncentral_chi2_cdf(lam + 3.0 + k * sd, 3, lam) == pytest.approx(
+                float(normal_cdf(k)), abs=1e-5)
+        # where chndtr answers, its answer stands
+        assert noncentral_chi2_cdf(1e10 + 3.0, 3, 1e10) == 0.5000019947108776
+
     def test_joint_power_past_chndtr_range_is_one(self):
         psi = np.eye(2) * 1e-19  # noncentrality 2 * 2e19 at one per group
         assert power_multivariate(
@@ -570,12 +582,21 @@ class _CountingSpecial:
         return counted
 
 
+def clear_memos():
+    """Empty power's planning memos, so that the next call runs cold."""
+    power._last_design = None
+    for cache in (power._normal_quantile, power._chi2_quantile, power._joint_seed):
+        cache.cache_clear()
+
+
 class TestSolveWork:
     """A seed whose ceiling is the answer settles a solve in two power
-    evaluations, and the certificate reuses them."""
+    evaluations, and the certificate reuses them. A cold joint solve asks
+    chndtrinc for its seed once, and a warm repeat not at all."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        clear_memos()
         counts = {"chndtr": 0, "chndtrinc": 0, "univariate": 0}
         module = power._special()
         monkeypatch.setattr(power, "_special", lambda: _CountingSpecial(module, counts))
@@ -593,11 +614,16 @@ class TestSolveWork:
     def test_joint_solve_calls(self, counts, t_cut, ps):
         psi, deltas = plan_joint_inputs(0.1, t_cut, ps)
         for target in PLAN_TARGETS:
+            clear_memos()
             before = dict(counts)
             result = min_sample_size(target, deltas, psi=psi)
             assert counts["chndtr"] - before["chndtr"] <= 2
             assert counts["chndtrinc"] - before["chndtrinc"] == 1
             assert result.achieved_power >= target > result.power_at_n_minus_1
+            before = dict(counts)
+            assert min_sample_size(target, deltas, psi=psi) == result
+            assert counts["chndtr"] - before["chndtr"] <= 2
+            assert counts["chndtrinc"] - before["chndtrinc"] == 0
 
     @pytest.mark.parametrize("p", [0.5, 0.75])
     @pytest.mark.parametrize("t_cut", PLAN_FAMILIES)
@@ -657,9 +683,9 @@ def univariate_problems(draw):
 
 
 @st.composite
-def joint_problems(draw):
+def joint_problems(draw, least=2):
     alpha = draw(alphas)
-    size = draw(st.integers(2, 4))
+    size = draw(st.integers(least, 4))
     entries = st.floats(-1.0, 1.0)
     root = np.array(draw(st.lists(entries, min_size=size * size, max_size=size * size)))
     root = root.reshape(size, size)
@@ -727,6 +753,113 @@ class TestMinSampleSizeAgainstBisection:
         got = _outcome(lambda: min_sample_size(target, deltas, psi=psi, alpha=alpha))
         want = _outcome(lambda: _reference_solve(power_at, target))
         assert _agrees(got, want), (got, want)
+
+
+def _result_bits(outcome):
+    """A solve's outcome with its powers as bytes, so that == is bit identity."""
+    if not isinstance(outcome, SampleSizeResult):
+        return outcome
+    return (outcome.per_group_n, outcome.total_n, _bits(outcome.achieved_power),
+            _bits(outcome.power_at_n_minus_1), outcome.target_power)
+
+
+def _cold_and_warm(calls):
+    """Each call's outcome on cleared memos, then again once all of the
+    calls have filled them."""
+    cold = []
+    for call in calls:
+        clear_memos()
+        cold.append(_outcome(call))
+    for call in calls:
+        _outcome(call)
+    return cold, [_outcome(call) for call in calls]
+
+
+class TestPlanningMemos:
+    """power remembers the last design's Wald form and the thresholds and
+    seeds of recent (alpha, dof, target): a warm call gives the bits of a
+    cold one, a design changed in place is solved afresh, and an error is
+    never remembered."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(joint_problems(least=1), st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=5))
+    def test_joint_warm_equals_cold(self, problem, sizes):
+        alpha, target, deltas, psi = problem
+        calls = [lambda t=t: min_sample_size(t, deltas, psi=psi, alpha=alpha)
+                 for t in (target, *PLAN_TARGETS)]
+        calls += [lambda n=n: power_multivariate(
+            PowerSpec(alpha=alpha, deltas=deltas, psi=psi, per_group_n=n)) for n in sizes]
+        cold, warm = _cold_and_warm(calls)
+        assert [_result_bits(x) for x in warm] == [_result_bits(x) for x in cold]
+
+    @settings(max_examples=100, deadline=None)
+    @given(univariate_problems(), st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=5))
+    def test_univariate_warm_equals_cold(self, problem, sizes):
+        alpha, target, delta, sigma = problem
+        calls = [lambda t=t: min_sample_size(t, delta, sigma=sigma, alpha=alpha)
+                 for t in (target, *PLAN_TARGETS)]
+        calls += [lambda n=n: power_univariate(
+            PowerSpec(alpha=alpha, deltas=delta, sigma=sigma, per_group_n=n)) for n in sizes]
+        cold, warm = _cold_and_warm(calls)
+        assert [_result_bits(x) for x in warm] == [_result_bits(x) for x in cold]
+
+    def test_numpy_scalars_keep_their_own_entries(self):
+        """scipy computes in float32 for a float32 argument, so a float32
+        alpha or target must not meet the entry of the float of its value
+        (these values are exact in both); a 0-d array passes as its scalar."""
+        psi = np.array([[1.0, 0.3], [0.3, 1.2]])
+        values = (0.0625, np.float32(0.0625), np.float64(0.0625), np.array(0.0625))
+        targets = (0.875, np.float32(0.875), np.float64(0.875), np.array(0.875))
+        calls = [lambda a=a, t=t, design=design: min_sample_size(t, alpha=a, **design)
+                 for a, t in zip(values, targets)
+                 for design in ({"deltas": 0.1, "sigma": 1.3}, {"deltas": [0.1, 0.2], "psi": psi})]
+        cold, warm = _cold_and_warm(calls)
+        assert [_result_bits(x) for x in warm] == [_result_bits(x) for x in cold]
+        assert _result_bits(cold[0]) != _result_bits(cold[2])  # float32 differs
+
+    def test_design_changed_in_place_is_solved_afresh(self):
+        psi, deltas = plan_joint_inputs(0.1, 0.2, (0.25, 0.5, 0.75))
+        spec = PowerSpec(alpha=0.05, deltas=deltas, psi=psi, per_group_n=200)
+        before = power_multivariate(spec)
+        solved = min_sample_size(0.9, deltas, psi=psi)
+        psi *= 2.0
+        deltas[0] *= 0.5
+        clear_memos()
+        fresh = (power_multivariate(PowerSpec(alpha=0.05, deltas=deltas.copy(),
+                                              psi=psi.copy(), per_group_n=200)),
+                 min_sample_size(0.9, deltas.copy(), psi=psi.copy()))
+        psi /= 2.0
+        deltas[0] *= 2.0
+        assert (power_multivariate(spec), min_sample_size(0.9, deltas, psi=psi)) == (
+            before, solved)
+        psi *= 2.0
+        deltas[0] *= 0.5
+        assert (power_multivariate(spec), min_sample_size(0.9, deltas, psi=psi)) == fresh
+        assert fresh[0] < before and fresh[1].per_group_n > solved.per_group_n
+
+    @pytest.mark.parametrize("psi, error, match", [
+        ([[1.0, 1.0], [1.0, 1.0]], SingularCovarianceError, "positive definite"),
+        ([[1.0, 0.0], [0.0, math.inf]], SingularCovarianceError, "inf or nan"),
+        ([[1e-300, 0.0], [0.0, 1e-300]], ValidationError, "must be finite"),
+    ], ids=["singular", "non-finite", "overflowing"])
+    def test_error_raises_on_every_call(self, psi, error, match):
+        good = np.array([[1.0, 0.3], [0.3, 1.2]])
+        deltas = [1e5, 1e5]
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                power_multivariate(PowerSpec(alpha=0.05, deltas=deltas, psi=psi, total_n=100))
+            with pytest.raises(error, match=match):
+                min_sample_size(0.9, deltas, psi=psi)
+            min_sample_size(0.9, deltas, psi=good)
+
+    def test_one_design_and_fixed_cache_sizes(self):
+        psi, deltas = plan_joint_inputs(0.1, None, (0.5, 0.75))
+        min_sample_size(0.9, deltas, psi=psi)
+        min_sample_size(0.9, deltas * 2.0, psi=psi)
+        (psi_bytes, deltas_bytes, _), (quad, dof) = power._last_design
+        assert (psi_bytes, deltas_bytes, dof) == (psi.tobytes(), (deltas * 2.0).tobytes(), 2)
+        for cache in (power._normal_quantile, power._chi2_quantile, power._joint_seed):
+            assert cache.cache_info().maxsize == 64
 
 
 class TestUpsilon:
