@@ -344,7 +344,8 @@ class TestOutOfRange:
         assert noncentral_chi2_cdf(lam + 3.0 + sd, 3, lam) == pytest.approx(
             float(normal_cdf(1.0)), abs=1e-6)  # x rounds to a multiple of 2048
 
-    @pytest.mark.parametrize("lam, ks", [(1e11, (0, 1, 10)), (1e14, range(-10, 11))])
+    @pytest.mark.parametrize("lam, ks", [(1e11, (0, 1, 10)), (1e14, range(-10, 11))],
+                             ids=["1e11", "1e14"])
     def test_cdf_where_chndtr_gives_nan_is_the_normal_limit(self, lam, ks):
         """chndtr gives nan near the mean from a noncentrality of about 1e11
         (scipy 1.17); the CDF there is the normal limit, whose error is of
