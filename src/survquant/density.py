@@ -19,6 +19,7 @@ directly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +62,8 @@ class LsConfig:
 @dataclass(frozen=True)
 class KdeConfig:
     """Tuning for the kernel estimator: a bandwidth or "select-by-cv" over
-    cv_grid, kept as a tuple of floats so that configs hash and compare."""
+    cv_grid, kept as a tuple of floats so that configs hash and compare
+    (and, for the CV sums, once as a read-only array)."""
 
     bandwidth: object = "select-by-cv"
     cv_grid: object = None
@@ -74,6 +76,9 @@ class KdeConfig:
                 )
             grid = _validated_grid(self.cv_grid, "cv_grid")
             object.__setattr__(self, "cv_grid", tuple(grid.tolist()))
+            grid = np.array(self.cv_grid)  # a copy the caller cannot change
+            grid.setflags(write=False)
+            object.__setattr__(self, "_grid", grid)
         else:
             _check_positive("bandwidth", float(self.bandwidth), finite=True)
 
@@ -284,8 +289,8 @@ def _sorted_rows(sample: SurvivalSample):
 
 def _cv_events(steps: np.ndarray, flags: np.ndarray, before: np.ndarray):
     """The sorted event times of a sorted row and their weights 1/S_cens(T-),
-    as the CV sums and _KdeMachine.at take them; events with S_cens(T-) = 0
-    are dropped."""
+    as the CV sums and _KdeMachine.values take them; events with
+    S_cens(T-) = 0 are dropped."""
     kept = flags & (before > 0.0)
     return steps[kept], 1.0 / before[kept]
 
@@ -296,8 +301,8 @@ class _KdeMachine:
     Built once per arm so that CV bandwidth selection and the censoring
     weights are not repeated for every evaluation point. It takes an arm as
     a sorted row (steps, flags) with S_cens(u-) at each observation, from a
-    block of the simulation engine or from _sorted_rows, and at() sums over
-    the same sorted events and weights (_cv_events) as the CV sums.
+    block of the simulation engine or from _sorted_rows, and values() sums
+    over the same sorted events and weights (_cv_events) as the CV sums.
     """
 
     def __init__(self, steps, flags, before, cfg: KdeConfig):
@@ -305,7 +310,7 @@ class _KdeMachine:
         self.times, self.weights = _cv_events(steps, flags, before)
         self.flags = () if self.times.size == np.count_nonzero(flags) else ("truncated-weights",)
         if isinstance(cfg.bandwidth, str):
-            grid = np.asarray(cfg.cv_grid)
+            grid = cfg._grid
             self.h = _cv_bandwidth(self.times, self.weights, self.n, grid)
             if grid.size >= 2 and self.h in (grid[0], grid[-1]):
                 # the CV minimum may lie beyond the grid, as when the grid
@@ -314,16 +319,23 @@ class _KdeMachine:
         else:
             self.h = float(cfg.bandwidth)
 
-    def at(self, t: float, p=None) -> DensityAtQuantile:
+    def values(self, ts) -> list:
+        """The estimates at the times ts, as floats, from one (J, m) pass:
+        each row sums its terms in the order np.sum sums them alone."""
         # an argument that overflows is -inf, and exp(-inf) = 0 is its limit
         with np.errstate(over="ignore"):
-            kernel = np.exp(-0.5 * ((self.times - t) / self.h) ** 2)
+            kernel = np.exp(-0.5 * ((self.times - np.asarray(ts, dtype=float)[:, None])
+                                    / self.h) ** 2)
+        sums = np.sum(self.weights * kernel, axis=-1).tolist()
         # in Python floats, which overflow to inf without a warning
-        value = float(np.sum(self.weights * kernel)) / (self.n * self.h * _SQRT_2PI)
-        return DensityAtQuantile(
-            p=p, quantile_time=float(t), value=value, method="kde",
-            tuning=self.h, flags=self.flags,
-        )
+        scale = self.n * self.h * _SQRT_2PI
+        return [total / scale for total in sums]
+
+    def densities(self, ts, probabilities) -> list:
+        """values() at the times ts, each with its probability and flags."""
+        return [DensityAtQuantile(p=p, quantile_time=float(t), value=value, method="kde",
+                                  tuning=self.h, flags=self.flags)
+                for p, t, value in zip(probabilities, ts, self.values(ts))]
 
 
 def estimate_density_kde(
@@ -336,7 +348,7 @@ def estimate_density_kde(
     divide by its own censoring step. Events whose weight denominator is 0
     are dropped and flagged (a known truncation bias).
     """
-    return _KdeMachine(*_sorted_rows(sample), cfg).at(t, p=p)
+    return _KdeMachine(*_sorted_rows(sample), cfg).densities([t], [p])[0]
 
 
 # Wrap-around and truncation of the Fourier pair sums each stay below
@@ -373,6 +385,13 @@ _FREQUENCY_COST = 0.25
 _FOURIER_FIXED_COST = 15_000
 
 
+# Fourier kernel matrices of at most this many entries (256 KB each) are
+# kept, with their squares, by _stored_kernels; larger ones are built per
+# call. The default grid's 46 bandwidths in years take some 200-300
+# frequencies, 14,000 entries or less.
+_STORED_KERNEL = 1 << 15
+
+
 def _fourier_terms(span: float, grid: np.ndarray):
     """Period P and frequency count K of the Fourier pair sums.
 
@@ -380,8 +399,21 @@ def _fourier_terms(span: float, grid: np.ndarray):
     kernel scales away, at both scales; K = ceil(c P / (2 pi h_min)) takes the
     frequencies up to c / h_min, past which the kernel's transform is below
     exp(-c^2/2). K is inf when that count overflows.
+
+    P is then rounded up to a ladder of 32 steps per octave, its mantissa
+    to a multiple of 1/32, so that arms of similar span share one (P, K)
+    and so one kernel matrix (_stored_kernels). A longer period only moves
+    the wrapped images further away, so the sums stay exact to rounding; P
+    and K grow by less than 1/16. The rounding is exact, so times and grid
+    2^k times larger give 2^k times the P and the same K.
     """
     period = span + _FOURIER_C * math.sqrt(2.0) * float(grid[-1])
+    if math.isfinite(period):
+        mantissa, exponent = math.frexp(period)
+        try:
+            period = math.ldexp(math.ceil(32.0 * mantissa) / 32.0, exponent)
+        except OverflowError:  # the step above the largest float
+            period = math.inf
     n_freq = _FOURIER_C * period / (2.0 * math.pi * float(grid[0]))
     return period, math.ceil(n_freq) if math.isfinite(n_freq) else math.inf
 
@@ -413,11 +445,11 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     sorted ascending.
     """
     m, size = times.size, grid.size
-    _, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
+    terms = _fourier_terms(float(times[-1] - times[0]), grid)
     h_max = float(grid[-1])
-    if (h_max * h_max < math.inf and _FREQUENCY_COST * n_freq * (m + size)
+    if (h_max * h_max < math.inf and _FREQUENCY_COST * terms[1] * (m + size)
             + _FOURIER_FIXED_COST < size * m * (m - 1) / 2):
-        return _pair_sums_fourier(times, weights, grid)
+        return _pair_sums_fourier(times, weights, grid, terms)
     return _pair_sums_exact(times, weights, grid)
 
 
@@ -507,13 +539,36 @@ def _running_powers(first, ratio: np.ndarray, rows: int) -> np.ndarray:
     return table
 
 
-def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
+def _fourier_kernel(grid: np.ndarray, step: float, n_freq: int) -> np.ndarray:
+    """The (G, K) matrix of the kernel's transform exp(-h^2 u_k^2 / 2) at
+    u_k = k step, k = 1..K."""
+    freq_sq = (np.arange(1, n_freq + 1) * step) ** 2
+    kernel = np.multiply.outer(-0.5 * grid * grid, freq_sq)
+    np.maximum(kernel, _EXP_FLOOR, out=kernel)
+    return np.exp(kernel, out=kernel)
+
+
+@functools.lru_cache(maxsize=8)
+def _stored_kernels(grid_bytes: bytes, period: float, n_freq: int):
+    """_fourier_kernel of the grid whose float64 bytes are grid_bytes, and
+    its square, read-only; kept for the 8 latest (grid, P, K). The kernel
+    depends only on them, and most arms share one (see _fourier_terms)."""
+    kernel = _fourier_kernel(np.frombuffer(grid_bytes), 2.0 * math.pi / period, n_freq)
+    squared = np.square(kernel)
+    kernel.setflags(write=False)
+    squared.setflags(write=False)
+    return kernel, squared
+
+
+def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray,
+                       terms=None):
     """Pair sums by Poisson summation of the Gaussian kernel.
 
     sum_ij w_i w_j exp(-(t_i-t_j)^2/(2 s^2))
         = (s sqrt(2 pi)/P) [(sum w)^2 + 2 sum_{k=1..K} exp(-s^2 u_k^2/2) |S(u_k)|^2]
-    with S(u) = sum_i w_i exp(-i u (t_i - t_0)) and u_k = 2 pi k / P (see
-    _fourier_terms for P and K). Every S(u_k) comes from one complex matrix
+    with S(u) = sum_i w_i exp(-i u (t_i - t_0)) and u_k = 2 pi k / P; terms is
+    (P, K) as _fourier_terms gives them for these times and grid, computed
+    here when None. Every S(u_k) comes from one complex matrix
     product: u_{aB+b} = u_{aB} + u_b with B = isqrt(K) splits the phases into
     a coarse and a fine table of about sqrt(K) rows each. The terms are all
     non-negative, so nothing cancels. times must be sorted ascending.
@@ -523,10 +578,14 @@ def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray)
     rounding grows with a table's rows (about sqrt(K)), not with K. All
     bandwidths then take one pass: a (G, K) matrix of the kernel's transform
     times the power spectrum gives every full_h, and the same matrix squared
-    in place gives every full_h2. The products run on the calling thread
-    (_tiled_product, _matvec).
+    gives every full_h2. That matrix depends only on (grid, P, K): one of at
+    most _STORED_KERNEL entries comes with its square from _stored_kernels,
+    a larger one is built here and squared in place. The products run on
+    the calling thread (_tiled_product, _matvec).
     """
-    period, n_freq = _fourier_terms(float(times[-1] - times[0]), grid)
+    if terms is None:
+        terms = _fourier_terms(float(times[-1] - times[0]), grid)
+    period, n_freq = terms
     step = 2.0 * math.pi / period
     block = math.isqrt(n_freq)
     phase = (times - times[0]) * step
@@ -535,16 +594,17 @@ def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray)
     spectrum = _tiled_product(coarse, fine).ravel()[1 : n_freq + 1]
     del coarse, fine  # freed before the (G, K) kernel matrix
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    freq_sq = (np.arange(1, n_freq + 1) * step) ** 2
     total = float(weights.sum()) ** 2
     scale = grid * _SQRT_2PI / period
-    kernel = np.multiply.outer(-0.5 * grid * grid, freq_sq)
-    np.maximum(kernel, _EXP_FLOOR, out=kernel)
-    np.exp(kernel, out=kernel)
+    if grid.size * n_freq <= _STORED_KERNEL:
+        kernel, squared = _stored_kernels(grid.tobytes(), period, n_freq)
+    else:
+        kernel, squared = _fourier_kernel(grid, step, n_freq), None
     full_h = scale * (total + 2.0 * _matvec(kernel, power))
-    # the transform at scale h*sqrt(2) is the square of the one at h
-    np.square(kernel, out=kernel)
-    full_h2 = math.sqrt(2.0) * scale * (total + 2.0 * _matvec(kernel, power))
+    if squared is None:
+        # the transform at scale h*sqrt(2) is the square of the one at h
+        squared = np.square(kernel, out=kernel)
+    full_h2 = math.sqrt(2.0) * scale * (total + 2.0 * _matvec(squared, power))
     return full_h, full_h2
 
 

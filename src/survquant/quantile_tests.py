@@ -151,7 +151,7 @@ class _ArmPieces:
                 machine = _KdeMachine(*_sorted_rows(self.sample), tuning)
             except TooFewEventsError:
                 raise TooFewEventsError(self.label) from None
-            self.densities = [machine.at(t, p=p) for p, t in zip(probabilities, self.times)]
+            self.densities = machine.densities(self.times, probabilities)
 
 
 def _psi_hat(probabilities, times, phis, densities, mus):

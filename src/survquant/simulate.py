@@ -15,6 +15,7 @@ power fails before any replicate runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -160,20 +161,23 @@ def _observe(scenario: TrialScenario, arm, event_u, censor_u):
 
 
 def _formula_power(plan: SimulationPlan) -> float:
-    scenario, ps, total = plan.scenario, plan.probabilities, 2 * plan.n_per_group
+    """The power the planning formula gives the plan's design at its alpha:
+    univariate at one probability, joint at several. It depends only on
+    (scenario, probabilities, 2n, alpha), not on the seed, so studies that
+    rerun a design under new seeds compute it once: the 8 latest designs
+    are kept. Errors are not kept, so a design without a formula power
+    raises on every call."""
+    return _design_power(plan.scenario, plan.probabilities, 2 * plan.n_per_group, plan.alpha)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _design_power(scenario: TrialScenario, ps: tuple, total: int, alpha) -> float:
     deltas = [scenario.quantile_difference(p) for p in ps]
     psi = scenario_psi(scenario, ps)
     if len(ps) == 1:
-        return power_univariate(PowerSpec(alpha=plan.alpha, deltas=deltas[0],
+        return power_univariate(PowerSpec(alpha=alpha, deltas=deltas[0],
                                           sigma=math.sqrt(psi[0, 0]), total_n=total))
-    return power_multivariate(PowerSpec(alpha=plan.alpha, deltas=deltas, psi=psi, total_n=total))
-
-
-def _replicate_seeds(plan: SimulationPlan, rep: int):
-    """Replicate rep's seed and its first child (what seed.spawn(1) gives),
-    the seed of its LS perturbations."""
-    return tuple(np.random.SeedSequence(plan.master_seed, spawn_key=key)
-                 for key in ((rep,), (rep, 0)))
+    return power_multivariate(PowerSpec(alpha=alpha, deltas=deltas, psi=psi, total_n=total))
 
 
 def _block_rows(plan: SimulationPlan) -> int:
@@ -192,9 +196,10 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     first along axis 1, and the LS perturbation draws (count, n_draws),
     each row sorted as _ls_draws sorts it, or None for KDE. Replicate k
     takes its uniforms from SeedSequence(master_seed, spawn_key=(k,)) in
-    sample_trial's order, so its rows equal sample_trial's arrays. Its perturbations come from that
-    seed's first child: the serial test re-seeds every (arm, p) from it, so
-    one draw serves them all.
+    sample_trial's order, so its rows equal sample_trial's arrays. Its
+    perturbations come from that seed's first child, spawn_key=(k, 0), what
+    seed.spawn(1) gives: the serial test re-seeds every (arm, p) from it,
+    so one draw serves them all.
     """
     scenario, n = plan.scenario, plan.n_per_group
     censored = scenario.censoring_rate > 0
@@ -202,9 +207,11 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     ls = plan.tuning if plan.density_method == "ls" else None
     eps = np.empty((count, ls.n_draws)) if ls else None
     for r in range(count):
-        seed, child = _replicate_seeds(plan, first + r)
+        rep = first + r
+        seed = np.random.SeedSequence(plan.master_seed, spawn_key=(rep,))
         np.random.default_rng(seed).random(out=uniforms[r])
         if ls:
+            child = np.random.SeedSequence(plan.master_seed, spawn_key=(rep, 0))
             eps[r] = _ls_draws(ls, child)
     # (replicate, arm, event or censoring draw, subject)
     uniforms = uniforms.reshape(count, 2, -1, n)
@@ -267,7 +274,7 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
             else:
                 machines = [_KdeMachine(steps[r, a], flags[r, a], before[r, a], plan.tuning)
                             for a in (0, 1)]
-                values = [[m.at(t).value for t in ts] for m, ts in zip(machines, arm_times)]
+                values = [m.values(ts) for m, ts in zip(machines, arm_times)]
             # equal arms: each allocation fraction is n / 2n = 0.5
             _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5))
             if len(ps) == 1:

@@ -155,27 +155,29 @@ def _step_sizes(steps: np.ndarray, counted: np.ndarray, censoring: bool = False)
     risk set, those with T >= u less, for the censoring fit, the events at
     u, which happen first. Elsewhere d = 0 and y > 0, which makes the
     product-limit factor there exactly 1.0 and the Greenwood term exactly
-    0.0. Untied rows skip the bookkeeping."""
+    0.0. A block without a tie skips the bookkeeping; in a block with one,
+    an untied row's every observation ends its own time, so its d and y
+    are what they would be without it."""
     rows = steps.reshape(-1, steps.shape[-1])
     n = rows.shape[1]
     d = counted.reshape(rows.shape).astype(float)
     y = np.broadcast_to(np.arange(n, 0, -1, dtype=float), rows.shape)
-    tied = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
-    if tied.size:
-        last = np.ones((tied.size, n), dtype=bool)
-        np.not_equal(rows[tied, 1:], rows[tied, :-1], out=last[:, :-1])
+    if (rows[:, 1:] == rows[:, :-1]).any():
+        # the last observation of each time; the last of a row ends a time,
+        # so no time runs on into the next row of the flattened block
+        last = np.empty(rows.shape, dtype=bool)
+        last[:, -1] = True
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=last[:, :-1])
         ends = np.flatnonzero(last)
         starts = np.concatenate(([0], ends[:-1] + 1))
-        totals = np.concatenate(([0.0], np.cumsum(d[tied])[ends]))
-        counts = totals[1:] - totals[:-1]
+        counts = np.add.reduceat(d.ravel(), starts)
         at_risk = n - starts % n
         if censoring:
             at_risk = at_risk - np.where(counts > 0, ends + 1 - starts - counts, 0)
-        at = tied[ends // n] * n + ends % n
-        d[tied] = 0.0
-        d.flat[at] = counts
+        d = np.zeros(rows.shape)
+        d.flat[ends] = counts
         y = y.copy()
-        y.flat[at] = at_risk
+        y.flat[ends] = at_risk
     return d.reshape(steps.shape), y.reshape(steps.shape)
 
 

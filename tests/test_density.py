@@ -529,7 +529,7 @@ class TestKdeEstimator:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_weights_equal_the_censoring_fit(self, tied):
-        """The sorted event times and weights that the CV sums and at() read
+        """The sorted event times and weights that the CV sums and values() read
         are the events' times and 1/S_cens(T-) of fit_censoring_km, bit for
         bit."""
         sample = exponential_sample(np.random.default_rng(17), 300)
@@ -844,3 +844,123 @@ class TestFourierPairSums:
         _pair_sums(times * 365.0, weights, CV_GRID)
         _pair_sums(small_times * 365.0, small_weights, CV_GRID)
         assert calls == ["exact", "exact", "exact", "fourier", "fourier", "exact"]
+
+
+class TestCvKernelReuse:
+    """The Fourier period ladder, the stored kernel matrices and the one
+    (J, m) pass of an arm's densities give what building everything afresh
+    gives. CV scores are not compared between warm and cold calls: the
+    generic Prescott kernel's matrix-vector products depend on operand
+    alignment, so only the picks must agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        span=st.floats(0.0, 1e6),
+        h_min=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.0, 100.0),
+    )
+    def test_period_ladder(self, span, h_min, ratio):
+        """P is at least span + c sqrt(2) h_max and less than 1/16 above it,
+        and times and grid 2^k times larger give 2^k times the P and the
+        same K, as any rescale by a power of two must."""
+        grid = np.array([h_min, h_min * ratio])
+        period, n_freq = _fourier_terms(span, grid)
+        least = span + density._FOURIER_C * math.sqrt(2.0) * float(grid[-1])
+        assert least <= period < least * (1.0 + 1.0 / 16.0)
+        for k in range(-8, 9):
+            scale = 2.0 ** k
+            assert _fourier_terms(span * scale, grid * scale) == (period * scale, n_freq)
+
+    def test_period_whose_step_overflows(self):
+        """A period within 1/32 of the largest float rounds up to inf, and
+        K with it, which keeps such a span on the pairwise sums."""
+        assert _fourier_terms(1.75e308, np.array([1.0])) == (math.inf, math.inf)
+        assert _fourier_terms(1.7e308, np.array([1.0]))[0] < math.inf
+
+    def test_stored_kernel_equals_a_fresh_build(self):
+        """The stored matrix and its square equal, bit for bit, the kernel
+        built as the Fourier sums built it per call (np.exp, no BLAS)."""
+        for grid in (CV_GRID, np.array([0.05, 0.3, 2.0]), np.array([0.25])):
+            for span in (0.3, 2.7, 5.0, 11.0):
+                period, n_freq = _fourier_terms(span, grid)
+                step = 2.0 * math.pi / period
+                fresh = np.multiply.outer(-0.5 * grid * grid,
+                                          (np.arange(1, n_freq + 1) * step) ** 2)
+                fresh = np.exp(np.maximum(fresh, density._EXP_FLOOR))
+                density._stored_kernels.cache_clear()
+                kernel, squared = density._stored_kernels(grid.tobytes(), period, n_freq)
+                assert kernel.tobytes() == fresh.tobytes()
+                assert squared.tobytes() == (fresh * fresh).tobytes()
+
+    def test_store_is_bounded_and_read_only(self, monkeypatch):
+        """At most 8 matrices are kept, none above 2^15 entries (an arm in
+        days builds its own), and a kept one cannot be written to."""
+        stored = density._stored_kernels
+        sizes = []
+
+        def spy(*args):
+            kernel, squared = stored(*args)
+            sizes.append(kernel.size)
+            return kernel, squared
+
+        monkeypatch.setattr(density, "_stored_kernels", spy)
+        stored.cache_clear()
+        scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
+        for seed in range(40):
+            arm = sample_trial(scenario, 600, 600, seed).arm1
+            times, weights = _sorted_events(arm)
+            _pair_sums_fourier(times * (1.0 + seed / 10.0), weights, CV_GRID)
+        assert stored.cache_info().maxsize == 8
+        assert 0 < stored.cache_info().currsize <= 8
+        assert len(sizes) == 40 and max(sizes) <= 1 << 15
+        days = sample_trial(scenario, 300, 300, 1).arm1
+        _pair_sums_fourier(*_sorted_events(SurvivalSample(days.times * 365.0, days.events)),
+                           CV_GRID)
+        assert len(sizes) == 40
+        kernel, squared = stored(CV_GRID.tobytes(), *_fourier_terms(2.0, CV_GRID))
+        for array in (kernel, squared):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 2000),
+        unit=st.sampled_from([1.0, 1.0 / 12.0, 12.0]),
+        delayed=st.booleans(),
+    )
+    def test_warm_picks_equal_cold_picks(self, seed, n, unit, delayed):
+        """A pick made with the store filled by other arms equals the pick
+        made with the store cleared, for both planning families."""
+        scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2 if delayed else None,
+                                       censoring_rate=0.48)
+        data = sample_trial(scenario, n, n, seed)
+        arms = [SurvivalSample(arm.times * unit, arm.events) for arm in (data.arm1, data.arm2)]
+        try:
+            cold = []
+            for arm in arms:
+                density._stored_kernels.cache_clear()
+                cold.append(select_bandwidth_cv(arm, CV_GRID))
+        except TooFewEventsError:
+            return
+        warm = [select_bandwidth_cv(arm, CV_GRID) for arm in arms + arms[::-1]]
+        assert warm == cold + cold[::-1]
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_one_pass_equals_one_time_at_a_time(self, n):
+        """The densities at J times from one (J, m) pass equal, bit for bit,
+        those at each time alone by the 1-d sum."""
+        rng = np.random.default_rng(n)
+        sample = exponential_sample(rng, 400)
+        ts = np.sort(rng.uniform(0.0, 3.0, n)).tolist() + [0.0, 1e300]
+        machine = _KdeMachine(*_sorted_rows(sample), KdeConfig("select-by-cv", CV_GRID))
+        one_pass = machine.values(ts)
+        for t, value in zip(ts, one_pass):
+            with np.errstate(over="ignore"):
+                kernel = np.exp(-0.5 * ((machine.times - t) / machine.h) ** 2)
+            alone = float(np.sum(machine.weights * kernel)) / (machine.n * machine.h * SQRT_2PI)
+            assert value == alone
+        densities = machine.densities(ts, range(len(ts)))
+        assert [d.value for d in densities] == one_pass
+        assert [d.p for d in densities] == list(range(len(ts)))
+        assert [d.quantile_time for d in densities] == ts

@@ -685,3 +685,37 @@ class TestFrozenPValues:
         assert np.array_equal(np.isnan(p_values), np.isnan(expected))
         finite = ~np.isnan(expected)
         np.testing.assert_allclose(p_values[finite], expected[finite], rtol=1e-12, atol=0)
+
+
+class TestFormulaPowerMemo:
+    """A plan's formula power is kept for the 8 latest designs: a warm call
+    equals a cold one for every part of the design, and a design without a
+    formula power raises on every call."""
+
+    PLANS = [
+        small_plan(scenario=scenario, n_per_group=n, probabilities=ps, alpha=alpha)
+        for scenario in (scenario_from_delta(1.5, 0.5, 0.1, censoring_rate=0.48), DELAYED_PLAN)
+        for n in (30, 200)
+        for ps in ((0.5,), (0.25, 0.5, 0.75))
+        for alpha in (0.05, 0.01)
+    ]
+
+    def test_warm_equals_cold(self):
+        cold = []
+        for plan in self.PLANS:
+            simulate._design_power.cache_clear()
+            cold.append(simulate._formula_power(plan))
+        assert len(set(cold)) == len(cold)  # every part of the design matters
+        for _ in range(2):
+            assert [simulate._formula_power(plan) for plan in self.PLANS] == cold
+            assert [simulate._formula_power(plan) for plan in self.PLANS[::-1]] == cold[::-1]
+        assert simulate._design_power.cache_info().currsize == 8
+
+    def test_error_raises_on_every_call(self):
+        scenario = TrialScenario(ExponentialArm(1.5), ExponentialArm(2.0), censoring_rate=4.0)
+        plan = small_plan(scenario=scenario, n_per_group=500, probabilities=(1e-12, 0.5))
+        simulate._design_power.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SingularCovarianceError, match="psi must be positive definite"):
+                simulate._formula_power(plan)
+        assert simulate._design_power.cache_info().currsize == 0
