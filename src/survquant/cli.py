@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
-import hashlib
 import io
 import json
 import math
@@ -37,19 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import KdeConfig, LsConfig, _select_sigma
-from .errors import (DatasetFormatError, NumericalError, ValidationError, _check_open_unit,
-                     _whole_count)
-from .power import PowerSpec, min_sample_size, power_univariate
-from .quantile_tests import (
-    _Assembly,
-    _bonferroni_from_pieces,
-    _multivariate_from_pieces,
-    _univariate_from_pieces,
-)
-from .scenarios import ScenarioConfig, parse_scenario_values, resolve_scenario, scenario_sigma2
-from .simulate import DEFAULT_SIM_SIGMA_EPS, SimulationPlan, empirical_rejection
-from .survival import SurvivalSample, TwoArmData, _probabilities
+# Each command imports the modules it runs where it runs them, so that
+# power and samplesize never load the test and simulation code, and test
+# never loads the planning and simulation code.
+from .errors import (DEFAULT_SIM_SIGMA_EPS, DatasetFormatError, NumericalError, ValidationError,
+                     _check_open_unit, _probabilities, _whole_count)
 
 _SIGMA_AUTO_GRID = np.linspace(0.1, 10.0, 199)  # 0.1 .. 10 in steps of 0.05
 _REQUIRED_COLUMNS = ("time", "status", "group")
@@ -190,6 +181,10 @@ def read_dataset(path: str):
     Returns (data, info) where info carries the sha256 of the file bytes and
     any ignored extra column names.
     """
+    import hashlib
+
+    from .survival import SurvivalSample, TwoArmData
+
     raw, text = _read_text(path, "dataset")
     digest = hashlib.sha256(raw).hexdigest()
     reader = csv.reader(io.StringIO(text))
@@ -253,6 +248,8 @@ def read_dataset(path: str):
 def _scenario_values(path: str, p_values=None, delta=None) -> dict:
     """The scenario file's values with --p and --delta laid over them;
     ScenarioConfig checks the result."""
+    from .scenarios import parse_scenario_values
+
     values = parse_scenario_values(_read_text(path, "scenario config")[1])
     if p_values is not None:
         values.pop("p", None)
@@ -267,7 +264,7 @@ def _scenario_values(path: str, p_values=None, delta=None) -> dict:
     return values
 
 
-def _scenario_summary(config: ScenarioConfig, scenario) -> dict:
+def _scenario_summary(config, scenario) -> dict:
     """Resolved generative description for the manifest."""
     arm2 = scenario.arm2
     summary = {
@@ -285,8 +282,10 @@ def _scenario_summary(config: ScenarioConfig, scenario) -> dict:
     return summary
 
 
-def _planning_config(args, delta) -> ScenarioConfig:
-    """The scenario of power or samplesize, which plan one quantile p."""
+def _planning_config(args, delta):
+    """The ScenarioConfig of power or samplesize, which plan one quantile p."""
+    from .scenarios import ScenarioConfig
+
     values = _scenario_values(args.scenario, None if args.p is None else [args.p], delta)
     if "p" not in values:
         if "p_list" in values:
@@ -307,6 +306,8 @@ def _density_tuning(args):
     comes first: the other method's flag, then a value that is neither a
     number nor 'auto', then the config's own check of the number.
     """
+    from .density import KdeConfig, LsConfig
+
     if args.method == "ls":
         flag, key, spec = "--sigma-eps", "sigma_eps", args.sigma_eps
         if args.bandwidth is not None:
@@ -330,6 +331,8 @@ def _auto_sigma(assembly, probabilities, seed):
     largest plateau-stable sigma over arm x probability (symmetric in the
     arms, errs toward smoothing), tuned on the assembly's KM fits with as
     many draws as the final estimate takes."""
+    from .density import LsConfig, _select_sigma
+
     chosen = [selection.sigma_eps for arm in assembly.arms
               for selection in _select_sigma(arm.fit, probabilities, arm.times,
                                              _SIGMA_AUTO_GRID, LsConfig.n_draws, seed)]
@@ -340,6 +343,9 @@ def _auto_sigma(assembly, probabilities, seed):
 # subcommand handlers
 
 def cmd_test(args) -> int:
+    from .quantile_tests import (_Assembly, _bonferroni_from_pieces, _multivariate_from_pieces,
+                                 _univariate_from_pieces)
+
     tuning, manifest_tuning = _density_tuning(args)
     data, dataset_info = read_dataset(args.data)
     if dataset_info["ignored_columns"]:
@@ -402,6 +408,9 @@ def cmd_test(args) -> int:
 
 
 def cmd_power(args) -> int:
+    from .power import PowerSpec, power_univariate
+    from .scenarios import resolve_scenario, scenario_sigma2
+
     config = _planning_config(args, args.delta[0])
     p = config.p
     rows = []
@@ -430,6 +439,9 @@ def cmd_power(args) -> int:
 
 
 def cmd_samplesize(args) -> int:
+    from .power import min_sample_size
+    from .scenarios import resolve_scenario, scenario_sigma2
+
     config = _planning_config(args, args.delta)
     p = config.p
     scenario = resolve_scenario(config)
@@ -457,6 +469,9 @@ def cmd_samplesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .scenarios import ScenarioConfig, resolve_scenario
+    from .simulate import SimulationPlan, empirical_rejection
+
     tuning, manifest_tuning = _density_tuning(args)
     config = ScenarioConfig(**_scenario_values(args.scenario, args.p, args.delta))
     scenario = resolve_scenario(config)

@@ -271,8 +271,11 @@ def _select_sigma(fit: KaplanMeierFit, probabilities, times, grid: np.ndarray,
     variation = sliding_window_view(np.abs(np.diff(profiles)), window - 1, axis=-1).sum(axis=-1)
     starts = variation.argmin(axis=-1)  # leftmost minimum
     blocks = sliding_window_view(profiles, window, axis=-1)[np.arange(len(profiles)), starts]
-    # leftmost = smallest sigma
-    offsets = np.abs(blocks - np.median(blocks, axis=-1, keepdims=True)).argmin(axis=-1)
+    # the window median is its middle sorted element, the one np.median
+    # returns for an odd count (without the numpy.ma import of its first
+    # call); leftmost = smallest sigma
+    middle = np.sort(blocks, axis=-1)[:, window // 2, None]
+    offsets = np.abs(blocks - middle).argmin(axis=-1)
     return [SigmaSelection(sigma_eps=float(grid[start + offset]), grid=grid, profile=profile)
             for start, offset, profile in zip(starts, offsets, profiles)]
 

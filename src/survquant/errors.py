@@ -1,10 +1,21 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the input rules that every module shares.
 
 Two broad families matter to callers: validation errors (bad inputs,
 infeasible parameters) and numerical errors (quantities that cannot be
 estimated from the data at hand). The CLI maps them to exit codes 2 and 3.
+Every command loads this module, so it holds no statistics.
 """
 import math
+
+import numpy as np
+
+# Default LS perturbation scale for simulations. Wide on purpose: at small n
+# the probe window then exceeds the data support, the slope underestimates the
+# density, and the test turns conservative, which is the small-sample
+# behavior the rejection-rate tables are calibrated against. Override through
+# SimulationPlan.tuning for anything else. It lives here, not in simulate.py,
+# so that the CLI's help can name it without loading the simulation engine.
+DEFAULT_SIM_SIGMA_EPS = 5.0
 
 
 class SurvQuantError(Exception):
@@ -61,6 +72,27 @@ def _whole_count(name, value, least) -> int:
     if count < least:
         raise ValidationError(f"{name} must be at least {least}, got {count}")
     return count
+
+
+def _check_probabilities(probabilities):
+    for p in probabilities:
+        _check_open_unit("p", p)
+
+
+def _probabilities(values) -> tuple:
+    """values as a tuple of floats: the one check of a probability list, a
+    1-d sequence of at least one entry, each in (0, 1), all distinct."""
+    try:
+        ps = np.asarray(list(values), dtype=float)  # list() also takes a generator
+    except (TypeError, ValueError):
+        ps = None
+    if ps is None or ps.ndim != 1 or ps.size == 0:
+        raise ValidationError("probabilities must be a 1-d sequence with at least one entry")
+    ps = tuple(ps.tolist())
+    _check_probabilities(ps)
+    if len(set(ps)) != len(ps):
+        raise ValidationError("probabilities must be distinct")
+    return ps
 
 
 class NumericalError(SurvQuantError):

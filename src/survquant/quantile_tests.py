@@ -43,10 +43,9 @@ from .density import (
     _sorted_rows,
 )
 from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError, _check_open_unit,
-                     _check_unit_half_open)
+                     _check_unit_half_open, _probabilities)
 from .power import _wald_form, upsilon
-from .survival import (KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, _probabilities,
-                       fit_kaplan_meier)
+from .survival import KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
 
 _SQRT_HALF = math.sqrt(0.5)
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (InfeasibleDeltaError, ValidationError, _check_finite, _check_non_negative,
-                     _check_open_unit, _check_positive)
+                     _check_open_unit, _check_positive, _probabilities)
 from .power import upsilon
-from .survival import _probabilities
 
 
 def exp_quantile(rate: float, p: float) -> float:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
-from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError,
-                     _check_open_unit, _whole_count)
+from .errors import (DEFAULT_SIM_SIGMA_EPS, SingularCovarianceError, TooFewEventsError,
+                     ValidationError, _check_open_unit, _probabilities, _whole_count)
 from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     _default_tuning,
@@ -37,7 +37,6 @@ from .survival import (
     SurvivalSample,
     TwoArmData,
     _censoring_before,
-    _probabilities,
     _product_limit,
     _quantiles,
     _sorted_observations,
@@ -50,13 +49,6 @@ _MAX_FAILURE_FRACTION = 0.05
 # the replication count. Larger blocks saved little more time on sim_ls and
 # raised its peak memory.
 _BLOCK_VALUES = 1 << 14
-
-# Default LS perturbation scale for simulations. Wide on purpose: at small n
-# the probe window then exceeds the data support, the slope underestimates the
-# density, and the test turns conservative, which is the small-sample
-# behavior the rejection-rate tables are calibrated against. Override through
-# SimulationPlan.tuning for anything else.
-DEFAULT_SIM_SIGMA_EPS = 5.0
 
 
 @dataclass(frozen=True)

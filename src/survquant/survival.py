@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateTailError, UnreachableQuantileError, ValidationError,
-                     _check_open_unit)
+                     _check_probabilities)
 
 # Cumulative products of step factors round: 0.75 * (2/3) is
 # 0.49999999999999994, yet the median of an uncensored {1,2,3,4} must be 2.
@@ -245,27 +245,6 @@ def _quantiles(steps, d, survival, greenwood, probabilities):
     time, sums = (np.where(reached, np.take_along_axis(a, idx, axis=-1), np.nan)
                   for a in (steps, greenwood))
     return time, sums, reached
-
-
-def _check_probabilities(probabilities):
-    for p in probabilities:
-        _check_open_unit("p", p)
-
-
-def _probabilities(values) -> tuple:
-    """values as a tuple of floats: the one check of a probability list, a
-    1-d sequence of at least one entry, each in (0, 1), all distinct."""
-    try:
-        ps = np.asarray(list(values), dtype=float)  # list() also takes a generator
-    except (TypeError, ValueError):
-        ps = None
-    if ps is None or ps.ndim != 1 or ps.size == 0:
-        raise ValidationError("probabilities must be a 1-d sequence with at least one entry")
-    ps = tuple(ps.tolist())
-    _check_probabilities(ps)
-    if len(set(ps)) != len(ps):
-        raise ValidationError("probabilities must be distinct")
-    return ps
 
 
 def _fit_quantiles(fit: KaplanMeierFit, probabilities, arm=None):

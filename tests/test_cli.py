@@ -1062,7 +1062,7 @@ class TestCmdSimulate:
         def exhausted(plan):
             raise MemoryError("Unable to allocate 2.91 TiB for an array")
 
-        monkeypatch.setattr("survquant.cli.empirical_rejection", exhausted)
+        monkeypatch.setattr("survquant.simulate.empirical_rejection", exhausted)
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", scenario_file,
             "--n", "99999999999", "--reps", "1", "--seed", "1",
@@ -1275,14 +1275,26 @@ class TestFrozenSimulateOutput:
     shutil.which("survquant") is None, reason="console script not installed"
 )
 class TestConsoleScript:
-    def test_power_runs(self, scenario_file):
-        result = subprocess.run(
-            ["survquant", "power", "--scenario", scenario_file,
-             "--delta", "0.1", "--n", "50"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0
-        assert result.stdout.startswith("# manifest: ")
+    def test_same_output_as_the_module(self, tmp_path, scenario_file):
+        """The entry point imports survquant.cli as a module, not as
+        __main__, so each command loads its modules there: every command's
+        output must be that of `python -m survquant.cli`."""
+        env = dict(os.environ, PYTHONPATH=str(Path(survquant.__file__).parents[1]))
+        for argv in (
+            ["test", make_dataset(tmp_path / "d.csv"), "--p", "0.5,0.75", "--bonferroni"],
+            ["power", "--scenario", scenario_file, "--delta", "0.1", "--n", "50"],
+            ["samplesize", "--scenario", scenario_file, "--power", "0.8"],
+            ["simulate", "--scenario", scenario_file, "--n", "50", "--reps", "5", "--seed", "1"],
+        ):
+            script, module = (
+                subprocess.run(prefix + argv, capture_output=True, text=True, env=env,
+                               timeout=120)
+                for prefix in (["survquant"], [sys.executable, "-m", "survquant.cli"])
+            )
+            assert (script.returncode, script.stderr) == (0, ""), argv[0]
+            assert "manifest: " in script.stdout, argv[0]
+            assert (script.returncode, script.stdout, script.stderr) == (
+                module.returncode, module.stdout, module.stderr), argv[0]
 
 
 class TestClosedStdout:

@@ -1015,3 +1015,57 @@ class TestStartUpImports:
         )
         private_route = run_fresh(PLAN_VALUES)[-1]
         assert run_fresh(code)[-2:] == ["True True True", private_route]
+
+    # Each command loads only the survquant modules it runs (and test skips
+    # numpy.ma, which np.median's first call imports).
+    def test_import_loads_only_the_errors_module(self):
+        assert (scipy_modules_after("import survquant", ("survquant",))
+                == "['survquant', 'survquant.errors']")
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--delta", "0.1,0.2", "--n", "50,100"],
+        ["samplesize", "--power", "0.8,0.9"],
+    ], ids=["power", "samplesize"])
+    def test_planning_command_loads_no_test_module(self, plan_scenario, argv):
+        modules = ast.literal_eval(scipy_modules_after(
+            run_main(*argv, "--scenario", plan_scenario), ("survquant",)))
+        assert modules == ["survquant", "survquant.cli", "survquant.errors", "survquant.power",
+                           "survquant.scenarios"]
+
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    def test_test_command_loads_no_planning_module(self, trial_csv, method):
+        code = run_main("test", trial_csv, "--p", "0.25,0.5,0.75", "--bonferroni",
+                        "--method", method)
+        modules = ast.literal_eval(scipy_modules_after(code, ("survquant", "numpy.ma")))
+        assert "survquant.quantile_tests" in modules
+        assert not set(modules) & {"survquant.scenarios", "survquant.simulate", "numpy.ma"}
+
+
+class TestPackageNamespace:
+    """__all__ is the export list of the package, whose names load on first
+    access: each is its defining module's object, dir() and a star import
+    see every one, and an unknown name fails as on any module."""
+
+    def test_every_name_is_its_modules_object(self):
+        code = (
+            "import importlib, survquant\n"
+            "names = [n for n in survquant.__all__ if n != '__version__']\n"
+            "objects = [getattr(survquant, n) for n in names]\n"
+            "print(len(names), len(set(names)), all(\n"
+            "    o.__module__.startswith('survquant.')\n"
+            "    and getattr(importlib.import_module(o.__module__), n) is o\n"
+            "    for n, o in zip(names, objects)))"
+        )
+        assert run_fresh(code)[-1] == "65 65 True"
+
+    def test_dir_and_star_import_see_every_name(self):
+        code = (
+            "import survquant\nlisted = dir(survquant)\nfrom survquant import *\n"
+            "print([n for n in survquant.__all__ if n not in listed or n not in globals()])"
+        )
+        assert run_fresh(code)[-1] == "[]"
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError) as info:
+            survquant.no_such_name
+        assert str(info.value) == "module 'survquant' has no attribute 'no_such_name'"
