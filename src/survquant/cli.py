@@ -613,8 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (default 0; required when CI is set)")
     sim.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility (default 1); replicates "
-                          "always run serially")
+                     help="most processes to run replicates on (default 1), "
+                          "capped by the usable CPUs; the output does not "
+                          "depend on it")
     sim.add_argument("--timing", action="store_true",
                      help="append per-replicate timing columns")
     sim.set_defaults(handler=cmd_simulate)
@@ -645,6 +646,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

@@ -2,21 +2,28 @@
 
 Determinism contract: replicate k draws everything it needs from
 SeedSequence(master_seed, spawn_key=(k,)), so results depend only on the
-master seed and the replicate index. Replicates run in blocks on the
-calling thread: a block draws each replicate's data in turn, then fits,
-probes and tests its rows together as arrays, through the serial test's
-kernels (the product-limit fit, tied times included, survival._quantiles,
-density._ls_slopes or density._KdeMachine) and its arithmetic in its
-order, so every p-value equals the one univariate_test or
-multivariate_test gives on sample_trial's data for that replicate.
-SimulationPlan.threads is validated but does not change how they run, so
-the report is the same for any thread count. A plan without a formula
-power fails before any replicate runs.
+master seed and the replicate index. Replicates run in blocks: a block
+draws each replicate's data in turn, then fits, probes and tests its rows
+together as arrays, through the serial test's kernels (the product-limit
+fit, tied times included, survival._quantiles, density._ls_slopes or
+density._KdeMachine) and its arithmetic in its order, so every p-value
+equals the one univariate_test or multivariate_test gives on
+sample_trial's data for that replicate. SimulationPlan.threads caps the
+processes a run may use: the calling process and up to threads - 1 forked
+workers, each running a contiguous span of replicates in blocks of its
+own. Neither the span nor the block a replicate falls in changes a bit of
+its p-value, so the report, timing aside, is the same for any thread
+count. A plan without a formula power fails before any replicate runs.
 """
 from __future__ import annotations
 
+import atexit
 import functools
 import math
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -71,7 +78,9 @@ class SimulationPlan:
     density_method: str = "ls"
     tuning: object = None
     master_seed: int = 0
-    # accepted for compatibility: replicates always run on the calling thread
+    # the most processes the run may use, the caller included; the run takes
+    # fewer when the CPUs it may use or its blocks are fewer, or when a
+    # worker would cost more to start than it saves
     threads: int = 1
 
     def __post_init__(self):
@@ -105,7 +114,8 @@ class RejectionReport:
     failed ones. Replicates run in blocks, so each is charged its block's
     wall time divided by the block's size: rep_time_mean_s is the mean of
     those shares and rep_time_sd_s their standard deviation (ddof=1), 0
-    when all replicates share one block.
+    when all replicates share one block. When blocks run on several
+    processes at once, wall_time_s falls below the sum of the shares.
     """
 
     rate: float
@@ -278,21 +288,211 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     return out
 
 
+def _span(plan: SimulationPlan, first: int, count: int):
+    """p-values and time shares of replicates first .. first+count-1, run
+    in blocks from first on: each replicate is charged its block's wall
+    time divided by the block's size."""
+    p_values, shares = np.empty(count), np.empty(count)
+    rows = _block_rows(plan)
+    for start in range(0, count, rows):
+        block_started = time.perf_counter()
+        size = min(rows, count - start)
+        block = _draw_block(plan, first + start, size)
+        p_values[start:start + size] = _block_p_values(plan, *block)
+        shares[start:start + size] = (time.perf_counter() - block_started) / size
+    return p_values, shares
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run(plan: SimulationPlan):
+    """p-values and time shares of all the plan's replicates.
+
+    One process runs them all when the plan allows only one, or has one
+    block. Otherwise the caller runs and times the first block, then splits
+    the rest into contiguous spans: the first for itself, a later one for
+    each worker that _ready_workers expects to pay. A span that raises in a
+    worker, or whose worker dies, runs again here, so a run raises what the
+    serial loop raises, at the first failing replicate in replicate order.
+    """
+    reps, rows = plan.replications, _block_rows(plan)
+    processes = min(plan.threads, _usable_cpus(), -(-reps // rows))
+    # the workers serve one run at a time; a concurrent run stays serial
+    if processes == 1 or not _pool_lock.acquire(blocking=False):
+        return _span(plan, 0, reps)
+    try:
+        p_values, shares = np.empty(reps), np.empty(reps)
+        p_values[:rows], shares[:rows] = _span(plan, 0, rows)
+        workers = _ready_workers(min(processes - 1, reps - rows - 1),
+                                 rows * shares[0], (reps - rows) / rows)
+        parts = len(workers) + 1
+        edges = [rows + (reps - rows) * i // parts for i in range(parts + 1)]
+        pending = []
+        try:
+            for worker, first, stop in zip(workers, edges[1:], edges[2:]):
+                pending.append((worker, first, stop))
+                worker.send(plan, first, stop - first)
+            p_values[rows:edges[1]], shares[rows:edges[1]] = _span(plan, rows, edges[1] - rows)
+            while pending:
+                worker, first, stop = pending[0]
+                reply = worker.reply()
+                del pending[0]
+                if reply is None:
+                    reply = _span(plan, first, stop - first)
+                p_values[first:stop], shares[first:stop] = reply
+        finally:
+            # the caller raised or was interrupted: a worker whose reply is
+            # still unread is busy with a span nobody will read
+            for worker, _, _ in pending:
+                worker.stop()
+        return p_values, shares
+    finally:
+        _pool_lock.release()
+
+
+# The workers of this process, forked on the first run that gains from
+# them and kept for later runs. _owner is the pid that forked them: a
+# forked copy of the caller inherits the list but not the workers.
+_workers = []
+_owner = None
+_start_s = None  # the caller's time to fork one worker, as last measured
+_pool_lock = threading.Lock()
+
+
+def _ready_workers(most: int, block_s: float, blocks_left: float) -> list:
+    """Workers for the rest of a run, forking more as needed: as many, up
+    to most, as give the rest the shortest estimated time. On one process
+    the rest takes blocks_left times block_s, the time of the first block,
+    and on 1 + k processes that over 1 + k. Each worker not yet running
+    adds its fork and, at exit, its reaping, which took about as long as
+    the fork: twice the fork time last measured, or until then twice
+    block_s."""
+    global _owner, _start_s
+    if _owner != os.getpid():
+        for worker in _workers:
+            worker.close()
+        _workers.clear()
+        _owner = os.getpid()
+    serial_s = block_s * blocks_left
+    start_s = 2 * (block_s if _start_s is None else _start_s)
+    wanted = min(range(most + 1),
+                 key=lambda k: serial_s / (1 + k) + start_s * max(0, k - len(_workers)))
+    while len(_workers) < wanted:
+        started = time.perf_counter()
+        try:
+            worker = _Worker()
+        except OSError:  # no process to be had: run with those there are
+            break
+        _start_s = time.perf_counter() - started
+        _workers.append(worker)
+    return _workers[:wanted]
+
+
+class _Worker:
+    """A forked process that runs the spans sent to it, one at a time, until
+    its task pipe closes."""
+
+    def __init__(self):
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _serve(task_r, task_w, result_r, result_w)
+        os.close(task_r)
+        os.close(result_w)
+        self.pid = pid
+        self.tasks = os.fdopen(task_w, "wb")
+        self.results = os.fdopen(result_r, "rb")
+
+    def send(self, plan, first, count):
+        try:
+            pickle.dump((plan, first, count), self.tasks, pickle.HIGHEST_PROTOCOL)
+            self.tasks.flush()
+        except Exception:  # a plan that does not pickle, or a dead worker:
+            self.stop()    # reply() gives None and the caller runs the span
+
+    def reply(self):
+        """The (p-values, shares) of the span sent last, or None when the
+        span raised or the worker is gone."""
+        try:
+            return pickle.load(self.results)
+        except Exception:  # the pipe closed, or broke off mid-reply
+            self.stop()
+            return None
+
+    def close(self):
+        """Drop this process's ends of the worker's pipes."""
+        for pipe in (self.tasks, self.results):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+
+    def stop(self):
+        """End the worker, whatever it is doing, and reap it."""
+        if self in _workers:
+            _workers.remove(self)
+        self.close()
+        if self.pid is not None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            self.pid = None
+
+
+def _serve(task_r, task_w, result_r, result_w):
+    """A worker's whole life; it never returns. Ctrl-C is the caller's to
+    report, and the worker leaves once the caller closes its task pipe or
+    exits. A span that raises sends None, and the caller runs it again, so
+    no exception crosses the pipe."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(task_w)
+        os.close(result_r)
+        for other in _workers:  # so each worker sees its own pipe close
+            os.close(other.tasks.fileno())
+            os.close(other.results.fileno())
+        with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
+            while True:
+                try:
+                    plan, first, count = pickle.load(tasks)
+                except EOFError:
+                    break
+                try:
+                    reply = _span(plan, first, count)
+                except BaseException:
+                    reply = None
+                pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+                results.flush()
+    finally:
+        os._exit(0)
+
+
+@atexit.register
+def _stop_workers():
+    if _owner == os.getpid():
+        for worker in list(_workers):
+            worker.stop()
+
+
 def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     """Run the plan's replicates and summarize the rejection frequency."""
     started = time.perf_counter()
     # before any replicate: a plan without a formula power fails at once
     formula_power = _formula_power(plan)
     reps = plan.replications
-    p_values = np.empty(reps)
-    shares = np.empty(reps)
-    rows = _block_rows(plan)
-    for first in range(0, reps, rows):
-        block_started = time.perf_counter()
-        count = min(rows, reps - first)
-        block = _draw_block(plan, first, count)
-        p_values[first:first + count] = _block_p_values(plan, *block)
-        shares[first:first + count] = (time.perf_counter() - block_started) / count
+    p_values, shares = _run(plan)
 
     failures = int(np.count_nonzero(np.isnan(p_values)))
     used = reps - failures
@@ -316,6 +516,6 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
         p_values=p_values,
         wall_time_s=time.perf_counter() - started,
         rep_time_mean_s=float(shares.mean()),
-        rep_time_sd_s=float(shares.std(ddof=1)) if reps > rows else 0.0,
+        rep_time_sd_s=float(shares.std(ddof=1)) if reps > _block_rows(plan) else 0.0,
         flags=flags,
     )

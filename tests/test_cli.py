@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import survquant
-from survquant import sample_trial, scenario_from_delta
+from survquant import sample_trial, scenario_from_delta, simulate
 from survquant.cli import build_parser, main, read_dataset
 from survquant.errors import DatasetFormatError, ValidationError
 
@@ -1023,6 +1023,18 @@ class TestCmdSimulate:
         _, pooled, _ = run_cli(capsys, *argv, "--threads", "4")
         assert serial == pooled
 
+    @pytest.mark.parametrize("method", ["ls", "kde"])
+    def test_pooled_output_bytes(self, scenario_file, capsys, monkeypatch, method):
+        """Workers forced on for every run with more than two blocks: the
+        output is the serial run's at any --threads."""
+        argv = ["simulate", "--scenario", scenario_file, "--n", "30", "--reps", "24",
+                "--seed", "3", "--p", "0.25,0.5", "--method", method]
+        _, serial, _ = run_cli(capsys, *argv, "--threads", "1")
+        monkeypatch.setattr("survquant.simulate._BLOCK_VALUES", 1)
+        for threads in ("2", "3", str(simulate._usable_cpus())):
+            monkeypatch.setattr("survquant.simulate._start_s", 0.0)
+            assert run_cli(capsys, *argv, "--threads", threads)[1] == serial
+
     def test_threads_env_variable(self, scenario_file, capsys, monkeypatch):
         argv = ["simulate", "--scenario", scenario_file, "--n", "25",
                 "--reps", "10", "--seed", "5"]
@@ -1069,6 +1081,19 @@ class TestCmdSimulate:
         )
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
+
+    def test_interrupt(self, scenario_file, capsys, monkeypatch):
+        """Ctrl-C is one error line and exit 2, not a traceback (raised
+        here by a stand-in engine)."""
+        def interrupted(plan):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("survquant.simulate.empirical_rejection", interrupted)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario_file,
+            "--n", "50", "--reps", "10", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", "error: interrupted\n")
 
     def test_zero_shift_plans_equal_arms(self, tmp_path, capsys):
         """At --delta 0 the delayed comparator keeps the control rate, so

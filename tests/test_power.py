@@ -31,7 +31,7 @@ from survquant import (
     scenario_psi,
     scenario_sigma2,
 )
-from survquant import power
+from survquant import power, simulate
 from survquant.power import SampleSizeResult, upsilon
 from survquant.errors import (
     SingularCovarianceError,
@@ -985,6 +985,37 @@ class TestStartUpImports:
         # and version, a module that scipy itself loads
         public = {m.split(".")[1] for m in modules if re.match(r"scipy\.[a-z]", m)}
         assert public <= {"special", "version"}
+
+    @pytest.mark.parametrize("code", [
+        "import survquant.simulate",
+        run_main("simulate", "--n", "200", "--reps", "50", "--seed", "1", "--threads", "1"),
+    ], ids=["import", "simulate"])
+    def test_no_process_pool_module(self, plan_scenario, code):
+        code = code.replace("'--n'", f"'--scenario', {plan_scenario!r}, '--n'")
+        assert scipy_modules_after(code, ("multiprocessing", "concurrent")) == "[]"
+
+    def test_workers_end_with_their_caller(self, tmp_path):
+        """A pooled run writes its workers' pids and exits normally; by then
+        no worker is left. stdout is not a pipe here, so a worker left
+        running could not hold up the wait for the caller."""
+        pids = tmp_path / "pids"
+        code = (
+            "import survquant, survquant.simulate as simulate\n"
+            "simulate._start_s = 0.0\n"
+            "plan = survquant.SimulationPlan(survquant.scenario_from_delta(1.5, 0.5, 0.1), "
+            "30, (0.5,), 60, threads=2)\n"
+            "survquant.empirical_rejection(plan)\n"
+            f"open({str(pids)!r}, 'w').write(repr([w.pid for w in simulate._workers]))\n"
+        )
+        package_root = str(Path(survquant.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
+                       env={**os.environ, "PYTHONPATH": package_root},
+                       stdout=subprocess.DEVNULL)
+        started = ast.literal_eval(pids.read_text())
+        assert len(started) == min(simulate._usable_cpus(), 2) - 1
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_ufunc_names(self):
         assert UFUNC_NAMES == ["chndtr", "chndtrinc", "gammainc", "gammaincinv", "ndtr", "ndtri"]

@@ -1,7 +1,10 @@
 """Tests for the Monte Carlo harness: sampling, determinism, accounting."""
 
+import contextlib
 import dataclasses
 import math
+import os
+import signal
 import threading
 
 import numpy as np
@@ -602,6 +605,161 @@ class TestBlockEngine:
         with pytest.raises(ValidationError, match="times must be finite and non-negative"):
             simulate._block_p_values(plan, times, events, eps)
         assert blocks == [4, 2]  # rows 0 and 1 ran first
+
+
+NPROC = simulate._usable_cpus()
+
+
+@pytest.fixture
+def fresh_pool():
+    """No worker before or after the test, so a worker forked while a test
+    patches the module never serves another test."""
+    simulate._stop_workers()
+    yield
+    simulate._stop_workers()
+
+
+@contextlib.contextmanager
+def forced_pool(block_values=1):
+    """Runs in small blocks, with a fork taken to cost nothing, so a plan of
+    three or more blocks and threads above 1 always uses workers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_BLOCK_VALUES", block_values)
+        patch.setattr(simulate, "_start_s", 0.0)
+        yield
+
+
+def pooled_run(plan):
+    simulate._start_s = 0.0  # a fork since the last run set it
+    return empirical_rejection(plan).p_values
+
+
+class TestWorkers:
+    """threads > 1 runs later spans of replicates on forked workers; no
+    p-value byte depends on which process ran it."""
+
+    @pytest.mark.parametrize("threads", sorted({2, NPROC}))
+    @settings(max_examples=25, deadline=None)
+    @given(plan=engine_plans())
+    def test_p_values_equal_the_serial_run(self, threads, plan):
+        serial = outcome(lambda pl: empirical_rejection(pl).p_values, plan)
+        with forced_pool():
+            pooled = outcome(pooled_run, dataclasses.replace(plan, threads=threads))
+        assert same_outcome(pooled, serial)
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_one_worker_per_further_cpu(self, fresh_pool):
+        plan = small_plan(replications=200, threads=NPROC)
+        serial = empirical_rejection(dataclasses.replace(plan, threads=1))
+        with forced_pool(simulate._BLOCK_VALUES):
+            pooled = empirical_rejection(plan)
+        assert len(simulate._workers) == min(NPROC - 1, 12)
+        assert pooled.p_values.tobytes() == serial.p_values.tobytes()
+        assert (pooled.rate, pooled.n_failures) == (serial.rate, serial.n_failures)
+
+    def test_one_block_starts_no_worker(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(simulate, "_start_s", 0.0)
+        plan = small_plan(replications=simulate._block_rows(small_plan()), threads=4)
+        empirical_rejection(plan)
+        assert simulate._workers == []
+
+    def test_workers_pay_for_their_start(self, fresh_pool, monkeypatch):
+        # before any fork is timed, a start is charged twice the first
+        # block's time; the rest of the run has to save more than that
+        monkeypatch.setattr(simulate, "_start_s", None)
+        assert simulate._ready_workers(1, 0.001, 3.0) == []
+        assert simulate._workers == []
+        assert len(simulate._ready_workers(1, 0.001, 5.0)) == 1
+        # a running worker costs nothing more
+        assert len(simulate._ready_workers(1, 0.001, 0.5)) == 1
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_worker_that_dies_mid_span(self, fresh_pool, monkeypatch):
+        plan = small_plan(replications=12, threads=2)
+        serial = empirical_rejection(plan)
+        caller, run = os.getpid(), simulate._block_p_values
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return run(*args)
+
+        monkeypatch.setattr(simulate, "_block_p_values", dying)
+        with forced_pool():
+            assert pooled_run(plan).tobytes() == serial.p_values.tobytes()
+        assert simulate._workers == []  # reaped, not reused
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_invalid_sample_in_a_late_block(self, fresh_pool, monkeypatch):
+        plan = small_plan(replications=12, threads=2)
+        draw = simulate._draw_block
+
+        def invalid_from_10(plan, first, count):
+            times, events, eps = draw(plan, first, count)
+            for rep in range(max(first, 10), first + count):
+                times[rep - first, 1, 0] = -1.0
+            return times, events, eps
+
+        monkeypatch.setattr(simulate, "_draw_block", invalid_from_10)
+        blocks, run = [], simulate._block_p_values
+
+        def recorded(plan, times, *rest):
+            blocks.append((os.getpid(), len(times)))
+            return run(plan, times, *rest)
+
+        monkeypatch.setattr(simulate, "_block_p_values", recorded)
+        with pytest.raises(ValidationError) as serial:
+            empirical_rejection(dataclasses.replace(plan, threads=1))
+        blocks.clear()
+        with forced_pool(), pytest.raises(ValidationError) as pooled:
+            pooled_run(plan)
+        assert str(pooled.value) == str(serial.value)
+        # the caller ran its own span and then the worker's again, up to the
+        # first invalid replicate
+        assert sum(n for pid, n in blocks if pid == os.getpid()) >= 10
+        assert len(simulate._workers) == 1  # a span that raised keeps its worker
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_plan_that_does_not_pickle(self, fresh_pool):
+        class LocalArm(ExponentialArm):
+            pass
+
+        plan = small_plan(scenario=TrialScenario(ExponentialArm(1.5), LocalArm(1.5),
+                                                 censoring_rate=0.48),
+                          replications=12, threads=2)
+        serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
+        with forced_pool():
+            assert pooled_run(plan).tobytes() == serial.tobytes()
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_workers_ignore_ctrl_c(self, fresh_pool):
+        plan = small_plan(replications=12, threads=2)
+        with forced_pool():
+            first = pooled_run(plan)
+            (worker,) = simulate._workers
+            os.kill(worker.pid, signal.SIGINT)
+            assert pooled_run(plan).tobytes() == first.tobytes()
+        assert simulate._workers == [worker]
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_interrupted_run_stops_busy_workers(self, fresh_pool, monkeypatch):
+        plan = small_plan(replications=12, threads=2)
+        serial = empirical_rejection(plan).p_values
+        run = simulate._span
+
+        def interrupted(plan, first, count):
+            if first > 0 and os.getpid() == caller:
+                raise KeyboardInterrupt
+            return run(plan, first, count)
+
+        caller = os.getpid()
+        monkeypatch.setattr(simulate, "_span", interrupted)
+        with forced_pool(), pytest.raises(KeyboardInterrupt):
+            pooled_run(plan)
+        assert simulate._workers == []
+        monkeypatch.setattr(simulate, "_span", run)
+        with forced_pool():
+            assert pooled_run(plan).tobytes() == serial.tobytes()
 
 
 DELAYED_PLAN = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
