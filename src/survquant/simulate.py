@@ -313,9 +313,11 @@ def _run(plan: SimulationPlan):
     """p-values and time shares of all the plan's replicates.
 
     One process runs them all when the plan allows only one, or has one
-    block. Otherwise the caller runs and times the first block, then splits
-    the rest into contiguous spans: the first for itself, a later one for
-    each worker that _ready_workers expects to pay. A span that raises in a
+    block. Otherwise the replicates are split into contiguous spans, the
+    first for the caller and a later one for each worker. When enough
+    workers are running, the split starts at replicate 0. If not, the
+    caller first runs and times the first block, and the rest goes to as
+    many workers as _ready_workers expects to pay. A span that raises in a
     worker, or whose worker dies, runs again here, so a run raises what the
     serial loop raises, at the first failing replicate in replicate order.
     """
@@ -326,17 +328,22 @@ def _run(plan: SimulationPlan):
         return _span(plan, 0, reps)
     try:
         p_values, shares = np.empty(reps), np.empty(reps)
-        p_values[:rows], shares[:rows] = _span(plan, 0, rows)
-        workers = _ready_workers(min(processes - 1, reps - rows - 1),
-                                 rows * shares[0], (reps - rows) / rows)
+        _claim_workers()
+        if len(_workers) >= processes - 1:
+            head, workers = 0, _workers[:processes - 1]
+        else:
+            head = rows
+            p_values[:rows], shares[:rows] = _span(plan, 0, rows)
+            workers = _ready_workers(min(processes - 1, reps - rows - 1),
+                                     rows * shares[0], (reps - rows) / rows)
         parts = len(workers) + 1
-        edges = [rows + (reps - rows) * i // parts for i in range(parts + 1)]
+        edges = [head + (reps - head) * i // parts for i in range(parts + 1)]
         pending = []
         try:
             for worker, first, stop in zip(workers, edges[1:], edges[2:]):
                 pending.append((worker, first, stop))
                 worker.send(plan, first, stop - first)
-            p_values[rows:edges[1]], shares[rows:edges[1]] = _span(plan, rows, edges[1] - rows)
+            p_values[head:edges[1]], shares[head:edges[1]] = _span(plan, head, edges[1] - head)
             while pending:
                 worker, first, stop = pending[0]
                 reply = worker.reply()
@@ -363,6 +370,16 @@ _start_s = None  # the caller's time to fork one worker, as last measured
 _pool_lock = threading.Lock()
 
 
+def _claim_workers():
+    """Forget workers inherited from the process this one was forked from."""
+    global _owner
+    if _owner != os.getpid():
+        for worker in _workers:
+            worker.close()
+        _workers.clear()
+        _owner = os.getpid()
+
+
 def _ready_workers(most: int, block_s: float, blocks_left: float) -> list:
     """Workers for the rest of a run, forking more as needed: as many, up
     to most, as give the rest the shortest estimated time. On one process
@@ -371,12 +388,7 @@ def _ready_workers(most: int, block_s: float, blocks_left: float) -> list:
     adds its fork and, at exit, its reaping, which took about as long as
     the fork: twice the fork time last measured, or until then twice
     block_s."""
-    global _owner, _start_s
-    if _owner != os.getpid():
-        for worker in _workers:
-            worker.close()
-        _workers.clear()
-        _owner = os.getpid()
+    global _start_s
     serial_s = block_s * blocks_left
     start_s = 2 * (block_s if _start_s is None else _start_s)
     wanted = min(range(most + 1),
