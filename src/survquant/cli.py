@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="master seed (default 0; required when CI is set)")
     sim.add_argument("--threads", type=int, default=1,
                      help="most processes to run replicates on (default 1), "
-                          "capped by the usable CPUs; the output does not "
+                          "capped by the usable CPUs; only --timing columns "
                           "depend on it")
     sim.add_argument("--timing", action="store_true",
                      help="append per-replicate timing columns")

@@ -1030,10 +1030,13 @@ class TestCmdSimulate:
         argv = ["simulate", "--scenario", scenario_file, "--n", "30", "--reps", "24",
                 "--seed", "3", "--p", "0.25,0.5", "--method", method]
         _, serial, _ = run_cli(capsys, *argv, "--threads", "1")
-        monkeypatch.setattr("survquant.simulate._BLOCK_VALUES", 1)
-        for threads in ("2", "3", str(simulate._usable_cpus())):
-            monkeypatch.setattr("survquant.simulate._start_s", 0.0)
-            assert run_cli(capsys, *argv, "--threads", threads)[1] == serial
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 1)
+        try:
+            for threads in ("2", "3", str(simulate._usable_cpus())):
+                monkeypatch.setattr(simulate, "_start_s", 0.0)
+                assert run_cli(capsys, *argv, "--threads", threads)[1] == serial
+        finally:
+            simulate._stop_workers()  # they were forked with one-replicate blocks
 
     def test_threads_env_variable(self, scenario_file, capsys, monkeypatch):
         argv = ["simulate", "--scenario", scenario_file, "--n", "25",

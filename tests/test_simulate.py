@@ -622,11 +622,15 @@ def fresh_pool():
 @contextlib.contextmanager
 def forced_pool(block_values=1):
     """Runs in small blocks, with a fork taken to cost nothing, so a plan of
-    three or more blocks and threads above 1 always uses workers."""
+    three or more blocks and threads above 1 always uses workers. Workers
+    forked here keep the small blocks, so they are stopped on the way out."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_BLOCK_VALUES", block_values)
         patch.setattr(simulate, "_start_s", 0.0)
-        yield
+        try:
+            yield
+        finally:
+            simulate._stop_workers()
 
 
 def pooled_run(plan):
@@ -653,7 +657,7 @@ class TestWorkers:
         serial = empirical_rejection(dataclasses.replace(plan, threads=1))
         with forced_pool(simulate._BLOCK_VALUES):
             pooled = empirical_rejection(plan)
-        assert len(simulate._workers) == min(NPROC - 1, 12)
+            assert len(simulate._workers) == min(NPROC - 1, 12)
         assert pooled.p_values.tobytes() == serial.p_values.tobytes()
         assert (pooled.rate, pooled.n_failures) == (serial.rate, serial.n_failures)
 
@@ -687,7 +691,7 @@ class TestWorkers:
         monkeypatch.setattr(simulate, "_block_p_values", dying)
         with forced_pool():
             assert pooled_run(plan).tobytes() == serial.p_values.tobytes()
-        assert simulate._workers == []  # reaped, not reused
+            assert simulate._workers == []  # reaped, not reused
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
     def test_invalid_sample_in_a_late_block(self, fresh_pool, monkeypatch):
@@ -711,13 +715,14 @@ class TestWorkers:
         with pytest.raises(ValidationError) as serial:
             empirical_rejection(dataclasses.replace(plan, threads=1))
         blocks.clear()
-        with forced_pool(), pytest.raises(ValidationError) as pooled:
-            pooled_run(plan)
+        with forced_pool():
+            with pytest.raises(ValidationError) as pooled:
+                pooled_run(plan)
+            assert len(simulate._workers) == 1  # a span that raised keeps its worker
         assert str(pooled.value) == str(serial.value)
         # the caller ran its own span and then the worker's again, up to the
         # first invalid replicate
         assert sum(n for pid, n in blocks if pid == os.getpid()) >= 10
-        assert len(simulate._workers) == 1  # a span that raised keeps its worker
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
     def test_plan_that_does_not_pickle(self, fresh_pool):
@@ -730,6 +735,7 @@ class TestWorkers:
         serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
         with forced_pool():
             assert pooled_run(plan).tobytes() == serial.tobytes()
+            assert simulate._workers == []  # the worker it could not reach is gone
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
     def test_workers_ignore_ctrl_c(self, fresh_pool):
@@ -739,7 +745,7 @@ class TestWorkers:
             (worker,) = simulate._workers
             os.kill(worker.pid, signal.SIGINT)
             assert pooled_run(plan).tobytes() == first.tobytes()
-        assert simulate._workers == [worker]
+            assert simulate._workers == [worker]
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
     def test_interrupted_run_stops_busy_workers(self, fresh_pool, monkeypatch):
@@ -754,9 +760,10 @@ class TestWorkers:
 
         caller = os.getpid()
         monkeypatch.setattr(simulate, "_span", interrupted)
-        with forced_pool(), pytest.raises(KeyboardInterrupt):
-            pooled_run(plan)
-        assert simulate._workers == []
+        with forced_pool():
+            with pytest.raises(KeyboardInterrupt):
+                pooled_run(plan)
+            assert simulate._workers == []
         monkeypatch.setattr(simulate, "_span", run)
         with forced_pool():
             assert pooled_run(plan).tobytes() == serial.tobytes()
