@@ -9,22 +9,27 @@ fit, tied times included, survival._quantiles, density._ls_slopes or
 density._KdeMachine) and its arithmetic in its order, so every p-value
 equals the one univariate_test or multivariate_test gives on
 sample_trial's data for that replicate. SimulationPlan.threads caps the
-processes a run may use: the calling process and up to threads - 1 forked
-workers, each running a contiguous span of replicates in blocks of its
-own. Neither the span nor the block a replicate falls in changes a bit of
-its p-value, so the report, timing aside, is the same for any thread
-count. A plan without a formula power fails before any replicate runs.
+processes a run may use: the calling process and, where os.fork is safe
+to use, up to threads - 1 forked workers, each running a contiguous span
+of replicates in blocks of its own. Neither the span nor the block a
+replicate falls in changes a bit of its p-value, so the report, timing
+aside, is the same for any thread count. A plan without a formula power
+fails before any replicate runs.
 """
 from __future__ import annotations
 
 import atexit
 import functools
+import io
 import math
+import operator
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,31 +309,44 @@ def _span(plan: SimulationPlan, first: int, count: int):
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs a run may spread over: those this process may use, or 1
+    where it cannot fork workers (no os.fork) or where a fork after numpy
+    has loaded is not safe with the system BLAS (no os.sched_getaffinity,
+    as on macOS)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _run(plan: SimulationPlan):
     """p-values and time shares of all the plan's replicates.
 
-    One process runs them all when the plan allows only one, or has one
-    block. Otherwise the replicates are split into contiguous spans, the
-    first for the caller and a later one for each worker. When enough
-    workers are running, the split starts at replicate 0. If not, the
-    caller first runs and times the first block, and the rest goes to as
-    many workers as _ready_workers expects to pay. A span that raises in a
-    worker, or whose worker dies, runs again here, so a run raises what the
-    serial loop raises, at the first failing replicate in replicate order.
+    One process runs them all when the plan allows only one, has one
+    block, does not pickle, or another run holds the workers. Otherwise
+    the replicates are split into contiguous spans, the first for the
+    caller and a later one for each worker. When enough workers are
+    running, forked with the code the plan runs on, the split starts at
+    replicate 0. If not, the caller first runs and times the first block,
+    and the rest goes to as many workers as _ready_workers expects to pay.
+    A span that raises in a worker, or whose worker dies, runs again here,
+    so a run raises what the serial loop raises, at the first failing
+    replicate in replicate order.
     """
+    global _code
     reps, rows = plan.replications, _block_rows(plan)
     processes = min(plan.threads, _usable_cpus(), -(-reps // rows))
     # the workers serve one run at a time; a concurrent run stays serial
     if processes == 1 or not _pool_lock.acquire(blocking=False):
         return _span(plan, 0, reps)
     try:
-        p_values, shares = np.empty(reps), np.empty(reps)
+        task, code = _pickled(plan)
+        if task is None:
+            return _span(plan, 0, reps)
         _claim_workers()
+        if _workers and not (len(code) == len(_code) and all(map(operator.is_, code, _code))):
+            _stop_workers()  # they would run the plan on code it no longer has
+        _code = code
+        p_values, shares = np.empty(reps), np.empty(reps)
         if len(_workers) >= processes - 1:
             head, workers = 0, _workers[:processes - 1]
         else:
@@ -342,7 +360,7 @@ def _run(plan: SimulationPlan):
         try:
             for worker, first, stop in zip(workers, edges[1:], edges[2:]):
                 pending.append((worker, first, stop))
-                worker.send(plan, first, stop - first)
+                worker.send(task, first, stop - first)
             p_values[head:edges[1]], shares[head:edges[1]] = _span(plan, head, edges[1] - head)
             while pending:
                 worker, first, stop = pending[0]
@@ -363,11 +381,75 @@ def _run(plan: SimulationPlan):
 
 # The workers of this process, forked on the first run that gains from
 # them and kept for later runs. _owner is the pid that forked them: a
-# forked copy of the caller inherits the list but not the workers.
+# forked copy of the caller inherits the list but not the workers. _code is
+# the code they were forked with, as _code_state lists it.
 _workers = []
 _owner = None
+_code = ()
 _start_s = None  # the caller's time to fork one worker, as last measured
 _pool_lock = threading.Lock()
+# Runs of empirical_rejection under way in this process, and the lock that
+# guards the count and every fork: a worker is forked only while no other
+# run is under way, and a run that starts during a fork waits for its end,
+# so no thread of this package is inside numpy when a process is copied.
+_runs = 0
+_runs_lock = threading.Lock()
+_PACKAGE = __name__.rpartition(".")[0] + "."  # this package's modules start so
+# Py_TPFLAGS_HEAPTYPE: set on classes made at run time, as by a class
+# statement; the others, such as numpy's scalar types, cannot change
+_HEAP_TYPE = 1 << 9
+
+
+class _Pickler(pickle.Pickler):
+    """Records the module of each class and function the pickle stores by
+    name, for the worker to look up."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (type, types.FunctionType, types.BuiltinFunctionType)):
+            self.modules.add(obj.__module__)
+        return NotImplemented
+
+
+def _pickled(plan: SimulationPlan):
+    """The plan's pickle and the state of the code a worker runs it on, or
+    (None, None) when the plan does not pickle."""
+    buffer = io.BytesIO()
+    pickler = _Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.modules = {name for name in sys.modules if name.startswith(_PACKAGE)}
+    try:
+        pickler.dump(plan)
+    except Exception:  # for instance a class defined inside a function
+        return None, None
+    return buffer.getvalue(), _code_state(pickler.modules)
+
+
+def _code_state(modules) -> list:
+    """What a worker finds under the names the plan and this package use,
+    in a fixed order: each module's callables and upper-case constants,
+    the attributes of the classes it defines and of their bases, and the
+    code of every function among them. A worker copies these at its fork,
+    and pickle sends classes and functions by name, so a run whose list
+    differs from the one its workers were forked with (a class redefined,
+    a module reloaded, a function patched) needs new workers."""
+    state = []
+    for name in sorted(modules):
+        module = sys.modules.get(name)
+        if module is None:
+            continue
+        for key, value in list(vars(module).items()):
+            if not (callable(value) or key.isupper()):
+                continue
+            state.append(value)
+            if isinstance(value, types.FunctionType):
+                state.append(value.__code__)
+            elif isinstance(value, type) and value.__module__ == name:
+                for owner in value.__mro__:
+                    if owner.__flags__ & _HEAP_TYPE:
+                        for attr in list(vars(owner).values()):
+                            state.append(attr)
+                            if isinstance(attr, types.FunctionType):
+                                state.append(attr.__code__)
+    return state
 
 
 def _claim_workers():
@@ -387,20 +469,21 @@ def _ready_workers(most: int, block_s: float, blocks_left: float) -> list:
     and on 1 + k processes that over 1 + k. Each worker not yet running
     adds its fork and, at exit, its reaping, which took about as long as
     the fork: twice the fork time last measured, or until then twice
-    block_s."""
+    block_s. No worker is forked while another run is under way."""
     global _start_s
     serial_s = block_s * blocks_left
     start_s = 2 * (block_s if _start_s is None else _start_s)
     wanted = min(range(most + 1),
                  key=lambda k: serial_s / (1 + k) + start_s * max(0, k - len(_workers)))
-    while len(_workers) < wanted:
-        started = time.perf_counter()
-        try:
-            worker = _Worker()
-        except OSError:  # no process to be had: run with those there are
-            break
-        _start_s = time.perf_counter() - started
-        _workers.append(worker)
+    with _runs_lock:
+        while len(_workers) < wanted and _runs <= 1:
+            started = time.perf_counter()
+            try:
+                worker = _Worker()
+            except OSError:  # no process to be had: run with those there are
+                break
+            _start_s = time.perf_counter() - started
+            _workers.append(worker)
     return _workers[:wanted]
 
 
@@ -425,12 +508,13 @@ class _Worker:
         self.tasks = os.fdopen(task_w, "wb")
         self.results = os.fdopen(result_r, "rb")
 
-    def send(self, plan, first, count):
+    def send(self, task: bytes, first: int, count: int):
+        """Start the span first .. first+count-1 of the pickled plan task."""
         try:
-            pickle.dump((plan, first, count), self.tasks, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((task, first, count), self.tasks, pickle.HIGHEST_PROTOCOL)
             self.tasks.flush()
-        except Exception:  # a plan that does not pickle, or a dead worker:
-            self.stop()    # reply() gives None and the caller runs the span
+        except Exception:  # a dead worker: reply() gives None and the
+            self.stop()    # caller runs the span
 
     def reply(self):
         """The (p-values, shares) of the span sent last, or None when the
@@ -466,8 +550,8 @@ class _Worker:
 def _serve(task_r, task_w, result_r, result_w):
     """A worker's whole life; it never returns. Ctrl-C is the caller's to
     report, and the worker leaves once the caller closes its task pipe or
-    exits. A span that raises sends None, and the caller runs it again, so
-    no exception crosses the pipe."""
+    exits. A span that raises, or whose plan does not unpickle here, sends
+    None, and the caller runs it again, so no exception crosses the pipe."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(task_w)
@@ -478,11 +562,11 @@ def _serve(task_r, task_w, result_r, result_w):
         with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
             while True:
                 try:
-                    plan, first, count = pickle.load(tasks)
+                    task, first, count = pickle.load(tasks)
                 except EOFError:
                     break
                 try:
-                    reply = _span(plan, first, count)
+                    reply = _span(pickle.loads(task), first, count)
                 except BaseException:
                     reply = None
                 pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
@@ -500,11 +584,18 @@ def _stop_workers():
 
 def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     """Run the plan's replicates and summarize the rejection frequency."""
+    global _runs
     started = time.perf_counter()
-    # before any replicate: a plan without a formula power fails at once
-    formula_power = _formula_power(plan)
+    with _runs_lock:
+        _runs += 1
+    try:
+        # before any replicate: a plan without a formula power fails at once
+        formula_power = _formula_power(plan)
+        p_values, shares = _run(plan)
+    finally:
+        with _runs_lock:
+            _runs -= 1
     reps = plan.replications
-    p_values, shares = _run(plan)
 
     failures = int(np.count_nonzero(np.isnan(p_values)))
     used = reps - failures

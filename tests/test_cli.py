@@ -1030,6 +1030,7 @@ class TestCmdSimulate:
         argv = ["simulate", "--scenario", scenario_file, "--n", "30", "--reps", "24",
                 "--seed", "3", "--p", "0.25,0.5", "--method", method]
         _, serial, _ = run_cli(capsys, *argv, "--threads", "1")
+        simulate._stop_workers()  # so the first pooled run forks its own
         monkeypatch.setattr(simulate, "_BLOCK_VALUES", 1)
         try:
             for threads in ("2", "3", str(simulate._usable_cpus())):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import signal
+import sys
 import threading
 
 import numpy as np
@@ -622,8 +623,10 @@ def fresh_pool():
 @contextlib.contextmanager
 def forced_pool(block_values=1):
     """Runs in small blocks, with a fork taken to cost nothing, so a plan of
-    three or more blocks and threads above 1 always uses workers. Workers
-    forked here keep the small blocks, so they are stopped on the way out."""
+    three or more blocks and threads above 1 always uses workers. The first
+    pooled run inside forks its workers; workers forked here keep the small
+    blocks, so they are stopped on the way out."""
+    simulate._stop_workers()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_BLOCK_VALUES", block_values)
         patch.setattr(simulate, "_start_s", 0.0)
@@ -647,9 +650,12 @@ class TestWorkers:
     @given(plan=engine_plans())
     def test_p_values_equal_the_serial_run(self, threads, plan):
         serial = outcome(lambda pl: empirical_rejection(pl).p_values, plan)
+        plan = dataclasses.replace(plan, threads=threads)
         with forced_pool():
-            pooled = outcome(pooled_run, dataclasses.replace(plan, threads=threads))
-        assert same_outcome(pooled, serial)
+            forked = outcome(pooled_run, plan)  # the caller times a block, then forks
+            warm = outcome(pooled_run, plan)  # the workers are running: split from 0
+        assert same_outcome(forked, serial)
+        assert same_outcome(warm, serial)
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
     def test_one_worker_per_further_cpu(self, fresh_pool):
@@ -735,7 +741,7 @@ class TestWorkers:
         serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
         with forced_pool():
             assert pooled_run(plan).tobytes() == serial.tobytes()
-            assert simulate._workers == []  # the worker it could not reach is gone
+            assert simulate._workers == []  # no worker is forked for it
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
     def test_workers_ignore_ctrl_c(self, fresh_pool):
@@ -767,6 +773,87 @@ class TestWorkers:
         monkeypatch.setattr(simulate, "_span", run)
         with forced_pool():
             assert pooled_run(plan).tobytes() == serial.tobytes()
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_redefined_arm_class(self, fresh_pool, monkeypatch):
+        """pickle sends a class by name, and a worker finds under that name
+        what it held at its fork. A class defined again after the workers
+        started (a notebook cell run twice, a module reloaded) is not the
+        one they hold, so the run forks new ones."""
+        def plan_with_scale(scale):
+            class ScaledArm(ExponentialArm):
+                def inverse_cdf(self, x):
+                    return scale * ExponentialArm.inverse_cdf(self, x)
+
+            ScaledArm.__module__, ScaledArm.__qualname__ = __name__, "ScaledArm"
+            monkeypatch.setattr(sys.modules[__name__], "ScaledArm", ScaledArm, raising=False)
+            scenario = TrialScenario(ExponentialArm(1.5), ScaledArm(1.5), censoring_rate=0.48)
+            return small_plan(scenario=scenario, replications=12, threads=2)
+
+        with forced_pool():
+            first = pooled_run(plan_with_scale(1.0))
+            (worker,) = simulate._workers
+            plan = plan_with_scale(2.0)
+            serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
+            assert pooled_run(plan).tobytes() == serial.tobytes()
+            assert worker.pid is None and len(simulate._workers) == 1
+        assert first.tobytes() != serial.tobytes()
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_patched_package_function(self, fresh_pool, monkeypatch):
+        plan = small_plan(replications=12, threads=2)
+        with forced_pool():
+            first = pooled_run(plan)
+            run = simulate._block_p_values
+            monkeypatch.setattr(simulate, "_block_p_values", lambda *block: run(*block) / 2)
+            serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
+            assert pooled_run(plan).tobytes() == serial.tobytes()
+        assert first.tobytes() != serial.tobytes()
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_no_workers_without_fork_or_affinity(self, fresh_pool, monkeypatch, missing):
+        # Windows has no fork; macOS has no sched_getaffinity, and a fork
+        # there after numpy has loaded is not safe with its BLAS
+        plan = small_plan(replications=12, threads=2)
+        serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
+        monkeypatch.delattr(os, missing)
+        with forced_pool():
+            assert pooled_run(plan).tobytes() == serial.tobytes()
+            assert simulate._workers == []
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_no_fork_while_another_run_is_under_way(self, fresh_pool, monkeypatch):
+        """A fork copies the process while other threads may hold locks in
+        numpy or BLAS, so a pooled run forks nothing while a serial run
+        goes on in another thread, and forks once it has ended."""
+        pooled, other = small_plan(replications=12, threads=2), small_plan(master_seed=8)
+        serial = {id(p): empirical_rejection(dataclasses.replace(p, threads=1)).p_values
+                  for p in (pooled, other)}
+        entered, release, results = threading.Event(), threading.Event(), {}
+        run = simulate._span
+
+        def held(plan, first, count):
+            if plan is other:
+                entered.set()
+                release.wait(60)
+            return run(plan, first, count)
+
+        monkeypatch.setattr(simulate, "_span", held)
+        thread = threading.Thread(target=lambda: results.update(
+            other=empirical_rejection(other).p_values))
+        with forced_pool():
+            thread.start()
+            try:
+                assert entered.wait(60)
+                assert pooled_run(pooled).tobytes() == serial[id(pooled)].tobytes()
+                assert simulate._workers == []
+            finally:
+                release.set()
+                thread.join(60)
+            assert results["other"].tobytes() == serial[id(other)].tobytes()
+            assert pooled_run(pooled).tobytes() == serial[id(pooled)].tobytes()
+            assert len(simulate._workers) == 1
 
 
 DELAYED_PLAN = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
