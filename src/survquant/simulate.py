@@ -325,12 +325,12 @@ def _run(plan: SimulationPlan):
     block, does not pickle, or another run holds the workers. Otherwise
     the replicates are split into contiguous spans, the first for the
     caller and a later one for each worker. When enough workers are
-    running, forked with the code the plan runs on, the split starts at
-    replicate 0. If not, the caller first runs and times the first block,
+    running, the split starts at replicate 0. If not, the caller first runs and times the first block,
     and the rest goes to as many workers as _ready_workers expects to pay.
-    A span that raises in a worker, or whose worker dies, runs again here,
-    so a run raises what the serial loop raises, at the first failing
-    replicate in replicate order.
+    A span that raises in a worker, whose worker dies, or whose worker was
+    forked before the code the plan runs on changed, runs again here, so a
+    run raises what the serial loop raises, at the first failing replicate
+    in replicate order.
     """
     global _code
     reps, rows = plan.replications, _block_rows(plan)
@@ -339,13 +339,11 @@ def _run(plan: SimulationPlan):
     if processes == 1 or not _pool_lock.acquire(blocking=False):
         return _span(plan, 0, reps)
     try:
-        task, code = _pickled(plan)
+        task, modules = _pickled(plan)
         if task is None:
             return _span(plan, 0, reps)
         _claim_workers()
-        if _workers and not (len(code) == len(_code) and all(map(operator.is_, code, _code))):
-            _stop_workers()  # they would run the plan on code it no longer has
-        _code = code
+        forked_before = bool(_workers)
         p_values, shares = np.empty(reps), np.empty(reps)
         if len(_workers) >= processes - 1:
             head, workers = 0, _workers[:processes - 1]
@@ -362,6 +360,14 @@ def _run(plan: SimulationPlan):
                 pending.append((worker, first, stop))
                 worker.send(task, first, stop - first)
             p_values[head:edges[1]], shares[head:edges[1]] = _span(plan, head, edges[1] - head)
+            # checked while the workers run: workers forked before the code
+            # changed ran the plan on code it no longer has, so their spans
+            # run again here
+            code = _code_state(modules)
+            if forked_before and not (len(code) == len(_code)
+                                      and all(map(operator.is_, code, _code))):
+                _stop_workers()
+            _code = code
             while pending:
                 worker, first, stop = pending[0]
                 reply = worker.reply()
@@ -411,7 +417,8 @@ class _Pickler(pickle.Pickler):
 
 
 def _pickled(plan: SimulationPlan):
-    """The plan's pickle and the state of the code a worker runs it on, or
+    """The plan's pickle and the modules a worker looks its names up in:
+    the package's and those of the classes and functions the pickle names.
     (None, None) when the plan does not pickle."""
     buffer = io.BytesIO()
     pickler = _Pickler(buffer, pickle.HIGHEST_PROTOCOL)
@@ -420,7 +427,7 @@ def _pickled(plan: SimulationPlan):
         pickler.dump(plan)
     except Exception:  # for instance a class defined inside a function
         return None, None
-    return buffer.getvalue(), _code_state(pickler.modules)
+    return buffer.getvalue(), pickler.modules
 
 
 def _code_state(modules) -> list:
@@ -428,9 +435,9 @@ def _code_state(modules) -> list:
     in a fixed order: each module's callables and upper-case constants,
     the attributes of the classes it defines and of their bases, and the
     code of every function among them. A worker copies these at its fork,
-    and pickle sends classes and functions by name, so a run whose list
-    differs from the one its workers were forked with (a class redefined,
-    a module reloaded, a function patched) needs new workers."""
+    and pickle sends classes and functions by name, so workers forked
+    with another list than a run's (a class redefined, a module reloaded,
+    a function patched since) ran it on other code."""
     state = []
     for name in sorted(modules):
         module = sys.modules.get(name)

@@ -779,7 +779,7 @@ class TestWorkers:
         """pickle sends a class by name, and a worker finds under that name
         what it held at its fork. A class defined again after the workers
         started (a notebook cell run twice, a module reloaded) is not the
-        one they hold, so the run forks new ones."""
+        one they hold, so the run stops them and runs their spans itself."""
         def plan_with_scale(scale):
             class ScaledArm(ExponentialArm):
                 def inverse_cdf(self, x):
@@ -796,7 +796,9 @@ class TestWorkers:
             plan = plan_with_scale(2.0)
             serial = empirical_rejection(dataclasses.replace(plan, threads=1)).p_values
             assert pooled_run(plan).tobytes() == serial.tobytes()
-            assert worker.pid is None and len(simulate._workers) == 1
+            assert worker.pid is None  # stopped, and its span run again here
+            assert pooled_run(plan).tobytes() == serial.tobytes()
+            assert len(simulate._workers) == 1  # forked with the new class
         assert first.tobytes() != serial.tobytes()
 
     @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
