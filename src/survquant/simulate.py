@@ -412,7 +412,9 @@ class _Pickler(pickle.Pickler):
 
     def reducer_override(self, obj):
         if isinstance(obj, (type, types.FunctionType, types.BuiltinFunctionType)):
-            self.modules.add(obj.__module__)
+            module = getattr(obj, "__module__", None)
+            if isinstance(module, str):  # some compiled functions have None
+                self.modules.add(module)
         return NotImplemented
 
 
@@ -440,10 +442,10 @@ def _code_state(modules) -> list:
     a function patched since) ran it on other code."""
     state = []
     for name in sorted(modules):
-        module = sys.modules.get(name)
-        if module is None:
+        namespace = getattr(sys.modules.get(name), "__dict__", None)
+        if namespace is None:
             continue
-        for key, value in list(vars(module).items()):
+        for key, value in list(namespace.items()):
             if not (callable(value) or key.isupper()):
                 continue
             state.append(value)
