@@ -395,7 +395,7 @@ _FOURIER_FIXED_COST = 15_000
 _STORED_KERNEL = 1 << 15
 
 
-def _fourier_terms(span: float, grid: np.ndarray):
+def _fourier_terms(span: float, grid):
     """Period P and frequency count K of the Fourier pair sums.
 
     P = span + c sqrt(2) h_max puts every wrapped image of a pair at least c
@@ -411,12 +411,8 @@ def _fourier_terms(span: float, grid: np.ndarray):
     2^k times larger give 2^k times the P and the same K.
     """
     period = span + _FOURIER_C * math.sqrt(2.0) * float(grid[-1])
-    if math.isfinite(period):
-        mantissa, exponent = math.frexp(period)
-        try:
-            period = math.ldexp(math.ceil(32.0 * mantissa) / 32.0, exponent)
-        except OverflowError:  # the step above the largest float
-            period = math.inf
+    mantissa, exponent = math.frexp(period)
+    period = math.ldexp(math.ceil(32.0 * mantissa) / 32.0, exponent)
     n_freq = _FOURIER_C * period / (2.0 * math.pi * float(grid[0]))
     return period, math.ceil(n_freq) if math.isfinite(n_freq) else math.inf
 
@@ -441,19 +437,32 @@ def _pair_sums(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     93 of them, and at most 1.21 times the faster time on the other three;
     no other pair of constants on a grid of them did better. Without the
     fixed cost the rule took the slower path on 9 arms, up to 1.43 times
-    the faster time. Few events or a wider span keep the pairwise sums, as
-    do spans so wide that K overflows and a largest bandwidth whose square
-    overflows (above 1.3e154), where the Fourier kernel's exponent
-    -h^2 u^2 / 2 would be -inf at every frequency. times and grid must be
-    sorted ascending.
+    the faster time. Few events or a wider span keep the pairwise sums.
+
+    The sums do not depend on the unit of time, so each path runs on the
+    offsets t - t_0 and the grid divided by a power of two, exactly: the
+    Fourier path in the unit that puts P in [1/2, 1), so arms of one P share
+    a stored kernel, and the pairwise path in the unit that puts
+    max(span, h_min) in [1/2, 1), so no d^2 underflows against a bandwidth
+    it matters to. No square or period overflows in either, and times and
+    grid 2^k times larger give the same sums, bit for bit, where both are
+    normal floats. Both must be sorted ascending.
     """
     m, size = times.size, grid.size
-    terms = _fourier_terms(float(times[-1] - times[0]), grid)
-    h_max = float(grid[-1])
-    if (h_max * h_max < math.inf and _FREQUENCY_COST * terms[1] * (m + size)
-            + _FOURIER_FIXED_COST < size * m * (m - 1) / 2):
-        return _pair_sums_fourier(times, weights, grid, terms)
-    return _pair_sums_exact(times, weights, grid)
+    offsets = times - times[0]
+    span, h_min, h_max = float(offsets[-1]), float(grid[0]), float(grid[-1])
+    # P and K in a unit that puts span and h_max below 1, so P < 16; an h_min
+    # below _TINY there means K > 1e307, and the floor keeps it nonzero
+    unit = math.frexp(max(span, h_max))[1]
+    period, n_freq = _fourier_terms(
+        math.ldexp(span, -unit), (max(math.ldexp(h_min, -unit), _TINY), math.ldexp(h_max, -unit)))
+    if _FREQUENCY_COST * n_freq * (m + size) + _FOURIER_FIXED_COST < size * m * (m - 1) / 2:
+        period, exponent = math.frexp(period)
+        unit += exponent
+        return _pair_sums_fourier(np.ldexp(offsets, -unit), weights, np.ldexp(grid, -unit),
+                                  (period, n_freq))
+    unit = math.frexp(max(span, h_min))[1]
+    return _pair_sums_exact(np.ldexp(offsets, -unit), weights, np.ldexp(grid, -unit))
 
 
 def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
@@ -462,43 +471,32 @@ def _pair_sums_exact(times: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     The pairs run in blocks of rows of at most _PAIR_BLOCK pairs (or one
     row), so memory stays O(G _PAIR_BLOCK) at any m. A block's (G, pairs)
     kernel matrix serves every bandwidth: the Gaussian at scale h*sqrt(2) is
-    the square root of the one at h. times must be sorted ascending.
-
-    The exponent is -d^2 / (2 h^2), one factor per bandwidth times d^2,
-    unless the span or the largest bandwidth squares to inf (above 1.3e154):
-    then the factor would be -0 or d^2 inf, and the whole call takes the
-    exponent as -(d/h)^2 / 2, which stays finite wherever d / h does.
+    the square root of the one at h. The exponent is d^2 times a factor
+    -1 / (2 h^2) per bandwidth, and d^2 < 1 in _pair_sums' unit. times must
+    be sorted ascending.
     """
     m = times.size
     diagonal = float(weights @ weights)
     cross_h = np.zeros(grid.size)
     cross_h2 = np.zeros(grid.size)
     rows = max(1, _PAIR_BLOCK // m)
-    span, h_max = float(times[-1] - times[0]), float(grid[-1])
-    scaled = not (span * span < math.inf and h_max * h_max < math.inf)
-    # a ratio d / h that overflows is inf, and its exponent -inf is floored
-    # like any other
+    # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a tie
+    # (d = 0) the argument 0 * -inf = nan; the floor keeps the factor
+    # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR);
+    # an h * h that overflows gives the factor -0, and every pair weighs 1
     with np.errstate(over="ignore"):
-        # h * h underflows below h = 1.5e-154, and -0.5 / 0 would give a tie
-        # (d = 0) the argument 0 * -inf = nan; the floor keeps the factor
-        # finite, so a tie weighs exp(0) = 1 and a pair apart exp(_EXP_FLOOR)
         factors = -0.5 / np.maximum(grid * grid, _TINY)
-        for first in range(0, m - 1, rows):
-            i, j = np.triu_indices(min(rows, m - 1 - first), 1, m - first)
-            i += first
-            j += first
-            pair_weights = weights[i] * weights[j]
-            if scaled:
-                kernel = (times[j] - times[i]) / grid[:, None]
-                np.square(kernel, out=kernel)
-                kernel *= -0.5
-            else:
-                kernel = np.multiply.outer(factors, (times[j] - times[i]) ** 2)
-            np.maximum(kernel, _EXP_FLOOR, out=kernel)
-            np.exp(kernel, out=kernel)
-            cross_h += _matvec(kernel, pair_weights)
-            np.sqrt(kernel, out=kernel)
-            cross_h2 += _matvec(kernel, pair_weights)
+    for first in range(0, m - 1, rows):
+        i, j = np.triu_indices(min(rows, m - 1 - first), 1, m - first)
+        i += first
+        j += first
+        pair_weights = weights[i] * weights[j]
+        kernel = np.multiply.outer(factors, (times[j] - times[i]) ** 2)
+        np.maximum(kernel, _EXP_FLOOR, out=kernel)
+        np.exp(kernel, out=kernel)
+        cross_h += _matvec(kernel, pair_weights)
+        np.sqrt(kernel, out=kernel)
+        cross_h2 += _matvec(kernel, pair_weights)
     return diagonal + 2.0 * cross_h, diagonal + 2.0 * cross_h2
 
 
@@ -569,15 +567,16 @@ def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray,
 
     sum_ij w_i w_j exp(-(t_i-t_j)^2/(2 s^2))
         = (s sqrt(2 pi)/P) [(sum w)^2 + 2 sum_{k=1..K} exp(-s^2 u_k^2/2) |S(u_k)|^2]
-    with S(u) = sum_i w_i exp(-i u (t_i - t_0)) and u_k = 2 pi k / P; terms is
+    with S(u) = sum_i w_i exp(-i u t_i) and u_k = 2 pi k / P; terms is
     (P, K) as _fourier_terms gives them for these times and grid, computed
     here when None. Every S(u_k) comes from one complex matrix
     product: u_{aB+b} = u_{aB} + u_b with B = isqrt(K) splits the phases into
     a coarse and a fine table of about sqrt(K) rows each. The terms are all
-    non-negative, so nothing cancels. times must be sorted ascending.
+    non-negative, so nothing cancels. times must be sorted ascending; their
+    phases grow with t, so _pair_sums passes the offsets t - t_0.
 
     Both tables are running products: fine row b is z^b and coarse row a is
-    w (z^B)^a, with z = exp(-i u_1 (t - t_0)) and z^B each from one exp, so
+    w (z^B)^a, with z = exp(-i u_1 t) and z^B each from one exp, so
     rounding grows with a table's rows (about sqrt(K)), not with K. All
     bandwidths then take one pass: a (G, K) matrix of the kernel's transform
     times the power spectrum gives every full_h, and the same matrix squared
@@ -591,7 +590,7 @@ def _pair_sums_fourier(times: np.ndarray, weights: np.ndarray, grid: np.ndarray,
     period, n_freq = terms
     step = 2.0 * math.pi / period
     block = math.isqrt(n_freq)
-    phase = (times - times[0]) * step
+    phase = times * step
     fine = _running_powers(1.0, np.exp(-1j * phase), block)
     coarse = _running_powers(weights, np.exp(-1j * block * phase), n_freq // block + 1)
     spectrum = _tiled_product(coarse, fine).ravel()[1 : n_freq + 1]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -30,6 +30,7 @@ from survquant import density
 from survquant.density import (
     _cv_criterion,
     _cv_events,
+    _cv_scores,
     _fourier_terms,
     _KdeMachine,
     _ls_densities,
@@ -49,6 +50,7 @@ from survquant.survival import _censoring_before
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 CV_GRID = np.arange(0.1, 1.0 + 1e-12, 0.02)  # the CLI's default grid
+README_PLAN = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
 
 
 def exponential_sample(rng, n, rate=1.5, cens_rate=0.48):
@@ -581,11 +583,10 @@ class TestCvCriterion:
 
     @pytest.mark.parametrize("n, path", [(60, "exact"), (500, "fourier")])
     def test_grid_value_whose_square_overflows(self, monkeypatch, n, path):
-        """h * h is inf above h = 1.3e154. The pairwise sums take such an h
-        with no warning; the Fourier path, whose kernel exponent would be
-        -inf at every frequency, leaves it to them. Against such an h all
-        pairs weigh exp(0) = 1, so the score falls as 1 / h across the
-        switch, and the pick is the usable bandwidth."""
+        """h * h is inf above h = 1.3e154, but not in the unit the CV sums
+        run in, so such an h takes the path the arm takes at any h, with no
+        warning. Against such an h all pairs weigh exp(0) = 1, so the score
+        falls as 1 / h, and the pick is the usable bandwidth."""
         scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
         sample = sample_trial(scenario, n, n, 1).arm1
         calls = []
@@ -597,15 +598,15 @@ class TestCvCriterion:
         score = cv_score(sample, 1e150)
         for h in (1e155, 1e200):
             assert cv_score(sample, h) == pytest.approx(score * 1e150 / h, rel=1e-12)
-        assert calls == [path, "exact", "exact"]
+        assert calls == [path] * 3
         assert select_bandwidth_cv(sample, [0.5, 1e155]) == 0.5
 
     @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
     def test_score_scales_with_the_time_unit(self, h):
         """Times and bandwidth 2^k times larger give 2^-k times the score (a
-        squared density integrated over time) up to rounding, also past
-        k = 512, where the squared span or h overflows and the pairwise sums
-        take the exponent as -(d/h)^2 / 2."""
+        squared density integrated over time), also past k = 512, where the
+        squared span or h would overflow in the data's unit; the sums run
+        in a power-of-two unit of their own, where it cannot."""
         scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
         arm = sample_trial(scenario, 60, 60, 1).arm1
         score = cv_score(arm, h)
@@ -624,6 +625,21 @@ class TestCvCriterion:
         for h in (1e155, 1e200, 1e300):
             assert cv_score(huge, h) * 1e300 == pytest.approx(
                 cv_score(arm, h / 1e300), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 500])
+    def test_score_does_not_depend_on_the_rest_of_the_grid(self, n):
+        """A bandwidth's score inside a grid that also holds a value far
+        above or below the data's scale is its score alone: the pairwise
+        sums take their unit from the span and h_min, so no d^2 underflows
+        against the bandwidths of the data's scale."""
+        arm = sample_trial(README_PLAN, n, n, 2).arm1
+        times, weights = _cv_events(*_sorted_rows(arm))
+        usable = [0.1, 0.3, 1.0]
+        alone = [cv_score(arm, h) for h in usable]
+        for extra in (1e155, 1e200, 1e-300):
+            grid = np.sort(np.r_[usable, extra])
+            scores = _cv_scores(times, weights, n, grid)
+            assert_allclose(scores[np.isin(grid, usable)], alone, rtol=1e-12)
 
     def test_needs_two_events(self):
         sample = SurvivalSample(
@@ -871,11 +887,39 @@ class TestCvKernelReuse:
             scale = 2.0 ** k
             assert _fourier_terms(span * scale, grid * scale) == (period * scale, n_freq)
 
-    def test_period_whose_step_overflows(self):
-        """A period within 1/32 of the largest float rounds up to inf, and
-        K with it, which keeps such a span on the pairwise sums."""
-        assert _fourier_terms(1.75e308, np.array([1.0])) == (math.inf, math.inf)
-        assert _fourier_terms(1.7e308, np.array([1.0]))[0] < math.inf
+    def test_span_near_the_largest_float(self, monkeypatch):
+        """A span within 1/32 of the largest float, whose period would round
+        up past it in the data's unit, gives finite sums with no warning on
+        both paths: those of the same times and grid 2^-1000 times as
+        large."""
+        times = np.linspace(0.0, 1.75e308, 400)
+        weights = np.random.default_rng(27).uniform(1.0, 3.0, times.size)
+        stored = density._stored_kernels
+        calls = []
+        monkeypatch.setattr(density, "_stored_kernels",
+                            lambda *a: calls.append(a) or stored(*a))
+        for grid, fourier in ((np.array([1.0, 2.0]), False), (np.array([3e306, 1e307]), True)):
+            sums = _pair_sums(times, weights, grid)
+            assert bool(calls) == fourier
+            calls.clear()
+            assert np.all(np.isfinite(sums))
+            small = _pair_sums(np.ldexp(times, -1000), weights, np.ldexp(grid, -1000))
+            assert np.array_equal(sums, small)
+
+    def test_periods_alike_share_a_stored_kernel(self):
+        """Two arms whose spans sit on either side of 2, but whose periods
+        round to one step of the ladder, share one stored kernel matrix:
+        the Fourier sums take their unit from the period."""
+        rng = np.random.default_rng(28)
+        weights = rng.uniform(1.0, 3.0, 400)
+        arms = [np.r_[0.0, np.sort(rng.uniform(0.0, span, 398)), span] + 3.0
+                for span in (1.99, 2.01)]
+        assert _fourier_terms(1.99, CV_GRID) == _fourier_terms(2.01, CV_GRID)
+        density._stored_kernels.cache_clear()
+        for times in arms:
+            _pair_sums(times, weights, CV_GRID)
+        info = density._stored_kernels.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_stored_kernel_equals_a_fresh_build(self):
         """The stored matrix and its square equal, bit for bit, the kernel
@@ -964,3 +1008,44 @@ class TestCvKernelReuse:
         assert [d.value for d in densities] == one_pass
         assert [d.p for d in densities] == list(range(len(ts)))
         assert [d.quantile_time for d in densities] == ts
+
+
+def _normal(values) -> bool:
+    """Whether every value is a normal float: finite, and no smaller in
+    magnitude than the least normal float (so not 0)."""
+    values = np.abs(np.asarray(values, dtype=float))
+    return bool(np.all((values >= np.finfo(float).tiny) & (values <= np.finfo(float).max)))
+
+
+class TestPowerOfTwoEquivariance:
+    """The CV sums run in a power-of-two unit of their own, so times and
+    grid 2^k times larger give exactly 2^-k times the scores and the same
+    pick, on both pair-sum paths, wherever the scaled values are normal
+    floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([30, 500]),  # pairwise and Fourier on the default grid
+        h=st.floats(0.05, 2.0),  # one bandwidth: pairwise at n = 30, Fourier at 500
+        k=st.integers(-1000, 1000),
+    )
+    def test_scores_scale_exactly(self, seed, n, h, k):
+        arm = sample_trial(README_PLAN, n, n, seed).arm1
+        times, weights = _cv_events(*_sorted_rows(arm))
+        assume(times.size >= 2)
+        scores = _cv_scores(times, weights, n, CV_GRID)
+        score = cv_score(arm, h)
+        # the largest value the criterion forms on the way is below
+        # (sum w)^2 / h_min
+        largest = float(weights.sum()) ** 2 / min(h, CV_GRID[0])
+        assume(_normal(np.ldexp(arm.times, k)) and _normal(np.ldexp(CV_GRID, k))
+               and _normal(math.ldexp(h, k)) and _normal(math.ldexp(largest, -k))
+               and _normal(np.ldexp(scores, -k)) and _normal(math.ldexp(score, -k)))
+        scaled = SurvivalSample(np.ldexp(arm.times, k), arm.events)
+        grid = np.ldexp(CV_GRID, k)
+        assert np.array_equal(_cv_scores(np.ldexp(times, k), weights, n, grid),
+                              np.ldexp(scores, -k))
+        assert cv_score(scaled, math.ldexp(h, k)) == math.ldexp(score, -k)
+        assert select_bandwidth_cv(scaled, grid) == math.ldexp(
+            select_bandwidth_cv(arm, CV_GRID), k)
