@@ -318,14 +318,15 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run(plan: SimulationPlan):
+def _run(plan: SimulationPlan, alone: bool):
     """p-values and time shares of all the plan's replicates.
 
     One process runs them all when the plan allows only one, has one
-    block, does not pickle, or another run holds the workers. Otherwise
-    the replicates are split into contiguous spans, the first for the
-    caller and a later one for each worker. When enough workers are
-    running, the split starts at replicate 0. If not, the caller first runs and times the first block,
+    block or does not pickle, or when the run did not start alone: the
+    workers serve one run at a time. Otherwise the replicates are split
+    into contiguous spans, the first for the caller and a later one for
+    each worker. When enough workers are running, the split starts at
+    replicate 0. If not, the caller first runs and times the first block,
     and the rest goes to as many workers as _ready_workers expects to pay.
     A span that raises in a worker, whose worker dies, or whose worker was
     forked before the code the plan runs on changed, runs again here, so a
@@ -335,69 +336,60 @@ def _run(plan: SimulationPlan):
     global _code
     reps, rows = plan.replications, _block_rows(plan)
     processes = min(plan.threads, _usable_cpus(), -(-reps // rows))
-    # the workers serve one run at a time; a concurrent run stays serial
-    if processes == 1 or not _pool_lock.acquire(blocking=False):
+    task, modules = _pickled(plan) if processes > 1 and alone else (None, None)
+    if task is None:
         return _span(plan, 0, reps)
+    forked_before = bool(_workers)
+    p_values, shares = np.empty(reps), np.empty(reps)
+    if len(_workers) >= processes - 1:
+        head, workers = 0, _workers[:processes - 1]
+    else:
+        head = rows
+        p_values[:rows], shares[:rows] = _span(plan, 0, rows)
+        workers = _ready_workers(min(processes - 1, reps - rows - 1),
+                                 rows * shares[0], (reps - rows) / rows)
+    parts = len(workers) + 1
+    edges = [head + (reps - head) * i // parts for i in range(parts + 1)]
+    pending = []
     try:
-        task, modules = _pickled(plan)
-        if task is None:
-            return _span(plan, 0, reps)
-        _claim_workers()
-        forked_before = bool(_workers)
-        p_values, shares = np.empty(reps), np.empty(reps)
-        if len(_workers) >= processes - 1:
-            head, workers = 0, _workers[:processes - 1]
-        else:
-            head = rows
-            p_values[:rows], shares[:rows] = _span(plan, 0, rows)
-            workers = _ready_workers(min(processes - 1, reps - rows - 1),
-                                     rows * shares[0], (reps - rows) / rows)
-        parts = len(workers) + 1
-        edges = [head + (reps - head) * i // parts for i in range(parts + 1)]
-        pending = []
-        try:
-            for worker, first, stop in zip(workers, edges[1:], edges[2:]):
-                pending.append((worker, first, stop))
-                worker.send(task, first, stop - first)
-            p_values[head:edges[1]], shares[head:edges[1]] = _span(plan, head, edges[1] - head)
-            # checked while the workers run: workers forked before the code
-            # changed ran the plan on code it no longer has, so their spans
-            # run again here
-            code = _code_state(modules)
-            if forked_before and not (len(code) == len(_code)
-                                      and all(map(operator.is_, code, _code))):
-                _stop_workers()
-            _code = code
-            while pending:
-                worker, first, stop = pending[0]
-                reply = worker.reply()
-                del pending[0]
-                if reply is None:
-                    reply = _span(plan, first, stop - first)
-                p_values[first:stop], shares[first:stop] = reply
-        finally:
-            # the caller raised or was interrupted: a worker whose reply is
-            # still unread is busy with a span nobody will read
-            for worker, _, _ in pending:
-                worker.stop()
-        return p_values, shares
+        for worker, first, stop in zip(workers, edges[1:], edges[2:]):
+            pending.append((worker, first, stop))
+            worker.send(task, first, stop - first)
+        p_values[head:edges[1]], shares[head:edges[1]] = _span(plan, head, edges[1] - head)
+        # checked while the workers run: workers forked before the code
+        # changed ran the plan on code it no longer has, so their spans
+        # run again here
+        code = _code_state(modules)
+        if forked_before and not (len(code) == len(_code)
+                                  and all(map(operator.is_, code, _code))):
+            _stop_workers()
+        _code = code
+        while pending:
+            worker, first, stop = pending[0]
+            reply = worker.reply()
+            del pending[0]
+            if reply is None:
+                reply = _span(plan, first, stop - first)
+            p_values[first:stop], shares[first:stop] = reply
     finally:
-        _pool_lock.release()
+        # the caller raised or was interrupted: a worker whose reply is
+        # still unread is busy with a span nobody will read
+        for worker, _, _ in pending:
+            worker.stop()
+    return p_values, shares
 
 
 # The workers of this process, forked on the first run that gains from
-# them and kept for later runs. _owner is the pid that forked them: a
-# forked copy of the caller inherits the list but not the workers. _code is
-# the code they were forked with, as _code_state lists it.
+# them and kept for later runs, and the code they were forked with, as
+# _code_state lists it.
 _workers = []
-_owner = None
 _code = ()
 _start_s = None  # the caller's time to fork one worker, as last measured
-_pool_lock = threading.Lock()
 # Runs of empirical_rejection under way in this process, and the lock that
-# guards the count and every fork: a worker is forked only while no other
-# run is under way, and a run that starts during a fork waits for its end,
-# so no thread of this package is inside numpy when a process is copied.
+# guards the count and every fork: only a run that starts alone uses the
+# workers, a worker is forked only while no other run is under way, and a
+# run that starts during a fork waits for its end, so no thread of this
+# package is inside numpy when a process is copied.
 _runs = 0
 _runs_lock = threading.Lock()
 _PACKAGE = __name__.rpartition(".")[0] + "."  # this package's modules start so
@@ -459,16 +451,6 @@ def _code_state(modules) -> list:
                             if isinstance(attr, types.FunctionType):
                                 state.append(attr.__code__)
     return state
-
-
-def _claim_workers():
-    """Forget workers inherited from the process this one was forked from."""
-    global _owner
-    if _owner != os.getpid():
-        for worker in _workers:
-            worker.close()
-        _workers.clear()
-        _owner = os.getpid()
 
 
 def _ready_workers(most: int, block_s: float, blocks_left: float) -> list:
@@ -535,12 +517,11 @@ class _Worker:
             return None
 
     def close(self):
-        """Drop this process's ends of the worker's pipes."""
-        for pipe in (self.tasks, self.results):
-            try:
-                pipe.close()
-            except OSError:
-                pass
+        """Drop this process's ends of the worker's pipes. The raw files
+        close, so no buffer is flushed or locked: in a forked copy, another
+        thread of the parent may have held a buffer's lock at the fork."""
+        self.tasks.raw.close()
+        self.results.raw.close()
 
     def stop(self):
         """End the worker, whatever it is doing, and reap it."""
@@ -565,9 +546,6 @@ def _serve(task_r, task_w, result_r, result_w):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         os.close(task_w)
         os.close(result_r)
-        for other in _workers:  # so each worker sees its own pipe close
-            os.close(other.tasks.fileno())
-            os.close(other.results.fileno())
         with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
             while True:
                 try:
@@ -586,9 +564,24 @@ def _serve(task_r, task_w, result_r, result_w):
 
 @atexit.register
 def _stop_workers():
-    if _owner == os.getpid():
-        for worker in list(_workers):
-            worker.stop()
+    for worker in list(_workers):
+        worker.stop()
+
+
+def _forget_workers():
+    """In a process forked from this one, a worker included: the workers
+    and runs are the parent's, and a thread that held _runs_lock at the
+    fork is not copied. So the copy closes its ends of the workers' pipes,
+    and each worker sees its own close when its caller leaves."""
+    global _runs, _runs_lock
+    for worker in _workers:
+        worker.close()
+    _workers.clear()
+    _runs, _runs_lock = 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
@@ -597,10 +590,11 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
     started = time.perf_counter()
     with _runs_lock:
         _runs += 1
+        alone = _runs == 1
     try:
         # before any replicate: a plan without a formula power fails at once
         formula_power = _formula_power(plan)
-        p_values, shares = _run(plan)
+        p_values, shares = _run(plan, alone)
     finally:
         with _runs_lock:
             _runs -= 1

@@ -4,9 +4,11 @@ import ast
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -942,6 +944,17 @@ def plan_scenario(tmp_path_factory):
     return str(path)
 
 
+def ended(pid):
+    """Whether the process pid has exited: it is gone, or it is an orphan
+    left unreaped, since not every init reaps the orphans it adopts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    with open(f"/proc/{pid}/stat") as stat:
+        return stat.read().rpartition(")")[2].split()[0] == "Z"
+
+
 class TestStartUpImports:
     """scipy stays off the start-up path: importing survquant, or its CLI,
     or running a whole `test`, loads no scipy module; `power`, `samplesize`
@@ -1016,6 +1029,41 @@ class TestStartUpImports:
         for pid in started:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @pytest.mark.skipif(simulate._usable_cpus() < 2, reason="one usable CPU")
+    def test_workers_end_with_a_killed_caller_despite_a_forked_copy(self, tmp_path):
+        """A pooled run forks a copy of its process that sleeps, then the
+        caller leaves without its exit handlers, as if killed. The copy
+        holds no end of the worker's pipes, so the worker sees its task pipe
+        close and leaves while the copy lives on."""
+        pids = tmp_path / "pids"
+        code = (
+            "import os, time, survquant, survquant.simulate as simulate\n"
+            "simulate._start_s = 0.0\n"
+            "plan = survquant.SimulationPlan(survquant.scenario_from_delta(1.5, 0.5, 0.1), "
+            "30, (0.5,), 60, threads=2)\n"
+            "survquant.empirical_rejection(plan)\n"
+            "(worker,) = simulate._workers\n"
+            "copy = os.fork()\n"
+            "if copy == 0:\n"
+            "    time.sleep(60)\n"
+            "    os._exit(0)\n"
+            f"open({str(pids)!r}, 'w').write(repr([worker.pid, copy]))\n"
+            "os._exit(0)\n"
+        )
+        package_root = str(Path(survquant.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
+                       env={**os.environ, "PYTHONPATH": package_root},
+                       stdout=subprocess.DEVNULL)
+        worker, copy = ast.literal_eval(pids.read_text())
+        try:
+            deadline = time.monotonic() + 2
+            while not ended(worker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert ended(worker)
+            assert not ended(copy)
+        finally:
+            os.kill(copy, signal.SIGKILL)
 
     def test_ufunc_names(self):
         assert UFUNC_NAMES == ["chndtr", "chndtrinc", "gammainc", "gammaincinv", "ndtr", "ndtri"]

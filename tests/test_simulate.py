@@ -7,6 +7,7 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -641,6 +642,35 @@ def pooled_run(plan):
     return empirical_rejection(plan).p_values
 
 
+def exit_code(pid, seconds=10):
+    """The exit code of the child pid, or None when it has not ended within
+    seconds: then it is killed, as one that deadlocked would never end."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return None
+
+
+def held_span(monkeypatch, held_plan):
+    """Make held_plan's runs wait in their first span until the returned
+    release event is set; entered is set once one is waiting."""
+    entered, release, run = threading.Event(), threading.Event(), simulate._span
+
+    def held(plan, first, count):
+        if plan is held_plan and first == 0:
+            entered.set()
+            release.wait(60)
+        return run(plan, first, count)
+
+    monkeypatch.setattr(simulate, "_span", held)
+    return entered, release
+
+
 class TestWorkers:
     """threads > 1 runs later spans of replicates on forked workers; no
     p-value byte depends on which process ran it."""
@@ -856,6 +886,124 @@ class TestWorkers:
             assert results["other"].tobytes() == serial[id(other)].tobytes()
             assert pooled_run(pooled).tobytes() == serial[id(pooled)].tobytes()
             assert len(simulate._workers) == 1
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_runs_started_together_share_no_worker(self, fresh_pool, monkeypatch, warm):
+        """Of two pooled runs under way at once, only the one that started
+        alone uses the workers, already running or forked for it; the other
+        runs on its own thread and forks nothing."""
+        first, second = small_plan(replications=12, threads=2), small_plan(
+            replications=12, threads=2, master_seed=8)
+        serial = [empirical_rejection(dataclasses.replace(p, threads=1)).p_values
+                  for p in (first, second)]
+        results = {}
+        thread = threading.Thread(target=lambda: results.update(first=pooled_run(first)))
+        entered, release = held_span(monkeypatch, first)
+        with forced_pool():
+            if warm:
+                pooled_run(second)
+            workers = list(simulate._workers)
+            thread.start()
+            try:
+                assert entered.wait(60)
+                assert pooled_run(second).tobytes() == serial[1].tobytes()
+                assert simulate._workers == workers
+            finally:
+                release.set()
+                thread.join(60)
+            assert results["first"].tobytes() == serial[0].tobytes()
+            assert len(simulate._workers) == 1
+
+    def test_fork_while_another_thread_holds_the_run_lock(self, fresh_pool):
+        """A thread that held _runs_lock at a fork is not in the copy, so the
+        copy's runs take a lock of their own instead of waiting for it."""
+        plan = small_plan(replications=3)
+        serial = empirical_rejection(plan).p_values
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with simulate._runs_lock:
+                held.set()
+                release.wait(60)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert held.wait(60)
+            pid = os.fork()
+            if pid == 0:
+                ok = False
+                try:
+                    ok = empirical_rejection(plan).p_values.tobytes() == serial.tobytes()
+                finally:
+                    os._exit(0 if ok else 1)
+        finally:
+            release.set()
+            thread.join(60)
+        assert exit_code(pid) == 0
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_fork_while_a_run_waits_for_its_worker(self, fresh_pool, monkeypatch):
+        """A run waiting for a worker's reply holds the lock of that pipe's
+        buffer. A copy forked meanwhile closes its end of the pipe without
+        the lock, which no thread of the copy would ever release."""
+        plan = small_plan(replications=12, threads=2)
+        serial = empirical_rejection(plan).p_values
+        caller, run, reply = os.getpid(), simulate._span, simulate._Worker.reply
+        waiting, results = threading.Event(), {}
+
+        def slow(plan, first, count):
+            if os.getpid() != caller:
+                time.sleep(1)
+            return run(plan, first, count)
+
+        def waited(worker):
+            waiting.set()
+            return reply(worker)
+
+        monkeypatch.setattr(simulate, "_span", slow)
+        monkeypatch.setattr(simulate._Worker, "reply", waited)
+        thread = threading.Thread(target=lambda: results.update(p=pooled_run(plan)))
+        with forced_pool():
+            thread.start()
+            try:
+                assert waiting.wait(60)
+                time.sleep(0.2)  # into the read
+                pid = os.fork()
+                if pid == 0:
+                    os._exit(0)
+            finally:
+                thread.join(60)
+            assert exit_code(pid) == 0
+        assert results["p"].tobytes() == serial.tobytes()
+
+    @pytest.mark.skipif(NPROC < 2, reason="one usable CPU")
+    def test_fork_while_another_run_is_under_way(self, fresh_pool, monkeypatch):
+        """A copy forked while another thread's run is under way runs
+        without that thread, so its own pooled run starts alone and forks
+        a worker."""
+        pooled, other = small_plan(replications=12, threads=2), small_plan(master_seed=8)
+        serial = empirical_rejection(dataclasses.replace(pooled, threads=1)).p_values
+        entered, release = held_span(monkeypatch, other)
+        thread = threading.Thread(target=empirical_rejection, args=(other,))
+        with forced_pool():
+            thread.start()
+            try:
+                assert entered.wait(60)
+                pid = os.fork()
+                if pid == 0:
+                    ok = False
+                    try:
+                        ok = (pooled_run(pooled).tobytes() == serial.tobytes()
+                              and len(simulate._workers) == 1)
+                        simulate._stop_workers()
+                    finally:
+                        os._exit(0 if ok else 1)
+            finally:
+                release.set()
+                thread.join(60)
+        assert exit_code(pid) == 0
 
 
 DELAYED_PLAN = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
