@@ -7,6 +7,10 @@ Subcommands:
   samplesize  minimum per-group n reaching target powers
   simulate    Monte Carlo rejection rate under a scenario
 
+power, samplesize and simulate plan one quantile or, from a comma list --p
+or p_list, several jointly, through scenarios._plan_design and
+_planned_power; a joint row joins its probabilities and deltas with ';'.
+
 Every output embeds a run manifest: the resolved configuration, seeds, the
 tuning values actually used, and the package version, so a result can be
 reproduced from the output alone. JSON (--json) is the canonical machine
@@ -282,19 +286,6 @@ def _scenario_summary(config, scenario) -> dict:
     return summary
 
 
-def _planning_config(args, delta):
-    """The ScenarioConfig of power or samplesize, which plan one quantile p."""
-    from .scenarios import ScenarioConfig
-
-    values = _scenario_values(args.scenario, None if args.p is None else [args.p], delta)
-    if "p" not in values:
-        if "p_list" in values:
-            raise ValidationError(f"{args.subcommand} plans one quantile, so it reads "
-                                  "no p_list (only simulate does): give --p or config p=")
-        raise ValidationError("a quantile probability is required (--p or config p=)")
-    return ScenarioConfig(**values)
-
-
 # ---------------------------------------------------------------------------
 # tuning resolution
 
@@ -407,27 +398,27 @@ def cmd_test(args) -> int:
     return 0
 
 
-def cmd_power(args) -> int:
-    from .power import PowerSpec, power_univariate
-    from .scenarios import resolve_scenario, scenario_sigma2
+def _joined(values) -> str:
+    """Several probabilities or deltas in one cell, as simulate prints them."""
+    return ";".join(_cell(v) for v in values)
 
-    config = _planning_config(args, args.delta[0])
-    p = config.p
+
+def cmd_power(args) -> int:
+    from .scenarios import ScenarioConfig, _plan_design, _planned_power, resolve_scenario
+
+    config = ScenarioConfig(**_scenario_values(args.scenario, args.p, args.delta[0]))
+    ps = config.probabilities
     rows = []
     for delta in args.delta:
         scenario = resolve_scenario(replace(config, delta=delta))
-        sigma2, _ = scenario_sigma2(scenario, p)
-        for n in args.n:
-            spec = PowerSpec(
-                alpha=args.alpha, deltas=delta, sigma=math.sqrt(sigma2),
-                per_group_n=n,
-            )
-            rows.append([p, delta, n, power_univariate(spec)])
+        deltas = _plan_design(scenario, ps, delta)["deltas"]
+        shown = [ps[0], delta] if len(ps) == 1 else [_joined(ps), _joined(deltas)]
+        rows += [[*shown, n, _planned_power(scenario, ps, delta, n, args.alpha)] for n in args.n]
     scenario_manifest = _scenario_summary(config, scenario)
     scenario_manifest.pop("lambda_b", None)  # varies with delta
     config_out = {
         "scenario": scenario_manifest,
-        "p": p,
+        "p": ps[0] if len(ps) == 1 else list(ps),
         "deltas": list(args.delta),
         "n_per_group": list(args.n),
         "alpha": args.alpha,
@@ -440,25 +431,22 @@ def cmd_power(args) -> int:
 
 def cmd_samplesize(args) -> int:
     from .power import min_sample_size
-    from .scenarios import resolve_scenario, scenario_sigma2
+    from .scenarios import ScenarioConfig, _plan_design, resolve_scenario
 
-    config = _planning_config(args, args.delta)
-    p = config.p
+    config = ScenarioConfig(**_scenario_values(args.scenario, args.p, args.delta))
+    ps = config.probabilities
     scenario = resolve_scenario(config)
-    sigma2, _ = scenario_sigma2(scenario, p)
-    delta = scenario.quantile_difference(p) if args.delta is None else args.delta
+    design = _plan_design(scenario, ps, args.delta)
     rows = []
     for target in args.power:
-        result = min_sample_size(
-            target, delta, sigma=math.sqrt(sigma2), alpha=args.alpha
-        )
+        result = min_sample_size(target, alpha=args.alpha, **design)
         rows.append([
             target, result.per_group_n, result.total_n, result.achieved_power,
         ])
     config_out = {
         "scenario": _scenario_summary(config, scenario),
-        "p": p,
-        "delta": delta,
+        "p": ps[0] if len(ps) == 1 else list(ps),
+        "delta": design["deltas"],
         "targets": list(args.power),
         "alpha": args.alpha,
     }
@@ -515,8 +503,7 @@ def cmd_simulate(args) -> int:
         "replications", "flags",
     ]
     row = [
-        ";".join(_cell(p) for p in probabilities),
-        ";".join(_cell(d) for d in deltas),
+        _joined(probabilities), _joined(deltas),
         report.rate, report.mc_se, report.formula_power, report.n_failures,
         report.n_used, report.replications, ";".join(report.flags),
     ]
@@ -564,6 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of the table or CSV")
     planning = argparse.ArgumentParser(add_help=False)
     planning.add_argument("--scenario", required=True, help="key=value scenario config file")
+    planning.add_argument("--p", type=_float_list, default=None,
+                          help="quantile probability, or comma list for the joint plan "
+                               "(overrides the file's p or p_list)")
     density = argparse.ArgumentParser(add_help=False)
     density.add_argument("--method", choices=("ls", "kde"), default="ls")
     density.add_argument("--sigma-eps", default=None,
@@ -586,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     power = sub.add_parser("power", parents=[planning, output],
                            help="closed-form power over a (delta, n) grid")
-    power.add_argument("--p", type=float, default=None)
     power.add_argument("--delta", type=_float_list, required=True,
                        help="comma list of quantile differences")
     power.add_argument("--n", type=_int_list, required=True,
@@ -595,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     size = sub.add_parser("samplesize", parents=[planning, output],
                           help="minimum per-group n for target powers")
-    size.add_argument("--p", type=float, default=None)
     size.add_argument("--delta", type=float, default=None,
                       help="quantile difference (falls back to the scenario's)")
     size.add_argument("--power", type=_float_list, required=True,
@@ -606,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="empirical rejection rate by Monte Carlo")
     sim.add_argument("--n", type=int, required=True, help="per-group sample size")
     sim.add_argument("--reps", type=int, required=True, help="number of replicates")
-    sim.add_argument("--p", type=_float_list, default=None,
-                     help="quantile probability or comma list (joint test)")
     sim.add_argument("--delta", type=float, default=None,
                      help="override the scenario's quantile difference")
     sim.add_argument("--seed", type=int, default=None,

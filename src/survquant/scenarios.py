@@ -19,9 +19,13 @@ Proportional-hazards planning ("scenario 1") solves for a constant
 comparator rate shifting the p-quantile by delta; the delayed-effect
 variant ("scenario 2") keeps the control hazard until t_cut and solves for
 the late rate that produces the same quantile shift.
+
+_plan_design and _planned_power are the one planning route of power,
+samplesize and simulate, at one quantile (sigma) and jointly (Psi).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import (InfeasibleDeltaError, ValidationError, _check_finite, _check_non_negative,
                      _check_open_unit, _check_positive, _probabilities)
-from .power import upsilon
+from .power import PowerSpec, power_multivariate, power_univariate, upsilon
 
 
 def exp_quantile(rate: float, p: float) -> float:
@@ -456,3 +460,31 @@ def resolve_scenario(config: ScenarioConfig) -> TrialScenario:
         )
     return _two_arms(config.lambda_a, config.lambda_b, config.t_cut, censoring_rate,
                      config.mu1)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _plan_design(scenario: TrialScenario, probabilities: tuple, delta=None) -> dict:
+    """The keyword arguments of PowerSpec and min_sample_size: deltas and
+    sigma at one probability, where the deltas are delta or else the
+    scenario's quantile difference, and at several the scenario's
+    differences and psi. The 8 latest designs are kept, shared: do not
+    change them."""
+    psi = scenario_psi(scenario, probabilities)
+    if len(probabilities) == 1:
+        if delta is None:
+            delta = scenario.quantile_difference(probabilities[0])
+        return {"deltas": delta, "sigma": math.sqrt(psi[0, 0])}
+    psi.setflags(write=False)
+    return {"deltas": tuple(scenario.quantile_difference(p) for p in probabilities), "psi": psi}
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _planned_power(scenario: TrialScenario, probabilities: tuple, delta, per_group_n,
+                   alpha) -> float:
+    """The power of _plan_design's design at per_group_n per arm and level
+    alpha, univariate with sigma and joint with psi. A study reruns a design
+    under new seeds, so the 8 latest powers are kept; errors are not, so a
+    design without a power formula raises on every call."""
+    design = _plan_design(scenario, probabilities, delta)
+    spec = PowerSpec(alpha=alpha, per_group_n=per_group_n, **design)
+    return power_univariate(spec) if "sigma" in design else power_multivariate(spec)

@@ -19,7 +19,6 @@ fails before any replicate runs.
 from __future__ import annotations
 
 import atexit
-import functools
 import io
 import math
 import operator
@@ -37,14 +36,13 @@ import numpy as np
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
 from .errors import (DEFAULT_SIM_SIGMA_EPS, SingularCovarianceError, TooFewEventsError,
                      ValidationError, _check_open_unit, _probabilities, _whole_count)
-from .power import PowerSpec, power_multivariate, power_univariate
 from .quantile_tests import (
     _default_tuning,
     _joint_statistic,
     _psi_hat,
     _univariate_statistic,
 )
-from .scenarios import TrialScenario, scenario_psi
+from .scenarios import TrialScenario, _planned_power
 from .survival import (
     SurvivalSample,
     TwoArmData,
@@ -165,26 +163,6 @@ def _observe(scenario: TrialScenario, arm, event_u, censor_u):
     else:
         censor = -np.log1p(-censor_u) / scenario.censoring_rate
     return np.minimum(events, censor), events <= censor
-
-
-def _formula_power(plan: SimulationPlan) -> float:
-    """The power the planning formula gives the plan's design at its alpha:
-    univariate at one probability, joint at several. It depends only on
-    (scenario, probabilities, 2n, alpha), not on the seed, so studies that
-    rerun a design under new seeds compute it once: the 8 latest designs
-    are kept. Errors are not kept, so a design without a formula power
-    raises on every call."""
-    return _design_power(plan.scenario, plan.probabilities, 2 * plan.n_per_group, plan.alpha)
-
-
-@functools.lru_cache(maxsize=8, typed=True)
-def _design_power(scenario: TrialScenario, ps: tuple, total: int, alpha) -> float:
-    deltas = [scenario.quantile_difference(p) for p in ps]
-    psi = scenario_psi(scenario, ps)
-    if len(ps) == 1:
-        return power_univariate(PowerSpec(alpha=alpha, deltas=deltas[0],
-                                          sigma=math.sqrt(psi[0, 0]), total_n=total))
-    return power_multivariate(PowerSpec(alpha=alpha, deltas=deltas, psi=psi, total_n=total))
 
 
 def _block_rows(plan: SimulationPlan) -> int:
@@ -593,7 +571,8 @@ def empirical_rejection(plan: SimulationPlan) -> RejectionReport:
         alone = _runs == 1
     try:
         # before any replicate: a plan without a formula power fails at once
-        formula_power = _formula_power(plan)
+        formula_power = _planned_power(plan.scenario, plan.probabilities, None,
+                                       plan.n_per_group, plan.alpha)
         p_values, shares = _run(plan, alone)
     finally:
         with _runs_lock:

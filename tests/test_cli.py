@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import survquant
-from survquant import sample_trial, scenario_from_delta, simulate
+from survquant import (PowerSpec, min_sample_size, power_multivariate, sample_trial,
+                       scenario_from_delta, scenario_psi, simulate)
 from survquant.cli import build_parser, main, read_dataset
 from survquant.errors import DatasetFormatError, ValidationError
 
@@ -888,23 +889,25 @@ class TestCmdPower:
             capsys, "power", "--scenario", str(cfg), "--delta", "0.1", "--n", "100"
         )
         assert code == 2
-        assert "quantile probability is required" in err
+        assert err == "error: give exactly one of p or p_list\n"
 
     @pytest.mark.parametrize("command,argv", [
         ("power", ["--delta", "0.1", "--n", "100"]),
         ("samplesize", ["--power", "0.8"]),
     ])
-    def test_p_list_needs_one_p(self, tmp_path, capsys, command, argv):
-        """Both commands plan one quantile: a file with only p_list asks
-        for --p or p=, and --p plans at that quantile."""
+    def test_p_list_plans_jointly(self, tmp_path, capsys, command, argv):
+        """A file with only p_list plans jointly, and --p 0.5 plans at that
+        one quantile, with the bytes of p = 0.5 in the file."""
         cfg = tmp_path / "s.cfg"
         cfg.write_text("lambda_a = 1.5\ndelta = 0.1\np_list = 0.25, 0.5, 0.75\n")
-        code, out, err = run_cli(capsys, command, "--scenario", str(cfg), *argv)
-        assert (code, out) == (2, "")
-        assert err == (f"error: {command} plans one quantile, so it reads no p_list "
-                       "(only simulate does): give --p or config p=\n")
-        code, _, err = run_cli(capsys, command, "--scenario", str(cfg), "--p", "0.5", *argv)
+        code, out, err = run_cli(capsys, command, "--scenario", str(cfg), *argv, "--json", "-")
         assert (code, err) == (0, "")
+        assert json.loads(out)["manifest"]["config"]["p"] == [0.25, 0.5, 0.75]
+        single = tmp_path / "p.cfg"
+        single.write_text("lambda_a = 1.5\ndelta = 0.1\np = 0.5\n")
+        flag = run_cli(capsys, command, "--scenario", str(cfg), "--p", "0.5", *argv)
+        assert flag[0] == 0
+        assert flag == run_cli(capsys, command, "--scenario", str(single), *argv)
 
     def test_infeasible_delta(self, scenario_file, capsys):
         # the median of the control arm is about 0.46, so a shift of 0.5
@@ -990,6 +993,88 @@ class TestCmdSamplesize:
         )
         assert code == 2
         assert "target power" in err
+
+
+class TestOnePlanningRoute:
+    """power, samplesize and simulate plan several quantiles through one
+    route. A joint power row is power_multivariate on the scenario's Psi
+    and quantile differences, bit for bit, and equals simulate's formula
+    column for the same file, --delta and n; a joint sample size is
+    min_sample_size on the same design, its certificate included; a
+    saturated phi exits 3 from all three commands."""
+
+    FORMS = {"proportional": (SCENARIO_TEXT, None), "delayed": (SCENARIO_DELAYED, 0.2)}
+
+    @classmethod
+    def design(cls, form, ps, delta):
+        """The scenario's quantile differences and Psi, delta at ps[0]."""
+        scenario = scenario_from_delta(1.5, ps[0], delta, t_cut=cls.FORMS[form][1],
+                                       censoring_rate=0.48)
+        return [scenario.quantile_difference(p) for p in ps], scenario_psi(scenario, ps)
+
+    @pytest.fixture(params=sorted(FORMS))
+    def form(self, request, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(self.FORMS[request.param][0])
+        return request.param, str(path)
+
+    @pytest.mark.parametrize("ps", [(0.5, 0.75), (0.5, 0.75, 0.9)], ids=["J2", "J3"])
+    def test_power_row_is_the_joint_formula(self, capsys, form, ps):
+        form, path = form
+        flag = ",".join(map(str, ps))
+        code, out, err = run_cli(capsys, "power", "--scenario", path, "--p", flag,
+                                 "--delta", "0.1,0.2", "--n", "50,400", "--json", "-")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["results"]
+        assert len(rows) == 4
+        for row, (delta, n) in zip(rows, [(d, n) for d in (0.1, 0.2) for n in (50, 400)]):
+            deltas, psi = self.design(form, ps, delta)
+            expected = power_multivariate(PowerSpec(alpha=0.05, deltas=deltas, psi=psi,
+                                                    per_group_n=n))
+            assert row == {"p": ";".join(map(repr, ps)), "delta": ";".join(map(repr, deltas)),
+                           "n_per_group": n, "power": expected}
+            code, out, _ = run_cli(capsys, "simulate", "--scenario", path, "--p", flag,
+                                   "--delta", str(delta), "--n", str(n), "--reps", "1",
+                                   "--seed", "0", "--json", "-")
+            assert code == 0
+            assert json.loads(out)["results"][0]["formula"] == expected
+
+    @pytest.mark.parametrize("ps", [(0.5, 0.75), (0.5, 0.75, 0.9)], ids=["J2", "J3"])
+    def test_samplesize_is_min_sample_size(self, capsys, form, ps):
+        form, path = form
+        flag = ",".join(map(str, ps))
+        code, out, err = run_cli(capsys, "samplesize", "--scenario", path, "--p", flag,
+                                 "--power", "0.8,0.9", "--json", "-")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        deltas, psi = self.design(form, ps, 0.1)
+        assert payload["manifest"]["config"]["delta"] == deltas
+        for row, target in zip(payload["results"], (0.8, 0.9)):
+            result = min_sample_size(target, deltas, psi=psi)
+            assert row == {"target_power": target, "per_group_n": result.per_group_n,
+                           "total_n": result.total_n, "achieved_power": result.achieved_power}
+            # the certificate: power's joint rows at n - 1 and n straddle the target
+            n = result.per_group_n
+            code, out, _ = run_cli(capsys, "power", "--scenario", path, "--p", flag,
+                                   "--delta", "0.1", "--n", f"{n - 1},{n}", "--json", "-")
+            below, at = [r["power"] for r in json.loads(out)["results"]]
+            assert (below, at) == (result.power_at_n_minus_1, result.achieved_power)
+            assert below < target <= at
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--delta", "0.5", "--n", "100"],
+        ["samplesize", "--power", "0.8"],
+        ["simulate", "--n", "50", "--reps", "5", "--seed", "1"],
+    ], ids=["power", "samplesize", "simulate"])
+    def test_saturated_phi_exits_3(self, tmp_path, capsys, argv):
+        """The control quantile at p = 0.95 lies at t = 30, where phi
+        saturates to inf: the joint plan's Psi has no noncentrality."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("lambda_a = 0.1\nlambda_cens = 50\ndelta = 0.5\np_list = 0.95, 0.5\n")
+        code, out, err = run_cli(capsys, argv[0], "--scenario", str(cfg), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == ("error: psi has an inf or nan entry (a saturated variance factor "
+                       "phi), so the power formula has no noncentrality\n")
 
 
 class TestCmdSimulate:
@@ -1433,13 +1518,13 @@ FLAGS = {
     "power": {
         "--delta": (["0.1", "0.1,0.3"], ["0", "1e-300", "-0.2", "1e300"]),
         "--n": (["100", "10,1000"], ["0", "1", "1000000000000"]),
-        "--p": ([[], "0.5"], ["0.9", "1e-9"]),
+        "--p": ([[], "0.5", "0.25,0.5,0.75"], ["0.9", "1e-9", "0.5,0.5"]),
         "--alpha": ([[]], ["1e-300", "0.999999"]),
     },
     "samplesize": {
         "--power": (["0.8", "0.8,0.9"], ["0.05", "1", "0.999999"]),
         "--delta": ([[], "0.1"], ["0", "1e-12", "-0.5", "1e300"]),
-        "--p": ([[], "0.5"], ["0.9"]),
+        "--p": ([[], "0.5", "0.25,0.5,0.75"], ["0.9", "0.5,0.5"]),
     },
     "simulate": {
         "--n": (["5", "25"], ["1", "2"]),

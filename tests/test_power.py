@@ -983,9 +983,12 @@ class TestStartUpImports:
     @pytest.mark.parametrize("argv", [
         ["power", "--delta", "0.1,0.2", "--n", "50,100"],
         ["samplesize", "--power", "0.8,0.9"],
+        ["power", "--p", "0.5,0.75", "--delta", "0.1,0.2", "--n", "50,100"],
+        ["samplesize", "--p", "0.5,0.75", "--power", "0.8,0.9"],
         ["simulate", "--n", "200", "--reps", "20", "--seed", "1", "--p", "0.5,0.75"],
         ["simulate", "--n", "200", "--reps", "5", "--seed", "1", "--method", "kde"],
-    ], ids=["power", "samplesize", "simulate-ls", "simulate-kde"])
+    ], ids=["power", "samplesize", "power-joint", "samplesize-joint", "simulate-ls",
+            "simulate-kde"])
     def test_planning_command_loads_only_the_ufuncs(self, plan_scenario, argv):
         modules = set(ast.literal_eval(
             scipy_modules_after(run_main(*argv, "--scenario", plan_scenario))
@@ -1104,7 +1107,9 @@ class TestStartUpImports:
     @pytest.mark.parametrize("argv", [
         ["power", "--delta", "0.1,0.2", "--n", "50,100"],
         ["samplesize", "--power", "0.8,0.9"],
-    ], ids=["power", "samplesize"])
+        ["power", "--p", "0.5,0.75", "--delta", "0.1,0.2", "--n", "50,100"],
+        ["samplesize", "--p", "0.5,0.75", "--power", "0.8,0.9"],
+    ], ids=["power", "samplesize", "power-joint", "samplesize-joint"])
     def test_planning_command_loads_no_test_module(self, plan_scenario, argv):
         modules = ast.literal_eval(scipy_modules_after(
             run_main(*argv, "--scenario", plan_scenario), ("survquant",)))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import survquant.scenarios as scenarios
 import survquant.simulate as simulate
 from survquant import (
     DegenerateTailError,
@@ -1102,22 +1103,29 @@ class TestFormulaPowerMemo:
         for alpha in (0.05, 0.01)
     ]
 
+    @staticmethod
+    def formula_power(plan):
+        """The formula power as empirical_rejection asks the planning route."""
+        return scenarios._planned_power(plan.scenario, plan.probabilities, None,
+                                        plan.n_per_group, plan.alpha)
+
     def test_warm_equals_cold(self):
         cold = []
         for plan in self.PLANS:
-            simulate._design_power.cache_clear()
-            cold.append(simulate._formula_power(plan))
+            scenarios._plan_design.cache_clear()
+            scenarios._planned_power.cache_clear()
+            cold.append(self.formula_power(plan))
         assert len(set(cold)) == len(cold)  # every part of the design matters
         for _ in range(2):
-            assert [simulate._formula_power(plan) for plan in self.PLANS] == cold
-            assert [simulate._formula_power(plan) for plan in self.PLANS[::-1]] == cold[::-1]
-        assert simulate._design_power.cache_info().currsize == 8
+            assert [self.formula_power(plan) for plan in self.PLANS] == cold
+            assert [self.formula_power(plan) for plan in self.PLANS[::-1]] == cold[::-1]
+        assert scenarios._planned_power.cache_info().currsize == 8
 
     def test_error_raises_on_every_call(self):
         scenario = TrialScenario(ExponentialArm(1.5), ExponentialArm(2.0), censoring_rate=4.0)
         plan = small_plan(scenario=scenario, n_per_group=500, probabilities=(1e-12, 0.5))
-        simulate._design_power.cache_clear()
+        scenarios._planned_power.cache_clear()
         for _ in range(2):
             with pytest.raises(SingularCovarianceError, match="psi must be positive definite"):
-                simulate._formula_power(plan)
-        assert simulate._design_power.cache_info().currsize == 0
+                self.formula_power(plan)
+        assert scenarios._planned_power.cache_info().currsize == 0
