@@ -33,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -535,8 +536,22 @@ _float_list = _list_of(float, "number")
 _int_list = _list_of(int, "integer")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes an argument starting with a minus and a
+    digit, or a minus, a point and a digit, for a value, such as "-0.2,0.1"
+    or "-1e-1" after --delta. Python 3.11's argparse takes only plain
+    numbers such as "-2" and "-0.2" so, and any other such argument for an
+    unknown option. No option here starts so. Subparsers are of this class
+    too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a private attribute; TestParser checks that it still takes effect
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="survquant",
         description="Two-sample tests and design for survival quantiles under right censoring.",
     )

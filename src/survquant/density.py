@@ -135,15 +135,17 @@ class DensityAtQuantile:
 
     def clamped(self) -> float:
         """The value as used in variance denominators: positive, floored."""
-        return _clamp(self.value)
+        return float(_clamp(self.value))
 
 
 # The least density a variance denominator takes (the clamped-density flag).
 DENSITY_FLOOR = 1e-8
 
 
-def _clamp(value: float) -> float:
-    return value if value > DENSITY_FLOOR else DENSITY_FLOOR
+def _clamp(values):
+    """The values, elementwise, as variance denominators take them: those
+    not above DENSITY_FLOOR, nan included, become the floor."""
+    return np.where(values > DENSITY_FLOOR, values, DENSITY_FLOOR)
 
 
 # --------------------------------------------------------------------- LS --
@@ -174,21 +176,27 @@ def _ls_slopes(steps, survival, n: int, p, t0, eps):
         )
     root_n = math.sqrt(n)
     padded = np.concatenate((np.ones(survival.shape[:-1] + (1,)), survival), axis=-1)
-    # y is a step function of the probe as well: its value past each step
+    # y is a step function of the probe as well: its value past each step,
+    # once per curve and probability
     y_steps = root_n * ((1.0 - padded[..., None, :]) - np.asarray(p)[..., None])
     sets = np.broadcast_shapes(steps.shape[:-1] + (1,), np.shape(t0), np.shape(p),
                                eps.shape[:-1])
+    curves, k = sets[:-1], sets[-1]
     shape = sets + eps.shape[-1:]
     t0 = np.broadcast_to(t0, sets)
-    steps = np.broadcast_to(steps, sets[:-1] + steps.shape[-1:])
+    steps = np.broadcast_to(steps, curves + steps.shape[-1:])
     y_steps = np.broadcast_to(y_steps, sets + padded.shape[-1:])
     eps, scaled = np.broadcast_to(eps, shape), np.broadcast_to(eps / root_n, shape)
-    numerators = np.empty(sets)
-    for index in np.ndindex(sets):
-        y = y_steps[index][
-            np.searchsorted(steps[index[:-1]], t0[index] + scaled[index], side="right")
-        ]
-        numerators[index] = np.add.reduce(eps[index] * y)
+    # each curve's views are taken once, and each set sums its own 1-D
+    # terms: one sum over a stack of sets would not stay in cache
+    numerators = []
+    for curve in np.ndindex(curves):
+        row, ys, starts = steps[curve], y_steps[curve], t0[curve].tolist()
+        draws, offsets = eps[curve], scaled[curve]
+        for i in range(k):
+            y = ys[i][row.searchsorted(starts[i] + offsets[i], side="right")]
+            numerators.append(np.add.reduce(np.multiply(draws[i], y, out=y)))
+    numerators = np.array(numerators).reshape(sets)
     zero = numerators == 0.0
     # +0.0 for a zero numerator, also a -0.0 one
     return np.where(zero, 0.0, numerators / denominators), zero

@@ -20,12 +20,16 @@ sample size) are scipy ufuncs, imported on first use by _special(). It loads
 only their compiled module, scipy.special._ufuncs, without running
 scipy/special/__init__.py, whose array-API layer costs a fresh process about
 0.25 s more; the ufuncs are the same objects that a later import scipy.special
-hands out. The quantile tests, which use upsilon and _wald_form from this
-module, compute their own tails without scipy.
+hands out. The quantile tests, which use upsilon, through _upsilons, its
+stacked form, and _wald_form from this module, compute their own tails
+without scipy.
 
 The noncentrality's Wald form, _wald_form, calls the LAPACK gufuncs behind
 numpy.linalg's eigvalsh, cholesky and solve directly: the same bits, without
 the wrappers' checks, which cost more than the LAPACK work on a small psi.
+It takes one psi or a stack of them, as the simulation engine passes a
+block's Psi_hat; planning keeps the scalar upsilon, which is faster than
+_upsilons on the one design a plan evaluates.
 
 A plan evaluates many sample sizes and target powers on one design, so the
 planning work whose inputs repeat is remembered: _noncentrality keeps the
@@ -205,6 +209,34 @@ def upsilon(ps, times, phis, densities, mu) -> np.ndarray:
     return out
 
 
+def _upsilons(ps, times, phis, densities, mus) -> np.ndarray:
+    """upsilon for a stack of arms at once: times, phis and densities
+    (..., J) and allocation fractions mus broadcasting to (...) give the
+    matrices (..., J, J), with upsilon's arithmetic in its order, its early
+    rule and its mirror of the lower triangle, so each equals upsilon's bit
+    for bit. Where upsilon raises, the first such arm in C order raises its
+    error through upsilon itself."""
+    tails = 1.0 - np.asarray(ps, dtype=float)
+    mus = np.asarray(mus, dtype=float)
+    # entry [j, l]: phi at the earlier of t_j and t_l, t_j on a tie
+    early = np.where(times[..., :, None] <= times[..., None, :],
+                     phis[..., :, None], phis[..., None, :])
+    # Python floats, which upsilon computes in, overflow with no warning
+    with np.errstate(all="ignore"):
+        product = (mus[..., None] * densities)[..., :, None] * densities[..., None, :]
+        out = np.multiply.outer(tails, tails) * early / product
+    if len(tails) > 1:
+        out = np.where(np.tri(len(tails), dtype=bool), out, out.swapaxes(-1, -2))
+    # upsilon rejects only arms with a density <= 0, a product that is not
+    # > 0 or an entry that is not finite, so only those are looked at again
+    if not ((densities > 0).all() and (product > 0).all() and np.isfinite(out).all()):
+        mus = np.broadcast_to(mus, out.shape[:-2])
+        for arm in np.ndindex(mus.shape):
+            upsilon(ps, times[arm].tolist(), phis[arm].tolist(), densities[arm].tolist(),
+                    float(mus[arm]))
+    return out
+
+
 @dataclass(frozen=True)
 class PowerSpec:
     """Inputs of a power evaluation.
@@ -285,28 +317,50 @@ _PSI_RTOL = 1e-10  # relative positive-definiteness tolerance
 
 
 def _wald_form(psi, z):
-    """z' psi^-1 z as the squared norm of L^-1 z (psi = L L'); None unless
-    the smallest eigenvalue of psi is positive and above _PSI_RTOL x largest.
-    Reads only the lower triangle of psi, as numpy.linalg does.
+    """z' psi^-1 z as the squared norm of L^-1 z (psi = L L'), for one psi
+    (J, J) and z (J,) as a float, or for a stack (..., J, J) and (..., J)
+    as an array (...), each entry with the bits one psi gives alone. A psi
+    whose smallest eigenvalue is not positive and above _PSI_RTOL x its
+    largest gives None, or nan in a stack. Reads only the lower triangle of
+    psi, as numpy.linalg does.
 
     The LAPACK calls go to numpy.linalg._umath_linalg, the private gufunc
     module behind numpy.linalg.eigvalsh, cholesky and solve, present under
     these names in every numpy >= 1.23: the same routines on the same
     inputs give the same bits, without the wrappers' checks and casts,
-    which cost more than the LAPACK work on a small psi. As in the wrappers,
-    errstate quiets the floating-point flags; it covers the sum of squares
-    too, which is inf once z is too large against psi, and the caller
-    judges that inf. Where numpy.linalg.eigvalsh raises LinAlgError (some
-    nan or inf psi), the eigenvalues here are nan and the rule rejects
-    them."""
+    which cost more than the LAPACK work on a small psi; a gufunc runs a
+    stack one matrix at a time. As in the wrappers, errstate quiets the
+    floating-point flags; it covers the sum of squares too, which is inf
+    once z is too large against psi, and the caller judges that inf. Where
+    numpy.linalg.eigvalsh raises LinAlgError (some nan or inf psi), the
+    eigenvalues here are nan and the rule rejects them."""
+    stack = psi.ndim > 2
     with np.errstate(all="ignore"):
-        eigenvalues = _umath_linalg.eigvalsh_lo(psi, signature="d->d").tolist()
-        smallest, largest = eigenvalues[0], eigenvalues[-1]
-        if not (smallest > 0 and smallest > _PSI_RTOL * largest):
-            return None
+        eigenvalues = _umath_linalg.eigvalsh_lo(psi, signature="d->d")
+        if stack:
+            smallest, largest = eigenvalues[..., 0], eigenvalues[..., -1]
+            kept = (smallest > 0) & (smallest > _PSI_RTOL * largest)
+            every = kept.all()
+            if not every:
+                psi, z = psi[kept], z[kept]
+        else:
+            # Python floats, faster than numpy's scalars for one matrix,
+            # which each planning design costs
+            eigenvalues = eigenvalues.tolist()
+            smallest, largest = eigenvalues[0], eigenvalues[-1]
+            if not (smallest > 0 and smallest > _PSI_RTOL * largest):
+                return None
         lower = _umath_linalg.cholesky_lo(psi, signature="d->d")
         root = _umath_linalg.solve1(lower, z, signature="dd->d")
-        return float(np.add.reduce(root * root))  # not BLAS: see density._ls_slopes
+        # not BLAS: see density._ls_slopes
+        forms = np.add.reduce(root * root, axis=-1)
+    if not stack:
+        return float(forms)
+    if every:
+        return forms
+    out = np.full(kept.shape, np.nan)
+    out[kept] = forms
+    return out
 
 
 # ((psi bytes, deltas bytes, deltas shape), (quad, dof)) of the last design

@@ -44,7 +44,7 @@ from .density import (
 )
 from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError, _check_open_unit,
                      _check_unit_half_open, _probabilities)
-from .power import _wald_form, upsilon
+from .power import _upsilons, _wald_form, upsilon
 from .survival import KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -155,12 +155,15 @@ class _ArmPieces:
 
 def _psi_hat(probabilities, times, phis, densities, mus):
     """(clamped densities, Psi_hat, deltas) from both arms' quantile times,
-    Greenwood factors, raw densities and allocation fractions, each a pair
-    with arm 1 first."""
-    used = tuple([_clamp(v) for v in values] for values in densities)
-    psi = (upsilon(probabilities, times[0], phis[0], used[0], mus[0])
-           + upsilon(probabilities, times[1], phis[1], used[1], mus[1]))
-    return used, psi, np.array([t1 - t2 for t1, t2 in zip(*times)])
+    Greenwood factors and raw densities, arrays (..., 2, J) with arm 1
+    first along the arm axis, and the pair of allocation fractions mus:
+    Psi_hat (..., J, J) and the deltas (..., J). One trial or a block of
+    them: each Psi_hat is the sum of the arms' power.upsilon bit for bit,
+    and a block raises upsilon's error at the first row, and in it the
+    first arm, that upsilon rejects."""
+    used = _clamp(densities)
+    arms = _upsilons(probabilities, times, phis, used, mus)
+    return used, arms[..., 0, :, :] + arms[..., 1, :, :], times[..., 0, :] - times[..., 1, :]
 
 
 class _Assembly:
@@ -193,9 +196,11 @@ class _Assembly:
         for arm in self.arms:
             arm.estimate(self.probabilities, density_method, tuning)
         arms = self.arms
-        self.used, self.psi, self.deltas = _psi_hat(
-            self.probabilities, [a.times for a in arms], [a.phis for a in arms],
-            [[d.value for d in a.densities] for a in arms], (self.mu1, self.mu2))
+        used, self.psi, self.deltas = _psi_hat(
+            self.probabilities, np.array([a.times for a in arms]),
+            np.array([a.phis for a in arms]),
+            np.array([[d.value for d in a.densities] for a in arms]), (self.mu1, self.mu2))
+        self.used = used.tolist()
         return self
 
     def clamped(self, j) -> bool:

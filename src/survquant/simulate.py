@@ -6,15 +6,17 @@ master seed and the replicate index. Replicates run in blocks: a block
 draws each replicate's data in turn, then fits, probes and tests its rows
 together as arrays, through the serial test's kernels (the product-limit
 fit, tied times included, survival._quantiles, density._ls_slopes or
-density._KdeMachine) and its arithmetic in its order, so every p-value
+density._KdeMachine, then quantile_tests._psi_hat and power._wald_form
+on the whole stack) and its arithmetic in its order, so every p-value
 equals the one univariate_test or multivariate_test gives on
-sample_trial's data for that replicate. SimulationPlan.threads caps the
-processes a run may use: the calling process and, where os.fork is safe
-to use, up to threads - 1 forked workers, each running a contiguous span
-of replicates in blocks of its own. Neither the span nor the block a
-replicate falls in changes a bit of its p-value, so the report, timing
-aside, is the same for any thread count. A plan without a formula power
-fails before any replicate runs.
+sample_trial's data for that replicate. Only the last scalar step, the
+normal or chi-squared tail of each row's statistic, runs row by row.
+SimulationPlan.threads caps the processes a run may use: the calling
+process and, where os.fork is safe to use, up to threads - 1 forked
+workers, each running a contiguous span of replicates in blocks of its
+own. Neither the span nor the block a replicate falls in changes a bit of
+its p-value, so the report, timing aside, is the same for any thread
+count. A plan without a formula power fails before any replicate runs.
 """
 from __future__ import annotations
 
@@ -33,15 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import LsConfig, _check_tuning, _KdeMachine, _ls_draws, _ls_slopes
+from .density import LsConfig, _check_tuning, _KdeMachine, _ls_slopes
 from .errors import (DEFAULT_SIM_SIGMA_EPS, SingularCovarianceError, TooFewEventsError,
                      ValidationError, _check_open_unit, _probabilities, _whole_count)
-from .quantile_tests import (
-    _default_tuning,
-    _joint_statistic,
-    _psi_hat,
-    _univariate_statistic,
-)
+from .power import _wald_form
+from .quantile_tests import _chi2_sf, _default_tuning, _psi_hat, _univariate_statistic
 from .scenarios import TrialScenario, _planned_power
 from .survival import (
     SurvivalSample,
@@ -55,10 +53,13 @@ from .survival import (
 
 _MAX_FAILURE_FRACTION = 0.05
 # Draws per block of replicates (observed times of both arms plus LS
-# perturbations), so a block's arrays stay near 128 KB each whatever n and
-# the replication count. Larger blocks saved little more time on sim_ls and
-# raised its peak memory.
-_BLOCK_VALUES = 1 << 14
+# perturbations), so a block's arrays stay near 256 KB each whatever n and
+# the replication count. Each block has a fixed cost, its array calls and
+# its stacked Psi_hat and Wald form, of some 100-150 us at n = 500. There,
+# on a 2-vCPU Xeon, blocks of 16 replicates ran sim_ls's cells 5-10%
+# faster than blocks of 8, and blocks of 32 were slower than 16: their
+# arrays fall out of the cache.
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,11 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     sample_trial's order, so its rows equal sample_trial's arrays. Its
     perturbations come from that seed's first child, spawn_key=(k, 0), what
     seed.spawn(1) gives: the serial test re-seeds every (arm, p) from it,
-    so one draw serves them all.
+    so one draw serves them all. Each replicate fills its row with standard
+    normals z; the block then sorts the rows and scales them at once.
+    normal(0, sigma_eps) draws 0.0 + sigma_eps * z, which orders like z for
+    sigma_eps > 0, and adding 0.0 turns a -0.0 product into 0.0 as that sum
+    does, so every row equals _ls_draws' bit for bit.
     """
     scenario, n = plan.scenario, plan.n_per_group
     censored = scenario.censoring_rate > 0
@@ -197,7 +202,12 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
         np.random.default_rng(seed).random(out=uniforms[r])
         if ls:
             child = np.random.SeedSequence(plan.master_seed, spawn_key=(rep, 0))
-            eps[r] = _ls_draws(ls, child)
+            np.random.default_rng(child).standard_normal(out=eps[r])
+    if ls:
+        eps.sort(axis=-1)
+        with np.errstate(over="ignore"):  # inf, as normal() draws it, for _ls_slopes to judge
+            eps *= ls.sigma_eps
+        eps += 0.0
     # (replicate, arm, event or censoring draw, subject)
     uniforms = uniforms.reshape(count, 2, -1, n)
     arms = [
@@ -218,10 +228,13 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     for KDE it runs on the censoring side as well, for the censoring
     weights of every row. Quantiles and Greenwood factors follow from the
     full rows, LS slopes from one call for the block on its sorted draws,
-    KDE estimates from each arm's sorted row, and Psi_hat and the p-value
-    from the tests' own arithmetic, every sum over the same sorted terms as
-    in the serial test. A sample that SurvivalSample rejects raises once
-    the rows before it have run, as in a serial loop.
+    KDE estimates from each arm's sorted row, every sum over the same
+    sorted terms as in the serial test. Psi_hat and the Wald form then run
+    once for the block's estimable rows, as stacked arrays with the
+    serial test's arithmetic in its order; only the last scalar step, the
+    normal or chi-squared tail, runs per row. A sample that SurvivalSample
+    rejects raises once the rows before it have run, as in a serial loop,
+    and so does a Psi_hat that power.upsilon rejects.
     """
     count, _, n = times.shape
     valid = np.isfinite(times).all(axis=(1, 2)) & (times >= 0).all(axis=(1, 2))
@@ -240,34 +253,45 @@ def _block_p_values(plan: SimulationPlan, times, events, eps):
     ps = plan.probabilities
     quantiles, sums, reached = _quantiles(steps, d, survival, greenwood, ps)
     phis = n * sums
-    estimable = (reached & np.isfinite(sums)).all(axis=(1, 2))
+    rows = np.flatnonzero((reached & np.isfinite(sums)).all(axis=(1, 2)))
+    out = np.full(count, np.nan)
+    if rows.size < count:  # copies only for a block with a row not estimable
+        if not rows.size:
+            return out
+        steps, flags, survival, quantiles, phis = (
+            a[rows] for a in (steps, flags, survival, quantiles, phis))
+        eps = None if eps is None else eps[rows]
 
     if plan.density_method == "ls":
-        rows = np.flatnonzero(estimable)
-        slopes = np.empty(quantiles.shape)
-        slopes[rows], _ = _ls_slopes(steps[rows], survival[rows], n, ps, quantiles[rows],
-                                     eps[rows][:, None, None, :])
+        values, _ = _ls_slopes(steps, survival, n, ps, quantiles, eps[:, None, None, :])
     else:
         before = _censoring_before(steps, flags)
+        values = np.empty(quantiles.shape)
+        kept = np.ones(rows.size, dtype=bool)
+        for r in range(rows.size):
+            try:
+                for a in (0, 1):
+                    machine = _KdeMachine(steps[r, a], flags[r, a], before[r, a], plan.tuning)
+                    values[r, a] = machine.values(quantiles[r, a])
+            except TooFewEventsError:
+                kept[r] = False
+        if not kept.all():
+            rows, quantiles, phis, values = (a[kept] for a in (rows, quantiles, phis, values))
 
-    out = np.full(count, np.nan)
-    for r in np.flatnonzero(estimable):
-        arm_times = quantiles[r].tolist()
-        try:
-            if plan.density_method == "ls":
-                values = slopes[r].tolist()
-            else:
-                machines = [_KdeMachine(steps[r, a], flags[r, a], before[r, a], plan.tuning)
-                            for a in (0, 1)]
-                values = [m.values(ts) for m, ts in zip(machines, arm_times)]
-            # equal arms: each allocation fraction is n / 2n = 0.5
-            _, psi, deltas = _psi_hat(ps, arm_times, phis[r].tolist(), values, (0.5, 0.5))
-            if len(ps) == 1:
-                out[r] = _univariate_statistic(2 * n, float(deltas[0]), psi[0, 0])[2]
-            else:
-                out[r] = _joint_statistic(2 * n, deltas, psi, ps)[1]
-        except (TooFewEventsError, SingularCovarianceError):
-            pass
+    # equal arms: each allocation fraction is n / 2n = 0.5
+    _, psi, deltas = _psi_hat(ps, quantiles, phis, values, (0.5, 0.5))
+    if len(ps) == 1:
+        for r, delta, psi_jj in zip(rows.tolist(), deltas[:, 0].tolist(), psi[:, 0, 0].tolist()):
+            try:
+                out[r] = _univariate_statistic(2 * n, delta, psi_jj)[2]
+            except SingularCovarianceError:
+                pass
+    else:
+        # nan where Psi_hat is singular, as _joint_statistic judges it
+        forms = _wald_form(psi, math.sqrt(2 * n) * deltas)
+        for r, form in zip(rows.tolist(), forms.tolist()):
+            if not math.isnan(form):
+                out[r] = _chi2_sf(form, len(ps))
     return out
 
 

@@ -775,6 +775,27 @@ class TestParser:
         assert captured.err.endswith(f"error: argument --delta: {message}\n")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--delta", "-0.2,0.1", "--n", "50"],
+        ["power", "--delta", "-1e-1", "--n", "50,100"],
+        ["samplesize", "--delta", "-1e-1", "--power", "0.8"],
+        ["samplesize", "--p", "-0.5,0.5", "--power", "0.8"],
+    ], ids=["power-list", "power-exponent", "samplesize-exponent", "samplesize-list"])
+    def test_value_that_starts_with_a_minus(self, capsys, scenario_file, argv):
+        # argparse took "-0.2,0.1" and "-1e-1" for unknown options and
+        # exited 2 with "expected one argument"; as values they run as
+        # "--delta=-0.2,0.1" does, to a result or the program's own error
+        command, option, value, *rest = argv
+        spaced = run_cli(capsys, command, "--scenario", scenario_file, option, value, *rest)
+        joined = run_cli(capsys, command, "--scenario", scenario_file, f"{option}={value}",
+                         *rest)
+        assert spaced == joined
+        if option == "--delta":
+            assert (spaced[0], spaced[2]) == (0, "")
+        else:
+            assert spaced == (2, "", "error: p must lie strictly between 0 and 1, got -0.5\n")
+
+
 class TestFarSpan:
     @pytest.mark.parametrize("top", ["1e308", "1e200"])
     def test_kde_on_times_spanning_the_float_range(self, tmp_path, capsys, top):

@@ -35,6 +35,7 @@ from survquant import (
 )
 from survquant import power, simulate
 from survquant.power import SampleSizeResult, upsilon
+from survquant.quantile_tests import _psi_hat
 from survquant.errors import (
     SingularCovarianceError,
     UnattainablePowerError,
@@ -389,11 +390,13 @@ def _bits(value):
 
 
 @st.composite
-def wald_inputs(draw):
+def wald_inputs(draw, size=None):
     """(psi, z): psi = A A' + diag, or with eigenvalues within a factor of 2
     of the _PSI_RTOL edge; then perhaps inf or nan entries, or an upper
-    triangle that is not the mirror of the lower one."""
-    size = draw(st.integers(1, 5))
+    triangle that is not the mirror of the lower one. size is J, drawn
+    from 1..5 when None."""
+    if size is None:
+        size = draw(st.integers(1, 5))
 
     def floats(count, low, high):
         return np.array(draw(st.lists(st.floats(low, high), min_size=count,
@@ -441,6 +444,127 @@ class TestWaldForm:
         assert _bits(got) == _bits(_reference_wald_form(psi, z))
         assert _bits(got) == _bits(power._wald_form(lower, z))
         assert power._wald_form(np.triu(psi) + np.triu(psi, 1).T, z) is None
+
+
+def _serial_psi_hat(ps, times, phis, densities, mus):
+    """One trial's Psi_hat as the serial test built it before it took
+    arrays: each density clamped as a float, then upsilon of each arm,
+    arm 1 first, summed."""
+    floor = survquant.density.DENSITY_FLOOR
+    used = [[f if f > floor else floor for f in arm] for arm in densities]
+    return (upsilon(ps, times[0], phis[0], used[0], mus[0])
+            + upsilon(ps, times[1], phis[1], used[1], mus[1]))
+
+
+@st.composite
+def tail_blocks(draw):
+    """(ps, times, phis, densities, mus) of a block of 1..5 trials, each
+    (rows, 2, J) with J in 1..4. Quantile times sit on a grid of four
+    values, so ties are common. Then some cells change by kind: densities
+    below the floor, 0, negative, nan or inf; a saturated (inf) phi; a
+    phi of 1e300 with a floored density, whose entry overflows; or an
+    allocation fraction of 1e-320, where the denominator underflows unless
+    the densities are large."""
+    j_count, rows = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    shape = (rows, 2, j_count)
+
+    def cells(elements):
+        return np.array(draw(st.lists(elements, min_size=rows * 2 * j_count,
+                                      max_size=rows * 2 * j_count))).reshape(shape)
+
+    ps = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=j_count, max_size=j_count)))
+    times = cells(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    phis = cells(st.floats(0.01, 50.0))
+    densities = cells(st.floats(1e-3, 10.0))
+    mus = (0.5, 0.5)
+    kind = draw(st.sampled_from(["plain", "floored", "saturated", "overflow", "underflow"]))
+    if kind == "underflow":
+        mus = draw(st.sampled_from([(1e-320, 0.5), (0.5, 1e-320)]))
+    elif kind != "plain":
+        picked = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, 1),
+                                         st.integers(0, j_count - 1)), min_size=1, max_size=3))
+        for cell in picked:
+            if kind == "floored":
+                densities[cell] = draw(st.sampled_from([1e-9, 0.0, -1.0, math.nan, math.inf]))
+            elif kind == "saturated":
+                phis[cell] = math.inf
+            else:
+                phis[cell], densities[cell] = 1e300, 1e-9
+    return ps, times, phis, densities, mus
+
+
+def _same_wald_forms(psi, z):
+    """The stacked Wald form of psi (..., J, J) and z (..., J) against one
+    matrix at a time: nan where one gives None, else the same bits."""
+    stacked = power._wald_form(psi, z)
+    for index in np.ndindex(stacked.shape):
+        alone = power._wald_form(psi[index], z[index])
+        if alone is None:
+            assert math.isnan(stacked[index])
+        else:
+            assert _bits(float(stacked[index])) == _bits(alone)
+
+
+class TestStackedTail:
+    """The simulation engine forms Psi_hat and the Wald form for a whole
+    block at once; each row must get the bits that upsilon and the
+    one-matrix _wald_form give it, and a bad row upsilon's error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_blocks())
+    def test_block_psi_hat_is_upsilon_row_by_row(self, block):
+        ps, times, phis, densities, mus = block
+        expected = []
+        try:
+            for r in range(len(times)):
+                expected.append(_serial_psi_hat(ps, times[r].tolist(), phis[r].tolist(),
+                                                densities[r].tolist(), mus))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                _psi_hat(ps, times, phis, densities, mus)
+            assert str(raised.value) == str(exc)
+            return
+        _, psi, deltas = _psi_hat(ps, times, phis, densities, mus)
+        assert psi.tobytes() == np.array(expected).tobytes()
+        differences = [[t1 - t2 for t1, t2 in zip(*row)] for row in times.tolist()]
+        assert deltas.tobytes() == np.array(differences).tobytes()
+        _same_wald_forms(psi, math.sqrt(200.0) * deltas)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stacked_wald_form_is_one_matrix_at_a_time(self, data):
+        size, count = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        pairs = [data.draw(wald_inputs(size)) for _ in range(count)]
+        psi, z = (np.stack(parts) for parts in zip(*pairs))
+        _same_wald_forms(psi, z)
+        _same_wald_forms(psi.reshape(2, -1, size, size) if count % 2 == 0 else psi[None],
+                         z.reshape(2, -1, size) if count % 2 == 0 else z[None])
+
+    @pytest.mark.parametrize("mus, message", [
+        ((0.5, 0.5), "covariance entry at p=0.25, p=0.25 overflows: density 1e-08"),
+        ((0.5, 1e-320), "density 0.01 at a quantile is too small: the covariance "
+                        "denominator underflows to 0"),
+    ], ids=["overflow", "underflow"])
+    def test_first_bad_row_raises_its_error(self, mus, message):
+        # row 0 is good; row 1 fails in arm 2 and row 2 in arm 1, at another
+        # entry: the block raises row 1's error, as the serial loop does
+        times, phis = np.full((3, 2, 2), 1.0), np.full((3, 2, 2), 2.0)
+        densities = np.full((3, 2, 2), 10.0)
+        phis[2, 0, 1], densities[2, 0, 1] = 1e300, 1e-9
+        if mus[1] == 0.5:
+            phis[1, 1, 0], densities[1, 1, 0] = 1e300, 1e-9
+        else:
+            # so small a phi that 1e-320 * 10 * 10 leaves the entries finite
+            phis[:, 1] = 1e-300
+            densities[1, 1] = 0.01
+        with pytest.raises(ValidationError) as serial:
+            for r in range(3):
+                _serial_psi_hat([0.25, 0.5], times[r].tolist(), phis[r].tolist(),
+                                densities[r].tolist(), mus)
+        assert str(serial.value).startswith(message)
+        with pytest.raises(ValidationError) as raised:
+            _psi_hat([0.25, 0.5], times, phis, densities, mus)
+        assert str(raised.value) == str(serial.value)
 
 
 class TestMinSampleSize:

@@ -560,6 +560,18 @@ class TestBlockEngine:
             ))
             assert eps[r].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("sigma_eps", [1e308, 1e-320, 0.05])
+    def test_perturbations_at_any_scale(self, sigma_eps):
+        # the block scales sorted standard normals; at 1e308 some overflow
+        # to inf, as normal() draws them, with no warning, and at 1e-320
+        # the products round to 0 with normal()'s signs
+        plan = small_plan(tuning=LsConfig(sigma_eps), replications=3)
+        _, _, eps = simulate._draw_block(plan, 0, 3)
+        for r in range(3):
+            child = replicate_seed(plan, r).spawn(1)[0]
+            expected = np.sort(np.random.default_rng(child).normal(0.0, sigma_eps, 1000))
+            assert eps[r].tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("probabilities", [(0.5,), (0.25, 0.5, 0.75)])
     def test_tied_rows_take_the_public_test(self, probabilities):
         plan = small_plan(n_per_group=40, probabilities=probabilities,
@@ -580,6 +592,29 @@ class TestBlockEngine:
         engine = outcome(lambda pl: simulate._block_p_values(pl, times, events, eps), plan)
         public = outcome(lambda pl: block_public_p_values(pl, first, times, events), plan)
         assert same_outcome(engine, public)
+
+    def test_singular_row_is_nan_only_there(self):
+        # in row 2 more than half of each arm dies at one tied time, so the
+        # 0.25 and 0.5 quantiles share it; a kernel estimate depends on the
+        # time alone, so both densities are equal too and that row's Psi_hat
+        # is singular, while the stacked Wald form serves the other rows
+        plan = SimulationPlan(TrialScenario(ExponentialArm(1.5), ExponentialArm(2.0)), 40,
+                              (0.25, 0.5, 0.75), 5, density_method="kde",
+                              tuning=KdeConfig(bandwidth=0.3), master_seed=3)
+        times, events, eps = simulate._draw_block(plan, 0, 5)
+        untouched = simulate._block_p_values(plan, times, events, eps)
+        for a in (0, 1):
+            first = np.argsort(times[2, a])[:24]
+            times[2, a, first] = times[2, a, first].max()
+            events[2, a, first] = True
+        p_values = simulate._block_p_values(plan, times, events, eps)
+        assert np.isnan(p_values).tolist() == [False, False, True, False, False]
+        assert np.delete(p_values, 2).tobytes() == np.delete(untouched, 2).tobytes()
+        assert p_values.tobytes() == block_public_p_values(plan, 0, times, events).tobytes()
+        with pytest.raises(SingularCovarianceError):
+            multivariate_test(TwoArmData(*(SurvivalSample(times[2, a], events[2, a])
+                                           for a in (0, 1))), plan.probabilities, "kde",
+                              plan.tuning)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_invalid_sample_raises(self):
