@@ -2,7 +2,17 @@
 
 Determinism contract: replicate k draws everything it needs from
 SeedSequence(master_seed, spawn_key=(k,)), so results depend only on the
-master seed and the replicate index. Replicates run in blocks: a block
+master seed and the replicate index. Replicate k's two generators, for
+its data and its LS perturbations, start in exactly the PCG64 states that
+numpy gives them from SeedSequence(master_seed, spawn_key=(k,)) and
+(k, 0). A block seeder builds them for a whole block at once: it
+reproduces numpy's SeedSequence hash (NEP 19), mixing the master seed's
+words once per seed and the keys' words as uint32 arrays, and PCG64 runs
+its own seeding (the srandom two-step of O'Neill 2014) on the words it
+gives. A block of fewer than 3 generators, where the seeder's fixed cost
+does not pay, a block that reaches replicate 2**32, and a process whose
+numpy fails the seeder's one check against numpy use numpy's
+SeedSequence itself. Replicates run in blocks: a block
 draws each replicate's data in turn, then fits, probes and tests its rows
 together as arrays, through the serial test's kernels (the product-limit
 fit, tied times included, survival._quantiles, density._ls_slopes or
@@ -21,6 +31,7 @@ count. A plan without a formula power fails before any replicate runs.
 from __future__ import annotations
 
 import atexit
+import functools
 import io
 import math
 import operator
@@ -34,6 +45,7 @@ import types
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .density import LsConfig, _check_tuning, _KdeMachine, _ls_slopes
 from .errors import (DEFAULT_SIM_SIGMA_EPS, SingularCovarianceError, TooFewEventsError,
@@ -60,6 +72,25 @@ _MAX_FAILURE_FRACTION = 0.05
 # faster than blocks of 8, and blocks of 32 were slower than 16: their
 # arrays fall out of the cache.
 _BLOCK_VALUES = 1 << 15
+
+# numpy's SeedSequence (NEP 19), as the block seeder reproduces it: the
+# start and multiplier of the hash constant of its entropy mix and of its
+# generate_state, and the two multipliers of its pool mix
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# A seed and replicate index on which the block seeder is held to numpy
+# once per process before its first use: a master of 6 words, past the
+# pool's 4, and an index that fills all 32 bits of its word.
+_CHECK_SEED, _CHECK_REP = (1 << 160) + 12345, (1 << 32) - 3
+_seeder_ok = None  # the check's outcome, once it has run
+# The fewest generators a block seeds through the block seeder. Its fixed
+# cost, some 17 us a block and 17 us more on a master seed's first block,
+# is that of 2 to 3 of numpy's own SeedSequence and default_rng calls
+# (about 11 us each) on a 2-vCPU Xeon VM, so smaller blocks seed as numpy
+# does.
+_SEEDER_LEAST = 3
 
 
 @dataclass(frozen=True)
@@ -174,6 +205,121 @@ def _block_rows(plan: SimulationPlan) -> int:
     return max(1, _BLOCK_VALUES // per_rep)
 
 
+def _hash_steps(value: int, mult: int, count: int):
+    """A SeedSequence hash constant before and after each of its next count
+    steps from value, as (count, 1) uint32 columns."""
+    values = [value]
+    for _ in range(count):
+        values.append(values[-1] * mult & _M32)
+    values = np.array(values, dtype=np.uint32)[:, None]
+    return values[:-1], values[1:]
+
+
+_STATE_STEPS = _hash_steps(*_STATE_HASH, 8)  # generate_state's, for 8 words
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's hashmix of value by the hash constant before, which
+    its step turns into after, as uint32 arrays."""
+    value = (value ^ before) * after
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool words x with hashed words y, as uint32
+    arrays."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _master_mix(master_seed: int):
+    """What SeedSequence(master_seed, spawn_key=key) holds once the
+    master's words are mixed in, the same for every key, since a spawn key
+    pads the master's words to the pool's 4 and its own words come after
+    them: the pool, as a (4, 1) uint32 column, the hash constant's steps
+    for the key's first word, and the hashed word 0 that follows it in a
+    child's key (k, 0). The pool is numpy's own, from a SeedSequence of
+    the padded words and no spawn key."""
+    words = [master_seed >> shift & _M32
+             for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = np.random.SeedSequence(words).pool[:, None]
+    # that mix hashed each of the first 4 words into the pool, each pool
+    # word into the 3 others and each further word into all 4: 4 steps a word
+    hash_ = _MIX_HASH[0] * pow(_MIX_HASH[1], 4 * len(words), 1 << 32) & _M32
+    before, after = _hash_steps(hash_, _MIX_HASH[1], 8)
+    return pool, (before[:4], after[:4]), _hashmix(0, before[4:], after[4:])
+
+
+def _spawn_words(master_seed: int, first: int, count: int, keys: int) -> np.ndarray:
+    """What PCG64 seeds from, generate_state(4, np.uint64), of
+    SeedSequence(master_seed, spawn_key=(k,)) and, for keys=2, of
+    spawn_key=(k, 0), for k = first .. first+count-1 below 2**32, as
+    (keys, count, 4) uint64: the master's part of the mix is kept per
+    seed, and the block mixes in its keys' words as uint32 arrays."""
+    pool, steps, zero = _master_mix(master_seed)
+    pools = [_mix(pool, _hashmix(np.arange(first, first + count, dtype=np.uint32), *steps))]
+    if keys == 2:
+        pools.append(_mix(pools[0], zero))
+    # generate_state hashes the pool's words in turn by its own constant and
+    # pairs them little-endian
+    words = _hashmix(np.stack(pools)[:, [0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_STEPS)
+    pairs = np.ascontiguousarray(words.transpose(0, 2, 1), dtype="<u4")
+    return pairs.view("<u8").astype(np.uint64, copy=False)
+
+
+class _SpawnWords(ISeedSequence):
+    """A row of _spawn_words: PCG64 seeded from it runs its own seeding on
+    the words numpy's SeedSequence would give it, so it starts in the same
+    state."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:  # all that PCG64 asks for
+            raise ValueError(f"only generate_state(4, np.uint64) is kept, not "
+                             f"({n_words}, {dtype})")
+        return self.words
+
+
+def _seeder_matches() -> bool:
+    """Whether PCG64 seeded from _spawn_words starts where numpy's own
+    seeding starts, on _CHECK_SEED's keys (_CHECK_REP,) and (_CHECK_REP,
+    0); checked once per process. A numpy that seeds otherwise, or whose
+    PCG64 asks for other words, takes numpy's route."""
+    global _seeder_ok
+    if _seeder_ok is None:
+        try:
+            ours = [np.random.PCG64(_SpawnWords(words)).state
+                    for words in _spawn_words(_CHECK_SEED, _CHECK_REP, 1, 2)[:, 0]]
+        except ValueError:
+            ours = None
+        _seeder_ok = ours == [
+            np.random.PCG64(np.random.SeedSequence(_CHECK_SEED, spawn_key=key)).state
+            for key in ((_CHECK_REP,), (_CHECK_REP, 0))
+        ]
+    return _seeder_ok
+
+
+def _block_seeds(master_seed: int, first: int, count: int, keys: int) -> list:
+    """What default_rng takes for the generators of replicates first ..
+    first+count-1: for each of the keys (k,) and, for keys=2, (k, 0), a
+    list of seeds that start PCG64 in the state
+    SeedSequence(master_seed, spawn_key=key) starts it in. The block seeder
+    gives them, except in a block of fewer than _SEEDER_LEAST generators,
+    in a block that reaches replicate 2**32, whose key takes two words, and
+    where numpy failed _seeder_matches: there they are numpy's own
+    SeedSequences."""
+    if (count * keys >= _SEEDER_LEAST and first + count <= 1 << 32
+            and _seeder_matches()):
+        return [list(map(_SpawnWords, rows))
+                for rows in _spawn_words(master_seed, first, count, keys)]
+    return [[np.random.SeedSequence(master_seed, spawn_key=(k,) + (0,) * child)
+             for k in range(first, first + count)] for child in range(keys)]
+
+
 def _draw_block(plan: SimulationPlan, first: int, count: int):
     """Draws of replicates first .. first+count-1, as the serial test makes
     them.
@@ -185,24 +331,24 @@ def _draw_block(plan: SimulationPlan, first: int, count: int):
     sample_trial's order, so its rows equal sample_trial's arrays. Its
     perturbations come from that seed's first child, spawn_key=(k, 0), what
     seed.spawn(1) gives: the serial test re-seeds every (arm, p) from it,
-    so one draw serves them all. Each replicate fills its row with standard
-    normals z; the block then sorts the rows and scales them at once.
-    normal(0, sigma_eps) draws 0.0 + sigma_eps * z, which orders like z for
-    sigma_eps > 0, and adding 0.0 turns a -0.0 product into 0.0 as that sum
-    does, so every row equals _ls_draws' bit for bit.
+    so one draw serves them all. Both generators start in the states those
+    SeedSequences give PCG64, from the block seeder (_block_seeds). Each
+    replicate fills its row with standard normals z; the block then sorts
+    the rows and scales them at once. normal(0, sigma_eps) draws
+    0.0 + sigma_eps * z, which orders like z for sigma_eps > 0, and adding
+    0.0 turns a -0.0 product into 0.0 as that sum does, so every row
+    equals _ls_draws' bit for bit.
     """
     scenario, n = plan.scenario, plan.n_per_group
     censored = scenario.censoring_rate > 0
     uniforms = np.empty((count, 4 if censored else 2, n))
     ls = plan.tuning if plan.density_method == "ls" else None
     eps = np.empty((count, ls.n_draws)) if ls else None
+    seeds = _block_seeds(plan.master_seed, first, count, 2 if ls else 1)
     for r in range(count):
-        rep = first + r
-        seed = np.random.SeedSequence(plan.master_seed, spawn_key=(rep,))
-        np.random.default_rng(seed).random(out=uniforms[r])
+        np.random.default_rng(seeds[0][r]).random(out=uniforms[r])
         if ls:
-            child = np.random.SeedSequence(plan.master_seed, spawn_key=(rep, 0))
-            np.random.default_rng(child).standard_normal(out=eps[r])
+            np.random.default_rng(seeds[1][r]).standard_normal(out=eps[r])
     if ls:
         eps.sort(axis=-1)
         with np.errstate(over="ignore"):  # inf, as normal() draws it, for _ls_slopes to judge

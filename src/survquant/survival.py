@@ -186,7 +186,10 @@ def _product_limit(d: np.ndarray, y: np.ndarray):
     the last axis, inf from the first y == d on. Both accumulate in order,
     so an entry with d = 0 repeats the one before it exactly."""
     survival = np.cumprod(1.0 - d / y, axis=-1)
-    terms = np.divide(d, y * (y - d), out=np.full(d.shape, np.inf), where=y > d)
+    # y >= max(d, 1), so the product is 0 only where y == d > 0, where d / 0
+    # gives the inf sentinel
+    with np.errstate(divide="ignore"):
+        terms = d / (y * (y - d))
     return survival, np.cumsum(terms, axis=-1)
 
 
@@ -242,8 +245,9 @@ def _quantiles(steps, d, survival, greenwood, probabilities):
     found &= d[..., None, :] > 0
     idx = found.argmax(axis=-1)
     reached = found.any(axis=-1)
-    time, sums = (np.where(reached, np.take_along_axis(a, idx, axis=-1), np.nan)
-                  for a in (steps, greenwood))
+    # one flat index serves both gathers
+    idx += np.arange(0, steps.size, steps.shape[-1]).reshape(steps.shape[:-1] + (1,))
+    time, sums = (np.where(reached, a.take(idx), np.nan) for a in (steps, greenwood))
     return time, sums, reached
 
 

@@ -645,6 +645,105 @@ class TestBlockEngine:
         assert blocks == [4, 2]  # rows 0 and 1 ran first
 
 
+def numpy_state(master, key):
+    return np.random.PCG64(np.random.SeedSequence(master, spawn_key=key)).state
+
+
+def assert_rows_are_numpys(plan, first, count):
+    """_draw_block's rows of replicates first .. first+count-1 equal
+    sample_trial's arrays and the sorted normal() draws of the child seed."""
+    times, events, eps = simulate._draw_block(plan, first, count)
+    n = plan.n_per_group
+    for r in range(count):
+        seed = replicate_seed(plan, first + r)
+        data = sample_trial(plan.scenario, n, n, seed)
+        for arm, sample in enumerate((data.arm1, data.arm2)):
+            assert times[r, arm].tobytes() == sample.times.tobytes()
+            assert events[r, arm].tobytes() == sample.events.tobytes()
+        expected = np.sort(np.random.default_rng(seed.spawn(1)[0]).normal(
+            0.0, plan.tuning.sigma_eps, plan.tuning.n_draws))
+        assert eps[r].tobytes() == expected.tobytes()
+
+
+class TestBlockSeeder:
+    """Each replicate's generators start in the states numpy's
+    SeedSequence(master_seed, spawn_key=(k,)) and (k, 0) give PCG64, from
+    the block seeder or, where it does not reach, from numpy's own route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(master=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**128]),
+                            st.integers(0, 2**256 - 1)),
+           first=st.integers(0, 2**32), count=st.integers(1, 3),
+           keys=st.sampled_from([1, 2]))
+    def test_states_equal_numpys(self, master, first, count, keys):
+        expected = [[numpy_state(master, (k,) + (0,) * child)
+                     for k in range(first, first + count)] for child in range(keys)]
+        seeds = simulate._block_seeds(master, first, count, keys)
+        assert [[np.random.PCG64(seed).state for seed in row] for row in seeds] == expected
+        if first + count <= 2**32:  # the seeder's own words, whatever the self-check said
+            words = simulate._spawn_words(master, first, count, keys)
+            assert [[np.random.PCG64(simulate._SpawnWords(w)).state for w in row]
+                    for row in words] == expected
+
+    def test_self_check_passes_on_this_numpy(self, monkeypatch):
+        # a numpy whose seeding stops matching fails here, not only in speed
+        monkeypatch.setattr(simulate, "_seeder_ok", None)
+        assert simulate._seeder_matches() is True
+        words = simulate._spawn_words(7, 0, 3, 2)
+        assert words.shape == (2, 3, 4) and words.dtype == np.uint64
+        assert all(isinstance(seed, simulate._SpawnWords)
+                   for rows in simulate._block_seeds(7, 0, 3, 2) for seed in rows)
+
+    def test_block_reaching_2_32_takes_numpys_route(self, monkeypatch):
+        plan = small_plan(n_per_group=6, tuning=LsConfig(0.3, n_draws=20))
+
+        def unused(*args):
+            raise AssertionError("the block seeder ran")
+
+        monkeypatch.setattr(simulate, "_spawn_words", unused)
+        assert_rows_are_numpys(plan, 2**32 - 2, 4)
+
+    def test_failed_self_check_takes_numpys_route(self, monkeypatch):
+        plan = small_plan(n_per_group=6, tuning=LsConfig(0.3, n_draws=20))
+        before, after = simulate._STATE_STEPS
+        monkeypatch.setattr(simulate, "_STATE_STEPS", (before ^ np.uint32(1), after))
+        monkeypatch.setattr(simulate, "_seeder_ok", None)
+        assert simulate._seeder_matches() is False
+        spawn_words = simulate._spawn_words
+        monkeypatch.setattr(simulate, "_spawn_words", lambda *args: pytest.fail(
+            "the block seeder ran"))
+        assert_rows_are_numpys(plan, 5, 4)
+        # the constant is what breaks the seeder: its words are not numpy's
+        monkeypatch.setattr(simulate, "_spawn_words", spawn_words)
+        words = spawn_words(plan.master_seed, 5, 1, 1)[0, 0]
+        assert np.random.PCG64(simulate._SpawnWords(words)).state != numpy_state(
+            plan.master_seed, (5,))
+
+    def test_two_runs_at_once_give_their_serial_bytes(self, monkeypatch):
+        # no generator is shared between threads: with one kept for both,
+        # one thread's rows would take draws from the other's states
+        plans = [small_plan(n_per_group=1000, replications=60, master_seed=seed)
+                 for seed in (21, 22)]
+        serial = [empirical_rejection(plan).p_values for plan in plans]
+        # one replicate per block, each drawn while the other run draws one
+        barrier, draw, results = threading.Barrier(2, timeout=60), simulate._draw_block, {}
+
+        def together(plan, first, count):
+            barrier.wait()
+            return draw(plan, first, count)
+
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 1)
+        monkeypatch.setattr(simulate, "_draw_block", together)
+        threads = [threading.Thread(target=lambda i=i: results.update(
+            {i: empirical_rejection(plans[i]).p_values})) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[i].tobytes() for i in (0, 1)] == [p.tobytes() for p in serial]
+
+
 NPROC = simulate._usable_cpus()
 
 
