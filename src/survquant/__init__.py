@@ -39,7 +39,6 @@ _LAZY = {name: module for module, names in {
         "KdeConfig",
         "LsConfig",
         "SigmaSelection",
-        "cv_score",
         "estimate_density_kde",
         "estimate_density_ls",
         "select_bandwidth_cv",
@@ -50,18 +49,14 @@ _LAZY = {name: module for module, names in {
         "UnivariateTestResult",
         "bonferroni_followup",
         "multivariate_test",
-        "sigma_hat_univariate",
         "univariate_test",
-        "upsilon_matrix",
     ),
     "power": (
         "PowerSpec",
         "SampleSizeResult",
-        "chi2_cdf",
         "chi2_quantile",
         "min_sample_size",
         "noncentral_chi2_cdf",
-        "normal_cdf",
         "normal_quantile",
         "power_multivariate",
         "power_univariate",
@@ -73,13 +68,9 @@ _LAZY = {name: module for module, names in {
         "TrialScenario",
         "calibrate_censoring",
         "exp_quantile",
-        "parse_scenario_config",
-        "parse_scenario_values",
         "phi_exponential",
         "phi_piecewise",
         "piecewise_quantile",
-        "rate_from_delta_scn1",
-        "rate_from_delta_scn2",
         "resolve_scenario",
         "scenario_from_delta",
         "scenario_psi",

@@ -253,9 +253,9 @@ def read_dataset(path: str):
 def _scenario_values(path: str, p_values=None, delta=None) -> dict:
     """The scenario file's values with --p and --delta laid over them;
     ScenarioConfig checks the result."""
-    from .scenarios import parse_scenario_values
+    from .scenarios import _parse_scenario_values
 
-    values = parse_scenario_values(_read_text(path, "scenario config")[1])
+    values = _parse_scenario_values(_read_text(path, "scenario config")[1])
     if p_values is not None:
         values.pop("p", None)
         values.pop("p_list", None)

@@ -357,8 +357,10 @@ def estimate_density_kde(
     f_h(t) = (1/(n h)) sum_i delta_i / S_cens(T_i-) K((T_i - t)/h). The
     censoring survival is evaluated as a left limit so an event does not
     divide by its own censoring step. Events whose weight denominator is 0
-    are dropped and flagged (a known truncation bias).
+    are dropped and flagged (a known truncation bias). A t of +-inf gives 0.
     """
+    if math.isnan(t):
+        raise ValidationError("time t must be a number, got nan")
     return _KdeMachine(*_sorted_rows(sample), cfg).densities([t], [p])[0]
 
 
@@ -627,7 +629,9 @@ def _cv_criterion(full_h, full_h2, sum_w2: float, n: int, grid: np.ndarray):
 
 
 def _cv_scores(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray):
-    """The CV scores over grid of sorted event times and their weights."""
+    """The least-squares CV scores over grid of sorted event times and their
+    weights: the integral of f_h^2 minus twice the weighted leave-one-out
+    cross term, the classical criterion where every weight is 1."""
     if times.size < 2:
         raise TooFewEventsError()
     full_h, full_h2 = _pair_sums(times, weights, grid)
@@ -637,19 +641,6 @@ def _cv_scores(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray)
 def _cv_bandwidth(times: np.ndarray, weights: np.ndarray, n: int, grid: np.ndarray) -> float:
     """Grid argmin of the CV scores of sorted event times and weights."""
     return float(grid[int(np.argmin(_cv_scores(times, weights, n, grid)))])
-
-
-def cv_score(sample: SurvivalSample, h: float) -> float:
-    """The least-squares CV criterion at one bandwidth.
-
-    integral of f_h^2 (computed in closed form through the Gaussian
-    convolution identity) minus twice the weighted leave-out cross term.
-    With no censoring all weights are 1 and this is the classical
-    least-squares cross-validation criterion.
-    """
-    _check_positive("bandwidth", h, finite=True)
-    grid = np.asarray([h], dtype=float)
-    return float(_cv_scores(*_cv_events(*_sorted_rows(sample)), sample.n, grid)[0])
 
 
 def select_bandwidth_cv(sample: SurvivalSample, grid) -> float:

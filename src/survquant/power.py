@@ -102,21 +102,10 @@ def _special():
     return scipy.special
 
 
-def normal_cdf(x):
-    """Standard normal CDF (erfc-based, |error| well under 1e-12)."""
-    return _special().ndtr(x)
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
     _check_open_unit("p", p)
     return float(_special().ndtri(p))
-
-
-def chi2_cdf(x, dof: int):
-    """Central chi-squared CDF via the regularized incomplete gamma."""
-    _whole_count("dof", dof, 1)
-    return _special().gammainc(dof / 2.0, np.asarray(x, dtype=float) / 2.0)
 
 
 def chi2_quantile(p: float, dof: int) -> float:
@@ -164,7 +153,8 @@ def noncentral_chi2_cdf(x: float, dof: int, noncentrality: float) -> float:
     _whole_count("dof", dof, 1)
     _check_non_negative("noncentrality", noncentrality, finite=True)
     if noncentrality == 0.0:
-        return float(chi2_cdf(x, dof))
+        # the central CDF, the regularized incomplete gamma, at x as a float64
+        return float(_special().gammainc(dof / 2.0, float(x) / 2.0))
     if noncentrality > _CHNDTR_MAX:
         return _normal_limit(x, dof, noncentrality)
     cdf = float(_special().chndtr(x, dof, noncentrality))

@@ -33,7 +33,6 @@ import numpy as np
 
 from .density import (
     DEFAULT_CV_GRID,
-    DensityAtQuantile,
     KdeConfig,
     LsConfig,
     _check_tuning,
@@ -43,9 +42,9 @@ from .density import (
     _sorted_rows,
 )
 from .errors import (SingularCovarianceError, TooFewEventsError, ValidationError, _check_open_unit,
-                     _check_unit_half_open, _probabilities)
-from .power import _upsilons, _wald_form, upsilon
-from .survival import KaplanMeierFit, TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
+                     _probabilities)
+from .power import _upsilons, _wald_form
+from .survival import TwoArmData, _fit_quantiles, _phis, fit_kaplan_meier
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -219,37 +218,6 @@ class _Assembly:
         return tuple(out)
 
 
-def sigma_hat_univariate(
-    data: TwoArmData,
-    p: float,
-    density_method: str = "ls",
-    tuning=None,
-):
-    """Estimated sigma for the univariate statistic, with its ingredients.
-
-    Returns (sigma_hat, diagnostics). diagnostics carries each factor of the
-    variance: per-arm quantiles, variance factors, raw and clamped density
-    values, and the allocation fractions.
-    """
-    assembly = _Assembly(data, [p]).estimate(density_method, tuning)
-    (arm1, arm2), (used1, used2) = assembly.arms, assembly.used
-    diagnostics = {
-        "p": p,
-        "quantile1": arm1.times[0],
-        "quantile2": arm2.times[0],
-        "phi1": arm1.phis[0],
-        "phi2": arm2.phis[0],
-        "density1": arm1.densities[0],
-        "density2": arm2.densities[0],
-        "density1_used": used1[0],
-        "density2_used": used2[0],
-        "clamped": assembly.clamped(0),
-        "mu1": assembly.mu1,
-        "mu2": assembly.mu2,
-    }
-    return math.sqrt(assembly.psi[0, 0]), diagnostics
-
-
 def _univariate_statistic(n: int, delta_hat: float, psi_jj) -> tuple:
     """(sigma_hat, statistic, two-sided p-value) from a diagonal entry of
     Psi_hat at total sample size n; raises SingularCovarianceError when the
@@ -297,24 +265,6 @@ def univariate_test(
     """Two-sided test of equality of the p-th survival quantiles."""
     assembly = _Assembly(data, [p]).estimate(density_method, tuning)
     return _univariate_from_pieces(assembly, 0)
-
-
-def upsilon_matrix(fit: KaplanMeierFit, probabilities, densities, mu_hat: float):
-    """One arm's covariance contribution for several quantiles.
-
-    power.upsilon at the fit's quantiles and their Greenwood factors
-    phi_hat. densities may be raw floats or DensityAtQuantile results; they
-    must be positive (clamping happens before this call).
-    """
-    probabilities = list(probabilities)
-    values = [
-        d.value if isinstance(d, DensityAtQuantile) else float(d) for d in densities
-    ]
-    if len(values) != len(probabilities):
-        raise ValidationError("one density per probability is required")
-    _check_unit_half_open("mu_hat", mu_hat)
-    times, sums = _fit_quantiles(fit, probabilities)
-    return upsilon(probabilities, times.tolist(), _phis(fit.n, sums).tolist(), values, mu_hat)
 
 
 def _singular(psi, probabilities) -> SingularCovarianceError:

@@ -41,10 +41,6 @@ def exp_quantile(rate: float, p: float) -> float:
     return ExponentialArm(rate).quantile(p)
 
 
-def exp_density(rate: float, t: float) -> float:
-    return rate * math.exp(-rate * t)
-
-
 @dataclass(frozen=True)
 class ExponentialArm:
     rate: float
@@ -63,7 +59,7 @@ class ExponentialArm:
         return self.rate
 
     def density(self, t: float) -> float:
-        return exp_density(self.rate, t)
+        return self.rate * math.exp(-self.rate * t)
 
     def phi(self, t: float, censoring_rate: float) -> float:
         """phi(t) for an exponential event arm under exponential censoring.
@@ -198,7 +194,7 @@ def phi_piecewise(rate_early: float, rate_late: float, t_cut: float,
     return PiecewiseExponentialArm(rate_early, rate_late, t_cut).phi(t, censoring_rate)
 
 
-def rate_from_delta_scn1(rate_control: float, p: float, delta: float) -> float:
+def _rate_from_delta_scn1(rate_control: float, p: float, delta: float) -> float:
     """Comparator exponential rate whose p-quantile is shifted by delta."""
     shifted = exp_quantile(rate_control, p) - delta
     if shifted <= 0:
@@ -211,8 +207,8 @@ def rate_from_delta_scn1(rate_control: float, p: float, delta: float) -> float:
     return -math.log1p(-p) / shifted
 
 
-def rate_from_delta_scn2(rate_control: float, p: float, delta: float,
-                         t_cut: float) -> float:
+def _rate_from_delta_scn2(rate_control: float, p: float, delta: float,
+                          t_cut: float) -> float:
     """Late rate of a two-piece comparator matching the quantile shift.
 
     The comparator keeps the control hazard on [0, t_cut), so the shifted
@@ -284,9 +280,9 @@ def scenario_from_delta(
     """
     _check_finite("delta", delta)
     if t_cut is None:
-        rate = rate_from_delta_scn1(rate_control, p, delta)
+        rate = _rate_from_delta_scn1(rate_control, p, delta)
     else:
-        rate = rate_from_delta_scn2(rate_control, p, delta, t_cut)
+        rate = _rate_from_delta_scn2(rate_control, p, delta, t_cut)
     return _two_arms(rate_control, rate, t_cut, censoring_rate, mu1)
 
 
@@ -395,7 +391,7 @@ _LIST_KEYS = {"p_list"}
 _SCALAR_KEYS = {field.name for field in fields(ScenarioConfig)} - _LIST_KEYS
 
 
-def parse_scenario_values(text: str) -> dict:
+def _parse_scenario_values(text: str) -> dict:
     """Parse key=value lines ('#' comments and blank lines skipped).
 
     Returns the raw key/value mapping without cross-field validation, so a
@@ -435,10 +431,6 @@ def parse_scenario_values(text: str) -> dict:
                 f"scenario config line {lineno}: unknown key {key!r}"
             )
     return values
-
-
-def parse_scenario_config(text: str) -> ScenarioConfig:
-    return ScenarioConfig(**parse_scenario_values(text))
 
 
 def resolve_scenario(config: ScenarioConfig) -> TrialScenario:

@@ -288,7 +288,9 @@ def phi_hat(fit: KaplanMeierFit, t: float) -> float:
     estimate at the quantile, which is what puts this factor inside the
     variance of the estimated quantile difference.
     """
-    if fit.event_times.size == 0 or t < fit.event_times[0]:
-        raise ValidationError("phi_hat requires at least one event at or before t")
+    # nan fails the comparison, as no event lies at or before it
+    if fit.event_times.size == 0 or not t >= fit.event_times[0]:
+        raise ValidationError(
+            f"phi_hat requires at least one event at or before time t, got {float(t)!r}")
     idx = int(np.searchsorted(fit.event_times, t, side="right")) - 1
     return float(_phis(fit.n, fit.greenwood_cumsum[idx]))

@@ -17,7 +17,6 @@ from survquant import (
     TooFewEventsError,
     UnreachableQuantileError,
     ValidationError,
-    cv_score,
     estimate_density_kde,
     estimate_density_ls,
     fit_censoring_km,
@@ -60,6 +59,11 @@ def exponential_sample(rng, n, rate=1.5, cens_rate=0.48):
     else:
         censor = np.full(n, np.inf)
     return SurvivalSample(np.minimum(events, censor), events <= censor)
+
+
+def cv_score_at(sample, h):
+    """The sample's least-squares CV score at the one bandwidth h."""
+    return float(_cv_scores(*_cv_events(*_sorted_rows(sample)), sample.n, np.array([h]))[0])
 
 
 def _sorted_events(sample):
@@ -595,9 +599,9 @@ class TestCvCriterion:
             monkeypatch.setattr(density, f"_pair_sums_{name}",
                                 lambda *a, name=name, original=original:
                                 calls.append(name) or original(*a))
-        score = cv_score(sample, 1e150)
+        score = cv_score_at(sample, 1e150)
         for h in (1e155, 1e200):
-            assert cv_score(sample, h) == pytest.approx(score * 1e150 / h, rel=1e-12)
+            assert cv_score_at(sample, h) == pytest.approx(score * 1e150 / h, rel=1e-12)
         assert calls == [path] * 3
         assert select_bandwidth_cv(sample, [0.5, 1e155]) == 0.5
 
@@ -609,10 +613,10 @@ class TestCvCriterion:
         in a power-of-two unit of their own, where it cannot."""
         scenario = scenario_from_delta(1.5, 0.5, 0.1, t_cut=0.2, censoring_rate=0.48)
         arm = sample_trial(scenario, 60, 60, 1).arm1
-        score = cv_score(arm, h)
+        score = cv_score_at(arm, h)
         for k in (100, 500, 511, 512, 520, 600, 800, 1000):
             scaled = SurvivalSample(arm.times * 2.0 ** k, arm.events)
-            assert cv_score(scaled, h * 2.0 ** k) * 2.0 ** k == pytest.approx(score, rel=1e-12)
+            assert cv_score_at(scaled, h * 2.0 ** k) * 2.0 ** k == pytest.approx(score, rel=1e-12)
 
     def test_span_and_bandwidth_whose_squares_overflow(self):
         """Times in a unit 1e-300 as small, so that the span and the
@@ -623,8 +627,8 @@ class TestCvCriterion:
         arm = sample_trial(scenario, 60, 60, 1).arm1
         huge = SurvivalSample(arm.times * 1e300, arm.events)
         for h in (1e155, 1e200, 1e300):
-            assert cv_score(huge, h) * 1e300 == pytest.approx(
-                cv_score(arm, h / 1e300), rel=1e-12)
+            assert cv_score_at(huge, h) * 1e300 == pytest.approx(
+                cv_score_at(arm, h / 1e300), rel=1e-12)
 
     @pytest.mark.parametrize("n", [60, 500])
     def test_score_does_not_depend_on_the_rest_of_the_grid(self, n):
@@ -635,7 +639,7 @@ class TestCvCriterion:
         arm = sample_trial(README_PLAN, n, n, 2).arm1
         times, weights = _cv_events(*_sorted_rows(arm))
         usable = [0.1, 0.3, 1.0]
-        alone = [cv_score(arm, h) for h in usable]
+        alone = [cv_score_at(arm, h) for h in usable]
         for extra in (1e155, 1e200, 1e-300):
             grid = np.sort(np.r_[usable, extra])
             scores = _cv_scores(times, weights, n, grid)
@@ -667,7 +671,7 @@ class TestCvCriterion:
             kern = np.exp(-0.5 * (diff / h) ** 2)
             cross = weights @ kern @ weights - float(weights @ weights)
             criterion = integral_sq - 2.0 * cross / (n * (n - 1) * h * SQRT_2PI)
-            assert_allclose(cv_score(sample, h), criterion, rtol=1e-6)
+            assert_allclose(cv_score_at(sample, h), criterion, rtol=1e-6)
 
     def test_uncensored_equals_classical_criterion(self):
         """With no censoring every weight is 1 and the criterion is the
@@ -683,7 +687,7 @@ class TestCvCriterion:
             )
             off = np.exp(-(diff**2) / (2 * h * h)).sum() - n
             classical = integral_sq - 2.0 * off / (n * (n - 1) * h * SQRT_2PI)
-            assert_allclose(cv_score(sample, h), classical, rtol=1e-12)
+            assert_allclose(cv_score_at(sample, h), classical, rtol=1e-12)
 
     def test_selects_interior_point_on_smooth_data(self):
         # slower event rate so the optimal bandwidth sits inside 0.1..1.0
@@ -1035,7 +1039,7 @@ class TestPowerOfTwoEquivariance:
         times, weights = _cv_events(*_sorted_rows(arm))
         assume(times.size >= 2)
         scores = _cv_scores(times, weights, n, CV_GRID)
-        score = cv_score(arm, h)
+        score = cv_score_at(arm, h)
         # the largest value the criterion forms on the way is below
         # (sum w)^2 / h_min
         largest = float(weights.sum()) ** 2 / min(h, CV_GRID[0])
@@ -1046,6 +1050,6 @@ class TestPowerOfTwoEquivariance:
         grid = np.ldexp(CV_GRID, k)
         assert np.array_equal(_cv_scores(np.ldexp(times, k), weights, n, grid),
                               np.ldexp(scores, -k))
-        assert cv_score(scaled, math.ldexp(h, k)) == math.ldexp(score, -k)
+        assert cv_score_at(scaled, math.ldexp(h, k)) == math.ldexp(score, -k)
         assert select_bandwidth_cv(scaled, grid) == math.ldexp(
             select_bandwidth_cv(arm, CV_GRID), k)

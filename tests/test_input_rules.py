@@ -22,15 +22,17 @@ from survquant import (
     PowerSpec,
     ScenarioConfig,
     SimulationPlan,
+    SurvivalSample,
     TrialScenario,
     calibrate_censoring,
-    chi2_cdf,
     chi2_quantile,
-    cv_score,
+    estimate_density_kde,
+    fit_kaplan_meier,
     min_sample_size,
     noncentral_chi2_cdf,
     normal_quantile,
     phi_exponential,
+    phi_hat,
     power_univariate,
     resolve_scenario,
     sample_trial,
@@ -48,6 +50,8 @@ VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5]
 SCENARIO = TrialScenario(ExponentialArm(1.0), ExponentialArm(1.5))
 SAMPLE = sample_trial(SCENARIO, 30, 30, 1).arm1
 MEDIAN = exp_quantile(1.5, 0.5)  # the control median of the delta cases
+FIT = fit_kaplan_meier(SurvivalSample(np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+                                      np.array([True, True, False, True, False])))
 
 
 def open_unit(v):
@@ -89,7 +93,7 @@ CASES = [
     ("p", normal_quantile, open_unit),
     ("p", lambda v: chi2_quantile(v, 2), open_unit),
     ("dof", lambda v: chi2_quantile(0.5, v), count(1)),
-    ("dof", lambda v: float(chi2_cdf(1.0, v)), count(1)),
+    ("dof", lambda v: noncentral_chi2_cdf(1.0, v, 0.0), count(1)),
     ("dof", lambda v: noncentral_chi2_cdf(1.0, v, 1.0), count(1)),
     ("x", lambda v: noncentral_chi2_cdf(v, 2, 1.0), non_negative),
     ("noncentrality", lambda v: noncentral_chi2_cdf(1.0, 2, v), finite_non_negative),
@@ -138,10 +142,16 @@ CASES = [
     ("n_draws", lambda v: select_sigma_ls(SAMPLE, 0.5, [0.5, 1.0], n_draws=v).sigma_eps,
      count(2)),
     ("bandwidth", lambda v: KdeConfig(v).bandwidth, positive_finite),
-    ("bandwidth", lambda v: cv_score(SAMPLE, v), positive_finite),
+    ("bandwidth", lambda v: estimate_density_kde(SAMPLE, 0.5, KdeConfig(v)).value,
+     positive_finite),
     ("cv_grid", lambda v: select_bandwidth_cv(SAMPLE, [v, 2.0]), positive_finite),
     ("sigma grid", lambda v: select_sigma_ls(SAMPLE, 0.5, [v, 2.0], seed=0).sigma_eps,
      positive_finite),
+    # "time t", not "t", whose inf is phi_exponential's saturated limit: the
+    # first event of FIT is at 1, and a KDE density at +-inf is 0
+    ("time t", lambda v: phi_hat(FIT, v), lambda v: v >= 1.0),
+    ("time t", lambda v: estimate_density_kde(SAMPLE, v, KdeConfig(0.5)).value,
+     lambda v: not math.isnan(v)),
 ]
 
 

@@ -24,11 +24,10 @@ from survquant import (
     multivariate_test,
     phi_hat,
     quantile_at,
-    sigma_hat_univariate,
     univariate_test,
-    upsilon_matrix,
 )
 from survquant import density
+from survquant.power import upsilon
 from survquant.quantile_tests import _chi2_sf, _normal_two_sided
 
 KDE_FIXED = KdeConfig(bandwidth=0.3)
@@ -72,10 +71,8 @@ class TestProbabilityDomain:
         tuning = LS_FIXED if method == "ls" else KDE_FIXED
         calls = [
             lambda: univariate_test(data, p, method, tuning),
-            lambda: sigma_hat_univariate(data, p, method, tuning),
             lambda: multivariate_test(data, [0.5, p], method, tuning),
             lambda: bonferroni_followup(data, [0.5, p], method, tuning),
-            lambda: upsilon_matrix(fit_kaplan_meier(data.arm1), [p], [1.0], 0.5),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="strictly between"):
@@ -179,12 +176,13 @@ class TestUnivariate:
 class TestSigmaHat:
     def test_diagnostics_reassemble_sigma(self):
         data = two_arm(8)
-        sigma, diag = sigma_hat_univariate(data, 0.5, "kde", KDE_FIXED)
+        out = univariate_test(data, 0.5, "kde", KDE_FIXED)
+        assert "clamped-density" not in out.flags  # the densities enter as reported
         var = 0.25 * (
-            diag["phi1"] / (diag["mu1"] * diag["density1_used"] ** 2)
-            + diag["phi2"] / (diag["mu2"] * diag["density2_used"] ** 2)
+            out.phi1 / (data.mu1_hat * out.density1 ** 2)
+            + out.phi2 / (data.mu2_hat * out.density2 ** 2)
         )
-        assert_allclose(sigma * sigma, var, rtol=1e-12)
+        assert_allclose(out.sigma_hat ** 2, var, rtol=1e-12)
 
     def test_uncensored_closed_form_limit(self):
         """Two uncensored Exp(1.5) arms at p=0.5: the population variance is
@@ -195,11 +193,18 @@ class TestSigmaHat:
             rng = np.random.default_rng(100 + seed)
             arm1 = SurvivalSample(rng.exponential(1 / 1.5, n), np.ones(n, bool))
             arm2 = SurvivalSample(rng.exponential(1 / 1.5, n), np.ones(n, bool))
-            sigma, _ = sigma_hat_univariate(
+            sigma = univariate_test(
                 TwoArmData(arm1, arm2), 0.5, "ls", LsConfig(sigma_eps=3.0, seed=seed)
-            )
+            ).sigma_hat
             rel_errors.append(abs(sigma * sigma - 16 / 9) / (16 / 9))
         assert np.mean(rel_errors) < 0.10
+
+
+def arm_upsilon(fit, probabilities, densities, mu):
+    """One arm's Upsilon: power.upsilon at the fit's quantiles and their
+    Greenwood factors phi_hat."""
+    times = [quantile_at(fit, p).time for p in probabilities]
+    return upsilon(probabilities, times, [phi_hat(fit, t) for t in times], densities, mu)
 
 
 class TestUpsilonMatrix:
@@ -208,36 +213,26 @@ class TestUpsilonMatrix:
         arm = censored_arm(rng, 150)
         fit = fit_kaplan_meier(arm)
         t = quantile_at(fit, 0.5).time
-        got = upsilon_matrix(fit, [0.5], [0.8], mu_hat=0.5)
+        got = arm_upsilon(fit, [0.5], [0.8], mu=0.5)
         expected = 0.25 * phi_hat(fit, t) / (0.5 * 0.64)
         assert_allclose(got, [[expected]], rtol=1e-14)
 
     def test_duplicate_probability_off_diagonal(self):
         rng = np.random.default_rng(11)
         fit = fit_kaplan_meier(censored_arm(rng, 150))
-        m = upsilon_matrix(fit, [0.5, 0.5], [0.8, 0.8], mu_hat=0.5)
+        m = arm_upsilon(fit, [0.5, 0.5], [0.8, 0.8], mu=0.5)
         assert_allclose(m, m[0, 0] * np.ones((2, 2)), rtol=1e-14)
 
     def test_validation(self):
         rng = np.random.default_rng(12)
         fit = fit_kaplan_meier(censored_arm(rng, 50))
-        with pytest.raises(ValidationError, match="one density per"):
-            upsilon_matrix(fit, [0.3, 0.5], [0.8], mu_hat=0.5)
         with pytest.raises(ValidationError, match="positive"):
-            upsilon_matrix(fit, [0.5], [0.0], mu_hat=0.5)
-        with pytest.raises(ValidationError, match="mu_hat"):
-            upsilon_matrix(fit, [0.5], [0.8], mu_hat=0.0)
-
-    @pytest.mark.parametrize("mu_hat", [-0.5, 1.5, math.nan])
-    def test_mu_hat_outside_half_open_unit_interval(self, mu_hat):
-        fit = fit_kaplan_meier(censored_arm(np.random.default_rng(12), 50))
-        with pytest.raises(ValidationError, match=r"mu_hat must lie in \(0, 1\], got"):
-            upsilon_matrix(fit, [0.5], [0.8], mu_hat=mu_hat)
+            arm_upsilon(fit, [0.5], [0.0], mu=0.5)
 
     def test_mu_hat_of_one_is_allowed(self):
         fit = fit_kaplan_meier(censored_arm(np.random.default_rng(12), 50))
-        half = upsilon_matrix(fit, [0.5], [0.8], mu_hat=0.5)
-        assert_allclose(upsilon_matrix(fit, [0.5], [0.8], mu_hat=1.0), half / 2, rtol=1e-14)
+        half = arm_upsilon(fit, [0.5], [0.8], mu=0.5)
+        assert_allclose(arm_upsilon(fit, [0.5], [0.8], mu=1.0), half / 2, rtol=1e-14)
 
     def test_population_convergence(self):
         """Against the closed-form matrix for Exp(1.5) with Exp(0.48)
@@ -250,7 +245,7 @@ class TestUpsilonMatrix:
         rng = np.random.default_rng(13)
         fit = fit_kaplan_meier(censored_arm(rng, 10_000))
         true_densities = [1.5 * 0.7, 1.5 * 0.5]
-        got = upsilon_matrix(fit, [0.3, 0.5], true_densities, mu_hat=0.5)
+        got = arm_upsilon(fit, [0.3, 0.5], true_densities, mu=0.5)
         assert np.all(np.abs(got - target) / target < 0.10)
 
 
@@ -488,7 +483,6 @@ class TestTuningMatchesMethod:
         data = two_arm(26)
         calls = (
             lambda: univariate_test(data, 0.5, method, tuning),
-            lambda: sigma_hat_univariate(data, 0.5, method, tuning),
             lambda: multivariate_test(data, [0.3, 0.6], method, tuning),
             lambda: bonferroni_followup(data, [0.3, 0.6], method, tuning),
         )

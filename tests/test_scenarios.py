@@ -21,20 +21,17 @@ from survquant import (
     TrialScenario,
     calibrate_censoring,
     exp_quantile,
-    parse_scenario_config,
-    parse_scenario_values,
     phi_exponential,
     phi_piecewise,
     piecewise_quantile,
-    rate_from_delta_scn1,
-    rate_from_delta_scn2,
     resolve_scenario,
     scenario_from_delta,
     scenario_psi,
     scenario_sigma2,
 )
 from survquant.errors import InfeasibleDeltaError, ValidationError
-from survquant.scenarios import exp_density
+from survquant.scenarios import (_parse_scenario_values, _rate_from_delta_scn1,
+                                 _rate_from_delta_scn2)
 
 # the reference setting used across the frozen values below
 RATE = 1.5
@@ -70,7 +67,7 @@ class TestExponentialPieces:
             assert arm.survival(arm.quantile(p)) == pytest.approx(1.0 - p, rel=1e-14)
 
     def test_density(self):
-        assert exp_density(1.5, 0.0) == 1.5
+        assert ExponentialArm(1.5).density(0.0) == 1.5
         # at the p-quantile the density is rate * (1 - p)
         assert ExponentialArm(RATE).density(MEDIAN) == pytest.approx(
             0.75, rel=1e-14
@@ -274,10 +271,10 @@ class TestPhi:
 
 class TestRateSolvers:
     def test_scn1_reference_values(self):
-        assert rate_from_delta_scn1(RATE, 0.5, 0.1) == pytest.approx(
+        assert _rate_from_delta_scn1(RATE, 0.5, 0.1) == pytest.approx(
             1.9142523574697405, rel=1e-12
         )
-        assert rate_from_delta_scn1(RATE, 0.5, 0.2) == pytest.approx(
+        assert _rate_from_delta_scn1(RATE, 0.5, 0.2) == pytest.approx(
             2.6446095056794796, rel=1e-12
         )
 
@@ -287,50 +284,50 @@ class TestRateSolvers:
             rate = rng.uniform(0.3, 3.0)
             p = rng.uniform(0.1, 0.9)
             delta = rng.uniform(-0.3, 0.9 * exp_quantile(rate, p))
-            solved = rate_from_delta_scn1(rate, p, delta)
+            solved = _rate_from_delta_scn1(rate, p, delta)
             assert exp_quantile(solved, p) == pytest.approx(
                 exp_quantile(rate, p) - delta, rel=1e-12
             )
 
     def test_scn1_zero_delta_keeps_control_rate(self):
-        assert rate_from_delta_scn1(RATE, 0.5, 0.0) == pytest.approx(RATE, rel=1e-14)
+        assert _rate_from_delta_scn1(RATE, 0.5, 0.0) == pytest.approx(RATE, rel=1e-14)
 
     def test_scn1_infeasible(self):
         # delta at least the control quantile leaves no positive quantile
         with pytest.raises(InfeasibleDeltaError, match="positive"):
-            rate_from_delta_scn1(RATE, 0.5, MEDIAN)
+            _rate_from_delta_scn1(RATE, 0.5, MEDIAN)
         with pytest.raises(InfeasibleDeltaError):
-            rate_from_delta_scn1(RATE, 0.5, 1.0)
+            _rate_from_delta_scn1(RATE, 0.5, 1.0)
 
     def test_scn2_reference_values(self):
-        assert rate_from_delta_scn2(RATE, 0.5, 0.1, T_CUT) == pytest.approx(
+        assert _rate_from_delta_scn2(RATE, 0.5, 0.1, T_CUT) == pytest.approx(
             2.425365449362177, rel=1e-12
         )
-        assert rate_from_delta_scn2(RATE, 0.5, 0.2, T_CUT) == pytest.approx(
+        assert _rate_from_delta_scn2(RATE, 0.5, 0.2, T_CUT) == pytest.approx(
             6.331064099792058, rel=1e-12
         )
 
     def test_scn2_round_trip(self):
-        late = rate_from_delta_scn2(RATE, 0.5, 0.15, T_CUT)
+        late = _rate_from_delta_scn2(RATE, 0.5, 0.15, T_CUT)
         arm = PiecewiseExponentialArm(RATE, late, T_CUT)
         assert arm.quantile(0.5) == pytest.approx(MEDIAN - 0.15, rel=1e-12)
 
     def test_scn2_zero_delta_keeps_control_rate(self):
-        assert rate_from_delta_scn2(RATE, 0.5, 0.0, T_CUT) == pytest.approx(
+        assert _rate_from_delta_scn2(RATE, 0.5, 0.0, T_CUT) == pytest.approx(
             RATE, rel=1e-14
         )
 
     def test_scn2_infeasible_past_cut(self):
         # the shifted quantile must stay beyond t_cut
         with pytest.raises(InfeasibleDeltaError, match="t_cut"):
-            rate_from_delta_scn2(RATE, 0.5, MEDIAN - T_CUT, T_CUT)
+            _rate_from_delta_scn2(RATE, 0.5, MEDIAN - T_CUT, T_CUT)
         with pytest.raises(InfeasibleDeltaError):
-            rate_from_delta_scn2(RATE, 0.5, 0.3, T_CUT)
+            _rate_from_delta_scn2(RATE, 0.5, 0.3, T_CUT)
 
     @pytest.mark.parametrize("t_cut", [math.nan, -1.0, 0.0, math.inf])
     def test_scn2_rejects_bad_t_cut(self, t_cut):
         with pytest.raises(ValidationError, match="t_cut must be positive and finite"):
-            rate_from_delta_scn2(RATE, 0.5, 0.1, t_cut)
+            _rate_from_delta_scn2(RATE, 0.5, 0.1, t_cut)
 
 
 class TestTrialScenario:
@@ -534,7 +531,7 @@ class TestScenarioConfigParsing:
         p_list = 0.25, 0.5, 0.75
         lambda_cens = 0.48
         """
-        values = parse_scenario_values(text)
+        values = _parse_scenario_values(text)
         assert values["lambda_a"] == 1.5
         assert values["delta"] == 0.1
         assert values["p_list"] == (0.25, 0.5, 0.75)
@@ -542,32 +539,32 @@ class TestScenarioConfigParsing:
 
     def test_line_numbers_in_errors(self):
         with pytest.raises(ValidationError, match="line 2"):
-            parse_scenario_values("lambda_a = 1.0\nnot a pair\n")
+            _parse_scenario_values("lambda_a = 1.0\nnot a pair\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ValidationError, match="duplicate key lambda_a"):
-            parse_scenario_values("lambda_a = 1.0\nlambda_a = 2.0\n")
+            _parse_scenario_values("lambda_a = 1.0\nlambda_a = 2.0\n")
 
     def test_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown key 'lambda_c'"):
-            parse_scenario_values("lambda_c = 1.0\n")
+            _parse_scenario_values("lambda_c = 1.0\n")
 
     def test_non_numeric_scalar(self):
         with pytest.raises(ValidationError, match="needs a number"):
-            parse_scenario_values("lambda_a = fast\n")
+            _parse_scenario_values("lambda_a = fast\n")
 
     def test_bad_list_entry(self):
         with pytest.raises(ValidationError, match="comma-separated"):
-            parse_scenario_values("p_list = 0.5, soon\n")
+            _parse_scenario_values("p_list = 0.5, soon\n")
 
     def test_config_requires_lambda_a(self):
         with pytest.raises(ValidationError, match="missing lambda_a"):
-            parse_scenario_config("p = 0.5\ndelta = 0.1\n")
+            ScenarioConfig(**_parse_scenario_values("p = 0.5\ndelta = 0.1\n"))
 
     def test_full_config(self):
-        config = parse_scenario_config(
+        config = ScenarioConfig(**_parse_scenario_values(
             "lambda_a = 1.5\nlambda_b = 2.0\np = 0.5\nmu1 = 0.4\n"
-        )
+        ))
         assert config.lambda_b == 2.0
         assert config.probabilities == (0.5,)
         assert config.mu1 == 0.4
@@ -629,7 +626,7 @@ class TestResolveScenario:
         config = ScenarioConfig(lambda_a=1.5, delta=0.1, p_list=(0.5, 0.25))
         scenario = resolve_scenario(config)
         assert scenario.arm2.rate == pytest.approx(
-            rate_from_delta_scn1(1.5, 0.5, 0.1), rel=1e-15
+            _rate_from_delta_scn1(1.5, 0.5, 0.1), rel=1e-15
         )
 
     @pytest.mark.parametrize("t_cut", [None, 0.2])
